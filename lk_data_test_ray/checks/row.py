@@ -25,8 +25,8 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from ..functions.extract import (binary_views, extract_core_bytes,
-                                 extract_text_bytes)
+from ..functions.extract import (binary_views, c6_candidates,
+                                 extract_core_bytes, extract_text_bytes)
 from ..schema import PAGES_SCHEMA, VIOLATIONS_SCHEMA, WARC_TS_MAX, WARC_TS_MIN
 from ..sketches import HyperLogLog, TDigest
 from .vocab import ISO_639_1
@@ -145,24 +145,24 @@ class RowChecker:
 
         # --- C6 extraction determinism (byte-identical text per url) --------
         if self.check_extract:
-            # zero-copy memoryviews of BOTH buffers: extraction runs at the
-            # bytes level and the equality compares raw utf-8 bytes — the
-            # common (matching) path allocates no Python strings and decodes
-            # NOTHING. A bytes mismatch re-checks via the decoded reference
+            # the native scanner compares every row at scan speed and
+            # returns only the rows whose text differs from the extraction
+            # (without it: every row with html and text). Those rows re-check
+            # here; a bytes mismatch re-checks via the decoded reference
             # (errors="replace" can normalize invalid utf-8 both sides).
-            # Only rows with BOTH html and text present can mismatch.
-            views = binary_views(batch["html"])
-            t_views = binary_views(text_col)
-            # t.tobytes(): memoryview.__eq__ unpacks per element (slow);
-            # bytes==bytes is a memcmp
-            bad_idx = [
-                i for i, (v, t) in enumerate(zip(views, t_views))
-                if v is not None and t is not None
-                and extract_core_bytes(v) != t.tobytes()
-                and extract_text_bytes(v) != str(t, "utf-8", "replace")
-            ]
-            bad_urls = ([url_col[i].as_py() for i in bad_idx]
-                        if bad_idx else [])
+            cand = c6_candidates(batch["html"], text_col)
+            bad_urls = []
+            if cand.size:
+                views = binary_views(batch["html"], cand)
+                t_views = binary_views(text_col, cand)
+                # t.tobytes(): memoryview.__eq__ unpacks per element (slow);
+                # bytes==bytes is a memcmp
+                bad_urls = [
+                    url_col[i].as_py()
+                    for i, v, t in zip(cand.tolist(), views, t_views)
+                    if extract_core_bytes(v) != t.tobytes()
+                    and extract_text_bytes(v) != str(t, "utf-8", "replace")
+                ]
             emit("c6_extract_match", bad_urls, "error",
                  "extract_text(html) != text")
 
@@ -180,7 +180,8 @@ class RowChecker:
         hll_lang.update_strings(np.array(list(lang_counts), dtype=object))
         td = TDigest()
         tl = pc.utf8_length(text_col).to_numpy(zero_copy_only=False).astype(np.float64)
-        td.update(tl[~np.isnan(tl)] if np.isnan(tl).any() else tl)
+        nan = np.isnan(tl)
+        td.update(tl[~nan] if nan.any() else tl)
         ts_valid = ts[~np.isnat(ts)]
         stats = {
             "n_rows": batch.num_rows,

@@ -10,14 +10,32 @@ runs and cluster sizes (BASELINE.json ``input_hint``).
 Do not edit the regexes or entity table without bumping EXTRACT_VERSION: the
 generator stamps `text = extract_text(html)` at generation time and check C6
 re-derives it, so both sides must agree forever.
+
+C6 runs on every row, so it first goes through ``c6scan.c``: a one-pass C
+scanner that mirrors ``_STRIP``'s precedence and ``re.I | re.S`` semantics,
+the entity table and the ASCII whitespace collapse of
+``extract_core_bytes``, and returns only the rows whose text differs
+(``c6_candidates``). It is compiled with ``gcc`` into the user cache dir on
+first use; without it every row re-extracts here. ``tests/test_c6scan.py``
+fuzzes the scanner against ``extract_core_bytes`` row for row. Any edit to
+``_STRIP`` or ``_ENTITIES`` needs the same edit in ``c6scan.c`` and an
+EXTRACT_VERSION bump.
 """
 
 from __future__ import annotations
 
+import ctypes
+import functools
+import hashlib
+import logging
+import os
 import re
+import subprocess
+import threading
 
 import numpy as np
 import pyarrow as pa
+import pyarrow.compute as pc
 
 EXTRACT_VERSION = 3
 
@@ -83,27 +101,129 @@ def extract_text(html) -> str | None:
     return extract_text_bytes(html)
 
 
-def binary_views(arr) -> list:
+def _large(t: pa.DataType) -> bool:
+    """Whether a binary/string type has 64-bit offsets."""
+    return pa.types.is_large_binary(t) or pa.types.is_large_string(t)
+
+
+def binary_views(arr, rows=None) -> list:
     """Zero-copy per-row memoryviews of an Arrow binary array (None for null
-    rows). Avoids ``to_pylist``'s per-row bytes allocation — measured at
-    ~1/3 of the row-phase cost on cold buffers."""
-    if isinstance(arr, pa.ChunkedArray):
-        arr = arr.combine_chunks()
-    n = len(arr)
-    if n == 0:
-        return []
-    bufs = arr.buffers()
-    off_t = (np.int64 if (pa.types.is_large_binary(arr.type)
-                          or pa.types.is_large_string(arr.type))
-             else np.int32)
-    offs = np.frombuffer(bufs[1], dtype=off_t, count=n + 1,
-                         offset=arr.offset * off_t().itemsize)
-    data = memoryview(bufs[2]) if bufs[2] is not None else memoryview(b"")
-    if arr.null_count == 0:
-        return [data[offs[i]:offs[i + 1]] for i in range(n)]
-    valid = arr.is_valid().to_numpy(zero_copy_only=False)
-    return [data[offs[i]:offs[i + 1]] if valid[i] else None
-            for i in range(n)]
+    rows), of every row or of the ascending row indices ``rows`` only.
+    Avoids ``to_pylist``'s per-row bytes allocation — measured at ~1/3 of
+    the row-phase cost on cold buffers — and never concatenates chunks."""
+    chunks = arr.chunks if isinstance(arr, pa.ChunkedArray) else [arr]
+    rows = (np.arange(len(arr)) if rows is None
+            else np.asarray(rows, dtype=np.int64))
+    out, base = [], 0
+    for c in chunks:
+        lo, hi = np.searchsorted(rows, [base, base + len(c)])
+        sel = rows[lo:hi] - base
+        base += len(c)
+        if not sel.size:
+            continue
+        bufs = c.buffers()
+        off_t = np.int64 if _large(c.type) else np.int32
+        offs = np.frombuffer(bufs[1], dtype=off_t,
+                             count=c.offset + len(c) + 1)
+        data = memoryview(bufs[2]) if bufs[2] is not None else memoryview(b"")
+        at = sel + c.offset
+        views = [data[s:e] for s, e in zip(offs[at].tolist(),
+                                           offs[at + 1].tolist())]
+        if c.null_count:
+            valid = c.is_valid().to_numpy(zero_copy_only=False)[sel]
+            views = [v if ok else None for v, ok in zip(views, valid.tolist())]
+        out += views
+    return out
+
+
+_C_SOURCE = os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                         "c6scan.c")
+
+
+def _build_scanner():
+    """Compile ``c6scan.c`` once per source hash into the user cache dir
+    (``$XDG_CACHE_HOME`` or ``~/.cache``, under ``lk_data_test_ray/``) and
+    bind its entry point. The library lands under its final name by
+    ``os.replace``, so Ray workers building at the same time are safe."""
+    with open(_C_SOURCE, "rb") as f:
+        digest = hashlib.sha256(f.read()).hexdigest()[:16]
+    cache = os.path.join(os.environ.get("XDG_CACHE_HOME")
+                         or os.path.expanduser("~/.cache"), "lk_data_test_ray")
+    lib = os.path.join(cache, f"c6scan-{digest}.so")
+    if not os.path.exists(lib):
+        os.makedirs(cache, exist_ok=True)
+        tmp = f"{lib}.{os.getpid()}-{threading.get_ident()}.tmp"
+        try:
+            subprocess.run(["gcc", "-O2", "-shared", "-fPIC", "-o", tmp,
+                            _C_SOURCE], check=True, capture_output=True,
+                           text=True)
+            os.replace(tmp, lib)
+        except subprocess.CalledProcessError as ex:
+            raise RuntimeError(f"gcc failed: {ex.stderr.strip()}") from ex
+        finally:
+            if os.path.exists(tmp):
+                os.remove(tmp)
+    scan = ctypes.CDLL(lib).c6_scan
+    column = [ctypes.c_void_p, ctypes.c_int64, ctypes.c_void_p,
+              ctypes.c_int, ctypes.c_void_p]
+    scan.argtypes = [ctypes.c_int64, *column, *column, ctypes.c_void_p]
+    scan.restype = ctypes.c_int64
+    return scan
+
+
+@functools.cache
+def c6_scanner():
+    """The native C6 scanner, or None (after one WARNING) when it cannot be
+    built or loaded in this process."""
+    try:
+        return _build_scanner()
+    except Exception as ex:
+        logging.getLogger("lk_data_test_ray").warning(
+            "C6 scanner unavailable, every row re-extracts in Python: %s", ex)
+        return None
+
+
+_EMPTY = pa.py_buffer(b"\0")
+
+
+def _column_args(arr: pa.Array) -> tuple:
+    """(validity, offset, offsets, 64-bit offsets?, data) of one binary or
+    string array, as ``c6_scan`` takes them."""
+    valid, offs, data = arr.buffers()[:3]
+    return (valid.address if valid is not None and arr.null_count else None,
+            arr.offset, offs.address, int(_large(arr.type)),
+            (data if data is not None else _EMPTY).address)
+
+
+def c6_candidates(html, text) -> np.ndarray:
+    """Row indices C6 must check in Python: where html and text are both
+    present and ``text != extract_core_bytes(html)`` byte for byte. Without
+    the native scanner every row with both present is a candidate."""
+    for col in (html, text):
+        if not (pa.types.is_binary(col.type) or pa.types.is_string(col.type)
+                or _large(col.type)):
+            raise TypeError(f"C6 needs binary or string columns, not "
+                            f"{col.type}")
+    if len(html) != len(text):
+        raise ValueError(f"html has {len(html)} rows, text {len(text)}")
+    scan = c6_scanner()
+    if scan is None:
+        both = pc.and_(pc.is_valid(html), pc.is_valid(text))
+        return np.flatnonzero(both.to_numpy(zero_copy_only=False))
+    hc = html.chunks if isinstance(html, pa.ChunkedArray) else [html]
+    tc = text.chunks if isinstance(text, pa.ChunkedArray) else [text]
+    if [len(c) for c in hc] != [len(c) for c in tc]:
+        hc = [pa.chunked_array(hc, html.type).combine_chunks()]
+        tc = [pa.chunked_array(tc, text.type).combine_chunks()]
+    out, base = [np.empty(0, np.int64)], 0
+    for h, t in zip(hc, tc):
+        if len(h):
+            idx = np.empty(len(h), np.int64)
+            k = scan(len(h), *_column_args(h), *_column_args(t),
+                     idx.ctypes.data)
+            out.append(idx[:k] + base)
+        base += len(h)
+    return np.concatenate(out)
 
 
 def extract_links(html) -> list[tuple[str, str]]:

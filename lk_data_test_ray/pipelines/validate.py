@@ -28,6 +28,8 @@ from __future__ import annotations
 import glob
 import json
 import os
+import re
+import shutil
 import time
 
 import pyarrow as pa
@@ -109,9 +111,15 @@ def run_validation(
     t0 = time.time()
     files = _pages_files(pages_path)
     viol_dir = os.path.join(out_dir, "violations")
+    if not resume:
+        # a fresh run starts from an empty store: stale manifests, parts or
+        # sidecars would otherwise mix with this run's partition ids
+        for sub in ("manifests", "violations", "c1"):
+            shutil.rmtree(os.path.join(out_dir, sub), ignore_errors=True)
     os.makedirs(viol_dir, exist_ok=True)
     store = ManifestStore(os.path.join(out_dir, "manifests"))
-    committed = store.completed() if resume else {}
+    done = _keep_committed(store, files, viol_dir,
+                           os.path.join(out_dir, "c1"))
 
     # Resume keys on each manifest's recorded input_fragment, NOT the
     # file's position in the sorted listing: on an INCREMENTAL run (the
@@ -120,11 +128,9 @@ def run_validation(
     # committed id and is silently skipped unvalidated, the shifted file
     # is re-scanned and double-counted, and the sidecar feed attributes
     # the wrong urls to C1. A file keeps the partition id its manifest
-    # recorded; genuinely new files get fresh ids past the highest used.
-    frag_pid = {rec.get("input_fragment"): pid
-                for pid, rec in committed.items() if pid != "global"}
-    next_id = 1 + max((int(p) for p in committed
-                       if str(p).isdigit()), default=-1)
+    # recorded; genuinely new files get fresh ids past the highest kept.
+    frag_pid = {rec["input_fragment"]: pid for pid, rec in done.items()}
+    next_id = 1 + max(done, default=-1)
     partition_of = {}
     for f in files:
         if f in frag_pid:
@@ -132,9 +138,6 @@ def run_validation(
         else:
             partition_of[f] = next_id
             next_id += 1
-    cur_files = set(files)
-    done = {pid: rec for pid, rec in committed.items()
-            if pid != "global" and rec.get("input_fragment") in cur_files}
 
     todo = [f for f in files if partition_of[f] not in done]
     ray_stats = None
@@ -444,11 +447,10 @@ def run_validation(
     drain.start()
 
     # ---------------- merge committed partition stats ------------------------
-    # only manifests whose input_fragment is in THIS run's file set — a
-    # manifest for a since-deleted input must not inflate the summary
+    # every partition manifest now covers a file of THIS run's input set
+    # (_keep_committed dropped the rest before the scan)
     done = {pid: rec for pid, rec in store.completed().items()
-            if pid != "global"
-            and rec.get("input_fragment") in set(files)}
+            if pid != "global"}
     all_stats = [store.load_stats(pid) for pid in sorted(done, key=str)]
     all_stats = [s for s in all_stats if s is not None]
     global_stats = merge_stats(all_stats)
@@ -503,21 +505,9 @@ def run_validation(
 
     # ---------------- summary ------------------------------------------------
     per_check = {c: 0 for c in CHECK_IDS}
-    cur = set(files)
-    for pid, rec in store.completed().items():
-        # current-run global record + manifests of files still in the input
-        if pid != "global" and rec.get("input_fragment") not in cur:
-            continue
+    for rec in store.completed().values():
         for c, n in rec.get("per_check_violations", {}).items():
             per_check[c] = per_check.get(c, 0) + n
-    # violation parquets of since-deleted inputs must not leak into
-    # load_violations' union — drop any part file with no current manifest
-    keep_viols = {f"part-{int(pid):05d}.parquet"
-                  for pid in done if str(pid).isdigit()}
-    for name in os.listdir(viol_dir):
-        if (name.startswith("part-") and name.endswith(".parquet")
-                and name not in keep_viols):
-            os.remove(os.path.join(viol_dir, name))
     wall = time.time() - t0
     summary = {
         "phase_wall": {"row": round(t_row_done - t0, 3),
@@ -543,6 +533,33 @@ def run_validation(
     return summary
 
 
+def _keep_committed(store: ManifestStore, files: list[str], viol_dir: str,
+                    c1_dir: str) -> dict:
+    """The committed partitions this run keeps, pid -> manifest: one per
+    input file still present (the lowest pid when two manifests claim the
+    same file). Every other partition is dropped with its stats, its
+    violations part and its C1 sidecars, and so is any part or sidecar
+    without a kept manifest (a run killed before the commit): a deleted
+    and re-added file is re-scanned, and a reused pid starts clean instead
+    of being tiled by a deleted file's sidecars."""
+    cur, seen, keep = set(files), set(), {}
+    parts = [(pid, rec) for pid, rec in store.completed().items()
+             if pid != "global"]
+    for pid, rec in sorted(parts, key=lambda kv: kv[0]):
+        frag = rec.get("input_fragment")
+        if frag in cur and frag not in seen:
+            seen.add(frag)
+            keep[pid] = rec
+        else:
+            store.drop(pid)
+    for d in (viol_dir, c1_dir):
+        for name in (os.listdir(d) if os.path.isdir(d) else []):
+            m = re.match(r"(?:part|item)-(\d+)", name)
+            if m and int(m.group(1)) not in keep:
+                os.remove(os.path.join(d, name))
+    return keep
+
+
 def load_violations(out_dir: str) -> pa.Table:
     files = sorted(glob.glob(os.path.join(out_dir, "violations", "*.parquet")))
     tables = [pq.read_table(f) for f in files]
@@ -552,9 +569,7 @@ def load_violations(out_dir: str) -> pa.Table:
 def _per_check_counts(viol: pa.Table) -> dict[str, int]:
     if viol.num_rows == 0:
         return {}
-    vals, counts = (
-        viol.group_by("check_id").aggregate([("check_id", "count")])
-    ), None
+    vals = viol.group_by("check_id").aggregate([("check_id", "count")])
     return {
         vals["check_id"][i].as_py(): vals["check_id_count"][i].as_py()
         for i in range(vals.num_rows)

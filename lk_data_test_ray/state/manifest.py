@@ -51,6 +51,15 @@ class ManifestStore:
             json.dump(record, f, indent=1, sort_keys=True)
         os.replace(tmp, path)
 
+    def drop(self, pid) -> None:
+        """Forget one partition: its manifest first, so an interrupted drop
+        leaves the partition uncommitted rather than half-dropped."""
+        for name in (f"part-{pid}.json", f"stats-{pid}.pkl"):
+            try:
+                os.remove(os.path.join(self.root, name))
+            except FileNotFoundError:
+                pass
+
     def load_stats(self, pid) -> dict | None:
         sp = os.path.join(self.root, f"stats-{pid}.pkl")
         if not os.path.exists(sp):

@@ -284,3 +284,106 @@ def test_incremental_delete_shrinks_summary(pages_fixture, tmp_path,
     b = load_violations(out_f).to_pandas()
     assert (a[key].sort_values(key).reset_index(drop=True)
             .equals(b[key].sort_values(key).reset_index(drop=True)))
+
+
+def _same_outputs(out_a, sa, out_b, sb):
+    assert sa["n_rows"] == sb["n_rows"]
+    assert sa["per_check_violations"] == sb["per_check_violations"]
+    key = ["check_id", "url", "detail"]
+    a = load_violations(out_a).to_pandas()[key]
+    b = load_violations(out_b).to_pandas()[key]
+    assert (a.sort_values(key).reset_index(drop=True)
+            .equals(b.sort_values(key).reset_index(drop=True)))
+
+
+def test_delete_then_readd_equals_fresh(pages_fixture, tmp_path):
+    """A deleted input's partition is dropped whole (manifest, stats,
+    violations part, C1 sidecars): re-adding the file re-scans it, and a
+    new file that reuses the freed pid is not tiled by stale sidecars."""
+    import glob
+
+    src = os.path.join(pages_fixture, "pages")
+    parts = sorted(os.listdir(src))[:4]
+    inp = tmp_path / "in"
+    inp.mkdir()
+    for p in parts[:3]:
+        shutil.copy(os.path.join(src, p), inp / p)
+    out = str(tmp_path / "out")
+    run_validation(str(inp), out)
+    man, c1 = os.path.join(out, "manifests"), os.path.join(out, "c1")
+    assert glob.glob(os.path.join(c1, "item-00000-*.npz"))
+
+    # delete the first file: its whole partition goes
+    os.remove(inp / parts[0])
+    run_validation(str(inp), out)
+    assert not os.path.exists(os.path.join(man, "part-0.json"))
+    assert not os.path.exists(os.path.join(man, "stats-0.pkl"))
+    assert not os.path.exists(os.path.join(out, "violations",
+                                           "part-00000.parquet"))
+    assert not glob.glob(os.path.join(c1, "item-00000-*"))
+
+    # re-add it: re-scanned, summary and violations equal a fresh run
+    shutil.copy(os.path.join(src, parts[0]), inp / parts[0])
+    s = run_validation(str(inp), out)
+    fresh = str(tmp_path / "fresh")
+    _same_outputs(out, s, fresh, run_validation(str(inp), fresh))
+
+    # delete the file holding the highest pid and add a different one: the
+    # new file reuses that pid; a sidecar-fed resume must still be exact
+    top = max(int(f[5:-5]) for f in os.listdir(man)
+              if f.startswith("part-") and f[5:-5].isdigit())
+    import json
+
+    with open(os.path.join(man, f"part-{top}.json")) as f:
+        os.remove(json.load(f)["input_fragment"])
+    run_validation(str(inp), out)
+    shutil.copy(os.path.join(src, parts[3]), inp / parts[3])
+    run_validation(str(inp), out)
+    with open(os.path.join(man, f"part-{top}.json")) as f:
+        assert json.load(f)["input_fragment"].endswith(parts[3])
+    os.remove(os.path.join(man, "part-global.json"))
+    s = run_validation(str(inp), out)
+    fresh2 = str(tmp_path / "fresh2")
+    _same_outputs(out, s, fresh2, run_validation(str(inp), fresh2))
+
+
+def test_duplicate_fragment_manifests_equal_fresh(pages_fixture, tmp_path):
+    """Two manifests claiming one input file (a dirty out dir) count it
+    once on resume, and resume=False starts from an empty store."""
+    import pickle
+
+    src = os.path.join(pages_fixture, "pages")
+    inp = tmp_path / "in"
+    inp.mkdir()
+    for p in sorted(os.listdir(src))[:3]:
+        shutil.copy(os.path.join(src, p), inp / p)
+    fresh = str(tmp_path / "fresh")
+    sf = run_validation(str(inp), fresh)
+
+    def dirty(out):
+        # a copy of partition 1 committed again under pid 7
+        man = os.path.join(out, "manifests")
+        import json
+
+        with open(os.path.join(man, "part-1.json")) as f:
+            rec = json.load(f)
+        rec["partition_id"] = 7
+        with open(os.path.join(man, "part-7.json"), "w") as f:
+            json.dump(rec, f)
+        with open(os.path.join(man, "stats-1.pkl"), "rb") as f:
+            stats = pickle.load(f)
+        with open(os.path.join(man, "stats-7.pkl"), "wb") as f:
+            pickle.dump(stats, f)
+        shutil.copy(os.path.join(out, "violations", "part-00001.parquet"),
+                    os.path.join(out, "violations", "part-00007.parquet"))
+
+    out = str(tmp_path / "out")
+    run_validation(str(inp), out)
+    dirty(out)
+    _same_outputs(out, run_validation(str(inp), out), fresh, sf)
+    assert not os.path.exists(os.path.join(out, "manifests", "part-7.json"))
+
+    dirty(out)
+    _same_outputs(out, run_validation(str(inp), out, resume=False), fresh, sf)
+    assert sorted(os.listdir(os.path.join(out, "manifests"))) == sorted(
+        os.listdir(os.path.join(fresh, "manifests")))
