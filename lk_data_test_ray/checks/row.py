@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import json
 import pickle
+import re
 
 import numpy as np
 import pyarrow as pa
@@ -308,32 +309,47 @@ def sidecar_name(pid: int, lo: int, hi: int) -> str:
     return f"item-{pid:05d}-{lo:05d}-{hi:05d}.npz"
 
 
-def committed_sidecars(c1_dir: str, pid: int, path: str) -> list | None:
+_SIDECAR = re.compile(r"item-(\d+)-\d+-\d+\.npz")
+
+
+def sidecars_by_pid(c1_dir: str) -> dict[int, list[str]]:
+    """pid -> the item sidecar paths in ``c1_dir``, from ONE listing."""
+    import os
+
+    out: dict[int, list[str]] = {}
+    for name in (os.listdir(c1_dir) if os.path.isdir(c1_dir) else []):
+        m = _SIDECAR.fullmatch(name)
+        if m:
+            out.setdefault(int(m.group(1)), []).append(
+                os.path.join(c1_dir, name))
+    return out
+
+
+def committed_sidecars(c1_dir: str, pid: int, path: str,
+                       listed: dict | None = None) -> list | None:
     """The sidecar set that fully covers a committed partition, discovered
-    by GLOB over what the original scan actually wrote — never by
-    re-deriving the item split (the live scan auto-sizes its items to the
-    todo set, so a re-plan over one file routinely disagrees with the names
-    on disk and would silently defeat the sidecar fast path). Returns the
-    chosen files only when their (rg_lo, rg_hi) ranges tile
-    ``[0, n_row_groups)`` exactly (greedy max-hi walk, so sidecars from
-    runs with different splits may mix — any exact tiling of correct
-    per-item partials is correct); None → caller falls back to the
-    url-column parquet read."""
-    import glob as _glob
+    from what the original scan actually wrote (``listed``, the
+    ``sidecars_by_pid`` listing, or a fresh one) — never by re-deriving the
+    item split (the live scan auto-sizes its items to the todo set, so a
+    re-plan over one file routinely disagrees with the names on disk and
+    would silently defeat the sidecar fast path). Returns the chosen files
+    only when their (rg_lo, rg_hi) ranges tile ``[0, n_row_groups)``
+    exactly (greedy max-hi walk, so sidecars from runs with different
+    splits may mix — any exact tiling of correct per-item partials is
+    correct); None → caller falls back to the url-column parquet read."""
     import os
 
     import pyarrow.parquet as pq
 
-    cands = _glob.glob(os.path.join(c1_dir, f"item-{pid:05d}-*.npz"))
+    if listed is None:
+        listed = sidecars_by_pid(c1_dir)
+    cands = listed.get(pid)
     if not cands:
         return None
     by_lo: dict[int, tuple[int, str]] = {}
     for c in cands:
-        try:
-            _, _, lo_s, hi_s = os.path.basename(c)[:-4].split("-")
-            lo, hi = int(lo_s), int(hi_s)
-        except ValueError:
-            continue
+        _, _, lo_s, hi_s = os.path.basename(c)[:-4].split("-")
+        lo, hi = int(lo_s), int(hi_s)
         if lo not in by_lo or hi > by_lo[lo][0]:
             by_lo[lo] = (hi, c)
     try:

@@ -20,10 +20,16 @@ with no sort and no block re-materialization.
      tasks): each reducer sees a disjoint hash range, finds counts > 1 with
      one ``np.unique`` — candidate hashes are a tiny set (dups are rare by
      construction of a web corpus).
-  4. **Verify exactly** — map tasks re-read urls, keep rows whose hash is in
-     the (broadcast) candidate set, and the driver counts the survivors —
-     also collapsing u64 hash collisions (expected ~n²/2⁶⁵ ≈ 3·10⁴ false
-     candidate pairs at 10^12 rows; the verify pass removes them exactly).
+  4. **Verify exactly** — the url strings of candidate hashes are counted,
+     which also collapses u64 hash collisions (expected ~n²/2⁶⁵ ≈ 3·10⁴
+     false candidate pairs at 10^12 rows). In the fused validate path the
+     collectors' per-item attribution names the files holding each
+     candidate, and ``verified.parquet`` (``(pid, h, url)``: every row of a
+     committed file whose hash was a candidate when that file was last
+     verified) serves the rows of a committed file whose needed hashes it
+     already holds. Only this run's scanned files and old files holding a
+     newly duplicated hash are re-read, in at most ``num_cpus`` batched
+     tasks, so an incremental step pays for its new files, not the history.
 
 Partitioning assumption: P reducers each hold ~n/P hashes in memory — size P
 to ~cluster cores so a reducer's range fits a worker heap (8 bytes/row).
@@ -36,6 +42,7 @@ import os
 import numpy as np
 import pandas as pd
 import pyarrow as pa
+import pyarrow.compute as pc
 import pyarrow.parquet as pq
 import ray
 
@@ -124,36 +131,26 @@ def find_duplicate_urls(paths: list[str] | str, key: str = "url",
 
 @ray.remote(num_cpus=0)
 class C1Collector:
-    """Accumulates per-scan-item (hash, count) partials for one slice of the
-    corpus (items are routed by a stable item-key hash, NOT by hash range —
-    equal url-hashes may land in different collectors; ``buckets`` re-splits
-    by hash top-bits so the final reduce sees disjoint ranges).
+    """Accumulates per-scan-item (hash, count) partials for one DISJOINT
+    url-hash top-bit range (``split_by_range``), so each collector decides
+    duplicates LOCALLY — there is no cross-collector reduce stage, and the
+    drain is one small RPC per collector.
 
-    Feeds are routed by URL-HASH TOP BITS (``split_by_range``), so each
-    collector owns a DISJOINT hash range and decides duplicates LOCALLY —
-    there is no cross-collector reduce stage at all. (The previous design
-    routed whole items by item-key hash and needed a bucketing +
-    reduce exchange at drain time: ~3×pool_size remote ops moving the
-    full hash multiset through the object store. On a kernel-taxed host
-    each of those ops stochastically stalled seconds; range routing cuts
-    the drain to ONE small RPC per collector and is the textbook
-    disjoint-range exchange shape at any scale.)
-
-    Adds are IDEMPOTENT by item key: Ray Data lineage retries and the
+    Two feeds land here. Live scan tasks ``add`` each item's partial;
+    committed partitions of a resume are loaded by ONE ``load_sidecars``
+    call per collector, which ``np.load``s every committed sidecar and keeps
+    its own range — no feed task, no per-sidecar RPC, no object-store puts.
+    Both are IDEMPOTENT by item key: Ray Data lineage retries and the
     speculative re-issue path (validate.py) can legally deliver the same
-    scan item's slices twice; only the first add of a key lands.
-    ``num_cpus=0`` so collectors never take scan slots — an add is an O(1)
-    list append; the finalize-time unique is bounded by this collector's
-    range (~n_rows/P hashes, 16 B each).
+    scan item twice; only the first arrival of a key lands. ``num_cpus=0``
+    so collectors never take scan slots.
 
     Partials are kept PER ITEM (not compacted across items): per-item
     hashes are already unique, and cross-item duplicate urls are rare by
     construction of a web corpus, so per-item storage costs the same
     ~16 B/row as a merged multiset — and the retained item attribution
-    makes the exact verify's IO proportional to DUP INCIDENCE (only files
-    whose items held a candidate hash are re-read), not corpus size. At
-    10^12 rows the unattributed design re-read every fragment's url column
-    (~1% of 100 TB) to verify a handful of duplicates.
+    (``candidate_hits``) makes the exact verify's IO proportional to DUP
+    INCIDENCE, not corpus size.
     """
 
     def __init__(self):
@@ -179,6 +176,19 @@ class C1Collector:
                                 np.ascontiguousarray(counts, np.int64)))
         return True
 
+    def load_sidecars(self, paths: list, j: int, n: int) -> int:
+        """Add range ``j`` of ``n`` from each committed item sidecar (the
+        ``.npz`` partials the original scan persisted, keyed by that scan's
+        item key). Returns the number of items that landed."""
+        added = 0
+        for sp in paths:
+            with np.load(sp) as d:
+                hj, cj = split_by_range(d["h"].view(np.uint64),
+                                        d["c"].astype(np.int64), n)[j]
+                if len(hj):
+                    added += self.add(str(d["item_key"]), hj, cj)
+        return added
+
     def candidates(self) -> np.ndarray:
         """Hashes with a global count > 1 — exact within this collector's
         DISJOINT hash range, so no cross-collector reconciliation exists."""
@@ -190,16 +200,22 @@ class C1Collector:
             inv, weights=np.concatenate([c for _, _, c in self._items]))
         return hu[cu > 1.5]
 
-    def candidate_files(self, cand_sorted: np.ndarray) -> list:
-        """Files whose items contained ANY candidate hash (u64 collisions
-        can only add a file — harmless; the verify is exact on urls)."""
-        out = set()
-        for item_key, h, _ in self._items:
-            idx = np.searchsorted(cand_sorted, h)
-            idx[idx == len(cand_sorted)] = 0
-            if len(cand_sorted) and bool((cand_sorted[idx] == h).any()):
-                out.add(_item_file(item_key))
-        return sorted(out)
+    def candidate_hits(self, cand_sorted: np.ndarray) -> dict:
+        """file -> the sorted candidate hashes its items hold in this
+        collector's range (u64 collisions can only add a hash — harmless;
+        the verify is exact on urls)."""
+        if not self._items or not len(cand_sorted):
+            return {}
+        h = np.concatenate([h for _, h, _ in self._items])
+        idx = np.searchsorted(cand_sorted, h)
+        idx[idx == len(cand_sorted)] = 0
+        at = np.flatnonzero(cand_sorted[idx] == h)
+        ends = np.cumsum([len(hi) for _, hi, _ in self._items])
+        hits: dict = {}
+        for i, x in zip(np.searchsorted(ends, at, side="right").tolist(),
+                        h[at].tolist()):
+            hits.setdefault(_item_file(self._items[i][0]), set()).add(x)
+        return {f: np.array(sorted(v), np.uint64) for f, v in hits.items()}
 
 
 def _item_file(item_key: str) -> str:
@@ -225,31 +241,11 @@ def split_by_range(hashes: np.ndarray, counts: np.ndarray,
 
 
 @ray.remote
-def _feed_sidecars(sidecar_paths: list, collectors: list) -> bool:
-    """Resume path, sidecar form: feed committed partitions' url-hash
-    partials from the ``.npz`` sidecars their original scan persisted —
-    no parquet read, no re-hashing. Item keys travel inside the sidecars,
-    so dedup semantics are identical to a live scan's adds."""
-    acks = []
-    for sp in sidecar_paths:
-        with np.load(sp) as d:
-            hu = d["h"].view(np.uint64)
-            cu = d["c"].astype(np.int64)
-            item_key = str(d["item_key"])
-        for j, (hj, cj) in enumerate(
-                split_by_range(hu, cu, len(collectors))):
-            if len(hj):
-                acks.append(collectors[j].add.remote(item_key, hj, cj))
-    return all(ray.get(acks)) if acks else True
-
-
-@ray.remote
 def _feed_collector(path: str, key: str, collectors: list,
                     item_key: str) -> bool:
-    """Resume path: a previously-committed partition's scan never re-runs,
-    so its url hashes are fed by this url-only read instead (still one
-    column, still pre-aggregated, still hash-range-routed; only
-    non-committed work is fused)."""
+    """Resume path for a committed file WITHOUT a complete sidecar set (a
+    pre-sidecar out dir, ``c1_sidecars=False``): one url-only read, still
+    pre-aggregated and hash-range-routed."""
     tbl = pq.read_table(path, columns=[key])
     h = hash_strings64(np.asarray(tbl[key].to_pandas(), dtype=object))
     hu, cu = np.unique(h, return_counts=True)
@@ -306,32 +302,130 @@ def collector_candidates(collectors: list) -> np.ndarray:
         ray.get([c.candidates.remote() for c in collectors]))
 
 
-def verify_candidates(paths: list[str], key: str,
-                      cand: np.ndarray,
-                      collectors: list | None = None) -> pa.Table:
-    """Exact verify of candidate hashes (collapses u64 collisions and
-    recovers the url strings): url-only re-read, runs ONLY when candidates
-    exist. When ``collectors`` is given, their per-item attribution narrows
-    the re-read to files that actually held a candidate hash — IO scales
-    with dup incidence, not corpus size."""
+VERIFIED_SCHEMA = pa.schema([("pid", pa.int64()), ("h", pa.uint64()),
+                             ("url", pa.string())])
+
+
+def load_verified(path: str, keep=None) -> pa.Table:
+    """The rows of ``verified.parquet`` (empty when absent). With ``keep``,
+    the rows of other pids are first dropped from the file: callers do this
+    before the scan, so a pid freed by a dropped partition (or a manifest
+    deleted by hand) holds no rows when a new file reuses it and commits."""
+    if not os.path.exists(path):
+        return VERIFIED_SCHEMA.empty_table()
+    tbl = pq.read_table(path, schema=VERIFIED_SCHEMA)
+    if keep is not None:
+        mask = pc.is_in(tbl["pid"], pa.array(sorted(keep), pa.int64()))
+        if not pc.all(mask).as_py():
+            tbl = tbl.filter(mask)
+            save_verified(path, tbl)
+    return tbl
+
+
+def save_verified(path: str, tbl: pa.Table) -> None:
+    tmp = path + ".tmp"
+    pq.write_table(tbl, tmp)
+    os.replace(tmp, path)
+
+
+@ray.remote
+def _collect_rows(paths: list, pids: list, key: str,
+                  cand: np.ndarray) -> pa.Table:
+    """Re-read a batch of files' url columns and keep the (pid, h, url) rows
+    whose hash is a candidate — null urls included, so every candidate
+    hash a file holds yields at least one row."""
+    out = []
+    for path, pid in zip(paths, pids):
+        urls = pq.read_table(path, columns=[key])[key]
+        h = hash_strings64(np.asarray(urls.to_pandas(), dtype=object))
+        mask = np.isin(h, cand)
+        out.append(pa.table({
+            "pid": pa.array(np.full(int(mask.sum()), pid, np.int64)),
+            "h": pa.array(h[mask]),
+            "url": urls.filter(pa.array(mask)).cast(pa.string())},
+            schema=VERIFIED_SCHEMA))
+    return pa.concat_tables(out)
+
+
+@ray.remote
+def _count_urls(old: pa.Table, cached: list, gone: list, key: str,
+                table_path: str | None, *fresh: pa.Table) -> pa.Table:
+    """(url, count) for every url seen more than once among the cached
+    files' rows of ``old`` and the fresh re-read rows; rewrites the table at
+    ``table_path`` as ``old`` without the ``gone`` (re-read) pids plus the
+    fresh rows. Runs as a task so the caller, busy merging stats, only
+    waits."""
+    def of(pids, keep=True):
+        mask = pc.is_in(old["pid"], pa.array(pids, pa.int64()))
+        return old.filter(mask if keep else pc.invert(mask))
+
+    if table_path is not None and fresh:
+        save_verified(table_path, pa.concat_tables([of(gone, False), *fresh]))
+    # a cached file's rows for hashes that are no longer candidates need no
+    # filter: such a hash occurs at most once in the corpus
+    urls = pa.concat_tables([of(cached), *fresh])["url"]
+    vc = pc.value_counts(pc.drop_null(urls))
+    vc = vc.filter(pc.greater(vc.field("counts"), 1))
+    return pa.table({key: vc.field("values").cast(pa.string()),
+                     "count": vc.field("counts").cast(pa.int64())})
+
+
+def verify_candidates(pid_of: dict, key: str, cand: np.ndarray,
+                      collectors: list,
+                      table: pa.Table | None = None,
+                      table_path: str | None = None,
+                      on_submitted=None
+                      ) -> tuple[pa.Table, dict]:
+    """Exact verify of candidate hashes: count the url strings of every row
+    whose hash is a candidate (collapses u64 collisions) over the input
+    files ``pid_of`` maps to their partition ids. Returns the (url, count)
+    duplicates and the re-read/cached file counts.
+
+    The collectors' per-item attribution restricts the work to files
+    holding a candidate hash. ``table`` holds the rows of
+    ``verified.parquet`` for the partitions committed before this run
+    (``load_verified(path, keep)``): a file whose pid has rows there for
+    all its needed hashes is served from them. The rest are re-read in at
+    most ``num_cpus`` batched tasks, and the table at ``table_path`` is
+    rewritten once with the fresh rows replacing those of the re-read pids.
+    Exact because a committed file is unchanged (the resume contract) and
+    its rows for a candidate hash were recorded in full when it was last
+    verified. ``on_submitted()`` is called once only remote work is left,
+    so a caller can overlap its own work with it."""
+    counts = {"verify_reread_files": 0, "verify_cached_files": 0}
     if cand.size == 0:
         return pa.table({key: pa.array([], pa.string()),
-                         "count": pa.array([], pa.int64())})
-    cand_ref = ray.put(np.sort(cand))
-    if collectors is not None:
-        hit = ray.get([c.candidate_files.remote(cand_ref)
-                       for c in collectors])
-        norm = {os.path.normpath(p): p for p in paths}
-        paths = sorted({norm[os.path.normpath(f)] for part in hit
-                        for f in part if os.path.normpath(f) in norm})
-    survivors = ray.get([
-        _map_collect_candidates.remote(f, key, cand_ref) for f in paths
-    ])
-    flat = [u for part in survivors for u in part]
-    vc = pd.Series(flat, dtype=object).value_counts()
-    vc = vc[vc > 1]
-    return pa.table({key: pa.array(vc.index.astype(str), pa.string()),
-                     "count": pa.array(vc.to_numpy(), pa.int64())})
+                         "count": pa.array([], pa.int64())}), counts
+    # the candidate set is small (dups are rare): it travels inline
+    cand = np.sort(cand)
+    norm = {os.path.normpath(p): p for p in pid_of}
+    need: dict = {}
+    for part in ray.get([c.candidate_hits.remote(cand) for c in collectors]):
+        for f, h in part.items():
+            p = norm.get(os.path.normpath(f))
+            if p is not None:
+                need[p] = h if p not in need else np.union1d(need[p], h)
+    old = table if table is not None else VERIFIED_SCHEMA.empty_table()
+    old_pid, old_h = old["pid"].to_numpy(), old["h"].to_numpy()
+    cached, reread = [], []
+    for p, h in sorted(need.items()):
+        pid = pid_of[p]
+        if np.isin(h, old_h[old_pid == pid]).all():
+            cached.append(pid)
+        else:
+            reread.append(p)
+    k = min(len(reread), max(1, int(ray.cluster_resources().get("CPU", 1))))
+    fresh = [_collect_rows.remote(reread[i::k],
+                                  [pid_of[p] for p in reread[i::k]],
+                                  key, cand) for i in range(k)]
+    dups = _count_urls.remote(old, cached, [pid_of[p] for p in reread], key,
+                              table_path, *fresh)
+    if on_submitted is not None:
+        on_submitted()
+    dups = ray.get(dups)
+    counts.update(verify_reread_files=len(reread),
+                  verify_cached_files=len(cached))
+    return dups, counts
 
 
 def duplicates_to_violations(dups: pa.Table, key: str = "url") -> pa.Table:

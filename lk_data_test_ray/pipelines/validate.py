@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import glob
 import json
+import logging
 import os
 import re
 import shutil
@@ -39,11 +40,13 @@ import ray
 import ray.data as rd
 
 from ..checks.drift import chi_square_drift
-from ..checks.row import (make_scan_check_fn, merge_stats, plan_scan_items,
-                          sidecar_name, split_combined, split_items)
+from ..checks.row import (committed_sidecars, make_scan_check_fn, merge_stats,
+                          plan_scan_items, sidecars_by_pid, split_combined,
+                          split_items)
 from ..checks.uniqueness import (collector_candidates, duplicates_to_violations,
-                                 find_duplicate_urls, make_collectors,
-                                 verify_candidates, _feed_collector)
+                                 find_duplicate_urls, load_verified,
+                                 make_collectors, verify_candidates,
+                                 _feed_collector)
 from ..schema import VIOLATIONS_SCHEMA
 from ..state.manifest import ManifestStore
 
@@ -118,8 +121,13 @@ def run_validation(
             shutil.rmtree(os.path.join(out_dir, sub), ignore_errors=True)
     os.makedirs(viol_dir, exist_ok=True)
     store = ManifestStore(os.path.join(out_dir, "manifests"))
-    done = _keep_committed(store, files, viol_dir,
-                           os.path.join(out_dir, "c1"))
+    sigs = {f: _input_sig(f) for f in files}
+    kept, n_dropped = _keep_committed(store, sigs, viol_dir,
+                                      os.path.join(out_dir, "c1"))
+    # the C1 verify table keeps the rows of kept pids only — pruned before
+    # any commit, whatever the flags, so a reused pid never sees stale rows
+    verified_path = os.path.join(out_dir, "c1", "verified.parquet")
+    verified = load_verified(verified_path, keep=kept)
 
     # Resume keys on each manifest's recorded input_fragment, NOT the
     # file's position in the sorted listing: on an INCREMENTAL run (the
@@ -129,8 +137,8 @@ def run_validation(
     # is re-scanned and double-counted, and the sidecar feed attributes
     # the wrong urls to C1. A file keeps the partition id its manifest
     # recorded; genuinely new files get fresh ids past the highest kept.
-    frag_pid = {rec["input_fragment"]: pid for pid, rec in done.items()}
-    next_id = 1 + max(done, default=-1)
+    frag_pid = {rec["input_fragment"]: pid for pid, rec in kept.items()}
+    next_id = 1 + max(kept, default=-1)
     partition_of = {}
     for f in files:
         if f in frag_pid:
@@ -139,47 +147,50 @@ def run_validation(
             partition_of[f] = next_id
             next_id += 1
 
-    todo = [f for f in files if partition_of[f] not in done]
+    todo = [f for f in files if partition_of[f] not in kept]
     ray_stats = None
 
     # ---- global C1 uniqueness ------------------------------------------------
     # Fused mode: the scan tasks already hold every url column and push
     # pre-aggregated (hash, count) partials into collector actors as a side
     # output — the corpus is read ONCE for both phases. Previously-committed
-    # partitions (resume) never re-scan, so a url-only feed task covers them
-    # concurrently with the row phase. Fallback mode runs the standalone
-    # two-pass exchange concurrently on a thread.
+    # partitions (resume) never re-scan: each collector loads their sidecars
+    # itself, concurrently with the row phase. Fallback mode runs the
+    # standalone two-pass exchange concurrently on a thread.
     collectors = None
     feed_refs: list = []
     c1_result: dict = {}
+    c1_counts: dict | None = None
     c1_dir = (os.path.join(out_dir, "c1")
               if (fuse_c1 and c1_sidecars) else None)
     if fuse_c1:
         if c1_dir is not None:
             os.makedirs(c1_dir, exist_ok=True)
         collectors = make_collectors()
-        done_files = [f for f in files if partition_of[f] in done]
-        # committed partitions never re-scan; feed their url hashes from the
-        # per-item sidecars their original scan persisted (16 B/row, already
-        # hashed) — falling back to a url-only parquet read when a file's
-        # sidecar set is incomplete (config change, pre-sidecar output dir).
-        # At 100 TB an incremental run re-feeds yesterday's corpus from ~1.6%
-        # of its bytes instead of re-reading + re-hashing every url column.
-        from ..checks.row import committed_sidecars
-        from ..checks.uniqueness import _feed_sidecars
-
-        feed_refs = []
-        for f in done_files:
-            # discover what the original scan WROTE (its item split is
-            # auto-sized to that run's todo set — re-deriving it here would
-            # mismatch and silently defeat the sidecar path)
-            exp = (committed_sidecars(c1_dir, partition_of[f], f)
+        # committed partitions feed their url hashes from the per-item
+        # sidecars their original scan persisted (16 B/row, already hashed),
+        # found by ONE listing of c1/ — falling back to a url-only parquet
+        # read when a file's sidecar set is incomplete (config change,
+        # pre-sidecar output dir). At 100 TB an incremental run re-feeds
+        # yesterday's corpus from ~1.6% of its bytes.
+        listed = sidecars_by_pid(c1_dir) if c1_dir is not None else {}
+        sidecars: list = []
+        c1_counts = {"sidecar_files": 0, "url_fallback_files": 0}
+        for f in files:
+            if partition_of[f] not in kept:
+                continue
+            exp = (committed_sidecars(c1_dir, partition_of[f], f, listed)
                    if c1_dir is not None else None)
             if exp:
-                feed_refs.append(_feed_sidecars.remote(exp, collectors))
+                sidecars += exp
+                c1_counts["sidecar_files"] += 1
             else:
+                c1_counts["url_fallback_files"] += 1
                 feed_refs.append(
                     _feed_collector.remote(f, "url", collectors, f"file:{f}"))
+        if sidecars:
+            feed_refs += [c.load_sidecars.remote(sidecars, j, len(collectors))
+                          for j, c in enumerate(collectors)]
     else:
         def _c1():
             try:
@@ -260,10 +271,13 @@ def run_validation(
             pq.write_table(pv, tmp)
             os.replace(tmp, vp)
             stats = merge_stats(pend_stats.pop(pid, []))
+            size, mtime_ns = sigs[file_of_pid[pid]]
             store.commit(
                 pid,
                 {
                     "input_fragment": file_of_pid[pid],
+                    "input_size": size,
+                    "input_mtime_ns": mtime_ns,
                     "n_rows": stats["n_rows"],
                     "violation_count": int(pv.num_rows),
                     "per_check_violations": _per_check_counts(pv),
@@ -408,12 +422,14 @@ def run_validation(
             ray_stats = combined.stats()
 
     # ---------------- global phase: C1 drain + stats merge, OVERLAPPED -------
-    # the C1 candidate reduce + exact verify run remote work the driver only
-    # waits on, so they proceed on a thread while the driver merges the
-    # committed per-partition stats pickles (both start the moment the last
-    # scan item lands)
+    # the C1 candidate reduce + exact verify run on a thread while this
+    # process merges the committed per-partition stats pickles. The merge
+    # starts once the drain has only remote work left (the verify's re-read
+    # and count tasks): the drain's own steps here would otherwise wait on
+    # the GIL behind the merge.
     t_row_done = time.time()
     c1_out: dict = {}
+    remote_only = threading.Event()
 
     def _drain_c1():
         try:
@@ -423,10 +439,16 @@ def run_validation(
                 cand = collector_candidates(collectors)
                 t_c = time.time()
                 # exact verify (url strings + u64-collision collapse): the
-                # collectors' per-item attribution narrows the re-read to
-                # files that actually held a candidate hash
-                c1_out["dups"] = verify_candidates(files, "url", cand,
-                                                   collectors=collectors)
+                # collectors' per-item attribution names the files holding
+                # a candidate hash, and verified.parquet serves committed
+                # ones whose rows it already holds
+                persist = c1_dir is not None
+                c1_out["dups"], vc = verify_candidates(
+                    partition_of, "url", cand, collectors,
+                    table=verified if persist else None,
+                    table_path=verified_path if persist else None,
+                    on_submitted=remote_only.set)
+                c1_counts.update(vc, candidates=int(cand.size))
                 c1_out["walls"] = {
                     "feeds": round(t_f - t_row_done, 3),
                     "candidates": round(t_c - t_f, 3),
@@ -436,21 +458,26 @@ def run_validation(
                 # actors per run costs a cold-start wave the first scan
                 # items block on
             else:
+                remote_only.set()
                 c1_thread.join()
                 if "error" in c1_result:
                     raise c1_result["error"]
                 c1_out["dups"] = c1_result["dups"]
         except Exception as ex:
             c1_out["error"] = ex
+        finally:
+            remote_only.set()
 
     drain = threading.Thread(target=_drain_c1, daemon=True)
     drain.start()
+    remote_only.wait()
 
     # ---------------- merge committed partition stats ------------------------
     # every partition manifest now covers a file of THIS run's input set
     # (_keep_committed dropped the rest before the scan)
     done = {pid: rec for pid, rec in store.completed().items()
             if pid != "global"}
+    rows_scanned = sum(done[partition_of[f]]["n_rows"] for f in todo)
     all_stats = [store.load_stats(pid) for pid in sorted(done, key=str)]
     all_stats = [s for s in all_stats if s is not None]
     global_stats = merge_stats(all_stats)
@@ -523,9 +550,16 @@ def run_validation(
                   if not isinstance(v, (bytes, bytearray))},
         "drift": drift,
         "wall_sec": round(wall, 3),
-        "rows_per_sec": round(global_stats["n_rows"] / wall, 1) if wall else None,
+        "rows_scanned": rows_scanned,
+        "rows_per_sec": round(rows_scanned / wall, 1) if wall else None,
+        "c1": c1_counts,
         "engine_version": ENGINE_VERSION,
     }
+    resume = {"partitions_kept": len(kept), "partitions_dropped": n_dropped,
+              "partitions_scanned": len(todo), **(c1_counts or {})}
+    logging.getLogger("lk_data_test_ray").info(
+        "validate resume %s", json.dumps(resume, sort_keys=True),
+        extra={"resume": resume})
     if collect_ray_stats and ray_stats is not None:
         summary["ray_stats"] = ray_stats
     with open(os.path.join(out_dir, "summary.json"), "w") as f:
@@ -533,21 +567,30 @@ def run_validation(
     return summary
 
 
-def _keep_committed(store: ManifestStore, files: list[str], viol_dir: str,
-                    c1_dir: str) -> dict:
-    """The committed partitions this run keeps, pid -> manifest: one per
-    input file still present (the lowest pid when two manifests claim the
-    same file). Every other partition is dropped with its stats, its
-    violations part and its C1 sidecars, and so is any part or sidecar
-    without a kept manifest (a run killed before the commit): a deleted
-    and re-added file is re-scanned, and a reused pid starts clean instead
-    of being tiled by a deleted file's sidecars."""
-    cur, seen, keep = set(files), set(), {}
+def _input_sig(path: str) -> list[int]:
+    """[size, mtime_ns] of an input file, as its manifest records it."""
+    st = os.stat(path)
+    return [st.st_size, st.st_mtime_ns]
+
+
+def _keep_committed(store: ManifestStore, sigs: dict, viol_dir: str,
+                    c1_dir: str) -> tuple[dict, int]:
+    """The committed partitions this run keeps, pid -> manifest, and the
+    number dropped. One is kept per input file still present and unchanged
+    (its manifest's size and mtime_ns equal ``sigs[file]``; the lowest pid
+    when two manifests claim the same file). Every other partition is
+    dropped with its stats, its violations part and its C1 sidecars, and so
+    is any part or sidecar without a kept manifest (a run killed before the
+    commit): a deleted and re-added file, or one rewritten in place, is
+    re-scanned, and a reused pid starts clean instead of being tiled by a
+    deleted file's sidecars."""
+    seen, keep = set(), {}
     parts = [(pid, rec) for pid, rec in store.completed().items()
              if pid != "global"]
     for pid, rec in sorted(parts, key=lambda kv: kv[0]):
         frag = rec.get("input_fragment")
-        if frag in cur and frag not in seen:
+        sig = [rec.get("input_size"), rec.get("input_mtime_ns")]
+        if frag in sigs and frag not in seen and sig == sigs[frag]:
             seen.add(frag)
             keep[pid] = rec
         else:
@@ -557,7 +600,7 @@ def _keep_committed(store: ManifestStore, files: list[str], viol_dir: str,
             m = re.match(r"(?:part|item)-(\d+)", name)
             if m and int(m.group(1)) not in keep:
                 os.remove(os.path.join(d, name))
-    return keep
+    return keep, len(parts) - len(keep)
 
 
 def load_violations(out_dir: str) -> pa.Table:

@@ -5,7 +5,10 @@ run."""
 import os
 import shutil
 
+import pyarrow as pa
 import pyarrow.parquet as pq
+import pytest
+import ray
 
 from lk_data_test_ray.pipelines.validate import load_violations, run_validation
 
@@ -387,3 +390,240 @@ def test_duplicate_fragment_manifests_equal_fresh(pages_fixture, tmp_path):
     _same_outputs(out, run_validation(str(inp), out, resume=False), fresh, sf)
     assert sorted(os.listdir(os.path.join(out, "manifests"))) == sorted(
         os.listdir(os.path.join(fresh, "manifests")))
+
+
+def _copy_with_urls(src, dst, urls_at=None, suffix=""):
+    """Write a copy of one pages file, with rows' urls replaced (row index
+    -> url) and ``suffix`` appended to every other url."""
+    t = pq.read_table(src)
+    urls = [u + suffix for u in t["url"].to_pylist()]
+    for i, u in (urls_at or {}).items():
+        urls[i] = u
+    t = t.set_column(t.schema.get_field_index("url"), "url",
+                     pa.array(urls, pa.string()))
+    pq.write_table(t, dst)
+
+
+def _urls(files):
+    return {f: pq.read_table(f, columns=["url"])["url"].to_pylist()
+            for f in files}
+
+
+def _dup_urls(by_file):
+    from collections import Counter
+
+    c = Counter(u for us in by_file.values() for u in us)
+    return {u for u, n in c.items() if n > 1}
+
+
+def test_chained_append_rereads_only_new_dups(pages_fixture, tmp_path,
+                                              monkeypatch, caplog):
+    """Chained appends: a new file duplicates an old url, a later one takes
+    that url to 3 copies, a third adds a dup of an old file, a fourth a
+    second dup of the first old file, a fifth none. Every step
+    equals a fresh run; the verify re-reads exactly the new files holding
+    a duplicate plus the old files holding a NEWLY duplicated url (the rest
+    are served from c1/verified.parquet); the summary and the one INFO
+    event report the step honestly."""
+    import glob
+    import logging
+
+    import lk_data_test_ray.checks.uniqueness as u
+
+    src = sorted(glob.glob(os.path.join(pages_fixture, "pages", "*.parquet")))
+    inp = tmp_path / "in"
+    inp.mkdir()
+    for f in src[:3]:
+        shutil.copy(f, inp / os.path.basename(f))
+    out = str(tmp_path / "out")
+    run_validation(str(inp), out)
+    url0, url1 = pq.read_table(src[0], columns=["url"])["url"][:2]
+    url0, url1 = url0.as_py(), url1.as_py()
+
+    reread = []
+    real = u._collect_rows.remote
+
+    def spy(paths, pids, key, cand):
+        reread.extend(paths)
+        return real(paths, pids, key, cand)
+
+    monkeypatch.setattr(u._collect_rows, "remote", spy)
+    caplog.set_level(logging.INFO, logger="lk_data_test_ray")
+    steps = [("a1.parquet", lambda d: _copy_with_urls(src[3], d, {0: url0})),
+             ("a2.parquet", lambda d: _copy_with_urls(src[4], d, {0: url0})),
+             # src[10] repeats a url of src[1]: an old file's first dup
+             (os.path.basename(src[10]), lambda d: shutil.copy(src[10], d)),
+             # a second dup in src[0], whose first one the table holds
+             ("a3.parquet", lambda d: _copy_with_urls(src[5], d, {0: url1})),
+             # no dup at all: nothing is re-read, src[0] is served cached
+             ("a4.parquet", lambda d: _copy_with_urls(src[6], d))]
+    for i, (name, write) in enumerate(steps):
+        old = sorted(glob.glob(str(inp / "*.parquet")))
+        before = _dup_urls(_urls(old))
+        new = str(inp / name)
+        write(new)
+        by_file = _urls([*old, new])
+        after = _dup_urls(by_file)
+        want = sorted(f for f in by_file
+                      if (f == new and set(by_file[f]) & after)
+                      or set(by_file[f]) & (after - before))
+        del reread[:]
+        caplog.clear()
+        s = run_validation(str(inp), out)
+        assert sorted(reread) == want
+        cached = [f for f in old if set(by_file[f]) & after and f not in want]
+        assert s["c1"] == {"sidecar_files": len(old),
+                           "url_fallback_files": 0,
+                           "verify_reread_files": len(want),
+                           "verify_cached_files": len(cached),
+                           "candidates": len(after)}
+        assert s["rows_scanned"] == len(by_file[new])
+        assert s["rows_per_sec"] < s["n_rows"] / s["wall_sec"]
+        events = [r.resume for r in caplog.records if hasattr(r, "resume")]
+        assert events == [{**s["c1"], "partitions_kept": len(old),
+                           "partitions_dropped": 0,
+                           "partitions_scanned": 1}]
+        fresh = str(tmp_path / f"fresh{i}")
+        _same_outputs(out, s, fresh, run_validation(str(inp), fresh))
+    assert s["per_check_violations"]["c1_url_unique"] == len(after)
+    c1 = [r for r in load_violations(out).to_pylist()
+          if r["check_id"] == "c1_url_unique"]
+    assert {r["url"]: r["detail"] for r in c1}[url0] == "count=3"
+
+
+def test_inplace_rewrite_equals_fresh(pages_fixture, tmp_path):
+    """A committed file rewritten in place (same path, new urls) no longer
+    matches the size/mtime_ns its manifest recorded: its partition is
+    dropped and re-scanned, and the resume equals a fresh run. A manifest
+    without those fields counts as a mismatch too."""
+    import glob
+    import json
+
+    src = sorted(glob.glob(os.path.join(pages_fixture, "pages", "*.parquet")))
+    inp = tmp_path / "in"
+    inp.mkdir()
+    for f in src[:4]:
+        shutil.copy(f, inp / os.path.basename(f))
+    out = str(tmp_path / "out")
+    run_validation(str(inp), out)
+
+    target = str(inp / os.path.basename(src[2]))
+    url0 = pq.read_table(src[0], columns=["url"])["url"][0].as_py()
+    # new urls everywhere, plus a duplicate of an untouched file's url
+    _copy_with_urls(src[2], target, {5: url0}, suffix="?rev=2")
+    s = run_validation(str(inp), out)
+    assert s["rows_scanned"] == pq.read_metadata(target).num_rows
+    assert s["per_check_violations"]["c1_url_unique"] >= 1
+    _same_outputs(out, s, str(tmp_path / "fresh"),
+                  run_validation(str(inp), str(tmp_path / "fresh")))
+
+    # an older manifest without the input signature is re-scanned
+    man = os.path.join(out, "manifests", "part-1.json")
+    with open(man) as f:
+        rec = json.load(f)
+    del rec["input_size"], rec["input_mtime_ns"]
+    with open(man, "w") as f:
+        json.dump(rec, f)
+    s = run_validation(str(inp), out)
+    assert s["rows_scanned"] == pq.read_metadata(rec["input_fragment"]).num_rows
+    _same_outputs(out, s, str(tmp_path / "fresh2"),
+                  run_validation(str(inp), str(tmp_path / "fresh2")))
+
+
+def test_pid_reuse_never_reads_stale_verified_rows(pages_fixture, tmp_path,
+                                                   monkeypatch):
+    """The highest-pid file holds a duplicate (so verified.parquet has rows
+    for its pid). Delete it, run, add a different file that reuses the pid:
+    equal to a fresh run. Then swap that file for a third one reusing the
+    pid in a run that dies after its commits, before the table rewrite: the
+    next run must not serve the third file from the second one's rows."""
+    import glob
+
+    from lk_data_test_ray.pipelines import validate as v
+
+    src = sorted(glob.glob(os.path.join(pages_fixture, "pages", "*.parquet")))
+    inp = tmp_path / "in"
+    inp.mkdir()
+    for f in src[:3]:
+        shutil.copy(f, inp / os.path.basename(f))
+    url0 = pq.read_table(src[0], columns=["url"])["url"][0].as_py()
+    z, y, x = (str(inp / n) for n in ("z.parquet", "y.parquet", "x.parquet"))
+    _copy_with_urls(src[4], z, {0: url0})
+    out = str(tmp_path / "out")
+    run_validation(str(inp), out)
+    table = os.path.join(out, "c1", "verified.parquet")
+    rows = pq.read_table(table).to_pylist()
+    assert {"pid": 3, "h": rows[0]["h"], "url": url0} in rows
+
+    def check(tag, s):
+        fresh = str(tmp_path / f"fresh_{tag}")
+        _same_outputs(out, s, fresh, run_validation(str(inp), fresh))
+
+    os.remove(z)
+    check("deleted", run_validation(str(inp), out))
+    _copy_with_urls(src[5], y, {0: url0, 1: url0})
+    check("reused", run_validation(str(inp), out))
+    assert pq.read_table(table)["pid"].to_pylist().count(3) == 2
+
+    os.remove(y)
+    _copy_with_urls(src[6], x, {0: url0, 1: url0, 2: url0})
+
+    def die(collectors):
+        raise RuntimeError("simulated death before the table rewrite")
+
+    with monkeypatch.context() as m:
+        m.setattr(v, "collector_candidates", die)
+        with pytest.raises(RuntimeError, match="simulated death"):
+            run_validation(str(inp), out)
+    s = run_validation(str(inp), out)
+    assert s["rows_scanned"] == 0
+    check("crashed", s)
+
+
+def test_verify_candidates_exact_under_u64_collision(tmp_path):
+    """Unit: hand-fed collectors and a pre-seeded verified table where two
+    distinct urls share one u64 hash. Committed files whose hashes the
+    table holds are served from it (they do not even exist on disk), the
+    new file is re-read, per-url counts are exact, and the rewritten table
+    holds the rows of committed and re-read pids only (loading it for the
+    committed pids drops pid 9 from the file)."""
+    import numpy as np
+
+    from lk_data_test_ray.checks.uniqueness import (collector_candidates,
+                                                    load_verified,
+                                                    make_collectors,
+                                                    save_verified,
+                                                    verify_candidates,
+                                                    VERIFIED_SCHEMA)
+    from lk_data_test_ray.functions.hashing import hash_strings64
+
+    f1, f2, f3 = (str(tmp_path / n) for n in ("f1.parquet", "f2.parquet",
+                                               "f3.parquet"))
+    pq.write_table(pa.table({"url": ["c", "d", "c"]}), f3)
+    hc, hd = hash_strings64(np.array(["c", "d"], dtype=object))
+    H, H2 = np.uint64(12345), np.uint64(777)  # "a" and "b" both hash to H
+    cols = make_collectors(1, reuse=False)
+    one = np.ones(1, np.int64)
+    ray.get([cols[0].add.remote(f"{f1}:0:1", np.array([H2, H]),
+                                np.array([1, 1])),
+             cols[0].add.remote(f"{f2}:0:1", np.array([H]), one * 2),
+             cols[0].add.remote(f"{f3}:0:1", np.sort([hc, hd]),
+                                np.array([2, 1])[np.argsort([hc, hd])])])
+    table = str(tmp_path / "verified.parquet")
+    save_verified(table, pa.Table.from_pylist(
+        [{"pid": 0, "h": int(H), "url": "a"},
+         {"pid": 0, "h": int(H2), "url": "z"},
+         {"pid": 1, "h": int(H), "url": "b"},
+         {"pid": 1, "h": int(H), "url": "b"},
+         {"pid": 9, "h": int(H), "url": "stale"}], schema=VERIFIED_SCHEMA))
+    cand = collector_candidates(cols)
+    assert sorted(cand.tolist()) == sorted([int(H), int(hc)])
+    dups, counts = verify_candidates(
+        {f1: 0, f2: 1, f3: 2}, "url", cand, cols,
+        table=load_verified(table, keep={0, 1}), table_path=table)
+    assert dict(zip(dups["url"].to_pylist(),
+                    dups["count"].to_pylist())) == {"b": 2, "c": 2}
+    assert counts == {"verify_reread_files": 1, "verify_cached_files": 2}
+    got = sorted((r["pid"], r["url"]) for r in pq.read_table(table).to_pylist())
+    assert got == [(0, "a"), (0, "z"), (1, "b"), (1, "b"), (2, "c"), (2, "c")]
+    ray.kill(cols[0])

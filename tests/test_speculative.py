@@ -61,7 +61,7 @@ def test_fuse_c1_off_matches_on(pages_fixture, tmp_path, golden):
 
 def test_partial_resume_feeds_c1(pages_fixture, tmp_path, golden):
     """Uncommit half the partitions of a finished run, resume: committed
-    files feed C1 via the url-only feed task, re-scanned files via the fused
+    files feed C1 from their sidecars, re-scanned files via the fused
     scan — a duplicate url pair SPANNING the two halves must still surface."""
     import shutil
 
@@ -92,11 +92,12 @@ def test_partial_resume_feeds_c1(pages_fixture, tmp_path, golden):
     assert _keys(load_violations(out)) == g_keys
 
 
-def test_collector_idempotence_and_ranges():
+def test_collector_idempotence_and_ranges(tmp_path):
     """Unit: duplicate item adds are dropped; a url with per-item count 1
     split across DIFFERENT items still dups globally (adds are range-routed,
     so both copies land in the same collector); split_by_range partitions a
-    sorted hash array into disjoint top-bit ranges."""
+    sorted hash array into disjoint top-bit ranges; a sidecar load keeps its
+    collector's range and dedups with live adds by item key."""
     from lk_data_test_ray.checks.uniqueness import (C1Collector,
                                                     collector_candidates,
                                                     split_by_range)
@@ -116,11 +117,35 @@ def test_collector_idempotence_and_ranges():
     assert ray.get(cols[1].add.remote("item-b", h[3:], one[3:]))
     assert ray.get(cols[1].add.remote("item-c", h[3:], one[3:]))
     assert ray.get(cols[0].add.remote("item-d", h[1:3], one[1:3]))
-    cand = collector_candidates(cols)
-    assert set(cand.tolist()) == {2**63 + 5}
-    # per-item attribution: only items that held a candidate are named
-    # (item keys with no ':' map to themselves as the "file")
-    assert set().union(*[set(ray.get(c.candidate_files.remote(
-        np.sort(cand)))) for c in cols]) == {"item-b", "item-c"}
+
+    # committed sidecars: "f.parquet:0:1" holds hashes 2 and 2**63+5, so
+    # both become candidates; "item-d" repeats a live add's key and holds
+    # hash 1 — it must count once, so hash 1 stays unique
+    def sidecar(name, item_key, hs):
+        sp = str(tmp_path / name)
+        hs = np.asarray(hs, np.uint64)
+        np.savez(sp, h=hs.view(np.int64), c=np.ones(len(hs), np.int64),
+                 item_key=np.array(item_key))
+        return sp
+
+    scs = [sidecar("s1.npz", "f.parquet:0:1", [2, 2**63 + 5]),
+           sidecar("s2.npz", "item-d", [1])]
+    # each collector keeps its own range: range 0 gets both sidecars'
+    # low hashes (the second one is a repeat), range 1 one high hash
+    assert ray.get(cols[0].load_sidecars.remote(scs, 0, 2)) == 1
+    assert ray.get(cols[1].load_sidecars.remote(scs, 1, 2)) == 1
+    assert ray.get(cols[0].load_sidecars.remote(scs, 0, 2)) == 0
+
+    cand = np.sort(collector_candidates(cols))
+    assert cand.tolist() == [2, 2**63 + 5]
+    # per-item attribution, per file: the candidate hashes each file's
+    # items hold (item keys with no ':' map to themselves as the "file")
+    hits = {}
+    for c in cols:
+        for f, hs in ray.get(c.candidate_hits.remote(cand)).items():
+            hits[f] = sorted(hits.get(f, []) + hs.tolist())
+    assert hits == {"item-b": [2**63 + 5], "item-c": [2**63 + 5],
+                    "item-d": [2], "f.parquet": [2, 2**63 + 5]}
+    assert ray.get(cols[0].candidate_hits.remote(cand[:0])) == {}
     for c in cols:
         ray.kill(c)
