@@ -28,6 +28,7 @@ import pyarrow.compute as pc
 
 from ..functions.extract import (binary_views, c6_candidates,
                                  extract_core_bytes, extract_text_bytes)
+from ..functions.hashing import hash_strings64
 from ..schema import PAGES_SCHEMA, VIOLATIONS_SCHEMA, WARC_TS_MAX, WARC_TS_MIN
 from ..sketches import HyperLogLog, TDigest
 from .vocab import ISO_639_1
@@ -82,7 +83,11 @@ class RowChecker:
         return self._process(batch, pid)
 
     def _process(self, batch: pa.Table, pid: int,
-                 item: tuple | None = None) -> pa.Table:
+                 item: tuple | None = None,
+                 url_hash: np.ndarray | None = None) -> pa.Table:
+        """Check one scan item. ``url_hash``: ``hash_strings64`` of the url
+        column when the caller already holds it (the fused C1 feed hashes
+        the same column), else hashed here for the url HyperLogLog."""
         cols = _empty_cols()
         self._item = item  # threaded into the stats partial for arrival dedup
 
@@ -121,9 +126,9 @@ class RowChecker:
         lang_col = batch["lang"]
         html_null = pc.is_null(batch["html"])
         text_null = pc.is_null(text_col)
+        text_len = pc.utf8_length(text_col)  # C2 and the length t-digest
         text_empty = pc.or_(
-            text_null,
-            pc.equal(pc.coalesce(pc.utf8_length(text_col), pa.scalar(0)), 0))
+            text_null, pc.equal(pc.coalesce(text_len, pa.scalar(0)), 0))
 
         # --- C2 html↔text referential non-nullity ---------------------------
         c2 = pc.and_(pc.invert(html_null), text_empty)
@@ -168,9 +173,10 @@ class RowChecker:
                  "extract_text(html) != text")
 
         # --- stats partial ---------------------------------------------------
-        url_np = np.asarray(url_col.to_pandas(), dtype=object)
+        if url_hash is None:
+            url_hash = hash_strings64(url_col.to_pandas())
         hll_url = HyperLogLog(12)
-        hll_url.update_strings(url_np)
+        hll_url.update_hashes(url_hash)
         lang_vc = pc.value_counts(lang_col)
         lang_counts = {
             (lang_vc[i][0].as_py() or ""): lang_vc[i][1].as_py()
@@ -180,7 +186,7 @@ class RowChecker:
         hll_lang = HyperLogLog(12)
         hll_lang.update_strings(np.array(list(lang_counts), dtype=object))
         td = TDigest()
-        tl = pc.utf8_length(text_col).to_numpy(zero_copy_only=False).astype(np.float64)
+        tl = text_len.to_numpy(zero_copy_only=False).astype(np.float64)
         nan = np.isnan(tl)
         td.update(tl[~nan] if nan.any() else tl)
         ts_valid = ts[~np.isnat(ts)]
@@ -238,6 +244,13 @@ def plan_scan_items(files: list[str], partition_of: dict[str, int],
     ``total_rows / (4 × cluster CPUs)`` clamped to [4096, 32768]: ≥4 tasks
     per core for load balance at small volume, capped item size at large
     volume so per-task overhead stays <1% of task work.
+
+    An item never spans files, so a file smaller than the target is an item
+    of its own. Each item also carries ``block``: consecutive items share a
+    block until it holds ``target_rows`` rows, and the row phase runs one
+    task per block — so many small files cost tasks by their rows, not by
+    their count. Items stay the unit of stats partials, sidecars,
+    speculation and arrival dedup.
     """
     from concurrent.futures import ThreadPoolExecutor
 
@@ -262,7 +275,7 @@ def plan_scan_items(files: list[str], partition_of: dict[str, int],
         total = sum(n for _, n in metas)
         target_rows = int(min(32_768, max(4096, total // max(1, 4 * cpus))))
 
-    items = []
+    items, item_rows = [], []
     for f, (n_rg, n_rows) in zip(files, metas):
         if n_rg == 0:
             # a zero-row-group file still gets one (empty) scan item so its
@@ -270,13 +283,21 @@ def plan_scan_items(files: list[str], partition_of: dict[str, int],
             # converges instead of leaving it 'todo' forever
             items.append({"path": f, "rg_lo": 0, "rg_hi": 0,
                           "pid": partition_of[f]})
+            item_rows.append(0)
             continue
         rows_per_rg = max(1, n_rows // max(1, n_rg))
         step = max(1, target_rows // rows_per_rg)
         for lo in range(0, n_rg, step):
-            items.append({"path": f, "rg_lo": lo,
-                          "rg_hi": min(n_rg, lo + step),
+            hi = min(n_rg, lo + step)
+            items.append({"path": f, "rg_lo": lo, "rg_hi": hi,
                           "pid": partition_of[f]})
+            item_rows.append(n_rows * (hi - lo) // n_rg)
+    block, filled = 0, 0
+    for it, n in zip(items, item_rows):
+        it["block"] = block
+        filled += n
+        if filled >= target_rows:
+            block, filled = block + 1, 0
     return items
 
 
@@ -418,9 +439,14 @@ def make_scan_check_fn(check_extract: bool = True, vocab=None,
                 tbl = pf.read_row_groups(list(range(lo, hi)))
             else:  # zero-row-group file: empty table, real schema
                 tbl = pf.schema_arrow.empty_table()
-            combined = rc._process(tbl, pid, item=(lo, hi))
+            # one hash of the url column serves the C1 feed below and the
+            # url HyperLogLog
+            h = (hash_strings64(tbl["url"].to_pandas())
+                 if c1_collectors is not None and "url" in tbl.column_names
+                 else None)
+            combined = rc._process(tbl, pid, item=(lo, hi), url_hash=h)
             out.append(combined)
-            if c1_collectors is not None and "url" in tbl.column_names:
+            if h is not None:
                 # fused C1 feed: this task already holds the url column —
                 # push pre-aggregated (hash, count) partials to the
                 # collectors instead of a second parquet pass over the
@@ -430,12 +456,9 @@ def make_scan_check_fn(check_extract: bool = True, vocab=None,
                 # The item key makes every slice idempotent (a lineage
                 # retry or speculative duplicate re-sends the same slices
                 # to the same collectors, which drop the repeats).
-                from ..functions.hashing import hash_strings64
                 from .uniqueness import split_by_range
 
                 item_key = f"{path}:{lo}:{hi}"
-                h = hash_strings64(np.asarray(
-                    tbl["url"].to_pandas(), dtype=object))
                 hu, cu = np.unique(h, return_counts=True)
                 for j, (hj, cj) in enumerate(
                         split_by_range(hu, cu, len(c1_collectors))):

@@ -26,16 +26,14 @@ from __future__ import annotations
 
 import ctypes
 import functools
-import hashlib
-import logging
 import os
 import re
-import subprocess
-import threading
 
 import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
+
+from ..native import compile_library, load_or_warn
 
 EXTRACT_VERSION = 3
 
@@ -141,29 +139,9 @@ _C_SOURCE = os.path.join(os.path.dirname(os.path.abspath(__file__)),
 
 
 def _build_scanner():
-    """Compile ``c6scan.c`` once per source hash into the user cache dir
-    (``$XDG_CACHE_HOME`` or ``~/.cache``, under ``lk_data_test_ray/``) and
-    bind its entry point. The library lands under its final name by
-    ``os.replace``, so Ray workers building at the same time are safe."""
-    with open(_C_SOURCE, "rb") as f:
-        digest = hashlib.sha256(f.read()).hexdigest()[:16]
-    cache = os.path.join(os.environ.get("XDG_CACHE_HOME")
-                         or os.path.expanduser("~/.cache"), "lk_data_test_ray")
-    lib = os.path.join(cache, f"c6scan-{digest}.so")
-    if not os.path.exists(lib):
-        os.makedirs(cache, exist_ok=True)
-        tmp = f"{lib}.{os.getpid()}-{threading.get_ident()}.tmp"
-        try:
-            subprocess.run(["gcc", "-O2", "-shared", "-fPIC", "-o", tmp,
-                            _C_SOURCE], check=True, capture_output=True,
-                           text=True)
-            os.replace(tmp, lib)
-        except subprocess.CalledProcessError as ex:
-            raise RuntimeError(f"gcc failed: {ex.stderr.strip()}") from ex
-        finally:
-            if os.path.exists(tmp):
-                os.remove(tmp)
-    scan = ctypes.CDLL(lib).c6_scan
+    """Build ``c6scan.c`` (``native.compile_library``) and bind its entry
+    point."""
+    scan = compile_library(_C_SOURCE).c6_scan
     column = [ctypes.c_void_p, ctypes.c_int64, ctypes.c_void_p,
               ctypes.c_int, ctypes.c_void_p]
     scan.argtypes = [ctypes.c_int64, *column, *column, ctypes.c_void_p]
@@ -175,12 +153,9 @@ def _build_scanner():
 def c6_scanner():
     """The native C6 scanner, or None (after one WARNING) when it cannot be
     built or loaded in this process."""
-    try:
-        return _build_scanner()
-    except Exception as ex:
-        logging.getLogger("lk_data_test_ray").warning(
-            "C6 scanner unavailable, every row re-extracts in Python: %s", ex)
-        return None
+    return load_or_warn(
+        _build_scanner, "C6 scanner unavailable, every row re-extracts in "
+        "Python")
 
 
 _EMPTY = pa.py_buffer(b"\0")

@@ -213,6 +213,9 @@ def run_validation(
     if clean_dir is not None:
         os.makedirs(clean_dir, exist_ok=True)
     items = plan_scan_items(todo, partition_of, target_rows=scan_target_rows)
+    blocks: dict[int, list[dict]] = {}
+    for it in items:
+        blocks.setdefault(it["block"], []).append(it)
     if items:
         from collections import Counter
 
@@ -221,22 +224,26 @@ def run_validation(
         # (an rd.range-based lazy fan-out was measured SLOWER than these
         # driver-side puts — 3.53s vs 3.25s at 32 CPUs/2.4M rows — the range
         # op adds a task layer that doesn't fuse with batch_size=1 rebatching)
-        # Pre-put one single-row block per item: from_items mints its blocks
-        # serially through one producing task (~4.4ms/block = a 20% serial
-        # fraction at 32 CPUs); from_arrow_refs hands the scheduler every
-        # block immediately, so the scan goes full-width from t=0 (measured
-        # +13% row-phase throughput at 32 CPUs / 4.8M rows).
+        # Pre-put one block per packed run of items (plan_scan_items'
+        # ``block``, about the target's rows) and map each whole block as
+        # one batch, so a task costs what its rows cost however small the
+        # files are; scan_check loops over the block's items and
+        # split_items recovers them from its output. from_items mints its
+        # blocks serially through one producing task (~4.4ms/block = a 20%
+        # serial fraction at 32 CPUs); from_arrow_refs hands the scheduler
+        # every block immediately, so the scan goes full-width from t=0
+        # (measured +13% row-phase throughput at 32 CPUs / 4.8M rows).
         import ray as _ray
 
         ds = rd.from_arrow_refs([
-            _ray.put(pa.table({k: [it[k]]
+            _ray.put(pa.table({k: [it[k] for it in blk]
                                for k in ("path", "rg_lo", "rg_hi", "pid")}))
-            for it in items])
-        kwargs = dict(batch_format="pyarrow", batch_size=1)
+            for blk in blocks.values()])
+        kwargs = dict(batch_format="pyarrow", batch_size=None)
         if concurrency is not None:
-            # never ask for more concurrent tasks than there are scan items
+            # never ask for more concurrent tasks than there are blocks
             # (small inputs would warn and reserve slots that cannot fill)
-            kwargs["concurrency"] = (min(concurrency, len(items))
+            kwargs["concurrency"] = (min(concurrency, len(blocks))
                                      if isinstance(concurrency, int)
                                      else concurrency)
         if use_actor_pool:
@@ -552,11 +559,14 @@ def run_validation(
         "wall_sec": round(wall, 3),
         "rows_scanned": rows_scanned,
         "rows_per_sec": round(rows_scanned / wall, 1) if wall else None,
+        "scan_items": len(items),
+        "scan_tasks": len(blocks),
         "c1": c1_counts,
         "engine_version": ENGINE_VERSION,
     }
     resume = {"partitions_kept": len(kept), "partitions_dropped": n_dropped,
-              "partitions_scanned": len(todo), **(c1_counts or {})}
+              "partitions_scanned": len(todo), "scan_items": len(items),
+              "scan_tasks": len(blocks), **(c1_counts or {})}
     logging.getLogger("lk_data_test_ray").info(
         "validate resume %s", json.dumps(resume, sort_keys=True),
         extra={"resume": resume})

@@ -482,7 +482,9 @@ def test_chained_append_rereads_only_new_dups(pages_fixture, tmp_path,
         events = [r.resume for r in caplog.records if hasattr(r, "resume")]
         assert events == [{**s["c1"], "partitions_kept": len(old),
                            "partitions_dropped": 0,
-                           "partitions_scanned": 1}]
+                           "partitions_scanned": 1, "scan_items": 1,
+                           "scan_tasks": 1}]
+        assert (s["scan_items"], s["scan_tasks"]) == (1, 1)
         fresh = str(tmp_path / f"fresh{i}")
         _same_outputs(out, s, fresh, run_validation(str(inp), fresh))
     assert s["per_check_violations"]["c1_url_unique"] == len(after)

@@ -102,6 +102,134 @@ class TestTDigest:
         assert t2.quantile(0.5) == pytest.approx(t.quantile(0.5))
 
 
+QS = (0.0, 0.01, 0.1, 0.5, 0.9, 0.99, 1.0)
+
+
+def _digest_cases():
+    """(name, build) pairs; build() returns the digests whose bytes and
+    quantiles are compared. Covers sizes 0, 1, 2 and 10^5, deltas 20, 100
+    and 300, ties, constant and integer-valued inputs, already-merged
+    centroids with counts > 1 and an update → merge_many → quantile
+    chain."""
+    rng = np.random.default_rng(5)
+    cases = []
+    for delta in (20, 100, 300):
+        for n in (0, 1, 2, 100_000):
+            v = rng.normal(100, 15, n)
+            cases.append((f"normal n={n} d={delta}",
+                          lambda v=v, d=delta: [_updated(d, v)]))
+        for name, v in (
+                ("ties", rng.integers(0, 7, 20_000).astype(np.float64)),
+                ("constant", np.full(5_000, 7.0)),
+                ("lengths", np.floor(rng.lognormal(7, 1, 30_000))),
+                ("heavy tail", rng.pareto(1.2, 30_000))):
+            cases.append((f"{name} d={delta}",
+                          lambda v=v, d=delta: [_updated(d, v)]))
+        # centroids that already carry weight, unsorted, with tied means
+        for n in (1, 2, 5_000):
+            means = rng.integers(0, 50, n).astype(np.float64)
+            counts = rng.integers(1, 40, n).astype(np.float64)
+            cases.append((f"weighted n={n} d={delta}",
+                          lambda m=means, c=counts, d=delta:
+                          [TDigest(d, m.copy(), c.copy())]))
+
+        def chain(d=delta, seed=delta):
+            r = np.random.default_rng(seed)
+            parts = []
+            for k in range(12):
+                t = TDigest(d)
+                for _ in range(3):
+                    t.update(np.floor(r.exponential(400, r.integers(0, 3000))))
+                parts.append(TDigest.from_bytes(t.to_bytes()))
+            merged = TDigest.merge_many(parts)
+            return parts + [merged, TDigest.merge_many([merged, parts[0]])]
+
+        cases.append((f"chain d={delta}", chain))
+    # the third centroid lands at q = 0.5 exactly, where its merge size
+    # equals the size limit (4 * 2000 * 0.25 / 20 = 100): merged, by <=
+    cases.append(("size limit tie", lambda: [TDigest(
+        20, np.array([1.0, 2.0, 3.0, 4.0]),
+        np.array([925.0, 50.0, 50.0, 975.0]))]))
+    return cases
+
+
+def _updated(delta, values):
+    t = TDigest(delta)
+    t.update(values)
+    return t
+
+
+def _observe(digests):
+    """Every digest's quantiles then bytes (quantile compresses again:
+    compress is not idempotent, so this also covers repeated passes)."""
+    return [(np.array([d.quantile(q) for q in QS]).tobytes(), d.to_bytes(),
+             np.array([d.quantile(q) for q in QS]).tobytes())
+            for d in digests]
+
+
+def test_native_compress_equals_python_loop(monkeypatch):
+    """tdcompress.c against TDigest's Python loop, byte for byte."""
+    from lk_data_test_ray.sketches import tdigest
+
+    if tdigest.native_compress() is None:
+        pytest.skip("native t-digest compress unavailable")
+    cases = _digest_cases()
+    native = [_observe(build()) for _, build in cases]
+    monkeypatch.setattr(tdigest, "native_compress", lambda: None)
+    for (name, build), want in zip(cases, native):
+        assert _observe(build()) == want, name
+
+
+def test_native_compress_loads_when_gcc_is_present():
+    import shutil
+
+    from lk_data_test_ray.sketches import tdigest
+
+    if shutil.which("gcc") is None:
+        pytest.skip("no gcc on PATH: the Python loop is expected")
+    assert tdigest.native_compress() is not None
+
+
+def test_merge_stats_fallback_identical_and_single_warning(monkeypatch,
+                                                           caplog):
+    """With the build broken, merge_stats runs the Python loop, gives the
+    same bytes and logs one WARNING however often it compresses."""
+    import logging
+
+    from lk_data_test_ray.checks.row import merge_stats
+    from lk_data_test_ray.sketches import tdigest
+
+    rng = np.random.default_rng(9)
+    partials = []
+    for _ in range(20):
+        t = TDigest()
+        t.update(np.floor(rng.lognormal(7, 1, rng.integers(1, 5000))))
+        partials.append({"n_rows": 1, "lang_counts": {"en": 1},
+                         "html_null": 0, "text_null": 0, "ts_min": None,
+                         "ts_max": None, "hll_url": HyperLogLog(12).to_bytes(),
+                         "hll_lang": HyperLogLog(12).to_bytes(),
+                         "tdigest_textlen": t.to_bytes()})
+    want = merge_stats(partials)
+
+    def no_compiler():
+        raise RuntimeError("no cc")
+
+    monkeypatch.setattr(tdigest, "_build_compress", no_compiler)
+    tdigest.native_compress.cache_clear()
+    try:
+        with caplog.at_level(logging.WARNING, logger="lk_data_test_ray"):
+            assert merge_stats(partials) == want
+            assert merge_stats(partials[:7]) == merge_stats(partials[:7])
+        warnings = [r for r in caplog.records
+                    if r.name == "lk_data_test_ray"
+                    and r.levelno == logging.WARNING]
+        assert len(warnings) == 1 and "no cc" in warnings[0].getMessage()
+        assert tdigest.native_compress() is None
+    finally:
+        monkeypatch.undo()
+        tdigest.native_compress.cache_clear()
+
+
 def test_grouped_tdigest_quantiles_close_to_exact():
     import numpy as np
     import pyarrow.parquet as pq

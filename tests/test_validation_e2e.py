@@ -303,3 +303,75 @@ def test_empty_partition_commits_and_resumes(pages_fixture, tmp_path):
                                                     "lang_hist.parquet"))
     assert s2["per_check_violations"] == s["per_check_violations"]
     assert s2["n_rows"] == s["n_rows"]
+
+
+def _scan_tasks_executed(summary):
+    import re
+
+    m = re.search(r"MapBatches\(scan_check\): (\d+) tasks executed",
+                  summary["ray_stats"])
+    return int(m.group(1))
+
+
+def test_small_files_pack_into_row_sized_tasks(pages_fixture, tmp_path,
+                                               monkeypatch, caplog):
+    """Files far below the auto target (4096 rows on the 4-CPU test
+    cluster) share scan tasks. Fresh, 12 files of 375 rows: 11 fill the
+    first task, the 12th runs in a second. A resume step appending 4 files
+    runs them as ONE task. Outputs equal a run forced to one item per task:
+    summary (incl. stats), violations and every partition's stats pickle."""
+    import glob
+    import logging
+    import shutil
+
+    from lk_data_test_ray.pipelines import validate
+    from lk_data_test_ray.state.manifest import ManifestStore
+
+    src = sorted(glob.glob(os.path.join(pages_fixture, "pages", "*.parquet")))
+    hist = os.path.join(pages_fixture, "lang_hist.parquet")
+    real_plan = validate.plan_scan_items
+
+    def one_item_per_task(*a, **k):
+        items = real_plan(*a, **k)
+        for i, it in enumerate(items):
+            it["block"] = i
+        return items
+
+    def step(name, files, forced):
+        inp = tmp_path / name / "in"
+        inp.mkdir(parents=True, exist_ok=True)
+        for f in files:
+            if not (inp / os.path.basename(f)).exists():
+                shutil.copy(f, inp / os.path.basename(f))
+        with monkeypatch.context() as m:
+            if forced:
+                m.setattr(validate, "plan_scan_items", one_item_per_task)
+            return run_validation(str(inp), str(tmp_path / name / "out"),
+                                  lang_hist_path=hist,
+                                  collect_ray_stats=True)
+
+    timing = {"phase_wall", "wall_sec", "rows_per_sec", "scan_tasks",
+              "ray_stats"}
+    caplog.set_level(logging.INFO, logger="lk_data_test_ray")
+    for files, n_new, tasks in ((src[:12], 12, 2), (src, 4, 1)):
+        caplog.clear()
+        packed = step("packed", files, forced=False)
+        events = [r.resume for r in caplog.records if hasattr(r, "resume")]
+        forced = step("forced", files, forced=True)
+        assert packed["scan_items"] == forced["scan_items"] == n_new
+        assert packed["scan_tasks"] == _scan_tasks_executed(packed) == tasks
+        assert forced["scan_tasks"] == _scan_tasks_executed(forced) == n_new
+        assert [(e["scan_items"], e["scan_tasks"]) for e in events] == [
+            (n_new, tasks)]
+        assert ({k: v for k, v in packed.items() if k not in timing}
+                == {k: v for k, v in forced.items() if k not in timing})
+        assert load_violations(str(tmp_path / "packed" / "out")).sort_by(
+            [("check_id", "ascending"), ("url", "ascending")]).equals(
+            load_violations(str(tmp_path / "forced" / "out")).sort_by(
+                [("check_id", "ascending"), ("url", "ascending")]))
+        stores = [ManifestStore(str(tmp_path / n / "out" / "manifests"))
+                  for n in ("packed", "forced")]
+        pids = [p for p in stores[0].completed() if p != "global"]
+        assert len(pids) == len(files)
+        for pid in pids:
+            assert stores[0].load_stats(pid) == stores[1].load_stats(pid)
