@@ -159,7 +159,7 @@ def run_flagship(sf_dir: str, fresh: bool = True,
     summary = run_validation(
         os.path.join(fix, "pages"), out,
         lang_hist_path=os.path.join(fix, "lang_hist.parquet"),
-        wave_size=16, concurrency=conc)
+        concurrency=conc)
     wall = time.time() - t0
     return {"wall_sec": round(wall, 3), "rows": summary["n_rows"],
             "rows_per_sec": round(summary["n_rows"] / wall, 1),

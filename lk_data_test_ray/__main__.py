@@ -25,7 +25,6 @@ def main(argv=None):
                    help="parquet with (lang, expected_fraction) for the drift check")
     v.add_argument("--no-resume", action="store_true",
                    help="ignore committed manifests and recompute everything")
-    v.add_argument("--wave-size", type=int, default=8)
     v.add_argument("--concurrency", type=int, default=None)
     v.add_argument("--no-extract-check", action="store_true",
                    help="skip the (expensive) C6 extraction-equality check")
@@ -36,9 +35,6 @@ def main(argv=None):
                    help="smoke mode: validate only the first K input files "
                         "(≙ the reference's LIMIT env gate, make_rdf.py:25-29)")
     v.add_argument("--num-cpus", type=int, default=None)
-    v.add_argument("--stats", action="store_true",
-                   help="include Ray Data's per-operator execution stats "
-                        "in the summary (measure, don't guess)")
 
     r = sub.add_parser(
         "report",
@@ -125,8 +121,6 @@ def main(argv=None):
         pages_path, args.out_dir,
         lang_hist_path=args.lang_hist,
         resume=not args.no_resume,
-        wave_size=args.wave_size,
-        collect_ray_stats=args.stats,
         concurrency=args.concurrency,
         check_extract=not args.no_extract_check,
         clean_dir=args.clean_dir,

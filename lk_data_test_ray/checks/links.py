@@ -34,7 +34,15 @@ import pyarrow.parquet as pq
 import ray
 
 from ..functions.hashing import hash_strings64
-from .uniqueness import _map_hash_partition
+
+
+@ray.remote
+def _map_hash_partition(path: str, key: str, p_bits: int):
+    """Read one file's key column, hash, split by hash top bits → P arrays."""
+    tbl = pq.read_table(path, columns=[key])
+    h = hash_strings64(np.asarray(tbl[key].to_pandas(), dtype=object))
+    bucket = (h >> np.uint64(64 - p_bits)).astype(np.int64)
+    return tuple(h[bucket == p] for p in range(1 << p_bits))
 
 
 @ray.remote

@@ -1,19 +1,19 @@
 """The fused row-phase constraint checker (checks C0, C2, C3, C4, C6 + stats).
 
-One actor-pool ``map_batches`` stage evaluates every per-row constraint in a
-single pass over zero-copy Arrow batches — the reference evaluates its checks
-in separate whole-corpus scripts (``curation/check_*.py``); fusing them avoids
-re-reading 100 TB once per check.
+One plain Ray task per packed block of scan items (``scan_block``) evaluates
+every per-row constraint in a single pass over zero-copy Arrow batches — the
+reference evaluates its checks in separate whole-corpus scripts
+(``curation/check_*.py``); fusing them avoids re-reading 100 TB once per check.
 
 Output is a "combined" table: violation rows (≙ the reference's per-check
 failure prints, e.g. ``scripts/make_texts.py:421``) plus exactly one
-``__stats__`` row per batch carrying serialized mergeable sketch partials
+``__stats__`` row per scan item carrying serialized mergeable sketch partials
 (HyperLogLog url/lang cardinality, t-digest text-length quantiles, exact lang
 counts for the drift check, warc_ts min/max, null counters). Partials are
 merged associatively on the driver — no shuffle needed for any of these stats.
 
-Stateful setup (vocab frozenset, compiled extraction regexes, bounds parsing)
-happens once per actor in ``__init__``, never per batch.
+Stateful setup (vocab array, bounds parsing) happens once per worker process
+(``RowChecker`` is cached per ``check_extract``), never per block.
 """
 
 from __future__ import annotations
@@ -25,6 +25,7 @@ import re
 import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
+import ray
 
 from ..functions.extract import (binary_views, c6_candidates,
                                  extract_core_bytes, extract_text_bytes)
@@ -46,41 +47,18 @@ def _empty_cols():
 
 
 class RowChecker:
-    """Callable class for ``map_batches(RowChecker, concurrency=N, ...)``.
+    """The per-row checks of one scan item (``_process``); C3's vocabulary
+    is ISO 639-1.
 
-    Args (bound via fn_constructor_kwargs):
-        partition_of: dict path -> partition_id (input carries a "path" column)
-        vocab: language vocabulary (default ISO 639-1)
+    Args:
         check_extract: run the (expensive) C6 extraction-equality check
     """
 
-    def __init__(self, partition_of: dict[str, int] | None = None,
-                 vocab=None, check_extract: bool = True):
-        self.partition_of = partition_of or {}
-        self.vocab = frozenset(vocab) if vocab is not None else ISO_639_1
-        self.vocab_arr = pa.array(sorted(self.vocab))  # for vectorized is_in
+    def __init__(self, check_extract: bool = True):
+        self.vocab_arr = pa.array(sorted(ISO_639_1))  # for vectorized is_in
         self.check_extract = check_extract
         self.ts_lo = np.datetime64(WARC_TS_MIN, "us")
         self.ts_hi = np.datetime64(WARC_TS_MAX, "us")
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        # a batch can bundle blocks from more than one input file — split by
-        # path so violations/stats attribute to the right partition
-        if "path" in batch.column_names:
-            paths = pc.unique(batch["path"])
-            if len(paths) > 1:
-                pieces = []
-                for p in paths:
-                    sub = batch.filter(pc.equal(batch["path"], p))
-                    pieces.append(self._process(
-                        sub.drop_columns(["path"]),
-                        self.partition_of.get(p.as_py(), -1)))
-                return pa.concat_tables(pieces)
-            pid = self.partition_of.get(paths[0].as_py(), -1)
-            batch = batch.drop_columns(["path"])
-        else:
-            pid = -1
-        return self._process(batch, pid)
 
     def _process(self, batch: pa.Table, pid: int,
                  item: tuple | None = None,
@@ -89,7 +67,6 @@ class RowChecker:
         column when the caller already holds it (the fused C1 feed hashes
         the same column), else hashed here for the url HyperLogLog."""
         cols = _empty_cols()
-        self._item = item  # threaded into the stats partial for arrival dedup
 
         def emit(check_id, urls, severity, details):
             n = len(urls)
@@ -115,7 +92,7 @@ class RowChecker:
             emit("c0_schema", ["__schema__"], "fatal",
                  f"batch schema {batch.schema!s} != declared pages schema")
             # a C0-failed item still emits a (merge-identity) stats partial:
-            # the consume loop counts stats rows to detect item arrival, so
+            # the drain loop counts stats rows to detect item arrival, so
             # every item must contribute exactly one
             stats = merge_stats([])
             stats["item"] = item
@@ -200,7 +177,7 @@ class RowChecker:
             "text_null": int(pc.sum(text_null.cast(pa.int64())).as_py() or 0),
             "ts_min": str(ts_valid.min()) if ts_valid.size else None,
             "ts_max": str(ts_valid.max()) if ts_valid.size else None,
-            "item": getattr(self, "_item", None),
+            "item": item,  # the driver dedups arrivals by (pid, item)
         }
         return _finish(cols, pid, stats)
 
@@ -229,9 +206,6 @@ def _finish(cols, pid: int, stats: dict | None) -> pa.Table:
         },
         schema=COMBINED_SCHEMA,
     )
-
-
-_FN_CACHE: dict = {}
 
 
 def plan_scan_items(files: list[str], partition_of: dict[str, int],
@@ -266,8 +240,6 @@ def plan_scan_items(files: list[str], partition_of: dict[str, int],
         metas = list(ex.map(_meta, files))
 
     if target_rows is None:
-        import ray
-
         try:
             cpus = int(ray.cluster_resources().get("CPU", 8))
         except Exception:
@@ -299,30 +271,6 @@ def plan_scan_items(files: list[str], partition_of: dict[str, int],
         if filled >= target_rows:
             block, filled = block + 1, 0
     return items
-
-
-class ScanCheckActor:
-    """Actor-pool form of the fused scan+check stage.
-
-    Use when the per-actor state is genuinely heavy (a model scorer, a large
-    compiled automaton): ``__init__`` runs once per actor, ``__call__`` per
-    scan-item batch. For the built-in constraint suite the state is a vocab
-    array, so the stateless-task form (``make_scan_check_fn``) is the default
-    — it reuses warm worker processes instead of paying pool-size × process
-    spawn per execution (measured ~2s/actor in BASELINE.md).
-    """
-
-    def __init__(self, check_extract: bool = True, vocab=None,
-                 clean_dir: str | None = None,
-                 c1_collectors: list | None = None,
-                 c1_sidecar_dir: str | None = None):
-        self._fn = make_scan_check_fn(check_extract=check_extract,
-                                      vocab=vocab, clean_dir=clean_dir,
-                                      c1_collectors=c1_collectors,
-                                      c1_sidecar_dir=c1_sidecar_dir)
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        return self._fn(batch)
 
 
 def sidecar_name(pid: int, lo: int, hi: int) -> str:
@@ -393,127 +341,96 @@ def committed_sidecars(c1_dir: str, pid: int, path: str,
     return chosen
 
 
-def make_scan_check_fn(check_extract: bool = True, vocab=None,
-                       clean_dir: str | None = None,
-                       c1_collectors: list | None = None,
-                       c1_sidecar_dir: str | None = None):
-    """Fused read+check stage over a Dataset of scan items.
+_CHECKERS: dict = {}  # check_extract -> this worker's RowChecker
 
-    The heavy html/text blocks NEVER enter the object store: each task reads
-    its row-group range directly from parquet and emits only violations +
-    stats partials (a few KB). Versus read_parquet → map_batches this removes
-    the full materialization of ~100 TB of blocks into plasma — the single
-    biggest data-movement saving available to this job — while Ray Data still
-    provides streaming, backpressure and lineage retries over the item list.
-    (Also: ``include_paths=True`` attribution builds a per-row path string
-    column, measured at ~10s per 2.4M rows — item-level ``pid`` is free.)
 
-    Runs as stateless tasks with a per-worker cached RowChecker: an actor
-    pool would pay pool-size × process-spawn per wave for state that is just
-    a vocab array.
+@ray.remote
+def scan_block(items: list[dict], check_extract: bool, clean_dir: str | None,
+               c1_collectors: list, c1_dir: str) -> pa.Table:
+    """Fused read+check of one block of scan items (``plan_scan_items``),
+    returned as one combined table: each item's violations, then its stats
+    row, in item order (``split_items`` recovers the items).
+
+    The heavy html/text columns NEVER enter the object store: each item
+    reads its row-group range straight from parquet, and only violations +
+    stats partials (a few KB) leave the task. The row phase runs a primary
+    task per block and one-item backups of stragglers through this same
+    function; both are safe to duplicate (see the writes below).
     """
+    import os
 
-    # cache key carries the vocab identity: a later run with a custom vocab
-    # in the same worker process must not silently reuse the previous one
-    vocab_key = None if vocab is None else frozenset(vocab)
+    import pyarrow.parquet as pq
 
-    def scan_check(batch: pa.Table) -> pa.Table:
-        import os
-    
-        import pyarrow.parquet as pq
-        import ray as _ray
+    from .uniqueness import split_by_range
 
-        key = ("scan", check_extract, vocab_key)
-        rc = _FN_CACHE.get(key)
-        if rc is None:
-            rc = RowChecker(vocab=vocab, check_extract=check_extract)
-            _FN_CACHE[key] = rc
-        out = []
-        c1_acks = []
-        for path, lo, hi, pid in zip(batch["path"].to_pylist(),
-                                     batch["rg_lo"].to_pylist(),
-                                     batch["rg_hi"].to_pylist(),
-                                     batch["pid"].to_pylist()):
-            pf = pq.ParquetFile(path)
-            if hi > lo:
-                tbl = pf.read_row_groups(list(range(lo, hi)))
-            else:  # zero-row-group file: empty table, real schema
-                tbl = pf.schema_arrow.empty_table()
-            # one hash of the url column serves the C1 feed below and the
-            # url HyperLogLog
-            h = (hash_strings64(tbl["url"].to_pandas())
-                 if c1_collectors is not None and "url" in tbl.column_names
-                 else None)
-            combined = rc._process(tbl, pid, item=(lo, hi), url_hash=h)
-            out.append(combined)
-            if h is not None:
-                # fused C1 feed: this task already holds the url column —
-                # push pre-aggregated (hash, count) partials to the
-                # collectors instead of a second parquet pass over the
-                # corpus. Partials are routed by URL-HASH TOP BITS, so each
-                # collector owns a DISJOINT hash range and can decide
-                # duplicates locally — no cross-collector reduce exists.
-                # The item key makes every slice idempotent (a lineage
-                # retry or speculative duplicate re-sends the same slices
-                # to the same collectors, which drop the repeats).
-                from .uniqueness import split_by_range
-
-                item_key = f"{path}:{lo}:{hi}"
-                hu, cu = np.unique(h, return_counts=True)
-                for j, (hj, cj) in enumerate(
-                        split_by_range(hu, cu, len(c1_collectors))):
-                    if len(hj):
-                        c1_acks.append(c1_collectors[j].add.remote(
-                            item_key, hj, cj))
-                if c1_sidecar_dir is not None:
-                    # persist this item's hash partial (16 B/row) so an
-                    # INCREMENTAL run feeds committed partitions from
-                    # sidecars instead of re-reading + re-hashing their url
-                    # columns (atomic + idempotent: speculative duplicates
-                    # rewrite identical bytes under the same name)
-                    sp = os.path.join(
-                        c1_sidecar_dir,
-                        sidecar_name(pid, lo, hi))
-                    tmp_sp = sp + f".tmp{os.getpid()}"
-                    np.savez(tmp_sp, h=hu.view(np.int64), c=cu,
-                             item_key=np.array(item_key))
-                    os.replace(tmp_sp + ".npz", sp)
-            if clean_dir is not None:
-                # quarantine split (the training-data use of validation):
-                # rows untouched by any row-phase violation stream straight
-                # to partitioned clean output — resumable (keyed by
-                # (pid, rg range)), atomic (tmp+rename), written in the same
-                # task so heavy columns still never cross the object store
-                viol = combined.filter(
-                    pc.equal(combined["kind"], "violation"))
-                bad_urls = pc.unique(viol["url"])
-                keep = pc.invert(pc.is_in(tbl["url"], value_set=bad_urls))
-                clean = tbl.filter(pc.coalesce(keep, pa.scalar(True)))
-                dst = os.path.join(clean_dir,
-                                   f"clean-{pid:05d}-{lo:05d}.parquet")
-                pq.write_table(clean, dst + ".tmp")
-                os.replace(dst + ".tmp", dst)
-        if c1_acks:
-            # block on the acks so a returned task implies its hashes are
-            # DURABLY held by the collector (an in-flight add from a dead
-            # worker would silently drop urls from the uniqueness check);
-            # adds are O(1) appends, so this await is sub-ms and fully
-            # overlapped with the per-item check work above
-            _ray.get(c1_acks)
-        return pa.concat_tables(out) if out else COMBINED_SCHEMA.empty_table()
-
-    return scan_check
+    rc = _CHECKERS.get(check_extract)
+    if rc is None:
+        rc = _CHECKERS[check_extract] = RowChecker(check_extract=check_extract)
+    out, c1_acks = [], []
+    for it in items:
+        path, lo, hi, pid = it["path"], it["rg_lo"], it["rg_hi"], it["pid"]
+        pf = pq.ParquetFile(path)
+        if hi > lo:
+            tbl = pf.read_row_groups(list(range(lo, hi)))
+        else:  # zero-row-group file: empty table, real schema
+            tbl = pf.schema_arrow.empty_table()
+        # one hash of the url column serves the C1 feed below and the url
+        # HyperLogLog
+        h = (hash_strings64(tbl["url"].to_pandas())
+             if "url" in tbl.column_names else None)
+        combined = rc._process(tbl, pid, item=(lo, hi), url_hash=h)
+        out.append(combined)
+        if h is not None:
+            # fused C1 feed: push pre-aggregated (hash, count) partials to
+            # the collectors instead of a second parquet pass over the
+            # corpus. Partials are routed by URL-HASH TOP BITS, so each
+            # collector owns a DISJOINT hash range and decides duplicates
+            # locally. The item key makes every slice idempotent (a backup
+            # copy re-sends the same slices, which the collectors drop).
+            item_key = f"{path}:{lo}:{hi}"
+            hu, cu = np.unique(h, return_counts=True)
+            for j, (hj, cj) in enumerate(
+                    split_by_range(hu, cu, len(c1_collectors))):
+                if len(hj):
+                    c1_acks.append(c1_collectors[j].add.remote(
+                        item_key, hj, cj))
+            # persist this item's hash partial (16 B/row) so an INCREMENTAL
+            # run feeds committed partitions from sidecars instead of
+            # re-reading + re-hashing their url columns (atomic +
+            # idempotent: a backup copy rewrites identical bytes)
+            sp = os.path.join(c1_dir, sidecar_name(pid, lo, hi))
+            tmp_sp = sp + f".tmp{os.getpid()}"
+            np.savez(tmp_sp, h=hu.view(np.int64), c=cu,
+                     item_key=np.array(item_key))
+            os.replace(tmp_sp + ".npz", sp)
+        if clean_dir is not None:
+            # quarantine split (the training-data use of validation): rows
+            # untouched by any row-phase violation stream straight to
+            # partitioned clean output — resumable (keyed by (pid, rg
+            # range)), atomic (tmp+rename), written in the same task so
+            # heavy columns still never cross the object store
+            viol = combined.filter(pc.equal(combined["kind"], "violation"))
+            bad_urls = pc.unique(viol["url"])
+            keep = pc.invert(pc.is_in(tbl["url"], value_set=bad_urls))
+            clean = tbl.filter(pc.coalesce(keep, pa.scalar(True)))
+            dst = os.path.join(clean_dir, f"clean-{pid:05d}-{lo:05d}.parquet")
+            pq.write_table(clean, dst + ".tmp")
+            os.replace(dst + ".tmp", dst)
+    # block on the acks so a returned task implies its hashes are DURABLY
+    # held by the collectors (an in-flight add from a dead worker would
+    # silently drop urls from the uniqueness check); adds are O(1) appends
+    ray.get(c1_acks)
+    return pa.concat_tables(out) if out else COMBINED_SCHEMA.empty_table()
 
 
 def split_items(tbl: pa.Table) -> list[pa.Table]:
     """Split a combined output table into per-item slices.
 
-    ``make_scan_check_fn`` emits each scan item as (violations..., stats)
-    in order, and every item contributes exactly ONE stats row — so slicing
-    at stats-row positions recovers the per-item tables regardless of how
-    the executor bundles task outputs. The consume loop needs item
-    granularity to deduplicate arrivals (speculative re-issue and lineage
-    retries can deliver the same item twice)."""
+    ``scan_block`` emits each scan item as (violations..., stats) in order,
+    and every item contributes exactly ONE stats row — so slicing at
+    stats-row positions recovers the per-item tables. The drain loop needs
+    item granularity to deduplicate arrivals (a speculative backup can
+    deliver the same item twice)."""
     if tbl.num_rows == 0:
         return []
     is_stats = pc.equal(tbl["kind"], "stats").to_numpy(zero_copy_only=False)

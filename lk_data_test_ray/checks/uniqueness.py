@@ -4,35 +4,41 @@ Reference semantics: ``@xml:id`` is a primary key (``scripts/make_rdf.py:61-63``
 and duplicates are counted and reported (``curation/check_fackel_references.py:
 32-37``).
 
-Scale design (10^12 rows), implemented as a RAW-RAY two-phase hash exchange —
-the one spot where the Dataset API is deliberately bypassed: a generic
-sort-based ``groupby`` shuffles and ORDERS the keys, but uniqueness needs only
-hash-partitioned equality grouping; the custom exchange moves 8-byte hashes
-with no sort and no block re-materialization.
+Scale design (10^12 rows), implemented as a RAW-RAY hash exchange — the one
+spot where the Dataset API is deliberately bypassed: a generic sort-based
+``groupby`` shuffles and ORDERS the keys, but uniqueness needs only
+hash-partitioned equality grouping; the exchange moves 8-byte hashes with no
+sort and no block re-materialization.
 
-  1. **Prune at the read** — map tasks read ONLY the ``url`` column (at
-     100 TB the html column dominates; a url-only read is ~1% of the bytes).
+  1. **Feed from the scan** — the row phase's scan tasks already hold every
+     url column, so no separate url pass runs: each task hashes its item's
+     urls once and pushes pre-aggregated ``(hash, count)`` partials to a
+     small ring of ``C1Collector`` actors, and persists the same partial as
+     an item sidecar (``c1/item-*.npz``, 16 B/row). A resume feeds committed
+     partitions from those sidecars (``load_sidecars``); a file without a
+     complete set falls back to one url-only read (``_feed_collector``).
   2. **Hash compaction** — urls → stable u64 hashes (vectorized SipHash);
      the exchange moves 8-byte ints, not ~70-byte strings (~10x volume cut).
      ``hash(url)`` is uniform, so no salting is needed for this key
      (SURVEY.md §4: skew lives in hosts, not hashes).
-  3. **Partition by hash top bits** (``num_returns=P`` map tasks → P reduce
-     tasks): each reducer sees a disjoint hash range, finds counts > 1 with
-     one ``np.unique`` — candidate hashes are a tiny set (dups are rare by
-     construction of a web corpus).
+  3. **Partition by hash top bits** (``split_by_range``): each collector
+     owns a disjoint hash range and finds counts > 1 with one ``np.unique``
+     — candidate hashes are a tiny set (dups are rare by construction of a
+     web corpus), and the drain is one small RPC per collector.
   4. **Verify exactly** — the url strings of candidate hashes are counted,
      which also collapses u64 hash collisions (expected ~n²/2⁶⁵ ≈ 3·10⁴
-     false candidate pairs at 10^12 rows). In the fused validate path the
-     collectors' per-item attribution names the files holding each
-     candidate, and ``verified.parquet`` (``(pid, h, url)``: every row of a
-     committed file whose hash was a candidate when that file was last
-     verified) serves the rows of a committed file whose needed hashes it
-     already holds. Only this run's scanned files and old files holding a
-     newly duplicated hash are re-read, in at most ``num_cpus`` batched
-     tasks, so an incremental step pays for its new files, not the history.
+     false candidate pairs at 10^12 rows). The collectors' per-item
+     attribution names the files holding each candidate, and
+     ``verified.parquet`` (``(pid, h, url)``: every row of a committed file
+     whose hash was a candidate when that file was last verified) serves
+     the rows of a committed file whose needed hashes it already holds.
+     Only this run's scanned files and old files holding a newly duplicated
+     hash are re-read, in at most ``num_cpus`` batched tasks, so an
+     incremental step pays for its new files, not the history.
 
-Partitioning assumption: P reducers each hold ~n/P hashes in memory — size P
-to ~cluster cores so a reducer's range fits a worker heap (8 bytes/row).
+Partitioning assumption: n collectors each hold ~rows/n hashes in memory
+(``make_collectors`` sizes n to the cluster), 16 bytes per unique url of an
+item.
 """
 
 from __future__ import annotations
@@ -40,7 +46,6 @@ from __future__ import annotations
 import os
 
 import numpy as np
-import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 import pyarrow.parquet as pq
@@ -48,85 +53,6 @@ import ray
 
 from ..functions.hashing import hash_strings64
 from ..schema import make_violations
-
-
-@ray.remote
-def _map_hash_partition(path: str, key: str, p_bits: int):
-    """Read one file's key column, hash, split by hash top bits → P arrays."""
-    tbl = pq.read_table(path, columns=[key])
-    h = hash_strings64(np.asarray(tbl[key].to_pandas(), dtype=object))
-    bucket = (h >> np.uint64(64 - p_bits)).astype(np.int64)
-    parts = [h[bucket == p] for p in range(1 << p_bits)]
-    return tuple(parts)
-
-
-@ray.remote
-def _reduce_find_dups(*parts: np.ndarray) -> np.ndarray:
-    """One hash range: concatenate partials, return hashes with count > 1."""
-    if not parts:
-        return np.empty(0, dtype=np.uint64)
-    allh = np.concatenate(parts)
-    vals, counts = np.unique(allh, return_counts=True)
-    return vals[counts > 1]
-
-
-@ray.remote
-def _map_collect_candidates(path: str, key: str, cand_ref) -> list:
-    """Re-read urls, return those whose hash is in the candidate set."""
-    cands = cand_ref
-    tbl = pq.read_table(path, columns=[key])
-    vals = np.asarray(tbl[key].to_pandas(), dtype=object)
-    h = hash_strings64(vals)
-    mask = np.isin(h, cands)
-    return vals[mask].tolist()
-
-
-def find_duplicate_urls(paths: list[str] | str, key: str = "url",
-                        p_bits: int | None = None) -> pa.Table:
-    """Return an Arrow table (url, count) for every url appearing > 1 time."""
-    if isinstance(paths, str):
-        paths = [paths]
-    if p_bits is None:
-        # P ≈ cluster cores, capped; each reducer holds ~n/P 8-byte hashes
-        cpus = int(ray.cluster_resources().get("CPU", 8))
-        p_bits = max(2, min(6, int(np.log2(max(2, cpus)))))
-    P = 1 << p_bits
-
-    # phase 1+2+3: hash exchange → candidate hashes
-    per_file = [
-        _map_hash_partition.options(num_returns=P).remote(f, key, p_bits)
-        for f in paths
-    ]
-    if P == 1:  # num_returns=1 returns the bare tuple ref
-        per_file = [[r] for r in per_file]
-    cand_refs = [
-        _reduce_find_dups.remote(*[refs[p] for refs in per_file])
-        for p in range(P)
-    ]
-    cand = np.concatenate(ray.get(cand_refs))
-    if cand.size == 0:
-        return pa.table({key: pa.array([], pa.string()),
-                         "count": pa.array([], pa.int64())})
-
-    # phase 4: exact verify on the (tiny) candidate set
-    cand_ref = ray.put(np.sort(cand))
-    survivors = ray.get([
-        _map_collect_candidates.remote(f, key, cand_ref) for f in paths
-    ])
-    flat = [u for part in survivors for u in part]
-    vc = pd.Series(flat, dtype=object).value_counts()
-    vc = vc[vc > 1]
-    return pa.table({key: pa.array(vc.index.astype(str), pa.string()),
-                     "count": pa.array(vc.to_numpy(), pa.int64())})
-
-
-# ---------------------------------------------------------------------------
-# Fused C1 feed: the row-phase scan tasks already hold every url column —
-# they push pre-aggregated (hash, count) partials straight into a small ring
-# of collector actors, deleting the standalone hash pass over parquet
-# (BASELINE.md measured that second url read at ~1-1.5 s concurrent / ~3.5%
-# of row-phase CPU at sf0.1; at 100 TB it is a full extra column scan).
-# ---------------------------------------------------------------------------
 
 
 @ray.remote(num_cpus=0)
@@ -140,9 +66,9 @@ class C1Collector:
     committed partitions of a resume are loaded by ONE ``load_sidecars``
     call per collector, which ``np.load``s every committed sidecar and keeps
     its own range — no feed task, no per-sidecar RPC, no object-store puts.
-    Both are IDEMPOTENT by item key: Ray Data lineage retries and the
-    speculative re-issue path (validate.py) can legally deliver the same
-    scan item twice; only the first arrival of a key lands. ``num_cpus=0``
+    Both are IDEMPOTENT by item key: a task retry and the speculative
+    re-issue path (validate.py) can legally deliver the same scan item
+    twice; only the first arrival of a key lands. ``num_cpus=0``
     so collectors never take scan slots.
 
     Partials are kept PER ITEM (not compacted across items): per-item
@@ -244,8 +170,8 @@ def split_by_range(hashes: np.ndarray, counts: np.ndarray,
 def _feed_collector(path: str, key: str, collectors: list,
                     item_key: str) -> bool:
     """Resume path for a committed file WITHOUT a complete sidecar set (a
-    pre-sidecar out dir, ``c1_sidecars=False``): one url-only read, still
-    pre-aggregated and hash-range-routed."""
+    pre-sidecar out dir): one url-only read, still pre-aggregated and
+    hash-range-routed."""
     tbl = pq.read_table(path, columns=[key])
     h = hash_strings64(np.asarray(tbl[key].to_pandas(), dtype=object))
     hu, cu = np.unique(h, return_counts=True)

@@ -86,8 +86,10 @@ def fused_parquet_map(path: str, fn: Callable[[pa.Table], pa.Table],
     ``fn`` receives one pyarrow.Table per (file, row-group range) scan item
     (column-pruned to ``columns``) and must return a pyarrow.Table. Item
     sizing follows the cluster (total_rows / 4×CPUs, clamped [4k, 32k]) so
-    the scan goes full-width; blocks are pre-put so the scheduler sees all
-    of them at t=0 (same rationale as ``pipelines/validate.run_validation``).
+    the scan goes full-width; blocks are pre-put and handed over with
+    ``from_arrow_refs`` so the scheduler sees all of them at t=0
+    (``from_items`` mints its blocks serially through one producing task,
+    measured at ~4.4 ms/block, a 20% serial fraction at 32 CPUs).
     """
     import pyarrow.parquet as pq
 

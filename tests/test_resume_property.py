@@ -17,7 +17,6 @@ def _run(fix, out):
     return run_validation(
         os.path.join(fix, "pages"), out,
         lang_hist_path=os.path.join(fix, "lang_hist.parquet"),
-        wave_size=8,
     )
 
 
@@ -78,7 +77,8 @@ def test_midstream_kill_then_resume(pages_fixture, tmp_path):
     """Kill DURING the streaming row phase (a commit raises after 5
     partitions land) — the partitions already committed must survive and a
     resume must converge to exactly the uninterrupted run's outputs. This
-    exercises the single-execution iter_batches commit path directly."""
+    exercises the ray.wait drain loop's per-partition commit path
+    directly."""
     from lk_data_test_ray.state.manifest import ManifestStore
 
     fresh_dir = str(tmp_path / "fresh2")
@@ -117,6 +117,61 @@ def test_midstream_kill_then_resume(pages_fixture, tmp_path):
         return sorted(zip(t["check_id"].to_pylist(), t["url"].to_pylist()))
 
     assert key_set(got) == key_set(want)
+
+
+def test_failing_scan_task_raises_then_resume_equals_fresh(pages_fixture,
+                                                          tmp_path):
+    """A scan task that raises surfaces from run_validation promptly: the
+    drain loop neither hangs nor swallows it. The last input's first page
+    header is overwritten while its footer stays valid, so the driver
+    plans the file and the worker's read fails. With one file per task and
+    one task in flight, every other partition lands first, and those
+    commits stay. Once the file is restored, a resume equals a fresh run."""
+    import glob
+    import time
+
+    from lk_data_test_ray.state.manifest import ManifestStore
+
+    src = sorted(glob.glob(os.path.join(pages_fixture, "pages", "*.parquet")))
+    hist = os.path.join(pages_fixture, "lang_hist.parquet")
+    inp = tmp_path / "in"
+    inp.mkdir()
+    for f in src:
+        shutil.copy(f, inp / os.path.basename(f))
+    bad = str(inp / os.path.basename(src[-1]))
+    with open(bad, "rb") as fh:
+        raw = fh.read()
+    with open(bad, "r+b") as fh:
+        fh.seek(4)  # past the leading magic: the first data page header
+        fh.write(b"\xff" * 64)
+    assert pq.ParquetFile(bad).metadata.num_rows > 0
+
+    out = str(tmp_path / "out")
+    t0 = time.time()
+    with pytest.raises(Exception, match="page header"):
+        run_validation(str(inp), out, lang_hist_path=hist,
+                       scan_target_rows=1, concurrency=1)
+    assert time.time() - t0 < 120
+    done = ManifestStore(os.path.join(out, "manifests")).completed()
+    assert sorted(done) == list(range(len(src) - 1))
+
+    with open(bad, "wb") as fh:
+        fh.write(raw)
+    resumed = run_validation(str(inp), out, lang_hist_path=hist)
+    assert resumed["rows_scanned"] == pq.ParquetFile(bad).metadata.num_rows
+    fresh_dir = str(tmp_path / "fresh")
+    fresh = run_validation(str(inp), fresh_dir, lang_hist_path=hist)
+    # what each run did (walls, rows scanned, tasks, feeds) differs; what it
+    # found may not
+    work = {"phase_wall", "wall_sec", "rows_per_sec", "rows_scanned",
+            "scan_items", "scan_tasks", "c1"}
+    assert ({k: v for k, v in resumed.items() if k not in work}
+            == {k: v for k, v in fresh.items() if k not in work})
+    assert resumed["c1"]["candidates"] == fresh["c1"]["candidates"]
+    order = [("check_id", "ascending"), ("url", "ascending"),
+             ("detail", "ascending")]
+    assert load_violations(out).sort_by(order).equals(
+        load_violations(fresh_dir).sort_by(order))
 
 
 def test_resume_feeds_c1_from_sidecars(pages_fixture, tmp_path, monkeypatch):

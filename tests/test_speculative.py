@@ -3,8 +3,8 @@
 The row phase re-issues straggling scan items as backup tasks
 (first-result-wins) and feeds the C1 uniqueness exchange from url hashes
 emitted by the scan tasks themselves. Both paths must be invisible in the
-results: forced full duplication, the non-fused fallback, and a partial
-resume must all produce byte-identical verdicts.
+results: forced full duplication and a partial resume must both produce
+byte-identical verdicts.
 """
 
 import glob
@@ -46,17 +46,6 @@ def test_forced_speculation_matches(pages_fixture, tmp_path, golden):
     assert s["per_check_violations"] == g_summary["per_check_violations"]
     assert _keys(load_violations(out)) == g_keys
     assert s["n_rows"] == g_summary["n_rows"]
-
-
-def test_fuse_c1_off_matches_on(pages_fixture, tmp_path, golden):
-    g_summary, g_keys = golden
-    out = str(tmp_path / "nofuse")
-    s = run_validation(
-        os.path.join(pages_fixture, "pages"), out,
-        lang_hist_path=os.path.join(pages_fixture, "lang_hist.parquet"),
-        fuse_c1=False, speculative=False)
-    assert s["per_check_violations"] == g_summary["per_check_violations"]
-    assert _keys(load_violations(out)) == g_keys
 
 
 def test_partial_resume_feeds_c1(pages_fixture, tmp_path, golden):

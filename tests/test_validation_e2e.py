@@ -23,7 +23,6 @@ def result(pages_fixture, tmp_path_factory):
         os.path.join(pages_fixture, "pages"),
         out,
         lang_hist_path=os.path.join(pages_fixture, "lang_hist.parquet"),
-        wave_size=8,
     )
     return pages_fixture, out, summary
 
@@ -150,7 +149,8 @@ def test_dangling_links_matches_duckdb(pages_fixture):
 
 def test_clean_output_and_permutation_invariance(pages_fixture, tmp_path):
     """Quarantine split: clean output re-validates with zero row-phase
-    violations; wave-size permutation does not change any verdict."""
+    violations; a different split of the files into scan items, and of the
+    items into tasks, does not change any verdict or violation."""
     import glob
     import os
 
@@ -161,7 +161,7 @@ def test_clean_output_and_permutation_invariance(pages_fixture, tmp_path):
     out_a = str(tmp_path / "a")
     clean = str(tmp_path / "clean")
     s_a = run_validation(os.path.join(pages_fixture, "pages"), out_a,
-                         clean_dir=clean, wave_size=16)
+                         clean_dir=clean)
     # clean rows = total - rows touched by any row-phase violation
     n_clean = sum(pq.read_metadata(f).num_rows
                   for f in glob.glob(os.path.join(clean, "*.parquet")))
@@ -175,11 +175,24 @@ def test_clean_output_and_permutation_invariance(pages_fixture, tmp_path):
     s_b = run_validation(clean, out_b, check_extract=True)
     assert all(s_b["per_check_violations"][c] == 0 for c in row_checks)
 
-    # permutation invariance: different wave partitioning, same verdicts
-    out_c = str(tmp_path / "c")
-    s_c = run_validation(os.path.join(pages_fixture, "pages"), out_c,
-                         wave_size=3)
-    assert s_c["per_check_violations"] == s_a["per_check_violations"]
+    # permutation invariance: the same files with 100-row row groups. At
+    # the default-sized target each file is one item (16 items in 2 tasks);
+    # at 150 rows each row group is an item and two items share a task
+    split = tmp_path / "split"
+    split.mkdir()
+    for f in sorted(glob.glob(os.path.join(pages_fixture, "pages",
+                                           "*.parquet"))):
+        pq.write_table(pq.read_table(f), str(split / os.path.basename(f)),
+                       row_group_size=100)
+    want = _key_set(load_violations(out_a))
+    packing = {}
+    for target in (4096, 150):
+        out_c = str(tmp_path / f"c{target}")
+        s_c = run_validation(str(split), out_c, scan_target_rows=target)
+        packing[target] = (s_c["scan_items"], s_c["scan_tasks"])
+        assert s_c["per_check_violations"] == s_a["per_check_violations"]
+        assert _key_set(load_violations(out_c)) == want
+    assert packing == {4096: (16, 2), 150: (64, 32)}
 
 
 def test_drift_fails_on_shifted_mixture(tmp_path):
@@ -243,21 +256,6 @@ def test_curate_pages_funnel(pages_fixture, tmp_path):
     assert funnel["n_curated"] > 0.8 * funnel["n_input"] - 10
 
 
-def test_actor_pool_mode_same_verdicts(pages_fixture, tmp_path):
-    """The actor-pool scan form produces identical verdicts to the
-    stateless-task default."""
-    import os
-
-    from lk_data_test_ray.pipelines.validate import run_validation
-
-    a = run_validation(os.path.join(pages_fixture, "pages"),
-                       str(tmp_path / "tasks"), check_extract=False)
-    b = run_validation(os.path.join(pages_fixture, "pages"),
-                       str(tmp_path / "actors"), check_extract=False,
-                       use_actor_pool=True, concurrency=3)
-    assert a["per_check_violations"] == b["per_check_violations"]
-
-
 def test_c0_schema_violation_direct():
     """C0 fires on a wrong-schema batch (missing/extra/retyped columns)."""
     import pyarrow as pa
@@ -305,25 +303,19 @@ def test_empty_partition_commits_and_resumes(pages_fixture, tmp_path):
     assert s2["n_rows"] == s["n_rows"]
 
 
-def _scan_tasks_executed(summary):
-    import re
-
-    m = re.search(r"MapBatches\(scan_check\): (\d+) tasks executed",
-                  summary["ray_stats"])
-    return int(m.group(1))
-
-
 def test_small_files_pack_into_row_sized_tasks(pages_fixture, tmp_path,
                                                monkeypatch, caplog):
     """Files far below the auto target (4096 rows on the 4-CPU test
     cluster) share scan tasks. Fresh, 12 files of 375 rows: 11 fill the
     first task, the 12th runs in a second. A resume step appending 4 files
-    runs them as ONE task. Outputs equal a run forced to one item per task:
-    summary (incl. stats), violations and every partition's stats pickle."""
+    runs them as ONE task. The task count is that of scan_block submissions.
+    Outputs equal a run forced to one item per task: summary (incl. stats),
+    violations and every partition's stats pickle."""
     import glob
     import logging
     import shutil
 
+    from lk_data_test_ray.checks import row
     from lk_data_test_ray.pipelines import validate
     from lk_data_test_ray.state.manifest import ManifestStore
 
@@ -337,30 +329,39 @@ def test_small_files_pack_into_row_sized_tasks(pages_fixture, tmp_path,
             it["block"] = i
         return items
 
+    submitted = []
+    real_remote = row.scan_block.remote
+
+    def spy(items, *args):
+        submitted.append(len(items))
+        return real_remote(items, *args)
+
+    monkeypatch.setattr(row.scan_block, "remote", spy)
+
     def step(name, files, forced):
         inp = tmp_path / name / "in"
         inp.mkdir(parents=True, exist_ok=True)
         for f in files:
             if not (inp / os.path.basename(f)).exists():
                 shutil.copy(f, inp / os.path.basename(f))
+        del submitted[:]
         with monkeypatch.context() as m:
             if forced:
                 m.setattr(validate, "plan_scan_items", one_item_per_task)
-            return run_validation(str(inp), str(tmp_path / name / "out"),
-                                  lang_hist_path=hist,
-                                  collect_ray_stats=True)
+            s = run_validation(str(inp), str(tmp_path / name / "out"),
+                               lang_hist_path=hist)
+        return s, len(submitted)
 
-    timing = {"phase_wall", "wall_sec", "rows_per_sec", "scan_tasks",
-              "ray_stats"}
+    timing = {"phase_wall", "wall_sec", "rows_per_sec", "scan_tasks"}
     caplog.set_level(logging.INFO, logger="lk_data_test_ray")
     for files, n_new, tasks in ((src[:12], 12, 2), (src, 4, 1)):
         caplog.clear()
-        packed = step("packed", files, forced=False)
+        packed, packed_tasks = step("packed", files, forced=False)
         events = [r.resume for r in caplog.records if hasattr(r, "resume")]
-        forced = step("forced", files, forced=True)
+        forced, forced_tasks = step("forced", files, forced=True)
         assert packed["scan_items"] == forced["scan_items"] == n_new
-        assert packed["scan_tasks"] == _scan_tasks_executed(packed) == tasks
-        assert forced["scan_tasks"] == _scan_tasks_executed(forced) == n_new
+        assert packed["scan_tasks"] == packed_tasks == tasks
+        assert forced["scan_tasks"] == forced_tasks == n_new
         assert [(e["scan_items"], e["scan_tasks"]) for e in events] == [
             (n_new, tasks)]
         assert ({k: v for k, v in packed.items() if k not in timing}
