@@ -136,11 +136,6 @@ def run_flagship(sf_dir: str, fresh: bool = True,
 
     n = n_override or pages_nrows_for_sf(sf_dir)
     fix = ensure_pages(n)  # cached; generation excluded from timing
-    # warm the session-lived C1 collector pool (actor processes) outside the
-    # timer — like Ray's own worker pre-start, pool spawn is session setup,
-    # not per-job work; run_validation reuses it via make_collectors()
-    from lk_data_test_ray.checks.uniqueness import make_collectors
-    make_collectors()
     out = f"/tmp/lk_bench/pages_n{n}"
     if fresh:
         shutil.rmtree(out, ignore_errors=True)

@@ -19,6 +19,7 @@ Stateful setup (vocab array, bounds parsing) happens once per worker process
 from __future__ import annotations
 
 import json
+import os
 import pickle
 import re
 
@@ -275,16 +276,36 @@ def plan_scan_items(files: list[str], partition_of: dict[str, int],
 
 def sidecar_name(pid: int, lo: int, hi: int) -> str:
     """C1 hash-sidecar filename for one scan item (stable across runs)."""
-    return f"item-{pid:05d}-{lo:05d}-{hi:05d}.npz"
+    return f"item-{pid:05d}-{lo:05d}-{hi:05d}.npy"
 
 
-_SIDECAR = re.compile(r"item-(\d+)-\d+-\d+\.npz")
+_SIDECAR = re.compile(r"item-(\d+)-\d+-\d+\.npy")
+
+
+def write_sidecar(path: str, hashes: np.ndarray | None) -> None:
+    """Persist one item's C1 partial as a 2-row int64 ``.npy``: its sorted
+    unique url hashes (u64 bits) and their counts, 16 B per unique url.
+    ``None`` (no url column) writes an empty partial, so the file's
+    sidecars still tile it. Atomic, and a backup copy of the item rewrites
+    identical bytes."""
+    if hashes is None:
+        hashes = np.empty(0, np.uint64)
+    hu, cu = np.unique(hashes, return_counts=True)
+    tmp = path + f".tmp{os.getpid()}"
+    with open(tmp, "wb") as f:
+        np.save(f, np.stack([hu.view(np.int64), cu.astype(np.int64)]))
+    os.replace(tmp, path)
+
+
+def read_sidecar(path: str) -> tuple[np.ndarray, np.ndarray]:
+    """(sorted unique u64 hashes, int64 counts) of one ``write_sidecar``
+    file."""
+    hc = np.load(path)
+    return hc[0].view(np.uint64), hc[1]
 
 
 def sidecars_by_pid(c1_dir: str) -> dict[int, list[str]]:
     """pid -> the item sidecar paths in ``c1_dir``, from ONE listing."""
-    import os
-
     out: dict[int, list[str]] = {}
     for name in (os.listdir(c1_dir) if os.path.isdir(c1_dir) else []):
         m = _SIDECAR.fullmatch(name)
@@ -305,9 +326,7 @@ def committed_sidecars(c1_dir: str, pid: int, path: str,
     only when their (rg_lo, rg_hi) ranges tile ``[0, n_row_groups)``
     exactly (greedy max-hi walk, so sidecars from runs with different
     splits may mix — any exact tiling of correct per-item partials is
-    correct); None → caller falls back to the url-column parquet read."""
-    import os
-
+    correct); None → caller falls back to ``url_sidecar``."""
     import pyarrow.parquet as pq
 
     if listed is None:
@@ -346,7 +365,7 @@ _CHECKERS: dict = {}  # check_extract -> this worker's RowChecker
 
 @ray.remote
 def scan_block(items: list[dict], check_extract: bool, clean_dir: str | None,
-               c1_collectors: list, c1_dir: str) -> pa.Table:
+               c1_dir: str) -> pa.Table:
     """Fused read+check of one block of scan items (``plan_scan_items``),
     returned as one combined table: each item's violations, then its stats
     row, in item order (``split_items`` recovers the items).
@@ -357,16 +376,12 @@ def scan_block(items: list[dict], check_extract: bool, clean_dir: str | None,
     task per block and one-item backups of stragglers through this same
     function; both are safe to duplicate (see the writes below).
     """
-    import os
-
     import pyarrow.parquet as pq
-
-    from .uniqueness import split_by_range
 
     rc = _CHECKERS.get(check_extract)
     if rc is None:
         rc = _CHECKERS[check_extract] = RowChecker(check_extract=check_extract)
-    out, c1_acks = [], []
+    out = []
     for it in items:
         path, lo, hi, pid = it["path"], it["rg_lo"], it["rg_hi"], it["pid"]
         pf = pq.ParquetFile(path)
@@ -374,35 +389,16 @@ def scan_block(items: list[dict], check_extract: bool, clean_dir: str | None,
             tbl = pf.read_row_groups(list(range(lo, hi)))
         else:  # zero-row-group file: empty table, real schema
             tbl = pf.schema_arrow.empty_table()
-        # one hash of the url column serves the C1 feed below and the url
+        # one hash of the url column serves the C1 sidecar below and the url
         # HyperLogLog
         h = (hash_strings64(tbl["url"].to_pandas())
              if "url" in tbl.column_names else None)
         combined = rc._process(tbl, pid, item=(lo, hi), url_hash=h)
         out.append(combined)
-        if h is not None:
-            # fused C1 feed: push pre-aggregated (hash, count) partials to
-            # the collectors instead of a second parquet pass over the
-            # corpus. Partials are routed by URL-HASH TOP BITS, so each
-            # collector owns a DISJOINT hash range and decides duplicates
-            # locally. The item key makes every slice idempotent (a backup
-            # copy re-sends the same slices, which the collectors drop).
-            item_key = f"{path}:{lo}:{hi}"
-            hu, cu = np.unique(h, return_counts=True)
-            for j, (hj, cj) in enumerate(
-                    split_by_range(hu, cu, len(c1_collectors))):
-                if len(hj):
-                    c1_acks.append(c1_collectors[j].add.remote(
-                        item_key, hj, cj))
-            # persist this item's hash partial (16 B/row) so an INCREMENTAL
-            # run feeds committed partitions from sidecars instead of
-            # re-reading + re-hashing their url columns (atomic +
-            # idempotent: a backup copy rewrites identical bytes)
-            sp = os.path.join(c1_dir, sidecar_name(pid, lo, hi))
-            tmp_sp = sp + f".tmp{os.getpid()}"
-            np.savez(tmp_sp, h=hu.view(np.int64), c=cu,
-                     item_key=np.array(item_key))
-            os.replace(tmp_sp + ".npz", sp)
+        # the item's C1 (hash, count) partial: the uniqueness exchange
+        # reads these instead of a second pass over the url columns, this
+        # run and every later resume
+        write_sidecar(os.path.join(c1_dir, sidecar_name(pid, lo, hi)), h)
         if clean_dir is not None:
             # quarantine split (the training-data use of validation): rows
             # untouched by any row-phase violation stream straight to
@@ -416,11 +412,24 @@ def scan_block(items: list[dict], check_extract: bool, clean_dir: str | None,
             dst = os.path.join(clean_dir, f"clean-{pid:05d}-{lo:05d}.parquet")
             pq.write_table(clean, dst + ".tmp")
             os.replace(dst + ".tmp", dst)
-    # block on the acks so a returned task implies its hashes are DURABLY
-    # held by the collectors (an in-flight add from a dead worker would
-    # silently drop urls from the uniqueness check); adds are O(1) appends
-    ray.get(c1_acks)
     return pa.concat_tables(out) if out else COMBINED_SCHEMA.empty_table()
+
+
+@ray.remote
+def url_sidecar(path: str, pid: int, c1_dir: str) -> str:
+    """Resume path for a committed file without a complete sidecar set (an
+    out dir written before sidecars, or by the ``.npz`` format): one
+    url-only read writes a whole-file sidecar, which tiles the file from
+    then on. Returns its path."""
+    import pyarrow.parquet as pq
+
+    pf = pq.ParquetFile(path)
+    h = None
+    if "url" in pf.schema_arrow.names:
+        h = hash_strings64(pf.read(columns=["url"])["url"].to_pandas())
+    sp = os.path.join(c1_dir, sidecar_name(pid, 0, pf.metadata.num_row_groups))
+    write_sidecar(sp, h)
+    return sp
 
 
 def split_items(tbl: pa.Table) -> list[pa.Table]:

@@ -12,23 +12,25 @@ sort and no block re-materialization.
 
   1. **Feed from the scan** — the row phase's scan tasks already hold every
      url column, so no separate url pass runs: each task hashes its item's
-     urls once and pushes pre-aggregated ``(hash, count)`` partials to a
-     small ring of ``C1Collector`` actors, and persists the same partial as
-     an item sidecar (``c1/item-*.npz``, 16 B/row). A resume feeds committed
-     partitions from those sidecars (``load_sidecars``); a file without a
-     complete set falls back to one url-only read (``_feed_collector``).
+     urls once and persists the pre-aggregated ``(hash, count)`` partial as
+     an item sidecar (``c1/item-*.npy``, 16 B per unique url). A resume
+     reuses the committed partitions' sidecars; a file without a complete
+     set gets one url-only read that writes a whole-file sidecar
+     (``row.url_sidecar``).
   2. **Hash compaction** — urls → stable u64 hashes (vectorized SipHash);
      the exchange moves 8-byte ints, not ~70-byte strings (~10x volume cut).
      ``hash(url)`` is uniform, so no salting is needed for this key
      (SURVEY.md §4: skew lives in hosts, not hashes).
-  3. **Partition by hash top bits** (``split_by_range``): each collector
-     owns a disjoint hash range and finds counts > 1 with one ``np.unique``
+  3. **Partition by hash top bits** (``split_by_range``): after the scan,
+     one plain task per DISJOINT top-bit range (``make_collectors``) reads
+     its range of every sidecar and finds counts > 1 with one ``np.unique``
      — candidate hashes are a tiny set (dups are rare by construction of a
-     web corpus), and the drain is one small RPC per collector.
+     web corpus). Each task also names the files holding its candidates.
+     Nothing outlives the run, so concurrent runs share no state.
   4. **Verify exactly** — the url strings of candidate hashes are counted,
      which also collapses u64 hash collisions (expected ~n²/2⁶⁵ ≈ 3·10⁴
-     false candidate pairs at 10^12 rows). The collectors' per-item
-     attribution names the files holding each candidate, and
+     false candidate pairs at 10^12 rows). The range tasks' attribution
+     names the files holding each candidate, and
      ``verified.parquet`` (``(pid, h, url)``: every row of a committed file
      whose hash was a candidate when that file was last verified) serves
      the rows of a committed file whose needed hashes it already holds.
@@ -36,9 +38,8 @@ sort and no block re-materialization.
      hash are re-read, in at most ``num_cpus`` batched tasks, so an
      incremental step pays for its new files, not the history.
 
-Partitioning assumption: n collectors each hold ~rows/n hashes in memory
-(``make_collectors`` sizes n to the cluster), 16 bytes per unique url of an
-item.
+Partitioning assumption: each of the n range tasks holds ~rows/n hashes in
+memory (``make_collectors`` sizes n to the cluster).
 """
 
 from __future__ import annotations
@@ -53,102 +54,7 @@ import ray
 
 from ..functions.hashing import hash_strings64
 from ..schema import make_violations
-
-
-@ray.remote(num_cpus=0)
-class C1Collector:
-    """Accumulates per-scan-item (hash, count) partials for one DISJOINT
-    url-hash top-bit range (``split_by_range``), so each collector decides
-    duplicates LOCALLY — there is no cross-collector reduce stage, and the
-    drain is one small RPC per collector.
-
-    Two feeds land here. Live scan tasks ``add`` each item's partial;
-    committed partitions of a resume are loaded by ONE ``load_sidecars``
-    call per collector, which ``np.load``s every committed sidecar and keeps
-    its own range — no feed task, no per-sidecar RPC, no object-store puts.
-    Both are IDEMPOTENT by item key: a task retry and the speculative
-    re-issue path (validate.py) can legally deliver the same scan item
-    twice; only the first arrival of a key lands. ``num_cpus=0``
-    so collectors never take scan slots.
-
-    Partials are kept PER ITEM (not compacted across items): per-item
-    hashes are already unique, and cross-item duplicate urls are rare by
-    construction of a web corpus, so per-item storage costs the same
-    ~16 B/row as a merged multiset — and the retained item attribution
-    (``candidate_hits``) makes the exact verify's IO proportional to DUP
-    INCIDENCE, not corpus size.
-    """
-
-    def __init__(self):
-        self._seen: set = set()
-        self._items: list = []  # (item_key, uint64 hashes, int64 counts)
-
-    def reset(self) -> bool:
-        """Clear state for pool reuse — actor process spawn costs ~2 s each
-        (BASELINE.md), so validate runs recycle one session-lived pool
-        instead of paying a cold-actor wave that the scan's first items
-        block on."""
-        self._seen.clear()
-        self._items = []
-        return True
-
-    def add(self, item_key: str, hashes: np.ndarray, counts: np.ndarray) -> bool:
-        if item_key in self._seen:
-            return False
-        self._seen.add(item_key)
-        if len(hashes):
-            self._items.append((item_key,
-                                np.ascontiguousarray(hashes, np.uint64),
-                                np.ascontiguousarray(counts, np.int64)))
-        return True
-
-    def load_sidecars(self, paths: list, j: int, n: int) -> int:
-        """Add range ``j`` of ``n`` from each committed item sidecar (the
-        ``.npz`` partials the original scan persisted, keyed by that scan's
-        item key). Returns the number of items that landed."""
-        added = 0
-        for sp in paths:
-            with np.load(sp) as d:
-                hj, cj = split_by_range(d["h"].view(np.uint64),
-                                        d["c"].astype(np.int64), n)[j]
-                if len(hj):
-                    added += self.add(str(d["item_key"]), hj, cj)
-        return added
-
-    def candidates(self) -> np.ndarray:
-        """Hashes with a global count > 1 — exact within this collector's
-        DISJOINT hash range, so no cross-collector reconciliation exists."""
-        if not self._items:
-            return np.empty(0, np.uint64)
-        h = np.concatenate([h for _, h, _ in self._items])
-        hu, inv = np.unique(h, return_inverse=True)
-        cu = np.bincount(
-            inv, weights=np.concatenate([c for _, _, c in self._items]))
-        return hu[cu > 1.5]
-
-    def candidate_hits(self, cand_sorted: np.ndarray) -> dict:
-        """file -> the sorted candidate hashes its items hold in this
-        collector's range (u64 collisions can only add a hash — harmless;
-        the verify is exact on urls)."""
-        if not self._items or not len(cand_sorted):
-            return {}
-        h = np.concatenate([h for _, h, _ in self._items])
-        idx = np.searchsorted(cand_sorted, h)
-        idx[idx == len(cand_sorted)] = 0
-        at = np.flatnonzero(cand_sorted[idx] == h)
-        ends = np.cumsum([len(hi) for _, hi, _ in self._items])
-        hits: dict = {}
-        for i, x in zip(np.searchsorted(ends, at, side="right").tolist(),
-                        h[at].tolist()):
-            hits.setdefault(_item_file(self._items[i][0]), set()).add(x)
-        return {f: np.array(sorted(v), np.uint64) for f, v in hits.items()}
-
-
-def _item_file(item_key: str) -> str:
-    """Scan items key as '<path>:<lo>:<hi>'; resume feeds as 'file:<path>'."""
-    if item_key.startswith("file:"):
-        return item_key[5:]
-    return item_key.rsplit(":", 2)[0]
+from .row import read_sidecar
 
 
 def split_by_range(hashes: np.ndarray, counts: np.ndarray,
@@ -157,7 +63,7 @@ def split_by_range(hashes: np.ndarray, counts: np.ndarray,
     top-bit ranges — two searchsorted cuts per range, zero boolean masks.
     ``n`` must be a power of two."""
     p_bits = int(np.log2(n))
-    assert (1 << p_bits) == n, "collector pool size must be a power of two"
+    assert (1 << p_bits) == n, "range count must be a power of two"
     if p_bits == 0:
         return [(hashes, counts)]
     edges = (np.arange(1, n, dtype=np.uint64)
@@ -167,65 +73,56 @@ def split_by_range(hashes: np.ndarray, counts: np.ndarray,
 
 
 @ray.remote
-def _feed_collector(path: str, key: str, collectors: list,
-                    item_key: str) -> bool:
-    """Resume path for a committed file WITHOUT a complete sidecar set (a
-    pre-sidecar out dir): one url-only read, still pre-aggregated and
-    hash-range-routed."""
-    tbl = pq.read_table(path, columns=[key])
-    h = hash_strings64(np.asarray(tbl[key].to_pandas(), dtype=object))
-    hu, cu = np.unique(h, return_counts=True)
-    acks = [collectors[j].add.remote(item_key, hj, cj)
-            for j, (hj, cj) in enumerate(
-                split_by_range(hu, cu.astype(np.int64), len(collectors)))
-            if len(hj)]
-    return all(ray.get(acks)) if acks else True
+def _range_candidates(sidecars: list, j: int,
+                      n: int) -> tuple[np.ndarray, dict]:
+    """Range ``j`` of ``n`` over every ``(file, sidecar path)``: the sorted
+    hashes with a global count > 1 (exact within this DISJOINT range, so
+    no cross-range reconciliation exists), and file -> the sorted candidate
+    hashes its sidecars hold (u64 collisions can only add a hash —
+    harmless; the verify is exact on urls)."""
+    files, hs, cs = [], [], []
+    for f, sp in sidecars:
+        h, c = split_by_range(*read_sidecar(sp), n)[j]
+        if len(h):
+            files.append(f)
+            hs.append(h)
+            cs.append(c)
+    if not hs:
+        return np.empty(0, np.uint64), {}
+    h = np.concatenate(hs)
+    hu, inv = np.unique(h, return_inverse=True)
+    cand = hu[np.bincount(inv, weights=np.concatenate(cs)) > 1.5]
+    if not cand.size:
+        return cand, {}
+    idx = np.searchsorted(cand, h)
+    idx[idx == len(cand)] = 0
+    at = np.flatnonzero(cand[idx] == h)
+    ends = np.cumsum([len(x) for x in hs])
+    hits: dict = {}
+    for i, x in zip(np.searchsorted(ends, at, side="right").tolist(),
+                    h[at].tolist()):
+        hits.setdefault(files[i], set()).add(x)
+    return cand, {f: np.array(sorted(v), np.uint64) for f, v in hits.items()}
 
 
-_COLLECTOR_POOL: dict = {}  # n → session-lived list of collector handles
-
-
-def make_collectors(n: int | None = None, reuse: bool = True) -> list:
-    """A ring of collector actors sized to the cluster.
-
-    ``reuse=True`` (default) recycles one session-lived pool per size after
-    resetting its state: collectors are num_cpus=0 and hold no state between
-    runs, while a fresh pool costs an actor-spawn wave (~2 s/actor) that the
-    scan's first items would block on. A pool whose actors died with a
-    previous Ray session is detected by the reset ping and rebuilt.
-    Concurrent run_validation calls in one driver must pass reuse=False for
-    all but one of them (per-item idempotence keys would collide)."""
+def make_collectors(sidecars: list, n: int | None = None) -> list:
+    """Submit the C1 exchange over ``(file, sidecar path)`` pairs: one
+    ``_range_candidates`` task per hash top-bit range, ``n`` of them (a
+    power of two; default ≤ cluster CPUs / 4, clamped to [1, 8]). Returns
+    their refs for ``collector_candidates`` and ``verify_candidates``."""
     if n is None:
         cpus = int(ray.cluster_resources().get("CPU", 8))
-        # power of two ≤ cpus/4: collectors own disjoint hash-top-bit ranges
-        n = 1 << max(1, min(3, int(np.log2(max(2, cpus // 4)))))
+        n = 1 << min(3, int(np.log2(max(1, cpus // 4))))
     elif n < 1 or (n & (n - 1)):
-        # validate HERE, not as an AssertionError deep inside a remote scan
-        # task: collectors own disjoint hash top-bit ranges, so the pool
-        # size must be a power of two
-        raise ValueError(
-            f"collector pool size must be a power of two, got {n}")
-    if reuse:
-        pool = _COLLECTOR_POOL.get(n)
-        if pool is not None:
-            try:
-                ray.get([c.reset.remote() for c in pool], timeout=10)
-                return pool
-            except Exception:
-                pass  # dead pool (new ray session): rebuild below
-        pool = [C1Collector.remote() for _ in range(n)]
-        _COLLECTOR_POOL[n] = pool
-        return pool
-    return [C1Collector.remote() for _ in range(n)]
+        raise ValueError(f"range count must be a power of two, got {n}")
+    return [_range_candidates.remote(sidecars, j, n) for j in range(n)]
 
 
 def collector_candidates(collectors: list) -> np.ndarray:
-    """Candidate duplicate hashes: each collector owns a disjoint hash
-    range, so the global candidate set is the plain union of the
-    collectors' LOCAL count>1 sets — one small RPC per collector, no
+    """Candidate duplicate hashes: the ranges are disjoint, so the global
+    candidate set is the plain union of the tasks' LOCAL count>1 sets — no
     reduce stage (exactness restored by verify_candidates)."""
-    return np.concatenate(
-        ray.get([c.candidates.remote() for c in collectors]))
+    return np.concatenate([cand for cand, _ in ray.get(collectors)])
 
 
 VERIFIED_SCHEMA = pa.schema([("pid", pa.int64()), ("h", pa.uint64()),
@@ -262,7 +159,7 @@ def _collect_rows(paths: list, pids: list, key: str,
     hash a file holds yields at least one row."""
     out = []
     for path, pid in zip(paths, pids):
-        urls = pq.read_table(path, columns=[key])[key]
+        urls = pq.ParquetFile(path).read(columns=[key])[key]
         h = hash_strings64(np.asarray(urls.to_pandas(), dtype=object))
         mask = np.isin(h, cand)
         out.append(pa.table({
@@ -307,8 +204,8 @@ def verify_candidates(pid_of: dict, key: str, cand: np.ndarray,
     files ``pid_of`` maps to their partition ids. Returns the (url, count)
     duplicates and the re-read/cached file counts.
 
-    The collectors' per-item attribution restricts the work to files
-    holding a candidate hash. ``table`` holds the rows of
+    The range tasks' (``collectors``) per-file attribution restricts the
+    work to files holding a candidate hash. ``table`` holds the rows of
     ``verified.parquet`` for the partitions committed before this run
     (``load_verified(path, keep)``): a file whose pid has rows there for
     all its needed hashes is served from them. The rest are re-read in at
@@ -324,13 +221,10 @@ def verify_candidates(pid_of: dict, key: str, cand: np.ndarray,
                          "count": pa.array([], pa.int64())}), counts
     # the candidate set is small (dups are rare): it travels inline
     cand = np.sort(cand)
-    norm = {os.path.normpath(p): p for p in pid_of}
     need: dict = {}
-    for part in ray.get([c.candidate_hits.remote(cand) for c in collectors]):
-        for f, h in part.items():
-            p = norm.get(os.path.normpath(f))
-            if p is not None:
-                need[p] = h if p not in need else np.union1d(need[p], h)
+    for _, hits in ray.get(collectors):
+        for p, h in hits.items():
+            need[p] = h if p not in need else np.union1d(need[p], h)
     old = table if table is not None else VERIFIED_SCHEMA.empty_table()
     old_pid, old_h = old["pid"].to_numpy(), old["h"].to_numpy()
     cached, reread = [], []

@@ -4,8 +4,9 @@ Lifecycle (SURVEY.md §3.4): (file, row-group range) scan items planned from
 the parquet footers → fused row-phase scan tasks (C0/C2/C3/C4/C6 + sketch
 partials + the C1 url-hash feed, ONE pass over the heavy columns) →
 per-partition violations + lineage manifests (resume unit) → global phase:
-C1 uniqueness from the collectors' disjoint hash ranges + C5 drift from
-merged partials → union of violation streams + summary verdict.
+C1 uniqueness from per-run tasks over disjoint hash ranges of the scan's
+(hash, count) sidecars + C5 drift from merged partials → union of violation
+streams + summary verdict.
 
 Execution/resume model:
   * partition = one input parquet file; a file keeps the partition id its
@@ -24,8 +25,8 @@ Execution/resume model:
   * the same loop re-issues straggling items as one-item backups of the
     same remote function and drops the slower copy by item key.
   * the global phase runs after all partitions commit and writes its own
-    manifest; its inputs are the collectors' url hashes plus url-only
-    re-reads of the files holding a candidate duplicate.
+    manifest; its inputs are the url-hash sidecars of every partition plus
+    url-only re-reads of the files holding a candidate duplicate.
 """
 
 from __future__ import annotations
@@ -48,11 +49,11 @@ import ray
 
 from ..checks.drift import chi_square_drift
 from ..checks.row import (committed_sidecars, merge_stats, plan_scan_items,
-                          scan_block, sidecars_by_pid, split_combined,
-                          split_items)
+                          scan_block, sidecar_name, sidecars_by_pid,
+                          split_combined, split_items, url_sidecar)
 from ..checks.uniqueness import (collector_candidates, duplicates_to_violations,
                                  load_verified, make_collectors,
-                                 verify_candidates, _feed_collector)
+                                 verify_candidates)
 from ..schema import VIOLATIONS_SCHEMA
 from ..state.manifest import ManifestStore
 
@@ -92,8 +93,9 @@ def run_validation(
     (``plan_scan_items``; default auto-sized to the cluster).
     ``speculative``: re-issue straggling scan items as backup tasks once
     ≥95% of items have arrived and arrivals have stalled (first-result-wins;
-    commits, clean-output writes and C1 adds are all idempotent). The string
-    ``"force"`` re-issues every outstanding item immediately (test hook).
+    commits, clean-output writes and C1 sidecars are all idempotent). The
+    string ``"force"`` re-issues every outstanding item immediately (test
+    hook).
     """
     t0 = time.time()
     files = _pages_files(pages_path)
@@ -135,34 +137,29 @@ def run_validation(
     todo = [f for f in files if partition_of[f] not in kept]
 
     # ---- global C1 uniqueness ------------------------------------------------
-    # The scan tasks already hold every url column and push pre-aggregated
-    # (hash, count) partials into collector actors as a side output — the
-    # corpus is read ONCE for both phases. Committed partitions (resume)
-    # never re-scan: they feed from the per-item sidecars their original
-    # scan persisted (16 B/row, already hashed), found by ONE listing of c1/
-    # and loaded by each collector itself, concurrently with the row phase.
-    # A file without a complete sidecar set (a pre-sidecar out dir) falls
-    # back to a url-only parquet read. At 100 TB an incremental run re-feeds
-    # yesterday's corpus from ~1.6% of its bytes.
-    collectors = make_collectors()
+    # The scan tasks already hold every url column and persist each item's
+    # pre-aggregated (hash, count) partial as a sidecar — the corpus is read
+    # ONCE for both phases. Committed partitions (resume) never re-scan:
+    # their sidecars, found by ONE listing of c1/, join this run's in the
+    # exchange after the scan. A committed file without a complete sidecar
+    # set (an older out dir) gets one url-only read that writes a whole-file
+    # sidecar, concurrently with the row phase. At 100 TB an incremental run
+    # re-feeds yesterday's corpus from ~1.6% of its bytes.
     listed = sidecars_by_pid(c1_dir)
-    sidecars: list = []
-    feed_refs: list = []
+    sidecars: list = []  # (file, sidecar path)
+    fallback: list = []  # (file, ref of the sidecar path url_sidecar writes)
     c1_counts = {"sidecar_files": 0, "url_fallback_files": 0}
     for f in files:
         if partition_of[f] not in kept:
             continue
         exp = committed_sidecars(c1_dir, partition_of[f], f, listed)
         if exp:
-            sidecars += exp
+            sidecars += [(f, sp) for sp in exp]
             c1_counts["sidecar_files"] += 1
         else:
             c1_counts["url_fallback_files"] += 1
-            feed_refs.append(
-                _feed_collector.remote(f, "url", collectors, f"file:{f}"))
-    if sidecars:
-        feed_refs += [c.load_sidecars.remote(sidecars, j, len(collectors))
-                      for j, c in enumerate(collectors)]
+            fallback.append(
+                (f, url_sidecar.remote(f, partition_of[f], c1_dir)))
 
     # ---------------- row phase ----------------------------------------------
     # one scan_block task per packed block of scan items (plan_scan_items'
@@ -178,6 +175,10 @@ def run_validation(
     for it in items:
         blocks.setdefault(it["block"], []).append(it)
     file_of_pid = {partition_of[f]: f for f in todo}
+    sidecars += [(it["path"], os.path.join(
+        c1_dir, sidecar_name(it["pid"], it["rg_lo"], it["rg_hi"])))
+        for it in items]
+    committed: dict = {}  # pid -> the manifest record this run committed
 
     def _commit(pid: int, viols: list, partials: list) -> None:
         pv = (pa.concat_tables(viols) if viols
@@ -188,24 +189,22 @@ def run_validation(
         os.replace(tmp, vp)
         stats = merge_stats(partials)
         size, mtime_ns = sigs[file_of_pid[pid]]
-        store.commit(
-            pid,
-            {
-                "input_fragment": file_of_pid[pid],
-                "input_size": size,
-                "input_mtime_ns": mtime_ns,
-                "n_rows": stats["n_rows"],
-                "violation_count": int(pv.num_rows),
-                "per_check_violations": _per_check_counts(pv),
-                "passed": pv.num_rows == 0,
-                "engine_version": ENGINE_VERSION,
-            },
-            stats=stats,
-        )
+        rec = {
+            "input_fragment": file_of_pid[pid],
+            "input_size": size,
+            "input_mtime_ns": mtime_ns,
+            "n_rows": stats["n_rows"],
+            "violation_count": int(pv.num_rows),
+            "per_check_violations": _per_check_counts(pv),
+            "passed": pv.num_rows == 0,
+            "engine_version": ENGINE_VERSION,
+        }
+        store.commit(pid, rec, stats=stats)
+        committed[pid] = rec
 
     if items:
         _scan(list(blocks.values()),
-              (check_extract, clean_dir, collectors, c1_dir),
+              (check_extract, clean_dir, c1_dir),
               concurrency, speculative, _commit)
 
     # ---------------- global phase: C1 drain + stats merge, OVERLAPPED -------
@@ -220,12 +219,16 @@ def run_validation(
 
     def _drain_c1():
         try:
-            ray.get(feed_refs)  # resume-path feeds (no-op fresh)
+            # the url-only fallbacks' sidecars must exist before the range
+            # tasks read them (no-op when every file has its sidecars)
+            written = ray.get([ref for _, ref in fallback])
             t_f = time.time()
+            collectors = make_collectors(
+                sidecars + [(f, sp) for (f, _), sp in zip(fallback, written)])
             cand = collector_candidates(collectors)
             t_c = time.time()
-            # exact verify (url strings + u64-collision collapse): the
-            # collectors' per-item attribution names the files holding a
+            # exact verify (url strings + u64-collision collapse): the range
+            # tasks' per-file attribution names the files holding a
             # candidate hash, and verified.parquet serves committed ones
             # whose rows it already holds
             c1_out["dups"], vc = verify_candidates(
@@ -236,9 +239,6 @@ def run_validation(
                 "feeds": round(t_f - t_row_done, 3),
                 "candidates": round(t_c - t_f, 3),
                 "verify": round(time.time() - t_c, 3)}
-            # collectors are NOT killed: the pool is session-lived and
-            # recycled by make_collectors(reuse=True) — respawning actors
-            # per run costs a cold-start wave the first scan items block on
         except Exception as ex:
             c1_out["error"] = ex
         finally:
@@ -249,11 +249,10 @@ def run_validation(
     remote_only.wait()
 
     # ---------------- merge committed partition stats ------------------------
-    # every partition manifest now covers a file of THIS run's input set
-    # (_keep_committed dropped the rest before the scan)
-    done = {pid: rec for pid, rec in store.completed().items()
-            if pid != "global"}
-    rows_scanned = sum(done[partition_of[f]]["n_rows"] for f in todo)
+    # the kept manifests and this run's commits are every partition of THIS
+    # run's input set (_keep_committed dropped the rest before the scan)
+    done = {**kept, **committed}
+    rows_scanned = sum(committed[partition_of[f]]["n_rows"] for f in todo)
     all_stats = [store.load_stats(pid) for pid in sorted(done, key=str)]
     all_stats = [s for s in all_stats if s is not None]
     global_stats = merge_stats(all_stats)
@@ -294,21 +293,19 @@ def run_validation(
     tmp = gp + ".tmp"
     pq.write_table(global_viol, tmp)
     os.replace(tmp, gp)
-    store.commit(
-        "global",
-        {
-            "input_fragment": pages_path,
-            "n_rows": global_stats["n_rows"],
-            "violation_count": int(global_viol.num_rows),
-            "per_check_violations": _per_check_counts(global_viol),
-            "passed": global_viol.num_rows == 0,
-            "engine_version": ENGINE_VERSION,
-        },
-    )
+    done["global"] = {
+        "input_fragment": pages_path,
+        "n_rows": global_stats["n_rows"],
+        "violation_count": int(global_viol.num_rows),
+        "per_check_violations": _per_check_counts(global_viol),
+        "passed": global_viol.num_rows == 0,
+        "engine_version": ENGINE_VERSION,
+    }
+    store.commit("global", done["global"])
 
     # ---------------- summary ------------------------------------------------
     per_check = {c: 0 for c in CHECK_IDS}
-    for rec in store.completed().values():
+    for rec in done.values():
         for c, n in rec.get("per_check_violations", {}).items():
             per_check[c] = per_check.get(c, 0) + n
     wall = time.time() - t0
@@ -419,8 +416,8 @@ def _scan(blocks: list[list[dict]], args: tuple, concurrency: int | None,
             try:
                 out = ray.get(ready[0])
             except Exception:
-                # stop the other scans: a late collector add could land in
-                # the next run's recycled collector pool
+                # stop the other scans, so none keeps writing sidecars or
+                # clean output into out_dir after this run has raised
                 if pending:
                     for ref in pending:
                         ray.cancel(ref)
@@ -461,7 +458,8 @@ def _keep_committed(store: ManifestStore, sigs: dict, viol_dir: str,
     is any part or sidecar without a kept manifest (a run killed before the
     commit): a deleted and re-added file, or one rewritten in place, is
     re-scanned, and a reused pid starts clean instead of being tiled by a
-    deleted file's sidecars."""
+    deleted file's sidecars. Sidecars of the older ``.npz`` format are all
+    removed; the kept files they covered get ``url_sidecar`` rewrites."""
     seen, keep = set(), {}
     parts = [(pid, rec) for pid, rec in store.completed().items()
              if pid != "global"]
@@ -476,7 +474,7 @@ def _keep_committed(store: ManifestStore, sigs: dict, viol_dir: str,
     for d in (viol_dir, c1_dir):
         for name in (os.listdir(d) if os.path.isdir(d) else []):
             m = re.match(r"(?:part|item)-(\d+)", name)
-            if m and int(m.group(1)) not in keep:
+            if name.endswith(".npz") or (m and int(m.group(1)) not in keep):
                 os.remove(os.path.join(d, name))
     return keep, len(parts) - len(keep)
 

@@ -176,7 +176,7 @@ def test_failing_scan_task_raises_then_resume_equals_fresh(pages_fixture,
 
 def test_resume_feeds_c1_from_sidecars(pages_fixture, tmp_path, monkeypatch):
     """A resume run must feed committed partitions' C1 hashes from the
-    persisted .npz sidecars (no parquet re-read): poison the url-read
+    persisted .npy sidecars (no parquet re-read): poison the url-read
     fallback and assert the resumed verdicts still match a fresh run."""
     import glob
 
@@ -188,7 +188,7 @@ def test_resume_feeds_c1_from_sidecars(pages_fixture, tmp_path, monkeypatch):
     s_fresh = _run(pages_fixture, fresh_dir)
 
     _run(pages_fixture, resumed_dir)
-    assert glob.glob(os.path.join(resumed_dir, "c1", "*.npz"))
+    assert glob.glob(os.path.join(resumed_dir, "c1", "*.npy"))
     # drop the global manifest so the run re-executes ONLY the global phase,
     # with every partition already committed → the feed covers all of them
     for p in glob.glob(os.path.join(resumed_dir, "manifests", "*global*")):
@@ -198,7 +198,7 @@ def test_resume_feeds_c1_from_sidecars(pages_fixture, tmp_path, monkeypatch):
         raise AssertionError("resume fed C1 by re-reading parquet urls — "
                              "sidecars were expected to cover it")
 
-    monkeypatch.setattr(v._feed_collector, "remote", _boom)
+    monkeypatch.setattr(v.url_sidecar, "remote", _boom)
     s_resumed = _run(pages_fixture, resumed_dir)
     assert (s_resumed["per_check_violations"]
             == s_fresh["per_check_violations"])
@@ -221,7 +221,8 @@ def test_committed_sidecars_tiling(tmp_path):
     c1.mkdir()
 
     def touch(pid, lo, hi):
-        np.savez(str(c1 / f"item-{pid:05d}-{lo:05d}-{hi:05d}.npz"), z=1)
+        np.save(str(c1 / f"item-{pid:05d}-{lo:05d}-{hi:05d}.npy"),
+                np.zeros((2, 0), np.int64))
 
     # incomplete coverage → None
     touch(3, 0, 4)
@@ -230,11 +231,11 @@ def test_committed_sidecars_tiling(tmp_path):
     touch(3, 4, 8)
     got = committed_sidecars(str(c1), 3, f)
     assert [os.path.basename(g) for g in got] == [
-        "item-00003-00000-00004.npz", "item-00003-00004-00008.npz"]
+        "item-00003-00000-00004.npy", "item-00003-00004-00008.npy"]
     # a different run's coarser split mixes in → greedy picks the max-hi walk
     touch(3, 0, 8)
     got = committed_sidecars(str(c1), 3, f)
-    assert [os.path.basename(g) for g in got] == ["item-00003-00000-00008.npz"]
+    assert [os.path.basename(g) for g in got] == ["item-00003-00000-00008.npy"]
     # other pid's sidecars are invisible
     assert committed_sidecars(str(c1), 4, f) is None
 
@@ -369,7 +370,7 @@ def test_delete_then_readd_equals_fresh(pages_fixture, tmp_path):
     out = str(tmp_path / "out")
     run_validation(str(inp), out)
     man, c1 = os.path.join(out, "manifests"), os.path.join(out, "c1")
-    assert glob.glob(os.path.join(c1, "item-00000-*.npz"))
+    assert glob.glob(os.path.join(c1, "item-00000-*.npy"))
 
     # delete the first file: its whole partition goes
     os.remove(inp / parts[0])
@@ -638,7 +639,7 @@ def test_pid_reuse_never_reads_stale_verified_rows(pages_fixture, tmp_path,
 
 
 def test_verify_candidates_exact_under_u64_collision(tmp_path):
-    """Unit: hand-fed collectors and a pre-seeded verified table where two
+    """Unit: hand-written sidecars and a pre-seeded verified table where two
     distinct urls share one u64 hash. Committed files whose hashes the
     table holds are served from it (they do not even exist on disk), the
     new file is re-read, per-url counts are exact, and the rewritten table
@@ -646,6 +647,7 @@ def test_verify_candidates_exact_under_u64_collision(tmp_path):
     committed pids drops pid 9 from the file)."""
     import numpy as np
 
+    from lk_data_test_ray.checks.row import write_sidecar
     from lk_data_test_ray.checks.uniqueness import (collector_candidates,
                                                     load_verified,
                                                     make_collectors,
@@ -659,13 +661,11 @@ def test_verify_candidates_exact_under_u64_collision(tmp_path):
     pq.write_table(pa.table({"url": ["c", "d", "c"]}), f3)
     hc, hd = hash_strings64(np.array(["c", "d"], dtype=object))
     H, H2 = np.uint64(12345), np.uint64(777)  # "a" and "b" both hash to H
-    cols = make_collectors(1, reuse=False)
-    one = np.ones(1, np.int64)
-    ray.get([cols[0].add.remote(f"{f1}:0:1", np.array([H2, H]),
-                                np.array([1, 1])),
-             cols[0].add.remote(f"{f2}:0:1", np.array([H]), one * 2),
-             cols[0].add.remote(f"{f3}:0:1", np.sort([hc, hd]),
-                                np.array([2, 1])[np.argsort([hc, hd])])])
+    scs = []
+    for f, hs in ((f1, [H2, H]), (f2, [H, H]), (f3, [hc, hd, hc])):
+        scs.append((f, f + ".npy"))
+        write_sidecar(f + ".npy", np.array(hs, np.uint64))
+    cols = make_collectors(scs, 1)
     table = str(tmp_path / "verified.parquet")
     save_verified(table, pa.Table.from_pylist(
         [{"pid": 0, "h": int(H), "url": "a"},
@@ -683,4 +683,113 @@ def test_verify_candidates_exact_under_u64_collision(tmp_path):
     assert counts == {"verify_reread_files": 1, "verify_cached_files": 2}
     got = sorted((r["pid"], r["url"]) for r in pq.read_table(table).to_pylist())
     assert got == [(0, "a"), (0, "z"), (1, "b"), (1, "b"), (2, "c"), (2, "c")]
-    ray.kill(cols[0])
+
+
+def test_concurrent_runs_keep_their_own_c1(pages_fixture, tmp_path,
+                                           monkeypatch):
+    """Two run_validation calls overlap in one driver: run A's first commit
+    (after its first block, which holds a duplicate url pair) runs a whole
+    run B on other inputs and another out dir before it returns. Each
+    run's verdicts and violations equal the same run done alone, so B's C1
+    exchange neither drops nor adds any of A's hashes."""
+    import glob
+
+    from lk_data_test_ray.state.manifest import ManifestStore
+
+    src = sorted(glob.glob(os.path.join(pages_fixture, "pages", "*.parquet")))
+    in_a, in_b = tmp_path / "in_a", tmp_path / "in_b"
+    in_a.mkdir()
+    in_b.mkdir()
+    url0 = pq.read_table(src[0], columns=["url"])["url"][0].as_py()
+    _copy_with_urls(src[0], str(in_a / "a0.parquet"), {1: url0})
+    for f in src[1:4]:
+        shutil.copy(f, in_a / os.path.basename(f))
+    url8 = pq.read_table(src[8], columns=["url"])["url"][0].as_py()
+    _copy_with_urls(src[11], str(in_b / "b0.parquet"), {0: url8})
+    for f in src[8:11]:
+        shutil.copy(f, in_b / os.path.basename(f))
+    rows = pq.read_metadata(src[0]).num_rows
+
+    def run_a(out):
+        return run_validation(str(in_a), out, concurrency=1,
+                              scan_target_rows=rows)
+
+    def run_b(out):
+        return run_validation(str(in_b), out)
+
+    alone_a, alone_b = str(tmp_path / "alone_a"), str(tmp_path / "alone_b")
+    sa_alone, sb_alone = run_a(alone_a), run_b(alone_b)
+    assert sa_alone["scan_tasks"] == 4
+    assert sa_alone["per_check_violations"]["c1_url_unique"] >= 1
+    assert sb_alone["per_check_violations"]["c1_url_unique"] >= 2
+
+    out_a, out_b = str(tmp_path / "out_a"), str(tmp_path / "out_b")
+    real_commit = ManifestStore.commit
+    nested = {}
+
+    def commit(self, pid, record, stats=None):
+        real_commit(self, pid, record, stats=stats)
+        if self.root.startswith(out_a) and not nested:
+            nested["b"] = None
+            nested["b"] = run_b(out_b)
+
+    monkeypatch.setattr(ManifestStore, "commit", commit)
+    sa = run_a(out_a)
+    sb = nested["b"]
+    _same_outputs(out_a, sa, alone_a, sa_alone)
+    _same_outputs(out_b, sb, alone_b, sb_alone)
+
+
+def test_npz_sidecar_out_dir_upgrades_on_first_resume(pages_fixture,
+                                                      tmp_path, monkeypatch):
+    """An out dir whose sidecars are the older three-member ``.npz`` files
+    (``h``, ``c``, ``item_key``): the first resume removes every ``.npz``,
+    writes one whole-file ``.npy`` sidecar per committed file through the
+    url-only fallback, and equals a fresh run. A second resume, with that
+    fallback poisoned, is fed from the new sidecars and equals a fresh run
+    too."""
+    import glob
+
+    import numpy as np
+
+    from lk_data_test_ray.pipelines import validate as v
+
+    src = sorted(glob.glob(os.path.join(pages_fixture, "pages", "*.parquet")))
+    inp = tmp_path / "in"
+    inp.mkdir()
+    url0 = pq.read_table(src[0], columns=["url"])["url"][0].as_py()
+    for f in src[:3]:
+        shutil.copy(f, inp / os.path.basename(f))
+    _copy_with_urls(src[3], str(inp / "z.parquet"), {0: url0})
+    out = str(tmp_path / "out")
+    run_validation(str(inp), out)
+    c1 = os.path.join(out, "c1")
+    for sp in glob.glob(os.path.join(c1, "item-*.npy")):
+        hc = np.load(sp)
+        np.savez(sp[:-4], h=hc[0], c=hc[1],
+                 item_key=np.array(f"{sp}:0:1"))
+        os.remove(sp)
+    assert len(glob.glob(os.path.join(c1, "*.npz"))) == 4
+    fresh = str(tmp_path / "fresh")
+    s_fresh = run_validation(str(inp), fresh)
+
+    def rerun():
+        os.remove(os.path.join(out, "manifests", "part-global.json"))
+        return run_validation(str(inp), out)
+
+    s = rerun()
+    assert s["c1"]["url_fallback_files"] == 4
+    assert s["c1"]["sidecar_files"] == 0
+    assert not glob.glob(os.path.join(c1, "*.npz"))
+    assert sorted(os.path.basename(p) for p in glob.glob(
+        os.path.join(c1, "item-*"))) == [
+        f"item-{pid:05d}-00000-00001.npy" for pid in range(4)]
+    _same_outputs(out, s, fresh, s_fresh)
+
+    def _boom(*a, **k):
+        raise AssertionError("the upgraded sidecars should cover every file")
+
+    monkeypatch.setattr(v.url_sidecar, "remote", _boom)
+    s = rerun()
+    assert s["c1"]["sidecar_files"] == 4
+    _same_outputs(out, s, fresh, s_fresh)

@@ -35,8 +35,8 @@ def test_forced_speculation_matches(pages_fixture, tmp_path, golden):
     """speculative='force' re-issues EVERY outstanding item as soon as the
     stream ends (and whenever the loop polls) — near-total duplication —
     and the item-key dedup must still produce exactly the golden verdicts,
-    including C1 (idempotent collector adds: the duplicated items feed the
-    same hashes twice)."""
+    including C1 (each copy of a duplicated item rewrites the same
+    sidecar, so its hashes count once)."""
     g_summary, g_keys = golden
     out = str(tmp_path / "forced")
     s = run_validation(
@@ -81,14 +81,17 @@ def test_partial_resume_feeds_c1(pages_fixture, tmp_path, golden):
     assert _keys(load_violations(out)) == g_keys
 
 
-def test_collector_idempotence_and_ranges(tmp_path):
-    """Unit: duplicate item adds are dropped; a url with per-item count 1
-    split across DIFFERENT items still dups globally (adds are range-routed,
-    so both copies land in the same collector); split_by_range partitions a
-    sorted hash array into disjoint top-bit ranges; a sidecar load keeps its
-    collector's range and dedups with live adds by item key."""
-    from lk_data_test_ray.checks.uniqueness import (C1Collector,
-                                                    collector_candidates,
+def test_range_tasks_disjoint_and_exact(tmp_path):
+    """Unit: split_by_range partitions a sorted hash array into disjoint
+    top-bit ranges; the C1 range tasks over hand-written sidecars find a
+    url whose per-item count is 1 in two DIFFERENT items (of one file or of
+    two) as a global dup, and a backup copy of an item (the same sidecar
+    written twice) counts once. For every range count the tasks' candidates
+    stay inside their ranges and their union and per-file attribution are
+    the same; no sidecars give no candidates."""
+    from lk_data_test_ray.checks.row import write_sidecar
+    from lk_data_test_ray.checks.uniqueness import (collector_candidates,
+                                                    make_collectors,
                                                     split_by_range)
 
     h = np.array([1, 2, 3, 2**63 + 5], dtype=np.uint64)
@@ -98,43 +101,37 @@ def test_collector_idempotence_and_ranges(tmp_path):
     assert [p[0].tolist() for p in parts] == [[1, 2, 3], [2**63 + 5]]
     assert sum(len(p[1]) for p in parts) == 4
 
-    cols = [C1Collector.remote() for _ in range(2)]
-    # hash 2**63+5 appears once in two different ITEMS → global dup;
-    # hash 1 appears twice but only via a DUPLICATE item key → not a dup
-    assert ray.get(cols[0].add.remote("item-a", h[:1], one[:1]))
-    assert not ray.get(cols[0].add.remote("item-a", h[:1], one[:1]))
-    assert ray.get(cols[1].add.remote("item-b", h[3:], one[3:]))
-    assert ray.get(cols[1].add.remote("item-c", h[3:], one[3:]))
-    assert ray.get(cols[0].add.remote("item-d", h[1:3], one[1:3]))
-
-    # committed sidecars: "f.parquet:0:1" holds hashes 2 and 2**63+5, so
-    # both become candidates; "item-d" repeats a live add's key and holds
-    # hash 1 — it must count once, so hash 1 stays unique
-    def sidecar(name, item_key, hs):
+    def sidecar(name, hs):
         sp = str(tmp_path / name)
-        hs = np.asarray(hs, np.uint64)
-        np.savez(sp, h=hs.view(np.int64), c=np.ones(len(hs), np.int64),
-                 item_key=np.array(item_key))
+        write_sidecar(sp, np.asarray(hs, np.uint64))
         return sp
 
-    scs = [sidecar("s1.npz", "f.parquet:0:1", [2, 2**63 + 5]),
-           sidecar("s2.npz", "item-d", [1])]
-    # each collector keeps its own range: range 0 gets both sidecars'
-    # low hashes (the second one is a repeat), range 1 one high hash
-    assert ray.get(cols[0].load_sidecars.remote(scs, 0, 2)) == 1
-    assert ray.get(cols[1].load_sidecars.remote(scs, 1, 2)) == 1
-    assert ray.get(cols[0].load_sidecars.remote(scs, 0, 2)) == 0
-
-    cand = np.sort(collector_candidates(cols))
-    assert cand.tolist() == [2, 2**63 + 5]
-    # per-item attribution, per file: the candidate hashes each file's
-    # items hold (item keys with no ':' map to themselves as the "file")
-    hits = {}
-    for c in cols:
-        for f, hs in ray.get(c.candidate_hits.remote(cand)).items():
-            hits[f] = sorted(hits.get(f, []) + hs.tolist())
-    assert hits == {"item-b": [2**63 + 5], "item-c": [2**63 + 5],
-                    "item-d": [2], "f.parquet": [2, 2**63 + 5]}
-    assert ray.get(cols[0].candidate_hits.remote(cand[:0])) == {}
-    for c in cols:
-        ray.kill(c)
+    # hash 1 twice in one item, hash 2 once in each of two items of one
+    # file, hash 2**63+5 once in each of two files: all three dup. Hash 3
+    # and 2**62+7 are unique, though b.npy is written twice.
+    sidecar("b.npy", [2, 3])
+    scs = [("f.parquet", sidecar("a.npy", [2, 2**63 + 5, 1, 1])),
+           ("f.parquet", sidecar("b.npy", [2, 3])),
+           ("g.parquet", sidecar("c.npy", [2**63 + 5, 2**62 + 7])),
+           ("h.parquet", sidecar("d.npy", []))]
+    for n in (1, 2, 4):
+        refs = make_collectors(scs, n)
+        assert len(refs) == n
+        per = ray.get(refs)
+        bits = n.bit_length() - 1
+        for j, (cand, _) in enumerate(per):
+            assert all(int(c) >> (64 - bits) == j for c in cand.tolist())
+        cand = collector_candidates(refs)
+        assert sorted(cand.tolist()) == [1, 2, 2**63 + 5]
+        hits: dict = {}
+        for _, part in per:
+            for f, hs in part.items():
+                hits[f] = sorted(hits.get(f, []) + hs.tolist())
+        assert hits == {"f.parquet": [1, 2, 2**63 + 5],
+                        "g.parquet": [2**63 + 5]}
+    for n in (1, 2):
+        empty = make_collectors([], n)
+        assert collector_candidates(empty).tolist() == []
+        assert [hits for _, hits in ray.get(empty)] == [{}] * n
+    with pytest.raises(ValueError, match="power of two"):
+        make_collectors(scs, 3)
