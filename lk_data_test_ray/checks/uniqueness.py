@@ -176,8 +176,8 @@ def _count_urls(old: pa.Table, cached: list, gone: list, key: str,
     """(url, count) for every url seen more than once among the cached
     files' rows of ``old`` and the fresh re-read rows; rewrites the table at
     ``table_path`` as ``old`` without the ``gone`` (re-read) pids plus the
-    fresh rows. Runs as a task so the caller, busy merging stats, only
-    waits."""
+    fresh rows. Runs as a task, so the re-read rows never pass through the
+    driver."""
     def of(pids, keep=True):
         mask = pc.is_in(old["pid"], pa.array(pids, pa.int64()))
         return old.filter(mask if keep else pc.invert(mask))
@@ -196,8 +196,7 @@ def _count_urls(old: pa.Table, cached: list, gone: list, key: str,
 def verify_candidates(pid_of: dict, key: str, cand: np.ndarray,
                       collectors: list,
                       table: pa.Table | None = None,
-                      table_path: str | None = None,
-                      on_submitted=None
+                      table_path: str | None = None
                       ) -> tuple[pa.Table, dict]:
     """Exact verify of candidate hashes: count the url strings of every row
     whose hash is a candidate (collapses u64 collisions) over the input
@@ -213,8 +212,7 @@ def verify_candidates(pid_of: dict, key: str, cand: np.ndarray,
     rewritten once with the fresh rows replacing those of the re-read pids.
     Exact because a committed file is unchanged (the resume contract) and
     its rows for a candidate hash were recorded in full when it was last
-    verified. ``on_submitted()`` is called once only remote work is left,
-    so a caller can overlap its own work with it."""
+    verified."""
     counts = {"verify_reread_files": 0, "verify_cached_files": 0}
     if cand.size == 0:
         return pa.table({key: pa.array([], pa.string()),
@@ -240,8 +238,6 @@ def verify_candidates(pid_of: dict, key: str, cand: np.ndarray,
                                   key, cand) for i in range(k)]
     dups = _count_urls.remote(old, cached, [pid_of[p] for p in reread], key,
                               table_path, *fresh)
-    if on_submitted is not None:
-        on_submitted()
     dups = ray.get(dups)
     counts.update(verify_reread_files=len(reread),
                   verify_cached_files=len(cached))

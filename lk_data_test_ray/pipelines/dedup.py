@@ -30,6 +30,7 @@ from ..functions.hashing import md5_hex
 from ..functions.text import TOKEN_SPLIT
 from ..relational import (partial_groupby_agg,
                           round_half_away)
+from .graph import min_fixpoint, self_labels, state_dataset
 
 # ---------------------------------------------------------------------------
 # exact dedup
@@ -1116,23 +1117,22 @@ _BLOOM_CACHE: dict = {}
 # ---------------------------------------------------------------------------
 
 
-def connected_components(pairs: rd.Dataset, max_rounds: int = 50,
+def connected_components(pairs: rd.Dataset,
                          driver_max_edges: int = 2_000_000) -> rd.Dataset:
     """Cluster ids from near-dup pairs: (node, cluster) with cluster = min
-    node id reachable — distributed min-label propagation.
-
-    Each round: every edge proposes min(label_a, label_b) to both endpoints;
-    a vectorized grouped-min adopts the smallest proposal; stop when no label
-    changed (checked via a cheap global sum of labels — strictly decreasing).
-    Rounds needed = graph diameter (near-dup clusters are tiny, so 2-4 rounds
-    in practice); all steps are partial_groupby_agg shuffles over (node,
-    label) pairs, never per-group Python.
+    node id reachable — min-label propagation.
 
     Candidate-pair graphs are SMALL by construction (LSH collisions), so up
-    to ``driver_max_edges`` the propagation runs driver-side in pure numpy
-    (pointer-jumping min-label) — each distributed round costs a ~1.5 s
-    executor execution, which dominated the curation funnel for 12-node
-    graphs. The distributed rounds remain the path for bigger graphs.
+    to ``driver_max_edges`` the propagation runs driver-side in pure numpy:
+    every edge proposes min(label_a, label_b) to both endpoints, then
+    pointer jumping halves the chain depth. It loops until no label
+    changes; labels are indices that only fall, so it terminates.
+
+    Bigger graphs run distributed on ``graph.min_fixpoint`` with int64
+    ids: the edges are oriented both ways once, every endpoint labels
+    itself, and each round is one probe task per edge block and one merge
+    task per hash range, until no label falls (rounds = cluster
+    diameter + 1, no round limit).
     """
     edges = pairs.map_batches(
         lambda b: pa.table({"a": b["id_a"].cast(pa.int64()),
@@ -1152,7 +1152,7 @@ def connected_components(pairs: rd.Dataset, max_rounds: int = 50,
         nodes, inv = np.unique(np.concatenate([a, b]), return_inverse=True)
         ia, ib = inv[:len(a)], inv[len(a):]
         lbl = np.arange(len(nodes), dtype=np.int64)
-        for _ in range(max_rounds):
+        while True:
             new = lbl.copy()
             m = np.minimum(lbl[ia], lbl[ib])
             np.minimum.at(new, ia, m)
@@ -1167,60 +1167,18 @@ def connected_components(pairs: rd.Dataset, max_rounds: int = 50,
             "cluster": pa.array(nodes[lbl], pa.int64()),
         }))
 
-    # initial labels: every endpoint labels itself
-    def init_labels(batch: pa.Table) -> pa.Table:
-        nodes = pa.concat_arrays([batch["a"].combine_chunks(),
-                                  batch["b"].combine_chunks()])
-        return pa.table({"node": nodes, "label": nodes})
-
-    labels = partial_groupby_agg(
-        edges.map_batches(init_labels, batch_format="pyarrow"),
-        ["node"], [("label", "min", "label")]).materialize()
-
-    prev = None
-    for _ in range(max_rounds):
-        # convergence via exact label comparison on the driver — the label
-        # table is bounded by the candidate-pair node set (small by
-        # construction). NOT labels.sum(): summing hash-derived int64 labels
-        # overflows int64 and crashes the Arrow conversion.
-        cur = labels.to_pandas().sort_values("node").reset_index(drop=True)
-        if prev is not None and cur["label"].equals(prev["label"]):
-            break
-        prev = cur
-        lbl_tbl = pa.table({
-            "node": pa.array(cur["node"], pa.int64()),
-            "label": pa.array(cur["label"], pa.int64()),
-        })
-        import ray as _ray
-
-        from ..relational import _prepared_side  # broadcast probe cache
-
-        ref = _ray.put(lbl_tbl)
-
-        def propose(batch: pa.Table, _ref=ref) -> pa.Table:
-            # labels broadcast per round (candidate-pair node sets are small
-            # relative to the corpus; a full-graph CC would shuffle-join the
-            # label table instead of broadcasting it)
-            keys, payload = _prepared_side(_ref, "node", "")
-            a = batch["a"].to_numpy(zero_copy_only=False)
-            b = batch["b"].to_numpy(zero_copy_only=False)
-            la = pc.take(payload["label"], pc.index_in(
-                batch["a"], value_set=keys)).to_numpy(zero_copy_only=False)
-            lb = pc.take(payload["label"], pc.index_in(
-                batch["b"], value_set=keys)).to_numpy(zero_copy_only=False)
-            m = np.minimum(la, lb)
-            return pa.table({
-                "node": pa.array(np.concatenate([a, b]), pa.int64()),
-                "label": pa.array(np.concatenate([m, m]), pa.int64()),
-            })
-
-        proposals = edges.map_batches(propose, batch_format="pyarrow")
-        labels = partial_groupby_agg(
-            proposals, ["node"], [("label", "min", "label")]).materialize()
-
-    return labels.map_batches(
-        lambda b: pa.table({"node": b["node"], "cluster": b["label"]}),
-        batch_format="pyarrow")
+    both = edges.map_batches(
+        lambda t: pa.table({
+            "a": pa.concat_arrays([t["a"].combine_chunks(),
+                                   t["b"].combine_chunks()]),
+            "b": pa.concat_arrays([t["b"].combine_chunks(),
+                                   t["a"].combine_chunks()])}),
+        batch_format="pyarrow").materialize()
+    seed, _ = self_labels(both, ["a"])
+    labels = min_fixpoint(both.to_arrow_refs(), seed, 0,
+                          "dedup.connected_components")
+    return state_dataset(labels, pa.schema([("node", pa.int64()),
+                                            ("cluster", pa.int64())]))
 
 
 # ---------------------------------------------------------------------------

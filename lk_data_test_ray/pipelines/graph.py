@@ -24,12 +24,15 @@ Three execution shapes, chosen by graph size:
 
 from __future__ import annotations
 
+import logging
+
 import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
+import ray
 import ray.data as rd
 
-from ..relational import (drop_empty_blocks,
+from ..relational import (_bucket_of, default_p_bits, drop_empty_blocks,
                           partial_groupby_agg, round_half_away)
 
 
@@ -599,29 +602,162 @@ def local_clustering(edges: rd.Dataset, a_col: str = "a", b_col: str = "b",
     return joined.map_batches(finish, batch_format="pyarrow")
 
 
-def components_min_label(edges: rd.Dataset, src_col: str, dst_col: str,
-                         max_rounds: int = 25) -> rd.Dataset:
+# ---------------------------------------------------------------------------
+# min-propagation fixpoint: the one BSP loop behind every min-label closure
+# ---------------------------------------------------------------------------
+
+_LOG = logging.getLogger("lk_data_test_ray")
+
+
+def _ranges(t: pa.Table, pb: int) -> tuple:
+    """``t``'s rows with a non-null ``node``, split to the ``2**pb``
+    node-hash ranges."""
+    t = t.filter(pc.is_valid(t["node"]))
+    if t.num_rows == 0:
+        return (t,) * (1 << pb)
+    bkt = _bucket_of(t["node"], pb)
+    return tuple(t.filter(pa.array(bkt == p)) for p in range(1 << pb))
+
+
+@ray.remote
+def _label_split(blk: pa.Table, cols: list, pb: int) -> tuple:
+    """Every node named in ``blk``'s ``cols`` labelled itself, split to
+    its range."""
+    if blk.num_rows == 0:
+        return (pa.table({}),) * (1 << pb)
+    node = pa.concat_arrays([blk[c].combine_chunks() for c in cols])
+    return _ranges(pa.table({"node": node, "v": node}), pb)
+
+
+@ray.remote
+def _probe_split(blk: pa.Table, step: int, pb: int, *frontier) -> tuple:
+    """The frontier joined to one edge block in place (a local Acero join
+    on ``a``); the proposals ``(b, v + step)`` split to their ranges."""
+    live = [f for f in frontier if f.num_rows]
+    if blk.num_rows == 0 or not live:
+        return (pa.table({}),) * (1 << pb)
+    j = blk.join(pa.concat_tables(live), keys="a", right_keys="node",
+                 join_type="inner")
+    v = pc.add(j["v"], step) if step else j["v"]
+    return _ranges(pa.table({"node": j["b"], "v": v}), pb)
+
+
+@ray.remote(num_returns=4)
+def _merge_range(state: pa.Table, *msgs: pa.Table) -> tuple:
+    """One range's min-adopt: sort by (node, v, old first) and keep each
+    node's first row. Returns the new state, the frontier (the rows that
+    are new or whose v fell), its size and the message count, so
+    convergence costs no extra pass."""
+    live = [m for m in msgs if m.num_rows]
+    if not live:
+        return state, state.slice(0, 0), 0, 0
+    tbl = pa.concat_tables([
+        t.select(["node", "v"]).append_column(
+            "_new", pa.array(np.full(t.num_rows, k, np.int8)))
+        for k, t in [(0, state)] + [(1, m) for m in live] if t.num_rows])
+    tbl = tbl.take(pc.sort_indices(tbl, sort_keys=[
+        ("node", "ascending"), ("v", "ascending"), ("_new", "ascending")]))
+    node = tbl["node"].combine_chunks()
+    first = np.ones(len(node), bool)
+    first[1:] = pc.not_equal(node[1:], node[:-1]).to_numpy(
+        zero_copy_only=False)
+    keep = tbl.filter(pa.array(first))
+    fresh = keep.filter(pc.equal(keep["_new"], 1)).select(["node", "v"])
+    return (keep.select(["node", "v"]), fresh, fresh.num_rows,
+            sum(m.num_rows for m in live))
+
+
+def self_labels(ds: rd.Dataset, cols: list) -> tuple[list, int]:
+    """The seed of a label propagation: every node named in ``ds``'s
+    ``cols`` labelled itself, as one ``(node, v)`` ref per node-hash range,
+    and the node count. Split tasks over ``ds``'s blocks merge into typed
+    empty state, so no node table passes through the driver."""
+    pb = default_p_bits()
+    typ = ds.schema().base_schema.field(cols[0]).type
+    empty = pa.schema([("node", typ), ("v", typ)]).empty_table()
+    parts = [_label_split.options(num_returns=1 << pb).remote(r, cols, pb)
+             for r in ds.to_arrow_refs()]
+    outs = [_merge_range.remote(empty, *[m[p] for m in parts])
+            for p in range(1 << pb)]
+    return [o[0] for o in outs], sum(ray.get([o[2] for o in outs]))
+
+
+def min_fixpoint(edge_refs: list, seed: list, step: int, op: str) -> list:
+    """Min-propagation to a fixpoint along the directed edge blocks
+    ``edge_refs`` (columns ``a``, ``b``): the one BSP loop behind
+    ``components_min_label``, ``bfs_depth``, both ``scc_coloring``
+    propagations and the distributed ``dedup.connected_components``.
+
+    ``seed`` is the initial ``(node, v)`` state, one table or ref per
+    node-hash range (``_ranges`` of a small driver table, or
+    ``self_labels``); every seeded row starts in the frontier. ``v`` may
+    be any Arrow-orderable type: strings for labels, int64 for depths and
+    ids. A round runs one ``_probe_split`` task per edge block, which joins
+    the frontier to the block in place and sends each proposal
+    ``(b, v + step)`` to its range, then one ``_merge_range`` task per
+    range, which keeps the smaller value per node. State stays in its
+    range; the frontier parts stay in the object store, read by every
+    probe task; the driver gets two scalars per range and round.
+
+    The loop runs until a round changes nothing, with no round limit. It
+    terminates because ``step >= 0``: a node's ``v`` only falls, and it is
+    always a seed value plus a whole number of steps, so each node can
+    fall only finitely often. Rounds = the longest shortest propagation
+    path, plus one.
+
+    Logs one INFO record on the ``lk_data_test_ray`` logger with attribute
+    ``fixpoint`` = ``{op, rounds, changed, msgs}`` (per-round lists).
+    Returns the fixpoint state, one ref per range.
+    """
+    P = len(seed)
+    pb = P.bit_length() - 1
+    state, frontier = list(seed), list(seed)
+    changed: list[int] = []
+    msgs: list[int] = []
+    while frontier:
+        probes = [_probe_split.options(num_returns=P).remote(
+            r, step, pb, *frontier) for r in edge_refs]
+        outs = [_merge_range.remote(state[p], *[m[p] for m in probes])
+                for p in range(P)]
+        state = [o[0] for o in outs]
+        counts = ray.get([o[2] for o in outs] + [o[3] for o in outs])
+        changed.append(sum(counts[:P]))
+        msgs.append(sum(counts[P:]))
+        frontier = [o[1] for o, c in zip(outs, counts) if c]
+    rec = {"op": op, "rounds": len(changed), "changed": changed,
+           "msgs": msgs}
+    _LOG.info("fixpoint %s: %d rounds", op, len(changed),
+              extra={"fixpoint": rec})
+    return state
+
+
+def state_dataset(refs: list, schema: pa.Schema) -> rd.Dataset:
+    """Per-range ``(node, v)`` state refs as a Dataset of ``schema``'s two
+    columns."""
+    return rd.from_arrow_refs(refs).map_batches(
+        lambda b: pa.Table.from_arrays([b["node"], b["v"]], schema=schema),
+        batch_format="pyarrow")
+
+
+def components_min_label(edges: rd.Dataset, src_col: str,
+                         dst_col: str) -> rd.Dataset:
     """Connected components of an UNDIRECTED graph by fully-distributed
     min-label propagation: every node's component id converges to the
     lexicographic minimum node key reachable from it.
 
     This is the full-graph CC operator (``dedup.connected_components``
     handles candidate-pair graphs whose edge set is small by LSH
-    construction; here both nodes and edges stream as Datasets and no
-    driver table is ever built). Per round: ONE distributed hash join
-    ships each node's current label to its neighbors (edges are
-    pre-oriented both ways so one join covers both directions), then one
-    grouped string-min adopts the smallest proposal; convergence = the
-    count of changed labels reaching zero, checked with a join on the
-    previous round's labels (a driver scalar per round). Rounds needed =
-    graph diameter — web host graphs are shallow (≤ ~6); a 10^10-node
-    long-path graph would want the large-star/small-star doubling variant
-    (Kiveris et al. 2014), noted here as the scale escape hatch.
+    construction; here no driver table is ever built). The edges are
+    oriented both ways once, every node labels itself (``self_labels``),
+    and ``min_fixpoint`` with step 0 propagates the labels until none
+    falls: per round one probe task per edge block and one merge task per
+    hash range, no Dataset execution. Rounds = graph diameter + 1 — web
+    host graphs are shallow (≤ ~6); a 10^10-node long-path graph would
+    want the large-star/small-star doubling variant (Kiveris et al. 2014),
+    noted here as the scale escape hatch.
 
     Returns (node, cluster) with cluster = min reachable node key.
     """
-    from ..relational import exchange_join, partial_groupby_agg
-
     def orient(batch: pa.Table) -> pa.Table:
         a = batch[src_col].cast(pa.string())
         b = batch[dst_col].cast(pa.string())
@@ -630,40 +766,17 @@ def components_min_label(edges: rd.Dataset, src_col: str, dst_col: str,
             "b": pa.concat_arrays([b.combine_chunks(), a.combine_chunks()])})
         return t.group_by(["a", "b"]).aggregate([])  # per-batch distinct
 
-    both = edges.map_batches(orient, batch_format="pyarrow").materialize()
-
-    labels = partial_groupby_agg(
-        both.map_batches(lambda b: pa.table({"node": b["a"],
-                                             "lbl": b["a"]}),
-                         batch_format="pyarrow"),
-        ["node"], [("lbl", "min", "lbl")]).materialize()
-
-    for _ in range(max_rounds):
-        msgs = exchange_join(both, labels, "a", "node").map_batches(
-            lambda b: pa.table({"node": b["b"], "lbl": b["lbl"]}),
-            batch_format="pyarrow")
-        new = partial_groupby_agg(msgs.union(labels), ["node"],
-                                  [("lbl", "min", "lbl")]).materialize()
-        prev = labels.map_batches(
-            lambda b: pa.table({"node": b["node"], "lbl_old": b["lbl"]}),
-            batch_format="pyarrow")
-        changed = exchange_join(new, prev, "node", "node").map_batches(
-            lambda b: pa.table({"c": pa.array(
-                [pc.sum(pc.cast(pc.not_equal(b["lbl"], b["lbl_old"]),
-                                pa.int64())).as_py() or 0], pa.int64())}),
-            batch_format="pyarrow")
-        n_changed = sum(r["c"] for r in changed.take_all())
-        labels = new
-        if n_changed == 0:
-            break
-
-    return labels.map_batches(
-        lambda b: pa.table({"node": b["node"], "cluster": b["lbl"]}),
-        batch_format="pyarrow")
+    both = edges.map_batches(orient, batch_size=16384,
+                             batch_format="pyarrow").materialize()
+    seed, _ = self_labels(both, ["a"])
+    labels = min_fixpoint(both.to_arrow_refs(), seed, 0,
+                          "components_min_label")
+    return state_dataset(labels, pa.schema([("node", pa.string()),
+                                            ("cluster", pa.string())]))
 
 
 def bfs_depth(edges: rd.Dataset, src_col: str, dst_col: str,
-              n_seeds: int = 3, max_rounds: int = 30,
+              n_seeds: int = 3,
               seeds: "list[str] | None" = None) -> rd.Dataset:
     """Multi-source BFS over a DIRECTED graph: min hop distance from the
     seed set (the ``n_seeds`` lexicographically smallest nodes — a
@@ -671,27 +784,19 @@ def bfs_depth(edges: rd.Dataset, src_col: str, dst_col: str,
     This is the crawl-depth operator: "how many link hops from the seeds
     does each host sit?", the frontier metric a scheduler prioritizes by.
 
-    Distributed shape — a raw BSP loop, zero streaming-executor spins
-    after the one edge materialize: the distance state lives PARTITIONED
-    by node-hash range across rounds (per-range block refs held by the
-    driver), so a round ships only (a) the frontier, broadcast once via
-    ``ray.put`` (one BFS level — KBs to MBs on web host graphs) and
-    probed against the materialized edge blocks in place, and (b) the
-    resulting proposal messages, split to their owning ranges — the edge
-    table never re-enters an exchange and, unlike the former
-    Dataset-per-round variant, the accumulated distance table is never
-    re-shuffled either (it was |reached| rows through the exchange EVERY
-    round). Total message volume across all rounds is one edge-visit.
-    Per-range merge is one vectorized sort + segmented min; the frontier
-    and the convergence count come back from the same task. Rounds =
-    eccentricity of the seed set (web host graphs: shallow).
-    Unreachable nodes never enter the distance table (matching the
-    recursive-CTE oracle's closure semantics).
+    Distributed shape — ``min_fixpoint`` with step 1, zero
+    streaming-executor spins after the one edge materialize: the distance
+    state lives PARTITIONED by node-hash range across rounds, a round
+    ships only the frontier (one BFS level) to the edge blocks in place
+    and the resulting proposals to their owning ranges, so total message
+    volume across all rounds is one edge-visit. The loop runs until the
+    frontier is empty: rounds = eccentricity of the seed set + 1, with no
+    round limit, so a long chain is never cut short. Unreachable nodes
+    never enter the distance table (matching the recursive-CTE oracle's
+    closure semantics).
 
     Returns (node, depth) for reachable nodes only.
     """
-    from ..relational import _bucket_of, default_p_bits
-
     def orient(batch: pa.Table) -> pa.Table:
         t = pa.table({
             "a": batch[src_col].cast(pa.string()).combine_chunks(),
@@ -719,107 +824,15 @@ def bfs_depth(edges: rd.Dataset, src_col: str, dst_col: str,
     else:
         seeds = sorted(set(seeds))
 
-    import ray
-
-    p_bits = default_p_bits()
-    P = 1 << p_bits
-    e_refs = e.to_arrow_refs()
-
-    dist_schema = pa.schema([("node", pa.string()), ("d", pa.int64())])
-    msg_schema = dist_schema
-
     seed_tbl = pa.table({
         "node": pa.array(seeds, pa.string()),
-        "d": pa.array(np.zeros(len(seeds), np.int64))})
-    sb = (_bucket_of(seed_tbl["node"], p_bits) if seed_tbl.num_rows
-          else np.empty(0, np.int64))
-    dist_refs = [ray.put(seed_tbl.filter(pa.array(sb == p)))
-                 for p in range(P)]
-    fr_tbl = seed_tbl
-
-    @ray.remote
-    def probe_split(blk, fr, pb: int):
-        """Frontier ⋈ edge block (local Acero join), proposals split to
-        their owning node-hash ranges."""
-        if not isinstance(blk, pa.Table):
-            blk = pa.Table.from_batches([blk])
-        if blk.num_rows == 0 or "a" not in blk.column_names:
-            return tuple(msg_schema.empty_table() for _ in range(1 << pb))
-        j = blk.join(fr, keys=["a"], right_keys=["fnode"],
-                     join_type="inner")
-        m = pa.table({"node": j["b"].combine_chunks(),
-                      "d": pc.add(j["fd"], 1)}, schema=msg_schema)
-        if m.num_rows == 0:
-            return tuple(msg_schema.empty_table() for _ in range(1 << pb))
-        bkt = _bucket_of(m["node"], pb)
-        return tuple(m.filter(pa.array(bkt == p)) for p in range(1 << pb))
-
-    @ray.remote
-    def merge_range(dist_tbl, *msg_parts):
-        """Per-range min-adopt: returns (new dist part, frontier part,
-        n_improved) — the frontier and convergence scalar cost no extra
-        pass. One vectorized sort + segmented min; old rows tag is_old."""
-        live = [m for m in msg_parts if m.num_rows]
-        if not live:
-            return dist_tbl, dist_schema.empty_table(), 0
-        msgs = pa.concat_tables(live)
-        tbl = pa.concat_tables([
-            pa.table({"node": dist_tbl["node"], "d": dist_tbl["d"],
-                      "is_old": pa.array(
-                          np.ones(dist_tbl.num_rows, np.int8))}),
-            pa.table({"node": msgs["node"], "d": msgs["d"],
-                      "is_old": pa.array(
-                          np.zeros(msgs.num_rows, np.int8))})])
-        idx = pc.sort_indices(tbl, sort_keys=[("node", "ascending")])
-        tbl = tbl.take(idx)
-        node = tbl["node"].to_numpy(zero_copy_only=False)
-        d = tbl["d"].to_numpy(zero_copy_only=False)
-        is_old = tbl["is_old"].to_numpy(zero_copy_only=False)
-        first = np.ones(len(node), bool)
-        first[1:] = node[1:] != node[:-1]
-        starts = np.flatnonzero(first)
-        grp = np.cumsum(first) - 1
-        dmin = np.minimum.reduceat(d, starts)
-        old_d = np.full(len(starts), np.iinfo(np.int64).max)
-        om = is_old.astype(bool)
-        old_d[grp[om]] = d[om]
-        improved = dmin < old_d
-        new_dist = pa.table({
-            "node": pa.array(node[starts], pa.string()),
-            "d": pa.array(dmin, pa.int64())}, schema=dist_schema)
-        frontier = new_dist.filter(pa.array(improved))
-        return new_dist, frontier, int(improved.sum())
-
-    for _ in range(max_rounds):
-        if fr_tbl.num_rows == 0:
-            break
-        fr_ref = ray.put(fr_tbl.combine_chunks()
-                         .rename_columns(["fnode", "fd"]))
-        msg_refs = [probe_split.options(num_returns=P).remote(
-            r, fr_ref, p_bits) for r in e_refs]
-        if P == 1:
-            msg_refs = [[r] for r in msg_refs]
-        outs = [merge_range.options(num_returns=3).remote(
-            dist_refs[p], *[m[p] for m in msg_refs]) for p in range(P)]
-        dist_refs = [o[0] for o in outs]
-        fr_parts = ray.get([o[1] for o in outs])
-        n_improved = sum(ray.get([o[2] for o in outs]))
-        if n_improved == 0:
-            break
-        fr_tbl = pa.concat_tables([f for f in fr_parts if f.num_rows])
-
-    # the per-range distance blocks ARE the result — hand their refs to a
-    # Dataset without driver concat (at web scale dist is node-sized)
-    out_schema = pa.schema([("node", pa.string()), ("depth", pa.int64())])
-
-    def rename(b: pa.Table) -> pa.Table:
-        if b.num_rows == 0 or "node" not in b.column_names:
-            return out_schema.empty_table()
-        return pa.table({"node": b["node"], "depth": b["d"]},
-                        schema=out_schema)
-
-    return rd.from_arrow_refs(dist_refs).map_batches(
-        rename, batch_format="pyarrow")
+        "v": pa.array(np.zeros(len(seeds), np.int64))})
+    dist = min_fixpoint(e.to_arrow_refs(),
+                        _ranges(seed_tbl, default_p_bits()), 1, "bfs_depth")
+    # the per-range distance blocks ARE the result — no driver concat (at
+    # web scale dist is node-sized)
+    return state_dataset(dist, pa.schema([("node", pa.string()),
+                                           ("depth", pa.int64())]))
 
 
 def hyperball_harmonic(edges: rd.Dataset, src_col: str, dst_col: str,
@@ -987,8 +1000,8 @@ def hyperball_harmonic(edges: rd.Dataset, src_col: str, dst_col: str,
         batch_format="pyarrow")
 
 
-def kcore(edges: rd.Dataset, src_col: str, dst_col: str, k: int = 3,
-          max_rounds: int = 50) -> rd.Dataset:
+def kcore(edges: rd.Dataset, src_col: str, dst_col: str,
+          k: int = 3) -> rd.Dataset:
     """The k-core of an UNDIRECTED graph — iteratively peel every node
     of degree < k until the survivor set is stable (Seidman 1983). The
     dense backbone a crawl scheduler treats as the "established web";
@@ -998,8 +1011,10 @@ def kcore(edges: rd.Dataset, src_col: str, dst_col: str, k: int = 3,
     both-ways-oriented live edge list) + two hash-exchange SEMI-joins
     (edges to surviving src, then surviving dst) — nodes and edges
     stream as Datasets throughout, the driver sees only the live-edge
-    count scalar. Rounds = peeling depth (real graphs: shallow; each
-    round strictly shrinks the edge set or stops).
+    count scalar. Rounds = peeling depth (real graphs: shallow). The loop
+    runs until the live-edge count stops falling, with no round limit: the
+    count is a non-negative integer that falls every round but the last,
+    so the peeling terminates.
 
     Returns (node, degree) of the k-core members with their in-core
     degree.
@@ -1018,7 +1033,7 @@ def kcore(edges: rd.Dataset, src_col: str, dst_col: str, k: int = 3,
     live = edges.map_batches(orient, batch_format="pyarrow").materialize()
     n_live = live.count()
 
-    for _ in range(max_rounds):
+    while n_live:
         deg = partial_groupby_agg(live, ["a"], [("b", "count", "deg")])
         keep = deg.filter(expr=f"deg >= {k}").map_batches(
             lambda b: pa.table({"node": b["a"]}), batch_format="pyarrow")
@@ -1029,8 +1044,6 @@ def kcore(edges: rd.Dataset, src_col: str, dst_col: str, k: int = 3,
         if n_new == n_live:
             break
         live, n_live = new, n_new
-        if n_live == 0:
-            break
 
     return partial_groupby_agg(live, ["a"], [("b", "count", "degree")]) \
         .map_batches(lambda b: pa.table({"node": b["a"],
@@ -1376,50 +1389,67 @@ def _tarjan_local(src: list, dst: list) -> pa.Table:
         "scc_id": pa.array([str(out[k]) for k in ks], pa.string())})
 
 
+@ray.remote
+def _roots(colors: pa.Table) -> pa.Table:
+    """One range's colour-class roots (colour == node): the flag seed."""
+    return colors.filter(pc.equal(colors["node"], colors["v"]))
+
+
+@ray.remote(num_returns=2)
+def _unsettled(colors: pa.Table, flags: pa.Table) -> tuple:
+    """One range's nodes an outer round left unsettled, each relabelled
+    itself for the next round, and their count."""
+    rest = colors.filter(pc.invert(pc.is_in(
+        colors["node"], value_set=flags["node"].combine_chunks())))
+    return rest.set_column(1, "v", rest["node"]), rest.num_rows
+
+
 def scc_coloring(edges: rd.Dataset, src_col: str, dst_col: str,
-                 max_outer: int = 30, max_rounds: int = 25,
                  local_max_nodes: int = 2048) -> rd.Dataset:
     """Strongly connected components of a DIRECTED graph — the
     coloring / forward-backward algorithm (Fleischer et al. 2000 FW-BW;
     Orzan's coloring variant; Slota et al. 2014 Multistep), fully
-    distributed: nodes, edges, colors and flags all stream as Datasets;
-    nothing graph-sized ever touches the driver (one changed-count scalar
-    per propagation round, as in ``components_min_label``).
+    distributed: nodes, colors and flags live as per-hash-range state
+    refs, edges as Datasets; nothing graph-sized ever touches the driver
+    (two scalars per range and propagation round).
 
     Per outer round over the ACTIVE subgraph:
 
-    1. **Color.** Forward min-label to fixpoint: color(v) = the minimum
-       node id that reaches v (including v) — the directed version of
-       ``components_min_label``'s exchange (one hash join ships colors
-       along out-edges, one grouped string-min adopts).
+    1. **Color.** Forward min-label to fixpoint (``min_fixpoint``, step
+       0, along the edges): color(v) = the minimum node id that reaches v
+       (including v) — the directed version of ``components_min_label``.
     2. **Settle.** Roots r (color(r) == r) own their color class; the SCC
        of r is exactly the class members that reach r BACK along edges
        inside the class. Soundness of the within-class restriction: if
        v → … → r with color(v) = r, every intermediate w has r → w (via
        v) and w → r, so every reacher x of w also reaches r, hence
        x ≥ r = color(r) and color(w) = r — the backward path can never
-       leave the class. The flag is therefore a single boolean per node
-       (no (node, root) pair blow-up), OR-propagated against the
-       class-internal REVERSED edges to fixpoint; isolated remnants
+       leave the class. The flag is therefore one value per node (the
+       root, no (node, root) pair blow-up), propagated by
+       ``min_fixpoint`` from the roots (a per-range task over the color
+       state) along the class-internal REVERSED edges; isolated remnants
        settle as singletons the same way (their root flag is the seed).
-    3. **Shrink.** Settled nodes emit (node, scc_id = color); two hash
-       semi-joins drop every edge touching them; repeat.
+    3. **Shrink.** Flagged nodes settle with scc_id = their root; a
+       per-range task keeps the rest as next round's nodes, and two hash
+       anti-joins drop every edge touching a settled node; repeat while
+       active nodes remain.
 
-    Each round settles at least every color-class root's whole SCC, so
-    outer rounds are bounded by the longest root-chain in the
-    condensation — shallow (≤ ~4) on web host graphs whose acyclic
-    fringe settles as singleton classes immediately. A 10^10-node
-    adversarial SCC chain would want Multistep's trim + pivot-BFS
-    hybrid; ``max_outer`` documents that envelope. ≙ the reference's
-    cross-document link-integrity closure (its link graph is validated
-    acyclic per index) generalized to cyclic web host graphs.
+    Both propagations run to their fixpoint with no round limit, and each
+    outer round settles at least every color-class root's whole SCC, so
+    the outer loop ends too. Outer rounds are bounded by the longest
+    root-chain in the condensation — shallow (≤ ~4) on web host graphs
+    whose acyclic fringe settles as singleton classes immediately. A
+    10^10-node adversarial SCC chain would want Multistep's trim +
+    pivot-BFS hybrid. ≙ the reference's cross-document link-integrity
+    closure (its link graph is validated acyclic per index) generalized to
+    cyclic web host graphs.
 
     Driver-small graphs (node count ≤ ``local_max_nodes``, the triangle
-    family's gate — hosts, not pages) skip the per-round streaming-
-    executor floor entirely: the DISTINCT host-level edge list is
-    collected once and an iterative Tarjan runs driver-side (measured
-    17 s → <1 s on the 1001-host sf0.1 graph). The distributed path is
-    asserted equal in pytest and remains the >local_max_nodes route.
+    family's gate — hosts, not pages) skip the rounds entirely: the
+    DISTINCT host-level edge list is collected once and an iterative
+    Tarjan runs driver-side (measured 17 s → <1 s on the 1001-host sf0.1
+    graph). The distributed path is asserted equal in pytest and remains
+    the >local_max_nodes route.
 
     Returns (node, scc_id) with scc_id = min node id of the SCC.
     """
@@ -1433,24 +1463,11 @@ def scc_coloring(edges: rd.Dataset, src_col: str, dst_col: str,
                              pc.invert(pc.equal(a, b))))
         return t.group_by(["a", "b"]).aggregate([])  # per-batch distinct
 
-    active_edges = edges.map_batches(orient,
+    active_edges = edges.map_batches(orient, batch_size=16384,
                                      batch_format="pyarrow").materialize()
+    nodes, n_active = self_labels(active_edges, ["a", "b"])
 
-    def _distinct(ds: rd.Dataset) -> rd.Dataset:
-        tagged = ds.map_batches(
-            lambda t: t.append_column(
-                "_o", pa.array(np.zeros(t.num_rows, np.int8))),
-            batch_format="pyarrow")
-        return partial_groupby_agg(tagged, ["node"],
-                                   [("_o", "min", "_o")]).map_batches(
-            lambda t: t.select(["node"]), batch_format="pyarrow")
-
-    nodes = _distinct(active_edges.map_batches(
-        lambda t: pa.table({"node": pa.concat_arrays(
-            [t["a"].combine_chunks(), t["b"].combine_chunks()])}),
-        batch_format="pyarrow")).materialize()
-
-    if nodes.count() <= local_max_nodes:
+    if n_active <= local_max_nodes:
         et = pa.concat_tables(
             active_edges.iter_batches(batch_format="pyarrow",
                                       batch_size=None))
@@ -1460,95 +1477,45 @@ def scc_coloring(edges: rd.Dataset, src_col: str, dst_col: str,
             pairs["a"].to_pylist() if pairs.num_rows else [],
             pairs["b"].to_pylist() if pairs.num_rows else []))
 
-    def _count(ds: rd.Dataset) -> int:
-        parts = ds.map_batches(
-            lambda t: pa.table({"c": pa.array([t.num_rows], pa.int64())}),
-            batch_format="pyarrow").take_all()
-        return sum(r["c"] for r in parts)
-
-    settled_parts: list[rd.Dataset] = []
-    for _ in range(max_outer):
-        if _count(nodes) == 0:
-            break
-        if _count(active_edges) == 0:
+    color_schema = pa.schema([("node", pa.string()), ("color", pa.string())])
+    settled: list = []
+    while n_active:
+        if active_edges.count() == 0:
             # no edges left: every remaining node is its own singleton SCC
-            settled_parts.append(nodes.map_batches(
-                lambda t: pa.table({"node": t["node"],
-                                    "scc_id": t["node"]}),
-                batch_format="pyarrow").materialize())
+            settled += nodes
             break
         # 1. forward min-color to fixpoint
-        colors = nodes.map_batches(
-            lambda t: pa.table({"node": t["node"], "color": t["node"]}),
-            batch_format="pyarrow").materialize()
-        for _r in range(max_rounds):
-            msgs = exchange_join(active_edges, colors, "a", "node",
-                                 coalesce_keys=False).map_batches(
-                lambda t: pa.table({"node": t["b"], "color": t["color"]}),
-                batch_format="pyarrow")
-            new = partial_groupby_agg(
-                msgs.union(colors), ["node"],
-                [("color", "min", "color")]).materialize()
-            prev = colors.map_batches(
-                lambda t: pa.table({"node": t["node"],
-                                    "color_old": t["color"]}),
-                batch_format="pyarrow")
-            diff = exchange_join(new, prev, "node", "node").map_batches(
-                lambda t: pa.table({"c": pa.array([
-                    pc.sum(pc.cast(pc.not_equal(t["color"], t["color_old"]),
-                                   pa.int64())).as_py() or 0], pa.int64())}),
-                batch_format="pyarrow")
-            n_changed = sum(r["c"] for r in diff.take_all())
-            colors = new
-            if n_changed == 0:
-                break
-        # 2. class-internal reversed edges: flag flows dst -> src
-        ec = exchange_join(active_edges, colors, "a", "node",
+        colors = min_fixpoint(active_edges.to_arrow_refs(), nodes, 0,
+                              "scc_coloring.color")
+        cds = state_dataset(colors, color_schema).materialize()
+        # 2. class-internal reversed edges: the flag flows dst -> src
+        ec = exchange_join(active_edges, cds, "a", "node",
                            coalesce_keys=False).map_batches(
             lambda t: pa.table({"a": t["a"], "b": t["b"],
                                 "ca": t["color"]}),
-            batch_format="pyarrow").materialize()
-        within = exchange_join(ec, colors, "b", "node",
+            batch_format="pyarrow")
+        within = exchange_join(ec, cds, "b", "node",
                                coalesce_keys=False).map_batches(
             lambda t: t.filter(pc.equal(t["ca"], t["color"]))
-                       .select(["a", "b"]),
+                       .select(["b", "a"]).rename_columns(["a", "b"]),
             batch_format="pyarrow").materialize()
-        flags = colors.map_batches(
-            lambda t: t.filter(pc.equal(t["node"], t["color"]))
-                       .select(["node"]),
-            batch_format="pyarrow").materialize()  # roots seed the flag
-        for _r in range(max_rounds):
-            reach_msgs = exchange_join(within, flags, "b", "node",
-                                       coalesce_keys=False).map_batches(
-                lambda t: pa.table({"node": t["a"]}),
-                batch_format="pyarrow")
-            grown = _distinct(reach_msgs.union(flags)).materialize()
-            if _count(grown) == _count(flags):
-                flags = grown
-                break
-            flags = grown
-        # 3. settle flagged nodes, shrink the active graph — settled
-        # rows stay a Dataset (unioned at the end); the driver never
-        # holds anything node-count-sized
-        done = exchange_join(colors, flags, "node", "node",
-                             how="left_semi").map_batches(
-            lambda t: pa.table({"node": t["node"], "scc_id": t["color"]}),
-            batch_format="pyarrow").materialize()
-        settled_parts.append(done)
-        nodes = exchange_join(nodes, flags, "node", "node",
-                              how="left_anti").materialize()
-        alive = exchange_join(active_edges, flags, "a", "node",
-                              how="left_anti")
-        active_edges = exchange_join(alive, flags, "b", "node",
-                                     how="left_anti").materialize()
-    if not settled_parts:
-        return rd.from_arrow(pa.table({
-            "node": pa.array([], pa.string()),
-            "scc_id": pa.array([], pa.string())}))
-    out = settled_parts[0]
-    for part in settled_parts[1:]:
-        out = out.union(part)
-    return out
+        flags = min_fixpoint(within.to_arrow_refs(),
+                             [_roots.remote(c) for c in colors], 0,
+                             "scc_coloring.flag")
+        # 3. settle flagged nodes (v = their root = scc_id), shrink the
+        # active graph; settled state stays as refs
+        settled += flags
+        rest = [_unsettled.remote(c, f) for c, f in zip(colors, flags)]
+        nodes = [r[0] for r in rest]
+        n_active = sum(ray.get([r[1] for r in rest]))
+        if n_active:
+            fds = state_dataset(flags, color_schema).materialize()
+            alive = exchange_join(active_edges, fds, "a", "node",
+                                  how="left_anti")
+            active_edges = exchange_join(alive, fds, "b", "node",
+                                         how="left_anti").materialize()
+    return state_dataset(settled, pa.schema([("node", pa.string()),
+                                             ("scc_id", pa.string())]))
 
 
 def bowtie_parts(edges: rd.Dataset, src_col: str, dst_col: str) -> rd.Dataset:

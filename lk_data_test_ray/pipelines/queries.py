@@ -6447,12 +6447,13 @@ def t_pmi_top(sf_dir: str) -> rd.Dataset:
 def g_components(sf_dir: str) -> rd.Dataset:
     """Connected components of the pages HOST graph — the fully
     DISTRIBUTED min-label propagation operator
-    (``graph.components_min_label``: per round one hash join ships labels
-    to neighbors + one grouped string-min adopts the smallest; nodes,
-    edges and labels all stream as Datasets, nothing graph-sized touches
-    the driver — unlike ``dd_clusters``, whose candidate-pair graphs are
-    small by LSH construction). Component id = lexicographic min host
-    reachable. Oracle: recursive reachability closure + min."""
+    (``graph.components_min_label`` on ``graph.min_fixpoint``: per round
+    the changed labels probe the edge blocks in place and one merge task
+    per hash range keeps the smallest, until no label falls; labels live
+    as per-range refs, nothing graph-sized touches the driver — unlike
+    ``dd_clusters``, whose candidate-pair graphs are small by LSH
+    construction). Component id = lexicographic min host reachable.
+    Oracle: recursive reachability closure + min."""
     import os
 
     from .graph import components_min_label
@@ -10150,10 +10151,11 @@ def g_scc(sf_dir: str) -> rd.Dataset:
     giant SCC vs IN/OUT fringes is the standard macro-structure report
     on a crawl) and the directed counterpart of ``g_components``.
     Fully distributed coloring / FW-BW (``graph.scc_coloring``): forward
-    min-color fixpoint, within-class backward flags, settle-and-shrink —
-    nodes, edges, colors and flags all stream as Datasets. Oracle:
-    mutual-reachability closure (recursive CTE) with scc_id = min mutual
-    node."""
+    min-color fixpoint, within-class backward flags (both on
+    ``graph.min_fixpoint``, run until nothing changes), settle-and-shrink
+    with per-outer-round hash joins; host-sized graphs take the driver
+    Tarjan path. Oracle: mutual-reachability closure (recursive CTE) with
+    scc_id = min mutual node."""
     import os
 
     from .graph import scc_coloring
@@ -10188,7 +10190,8 @@ def g_bowtie(sf_dir: str) -> rd.Dataset:
     BFS runs (``graph.bfs_depth``) seeded at the core's canonical min
     host — reachability from ONE member equals reachability from the
     whole SCC, so the seed set is a single node regardless of core
-    size — forward on the edges for OUT, on the reversed edges for IN.
+    size — forward on the edges for OUT, on the reversed edges for IN,
+    each run until its frontier is empty, so no chain is cut short.
     A node with both flags is mutually connected to the core and lands
     in GSCC by construction, so the CASE order is total. Classification
     is two left-outer hash joins + one vectorized if_else chain

@@ -37,7 +37,6 @@ import logging
 import os
 import re
 import shutil
-import threading
 import time
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
@@ -207,48 +206,18 @@ def run_validation(
               (check_extract, clean_dir, c1_dir),
               concurrency, speculative, _commit)
 
-    # ---------------- global phase: C1 drain + stats merge, OVERLAPPED -------
-    # the C1 candidate reduce + exact verify run on a thread while this
-    # process merges the committed per-partition stats pickles. The merge
-    # starts once the drain has only remote work left (the verify's re-read
-    # and count tasks): the drain's own steps here would otherwise wait on
-    # the GIL behind the merge.
+    # ---------------- global phase: C1 range tasks + stats merge, OVERLAPPED
+    # the C1 range tasks run while this process merges the committed
+    # per-partition stats pickles; the candidate union and the exact
+    # verify follow the merge
     t_row_done = time.time()
-    c1_out: dict = {}
-    remote_only = threading.Event()
+    # the url-only fallbacks' sidecars must exist before the range tasks
+    # read them (no-op when every file has its sidecars)
+    written = ray.get([ref for _, ref in fallback])
+    t_f = time.time()
+    collectors = make_collectors(
+        sidecars + [(f, sp) for (f, _), sp in zip(fallback, written)])
 
-    def _drain_c1():
-        try:
-            # the url-only fallbacks' sidecars must exist before the range
-            # tasks read them (no-op when every file has its sidecars)
-            written = ray.get([ref for _, ref in fallback])
-            t_f = time.time()
-            collectors = make_collectors(
-                sidecars + [(f, sp) for (f, _), sp in zip(fallback, written)])
-            cand = collector_candidates(collectors)
-            t_c = time.time()
-            # exact verify (url strings + u64-collision collapse): the range
-            # tasks' per-file attribution names the files holding a
-            # candidate hash, and verified.parquet serves committed ones
-            # whose rows it already holds
-            c1_out["dups"], vc = verify_candidates(
-                partition_of, "url", cand, collectors, table=verified,
-                table_path=verified_path, on_submitted=remote_only.set)
-            c1_counts.update(vc, candidates=int(cand.size))
-            c1_out["walls"] = {
-                "feeds": round(t_f - t_row_done, 3),
-                "candidates": round(t_c - t_f, 3),
-                "verify": round(time.time() - t_c, 3)}
-        except Exception as ex:
-            c1_out["error"] = ex
-        finally:
-            remote_only.set()
-
-    drain = threading.Thread(target=_drain_c1, daemon=True)
-    drain.start()
-    remote_only.wait()
-
-    # ---------------- merge committed partition stats ------------------------
     # the kept manifests and this run's commits are every partition of THIS
     # run's input set (_keep_committed dropped the rest before the scan)
     done = {**kept, **committed}
@@ -258,10 +227,18 @@ def run_validation(
     global_stats = merge_stats(all_stats)
     t_stats_merged = time.time()
 
-    drain.join()
-    if "error" in c1_out:
-        raise c1_out["error"]
-    c1_viol = duplicates_to_violations(c1_out["dups"])
+    cand = collector_candidates(collectors)
+    t_c = time.time()
+    # exact verify (url strings + u64-collision collapse): the range tasks'
+    # per-file attribution names the files holding a candidate hash, and
+    # verified.parquet serves committed ones whose rows it already holds
+    dups, vc = verify_candidates(partition_of, "url", cand, collectors,
+                                 table=verified, table_path=verified_path)
+    c1_counts.update(vc, candidates=int(cand.size))
+    c1_walls = {"feeds": round(t_f - t_row_done, 3),
+                "candidates": round(t_c - t_stats_merged, 3),
+                "verify": round(time.time() - t_c, 3)}
+    c1_viol = duplicates_to_violations(dups)
 
     # ---------------- global phase: C5 drift ---------------------------------
     drift = None
@@ -312,7 +289,7 @@ def run_validation(
     summary = {
         "phase_wall": {"row": round(t_row_done - t0, 3),
                        "global": round(time.time() - t_row_done, 3),
-                       "c1_drain": c1_out.get("walls"),
+                       "c1_drain": c1_walls,
                        "stats_merge": round(t_stats_merged - t_row_done, 3)},
         "n_rows": global_stats["n_rows"],
         "n_partitions": len(files),

@@ -1,8 +1,11 @@
 """PageRank operator: broadcast and shuffle execution shapes must agree
 with each other and with a dense numpy power iteration."""
 
+import logging
+
 import numpy as np
 import pyarrow as pa
+import pytest
 import ray.data as rd
 
 
@@ -585,3 +588,88 @@ def test_scc_coloring_fuzz_random_digraphs(ray_session):
                     for r in scc_coloring(ds, "s", "d",
                                           local_max_nodes=0).take_all()}
         assert got_dist == want, f"distributed trial {trial}"
+
+
+def _ds(es):
+    return rd.from_arrow(pa.table({"s": [a for a, _ in es],
+                                   "d": [b for _, b in es]}))
+
+
+def _path(n):
+    """An n-hop directed path p00 -> p01 -> ... (names sort as indices)."""
+    return [(f"p{i:02d}", f"p{i + 1:02d}") for i in range(n)]
+
+
+def _bfs_40_hops():
+    from lk_data_test_ray.pipelines.graph import bfs_depth
+
+    got = {r["node"]: r["depth"]
+           for r in bfs_depth(_ds(_path(40)), "s", "d",
+                              seeds=["p00"]).take_all()}
+    return got, {f"p{i:02d}": i for i in range(41)}
+
+
+def _components_30_hops():
+    from lk_data_test_ray.pipelines.graph import components_min_label
+
+    got = {r["node"]: r["cluster"]
+           for r in components_min_label(_ds(_path(30)), "s",
+                                         "d").take_all()}
+    return got, {f"p{i:02d}": "p00" for i in range(31)}
+
+
+def _scc_30_cycle():
+    from lk_data_test_ray.pipelines.graph import scc_coloring
+
+    es = _path(29) + [("p29", "p00")]
+    got = {r["node"]: r["scc_id"]
+           for r in scc_coloring(_ds(es), "s", "d",
+                                 local_max_nodes=0).take_all()}
+    return got, {f"p{i:02d}": "p00" for i in range(30)}
+
+
+def _bowtie_35_in_chain():
+    from lk_data_test_ray.pipelines.graph import bowtie_parts
+
+    core = [("c1", "c2"), ("c2", "c3"), ("c3", "c1")]
+    chain = [(f"i{i + 1:02d}", f"i{i:02d}") for i in range(34)]
+    got = {r["node"]: r["part"]
+           for r in bowtie_parts(_ds(core + chain + [("i00", "c1")]),
+                                 "s", "d").take_all()}
+    want = {f"i{i:02d}": "IN" for i in range(35)}
+    want.update(c1="GSCC", c2="GSCC", c3="GSCC")
+    return got, want
+
+
+def _dedup_60_hops():
+    from lk_data_test_ray.pipelines import dedup
+
+    pairs = rd.from_arrow(pa.table({
+        "id_a": pa.array(range(60), pa.int64()),
+        "id_b": pa.array(range(1, 61), pa.int64())}))
+    out = dedup.connected_components(pairs, driver_max_edges=0).to_pandas()
+    return dict(zip(out["node"], out["cluster"])), {i: 0 for i in range(61)}
+
+
+@pytest.mark.parametrize("case", [_bfs_40_hops, _components_30_hops,
+                                  _scc_30_cycle, _bowtie_35_in_chain,
+                                  _dedup_60_hops],
+                         ids=lambda f: f.__name__.lstrip("_"))
+def test_distributed_closures_run_to_fixpoint(ray_session, case):
+    """Every distributed min-propagation runs until nothing changes: a
+    closure longer than the old round limits (BFS 30, CC and SCC 25,
+    dedup CC 50) comes out whole instead of cut short."""
+    got, want = case()
+    assert got == want
+
+
+def test_min_fixpoint_logs_its_rounds(ray_session, caplog):
+    """One INFO record per fixpoint call: a 40-hop BFS takes 40 rounds
+    that each reach one node, plus the round that finds nothing new."""
+    from lk_data_test_ray.pipelines.graph import bfs_depth
+
+    with caplog.at_level(logging.INFO, logger="lk_data_test_ray"):
+        bfs_depth(_ds(_path(40)), "s", "d", seeds=["p00"])
+    recs = [r.fixpoint for r in caplog.records if hasattr(r, "fixpoint")]
+    assert recs == [{"op": "bfs_depth", "rounds": 41,
+                     "changed": [1] * 40 + [0], "msgs": [1] * 40 + [0]}]

@@ -19,6 +19,7 @@ full-surface record (VERDICT r4 item 2).
 
 from __future__ import annotations
 
+import os
 import sys
 import time
 
@@ -27,7 +28,9 @@ import numpy as np
 import pandas as pd
 import ray
 
-sys.path.insert(0, "/root/repo")
+# the checkout this script lives in, so a copy checks its own package
+sys.path.insert(0, os.path.dirname(os.path.dirname(
+    os.path.abspath(__file__))))
 
 def pinned_to_sf001(oracles: dict) -> set:
     """Queries whose rendered oracle SQL reads the sf0.01 pages fixture by
