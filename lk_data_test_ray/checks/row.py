@@ -210,7 +210,8 @@ def _finish(cols, pid: int, stats: dict | None) -> pa.Table:
 
 
 def plan_scan_items(files: list[str], partition_of: dict[str, int],
-                    target_rows: int | None = 32_768) -> list[dict]:
+                    target_rows: int | None = 32_768,
+                    cpus: int | None = None) -> list[dict]:
     """Split input files into (path, row-group range, pid) scan items.
 
     One item ≈ ``target_rows`` rows → enough tasks to saturate the cluster
@@ -218,7 +219,9 @@ def plan_scan_items(files: list[str], partition_of: dict[str, int],
     here (driver-side, cheap). ``target_rows=None`` auto-sizes to
     ``total_rows / (4 × cluster CPUs)`` clamped to [4096, 32768]: ≥4 tasks
     per core for load balance at small volume, capped item size at large
-    volume so per-task overhead stays <1% of task work.
+    volume so per-task overhead stays <1% of task work. ``cpus`` is the
+    cluster's CPU count when the caller already knows it (default: read
+    from Ray, 8 if that fails).
 
     An item never spans files, so a file smaller than the target is an item
     of its own. Each item also carries ``block``: consecutive items share a
@@ -241,10 +244,11 @@ def plan_scan_items(files: list[str], partition_of: dict[str, int],
         metas = list(ex.map(_meta, files))
 
     if target_rows is None:
-        try:
-            cpus = int(ray.cluster_resources().get("CPU", 8))
-        except Exception:
-            cpus = 8
+        if cpus is None:
+            try:
+                cpus = int(ray.cluster_resources().get("CPU", 8))
+            except Exception:
+                cpus = 8
         total = sum(n for _, n in metas)
         target_rows = int(min(32_768, max(4096, total // max(1, 4 * cpus))))
 
@@ -316,7 +320,8 @@ def sidecars_by_pid(c1_dir: str) -> dict[int, list[str]]:
 
 
 def committed_sidecars(c1_dir: str, pid: int, path: str,
-                       listed: dict | None = None) -> list | None:
+                       listed: dict | None = None,
+                       n_rg: int | None = None) -> list | None:
     """The sidecar set that fully covers a committed partition, discovered
     from what the original scan actually wrote (``listed``, the
     ``sidecars_by_pid`` listing, or a fresh one) — never by re-deriving the
@@ -326,7 +331,9 @@ def committed_sidecars(c1_dir: str, pid: int, path: str,
     only when their (rg_lo, rg_hi) ranges tile ``[0, n_row_groups)``
     exactly (greedy max-hi walk, so sidecars from runs with different
     splits may mix — any exact tiling of correct per-item partials is
-    correct); None → caller falls back to ``url_sidecar``."""
+    correct); None → caller falls back to ``url_sidecar``. ``n_rg`` is the
+    file's row-group count as its manifest recorded it
+    (``input_row_groups``); without it the parquet footer is read."""
     import pyarrow.parquet as pq
 
     if listed is None:
@@ -340,10 +347,11 @@ def committed_sidecars(c1_dir: str, pid: int, path: str,
         lo, hi = int(lo_s), int(hi_s)
         if lo not in by_lo or hi > by_lo[lo][0]:
             by_lo[lo] = (hi, c)
-    try:
-        n_rg = pq.ParquetFile(path).metadata.num_row_groups
-    except Exception:
-        return None
+    if n_rg is None:
+        try:
+            n_rg = pq.ParquetFile(path).metadata.num_row_groups
+        except Exception:
+            return None
     cur, chosen = 0, []
     while cur < n_rg:
         nxt = by_lo.get(cur)

@@ -21,12 +21,15 @@ sort and no block re-materialization.
      the exchange moves 8-byte ints, not ~70-byte strings (~10x volume cut).
      ``hash(url)`` is uniform, so no salting is needed for this key
      (SURVEY.md §4: skew lives in hosts, not hashes).
-  3. **Partition by hash top bits** (``split_by_range``): after the scan,
-     one plain task per DISJOINT top-bit range (``make_collectors``) reads
-     its range of every sidecar and finds counts > 1 with one ``np.unique``
-     — candidate hashes are a tiny set (dups are rare by construction of a
-     web corpus). Each task also names the files holding its candidates.
-     Nothing outlives the run, so concurrent runs share no state.
+  3. **Partition by hash top bits** (``split_by_range``): at the scan's
+     last arrival, when every sidecar exists, one plain task per DISJOINT
+     top-bit range (``make_collectors``) is submitted; it runs while the
+     calling process commits the last partitions. Each reads its range of every
+     sidecar and finds counts > 1 with one ``np.unique`` — candidate hashes
+     are a tiny set (dups are rare by construction of a web corpus). Each
+     task also names the files holding its candidates. The candidate union
+     and the verify wait for every partition commit. Nothing outlives the
+     run, so concurrent runs share no state.
   4. **Verify exactly** — the url strings of candidate hashes are counted,
      which also collapses u64 hash collisions (expected ~n²/2⁶⁵ ≈ 3·10⁴
      false candidate pairs at 10^12 rows). The range tasks' attribution
@@ -105,13 +108,16 @@ def _range_candidates(sidecars: list, j: int,
     return cand, {f: np.array(sorted(v), np.uint64) for f, v in hits.items()}
 
 
-def make_collectors(sidecars: list, n: int | None = None) -> list:
+def make_collectors(sidecars: list, n: int | None = None,
+                    cpus: int | None = None) -> list:
     """Submit the C1 exchange over ``(file, sidecar path)`` pairs: one
     ``_range_candidates`` task per hash top-bit range, ``n`` of them (a
-    power of two; default ≤ cluster CPUs / 4, clamped to [1, 8]). Returns
+    power of two; default ≤ cluster CPUs / 4, clamped to [1, 8], with
+    ``cpus`` the CPU count when the caller already knows it). Returns
     their refs for ``collector_candidates`` and ``verify_candidates``."""
     if n is None:
-        cpus = int(ray.cluster_resources().get("CPU", 8))
+        if cpus is None:
+            cpus = int(ray.cluster_resources().get("CPU", 8))
         n = 1 << min(3, int(np.log2(max(1, cpus // 4))))
     elif n < 1 or (n & (n - 1)):
         raise ValueError(f"range count must be a power of two, got {n}")
@@ -196,7 +202,8 @@ def _count_urls(old: pa.Table, cached: list, gone: list, key: str,
 def verify_candidates(pid_of: dict, key: str, cand: np.ndarray,
                       collectors: list,
                       table: pa.Table | None = None,
-                      table_path: str | None = None
+                      table_path: str | None = None,
+                      cpus: int | None = None, meanwhile=None
                       ) -> tuple[pa.Table, dict]:
     """Exact verify of candidate hashes: count the url strings of every row
     whose hash is a candidate (collapses u64 collisions) over the input
@@ -209,12 +216,16 @@ def verify_candidates(pid_of: dict, key: str, cand: np.ndarray,
     (``load_verified(path, keep)``): a file whose pid has rows there for
     all its needed hashes is served from them. The rest are re-read in at
     most ``num_cpus`` batched tasks, and the table at ``table_path`` is
-    rewritten once with the fresh rows replacing those of the re-read pids.
-    Exact because a committed file is unchanged (the resume contract) and
-    its rows for a candidate hash were recorded in full when it was last
-    verified."""
+    rewritten once with the fresh rows replacing those of the re-read pids
+    (``cpus``: the cluster's CPU count when the caller already knows it).
+    ``meanwhile()``, when given, runs once on this thread while those tasks
+    do (at once when there is nothing to verify). Exact because a committed
+    file is unchanged (the resume contract) and its rows for a candidate
+    hash were recorded in full when it was last verified."""
     counts = {"verify_reread_files": 0, "verify_cached_files": 0}
     if cand.size == 0:
+        if meanwhile is not None:
+            meanwhile()
         return pa.table({key: pa.array([], pa.string()),
                          "count": pa.array([], pa.int64())}), counts
     # the candidate set is small (dups are rare): it travels inline
@@ -232,12 +243,16 @@ def verify_candidates(pid_of: dict, key: str, cand: np.ndarray,
             cached.append(pid)
         else:
             reread.append(p)
-    k = min(len(reread), max(1, int(ray.cluster_resources().get("CPU", 1))))
+    if cpus is None:
+        cpus = int(ray.cluster_resources().get("CPU", 1))
+    k = min(len(reread), max(1, cpus))
     fresh = [_collect_rows.remote(reread[i::k],
                                   [pid_of[p] for p in reread[i::k]],
                                   key, cand) for i in range(k)]
     dups = _count_urls.remote(old, cached, [pid_of[p] for p in reread], key,
                               table_path, *fresh)
+    if meanwhile is not None:
+        meanwhile()
     dups = ray.get(dups)
     counts.update(verify_reread_files=len(reread),
                   verify_cached_files=len(cached))

@@ -836,7 +836,7 @@ def bfs_depth(edges: rd.Dataset, src_col: str, dst_col: str,
 
 
 def hyperball_harmonic(edges: rd.Dataset, src_col: str, dst_col: str,
-                       p: int = 10, max_rounds: int = 30) -> rd.Dataset:
+                       p: int = 10) -> rd.Dataset:
     """HyperBall (Boldi & Vigna 2013): harmonic centrality of every node
     of a DIRECTED graph from HyperLogLog ball counters — the all-pairs-
     distance family made tractable at web scale, where exact harmonic
@@ -850,7 +850,12 @@ def hyperball_harmonic(edges: rd.Dataset, src_col: str, dst_col: str,
     proposals with the node's own counter (sketch mergeability is what
     makes the ball union associative), and the per-node harmonic
     accumulator rides in the same dataset — state per node is 2^p bytes
-    + two floats, nothing driver-sized. Rounds = graph diameter.
+    + two floats, nothing collected to one process. The loop runs until
+    no node's register row changed in a round, with no round limit:
+    registers only rise, within the finite range [0, 65 − p], so it
+    terminates. Rounds = graph diameter + 1. Logs one INFO record on the
+    ``lk_data_test_ray`` logger with attribute ``fixpoint`` =
+    ``{op: "hyperball", rounds, changed}`` (changed: nodes per round).
     Estimates are ε ≈ 1.04/√2^p; exactness is property-tested against
     per-node BFS on small graphs.
 
@@ -912,14 +917,17 @@ def hyperball_harmonic(edges: rd.Dataset, src_col: str, dst_col: str,
             "node": batch["node"],
             "regs": pa.array([r.tobytes() for r in regs], pa.binary()),
             "est_prev": pa.array(np.full(n, est0, np.float64)),
-            "h": pa.array(np.zeros(n, np.float64))})
+            "h": pa.array(np.zeros(n, np.float64)),
+            "chg": pa.array(np.zeros(n, bool))})
 
     state = nodes.map_batches(init_counters,
                               batch_format="pyarrow").materialize()
 
+    # chg: whether the node's register row changed in the round that wrote
+    # it (messages carry null)
     out_schema = pa.schema([("node", pa.string()), ("regs", pa.binary()),
                             ("est_prev", pa.float64()),
-                            ("h", pa.float64())])
+                            ("h", pa.float64()), ("chg", pa.bool_())])
 
     def _regs_matrix(col: pa.ChunkedArray, n: int) -> np.ndarray:
         """(n, m) uint8 view of a fixed-width binary column, zero-copy."""
@@ -962,38 +970,38 @@ def hyperball_harmonic(edges: rd.Dataset, src_col: str, dst_col: str,
             ep_g = np.ones(g, np.float64)
             h_g[grp[own]] = h_arr[own]
             ep_g[grp[own]] = ep_arr[own]
+            chg = np.zeros(g, bool)
+            chg[grp[own]] = (mx[grp[own]] != regs[own]).any(axis=1)
             est = _estimates(mx)
             h_g += np.maximum(est - ep_g, 0.0) / t
             return pa.table({
                 "node": pa.array(node[starts], pa.string()),
                 "regs": pa.array([r.tobytes() for r in mx], pa.binary()),
                 "est_prev": pa.array(est, pa.float64()),
-                "h": pa.array(h_g, pa.float64())}, schema=out_schema)
+                "h": pa.array(h_g, pa.float64()),
+                "chg": pa.array(chg)}, schema=out_schema)
         return merge_partition
 
     from ..relational import hash_repartition_map
 
-    prev_mass = float(sum(r["est_prev"] for r in state.select_columns(
-        ["est_prev"]).take_all()))
-    for t in range(1, max_rounds + 1):
+    changed: list[int] = []
+    while not changed or changed[-1]:
         msgs = exchange_join(e, state, "a", "node").map_batches(
             lambda b: pa.table({"node": b["b"], "regs": b["regs"],
                                 "est_prev": pa.nulls(b.num_rows,
                                                      pa.float64()),
-                                "h": pa.nulls(b.num_rows, pa.float64())}),
+                                "h": pa.nulls(b.num_rows, pa.float64()),
+                                "chg": pa.nulls(b.num_rows, pa.bool_())}),
             batch_format="pyarrow")
-        new = hash_repartition_map(msgs.union(state), "node",
-                                   make_merge(t)).materialize()
-        # convergence: total ball mass stopped growing
-        mass = float(sum(r["d"] for r in new.map_batches(
-            lambda b: pa.table({"d": pa.array(
-                [float(np.nansum(b["est_prev"].to_numpy(
-                    zero_copy_only=False)))], pa.float64())}),
-            batch_format="pyarrow").take_all()))
-        state = new
-        if abs(mass - prev_mass) < 1e-9:
-            break
-        prev_mass = mass
+        state = hash_repartition_map(msgs.union(state), "node",
+                                     make_merge(len(changed) + 1)
+                                     ).materialize()
+        changed.append(int(sum(r["n"] for r in state.map_batches(
+            lambda b: pa.table({"n": [pc.sum(b["chg"]).as_py() or 0]}),
+            batch_format="pyarrow").take_all())))
+    rec = {"op": "hyperball", "rounds": len(changed), "changed": changed}
+    _LOG.info("fixpoint hyperball: %d rounds", len(changed),
+              extra={"fixpoint": rec})
 
     return state.map_batches(
         lambda b: pa.table({"node": b["node"], "harmonic": b["h"]}),

@@ -24,9 +24,15 @@ Execution/resume model:
     append step's fixed floor.
   * the same loop re-issues straggling items as one-item backups of the
     same remote function and drops the slower copy by item key.
-  * the global phase runs after all partitions commit and writes its own
-    manifest; its inputs are the url-hash sidecars of every partition plus
-    url-only re-reads of the files holding a candidate duplicate.
+  * C1 range tasks start at the last arrival; the verify and global commit
+    follow all partition commits. The range tasks read the url-hash
+    sidecars of every partition, which the scan has written by then, so
+    they run while the commits write; the verify adds url-only re-reads of
+    the files holding a candidate duplicate, and the global phase writes
+    its own manifest.
+  * each partition manifest records its file's ``input_row_groups``, so a
+    resume checks a committed file's sidecar tiling without opening its
+    parquet footer.
 """
 
 from __future__ import annotations
@@ -95,6 +101,15 @@ def run_validation(
     commits, clean-output writes and C1 sidecars are all idempotent). The
     string ``"force"`` re-issues every outstanding item immediately (test
     hook).
+
+    ``summary["phase_wall"]`` (seconds): ``plan`` (input sigs, manifests,
+    the verify table, the sidecar listing and item planning); ``row``,
+    which ends at the last scan arrival, when the C1 range tasks start;
+    ``commit_wait``, how long the partition commits still ran after that;
+    ``c1_drain`` (``feeds``: the wait on url-only fallbacks;
+    ``candidates``: the wait on the range tasks after the commits;
+    ``verify``, which includes ``stats_merge``, run while the verify's
+    tasks do); and ``global``, everything after the last arrival.
     """
     t0 = time.time()
     files = _pages_files(pages_path)
@@ -114,6 +129,9 @@ def run_validation(
     # any commit, so a reused pid never sees stale rows
     verified_path = os.path.join(c1_dir, "verified.parquet")
     verified = load_verified(verified_path, keep=kept)
+    # one GCS round trip per run: the planner, the range tasks and the
+    # verify all size themselves to this count
+    cpus = int(ray.cluster_resources().get("CPU", 8))
 
     # Resume keys on each manifest's recorded input_fragment, NOT the
     # file's position in the sorted listing: on an INCREMENTAL run (the
@@ -140,25 +158,28 @@ def run_validation(
     # pre-aggregated (hash, count) partial as a sidecar — the corpus is read
     # ONCE for both phases. Committed partitions (resume) never re-scan:
     # their sidecars, found by ONE listing of c1/, join this run's in the
-    # exchange after the scan. A committed file without a complete sidecar
-    # set (an older out dir) gets one url-only read that writes a whole-file
-    # sidecar, concurrently with the row phase. At 100 TB an incremental run
-    # re-feeds yesterday's corpus from ~1.6% of its bytes.
+    # exchange that starts at the scan's last arrival. A committed file
+    # without a complete sidecar set (an older out dir) gets one url-only
+    # read that writes a whole-file sidecar, concurrently with the row
+    # phase. At 100 TB an incremental run re-feeds yesterday's corpus from
+    # ~1.6% of its bytes. The manifest's row-group count spares a footer
+    # read per committed file.
     listed = sidecars_by_pid(c1_dir)
     sidecars: list = []  # (file, sidecar path)
     fallback: list = []  # (file, ref of the sidecar path url_sidecar writes)
     c1_counts = {"sidecar_files": 0, "url_fallback_files": 0}
     for f in files:
-        if partition_of[f] not in kept:
+        pid = partition_of[f]
+        if pid not in kept:
             continue
-        exp = committed_sidecars(c1_dir, partition_of[f], f, listed)
+        exp = committed_sidecars(c1_dir, pid, f, listed,
+                                 kept[pid].get("input_row_groups"))
         if exp:
             sidecars += [(f, sp) for sp in exp]
             c1_counts["sidecar_files"] += 1
         else:
             c1_counts["url_fallback_files"] += 1
-            fallback.append(
-                (f, url_sidecar.remote(f, partition_of[f], c1_dir)))
+            fallback.append((f, url_sidecar.remote(f, pid, c1_dir)))
 
     # ---------------- row phase ----------------------------------------------
     # one scan_block task per packed block of scan items (plan_scan_items'
@@ -169,10 +190,13 @@ def run_validation(
     # kill keeps all finished partitions.
     if clean_dir is not None:
         os.makedirs(clean_dir, exist_ok=True)
-    items = plan_scan_items(todo, partition_of, target_rows=scan_target_rows)
+    items = plan_scan_items(todo, partition_of, target_rows=scan_target_rows,
+                            cpus=cpus)
     blocks: dict[int, list[dict]] = {}
+    n_rg_of: dict[int, int] = {}  # pid -> the file's row-group count
     for it in items:
         blocks.setdefault(it["block"], []).append(it)
+        n_rg_of[it["pid"]] = max(n_rg_of.get(it["pid"], 0), it["rg_hi"])
     file_of_pid = {partition_of[f]: f for f in todo}
     sidecars += [(it["path"], os.path.join(
         c1_dir, sidecar_name(it["pid"], it["rg_lo"], it["rg_hi"])))
@@ -192,6 +216,7 @@ def run_validation(
             "input_fragment": file_of_pid[pid],
             "input_size": size,
             "input_mtime_ns": mtime_ns,
+            "input_row_groups": n_rg_of[pid],
             "n_rows": stats["n_rows"],
             "violation_count": int(pv.num_rows),
             "per_check_violations": _per_check_counts(pv),
@@ -201,31 +226,46 @@ def run_validation(
         store.commit(pid, rec, stats=stats)
         committed[pid] = rec
 
+    t_planned = time.time()
+    c1: dict = {}
+
+    def _start_c1() -> None:
+        # the range tasks read only sidecars, all written once the last scan
+        # item has arrived: they run while the partitions commit. The
+        # url-only fallbacks' sidecars must exist before the range tasks
+        # read them (no-op when every file has its sidecars).
+        c1["t_row_done"] = time.time()
+        written = ray.get([ref for _, ref in fallback])
+        c1["t_f"] = time.time()
+        c1["collectors"] = make_collectors(
+            sidecars + [(f, sp) for (f, _), sp in zip(fallback, written)],
+            cpus=cpus)
+        c1["t_started"] = time.time()
+
     if items:
         _scan(list(blocks.values()),
               (check_extract, clean_dir, c1_dir),
-              concurrency, speculative, _commit)
+              concurrency, speculative, _commit, _start_c1)
+    else:
+        _start_c1()
+    t_committed = time.time()
 
-    # ---------------- global phase: C1 range tasks + stats merge, OVERLAPPED
-    # the C1 range tasks run while this process merges the committed
-    # per-partition stats pickles; the candidate union and the exact
-    # verify follow the merge
-    t_row_done = time.time()
-    # the url-only fallbacks' sidecars must exist before the range tasks
-    # read them (no-op when every file has its sidecars)
-    written = ray.get([ref for _, ref in fallback])
-    t_f = time.time()
-    collectors = make_collectors(
-        sidecars + [(f, sp) for (f, _), sp in zip(fallback, written)])
-
+    # ---------------- global phase: C1 verify + stats merge, OVERLAPPED ------
+    # every partition has committed. The candidate union waits for the range
+    # tasks; this process merges the per-partition stats pickles while the
+    # exact verify's tasks run.
+    t_row_done, collectors = c1["t_row_done"], c1["collectors"]
     # the kept manifests and this run's commits are every partition of THIS
     # run's input set (_keep_committed dropped the rest before the scan)
     done = {**kept, **committed}
     rows_scanned = sum(committed[partition_of[f]]["n_rows"] for f in todo)
-    all_stats = [store.load_stats(pid) for pid in sorted(done, key=str)]
-    all_stats = [s for s in all_stats if s is not None]
-    global_stats = merge_stats(all_stats)
-    t_stats_merged = time.time()
+    merged: dict = {}
+
+    def _merge_stats() -> None:
+        t = time.time()
+        all_stats = [store.load_stats(pid) for pid in sorted(done, key=str)]
+        merged["stats"] = merge_stats([s for s in all_stats if s is not None])
+        merged["wall"] = time.time() - t
 
     cand = collector_candidates(collectors)
     t_c = time.time()
@@ -233,10 +273,12 @@ def run_validation(
     # per-file attribution names the files holding a candidate hash, and
     # verified.parquet serves committed ones whose rows it already holds
     dups, vc = verify_candidates(partition_of, "url", cand, collectors,
-                                 table=verified, table_path=verified_path)
+                                 table=verified, table_path=verified_path,
+                                 cpus=cpus, meanwhile=_merge_stats)
+    global_stats = merged["stats"]
     c1_counts.update(vc, candidates=int(cand.size))
-    c1_walls = {"feeds": round(t_f - t_row_done, 3),
-                "candidates": round(t_c - t_stats_merged, 3),
+    c1_walls = {"feeds": round(c1["t_f"] - t_row_done, 3),
+                "candidates": round(t_c - t_committed, 3),
                 "verify": round(time.time() - t_c, 3)}
     c1_viol = duplicates_to_violations(dups)
 
@@ -287,10 +329,13 @@ def run_validation(
             per_check[c] = per_check.get(c, 0) + n
     wall = time.time() - t0
     summary = {
-        "phase_wall": {"row": round(t_row_done - t0, 3),
+        "phase_wall": {"plan": round(t_planned - t0, 3),
+                       "row": round(t_row_done - t0, 3),
+                       "commit_wait": round(t_committed - c1["t_started"],
+                                            3),
                        "global": round(time.time() - t_row_done, 3),
                        "c1_drain": c1_walls,
-                       "stats_merge": round(t_stats_merged - t_row_done, 3)},
+                       "stats_merge": round(merged["wall"], 3)},
         "n_rows": global_stats["n_rows"],
         "n_partitions": len(files),
         "violations_total": int(sum(per_check.values())),
@@ -319,15 +364,18 @@ def run_validation(
 
 
 def _scan(blocks: list[list[dict]], args: tuple, concurrency: int | None,
-          speculative: bool | str, commit) -> None:
+          speculative: bool | str, commit, on_last) -> None:
     """Run the row phase: one ``scan_block`` task per block, at most
     ``concurrency`` of them in flight (all at t=0 when None), drained by one
     ``ray.wait`` loop. ``args`` are ``scan_block``'s arguments after the
     items. Each arriving item is deduplicated by (pid, row-group range);
     once all items of a partition have arrived, ``commit(pid, violation
-    tables, stats partials)`` runs on a 4-thread pool. A task error raises
-    (after every commit already submitted has finished); backups still
-    outstanding at the end keep running and are not awaited."""
+    tables, stats partials)`` runs on a 4-thread pool. ``on_last()`` runs
+    on this thread once the last item has arrived, before that result's
+    commits are submitted; the call returns when every commit has
+    finished. A task error raises (after every commit already submitted
+    has finished); backups still outstanding at the end keep running and
+    are not awaited."""
     items = {(it["pid"], (it["rg_lo"], it["rg_hi"])): it
              for blk in blocks for it in blk}
     left = Counter(pid for pid, _ in items)  # items still due per pid
@@ -400,6 +448,7 @@ def _scan(blocks: list[list[dict]], args: tuple, concurrency: int | None,
                         ray.cancel(ref)
                     ray.wait(pending, num_returns=len(pending), timeout=10)
                 raise
+            whole = []  # pids whose last item is in this result
             for item_tbl in split_items(out):
                 viol, [(pid, p)] = split_combined([item_tbl])
                 key = (pid, tuple(p["item"]))
@@ -412,9 +461,11 @@ def _scan(blocks: list[list[dict]], args: tuple, concurrency: int | None,
                     pend_viol.setdefault(pid, []).append(viol)
                 left[pid] -= 1
                 if not left[pid]:
-                    futs.append(commit_ex.submit(
-                        commit, pid, pend_viol.pop(pid, []),
-                        pend_stats.pop(pid)))
+                    whole.append(pid)
+            if len(arrived) == len(items):
+                on_last()
+            futs += [commit_ex.submit(commit, pid, pend_viol.pop(pid, []),
+                                      pend_stats.pop(pid)) for pid in whole]
         for f in futs:
             f.result()  # surface commit errors
 

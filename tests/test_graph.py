@@ -240,8 +240,7 @@ def test_hyperball_harmonic_small_graph_exact(ray_session):
 
 
 def test_hyperball_harmonic_chain(ray_session):
-    """10-node directed chain: H(n_k) = sum_{i<=k} 1/i, and the round
-    loop must converge (diameter 9 < max_rounds)."""
+    """10-node directed chain: H(n_k) = sum_{i<=k} 1/i."""
     import pyarrow as pa
     import ray.data as rd
 
@@ -255,6 +254,26 @@ def test_hyperball_harmonic_chain(ray_session):
     for k in range(10):
         exact = sum(1.0 / i for i in range(1, k + 1))
         assert abs(got[f"n{k}"] - exact) < 0.02, (k, got[f"n{k}"], exact)
+
+
+def test_hyperball_harmonic_runs_to_fixpoint(ray_session, caplog):
+    """A 35-hop directed chain is longer than the old 30-round limit: the
+    last node still reaches H(35), and the one fixpoint record counts
+    diameter + 1 rounds."""
+    from lk_data_test_ray.pipelines.graph import hyperball_harmonic
+
+    n = 35
+    edges = pa.table({"s": [f"n{i:02d}" for i in range(n)],
+                      "t": [f"n{i + 1:02d}" for i in range(n)]})
+    caplog.set_level(logging.INFO, logger="lk_data_test_ray")
+    got = {r["node"]: r["harmonic"]
+           for r in hyperball_harmonic(rd.from_arrow(edges), "s", "t",
+                                       p=12).take_all()}
+    exact = sum(1.0 / i for i in range(1, n + 1))
+    assert abs(got[f"n{n:02d}"] - exact) < 0.02, (got[f"n{n:02d}"], exact)
+    recs = [r.fixpoint for r in caplog.records if hasattr(r, "fixpoint")]
+    assert [(r["op"], r["rounds"], r["changed"][-1]) for r in recs] == [
+        ("hyperball", n + 1, 0)]
 
 
 def test_kcore_peeling_cascade(ray_session):

@@ -793,3 +793,121 @@ def test_npz_sidecar_out_dir_upgrades_on_first_resume(pages_fixture,
     s = rerun()
     assert s["c1"]["sidecar_files"] == 4
     _same_outputs(out, s, fresh, s_fresh)
+
+
+def test_c1_starts_while_partitions_commit(pages_fixture, tmp_path,
+                                           monkeypatch):
+    """The C1 range tasks are submitted at the last scan arrival, not after
+    the partition commits: every partition commit waits (at most 5 s) for
+    ``make_collectors``, and the last commit to return saw it called. The
+    summary and the violations equal an unpatched run."""
+    import json
+    import threading
+
+    from lk_data_test_ray.pipelines import validate as v
+    from lk_data_test_ray.state.manifest import ManifestStore
+
+    fresh = str(tmp_path / "fresh")
+    _run(pages_fixture, fresh)
+    started = threading.Event()
+    real_make, real_commit = v.make_collectors, ManifestStore.commit
+    seen = []  # per partition commit, in return order: C1 already started?
+
+    def make_collectors(*a, **k):
+        started.set()
+        return real_make(*a, **k)
+
+    def commit(self, pid, record, stats=None):
+        if pid != "global":
+            started.wait(timeout=5)
+        real_commit(self, pid, record, stats=stats)
+        if pid != "global":
+            seen.append(started.is_set())
+
+    monkeypatch.setattr(v, "make_collectors", make_collectors)
+    monkeypatch.setattr(ManifestStore, "commit", commit)
+    out = str(tmp_path / "out")
+    _run(pages_fixture, out)
+    assert len(seen) == len(os.listdir(os.path.join(pages_fixture, "pages")))
+    assert seen[-1]
+
+    def summary(d):
+        with open(os.path.join(d, "summary.json")) as f:
+            s = json.load(f)
+        return {k: x for k, x in s.items()
+                if k not in ("phase_wall", "wall_sec", "rows_per_sec")}
+
+    assert summary(out) == summary(fresh)
+    assert load_violations(out).equals(load_violations(fresh))
+
+
+def test_resume_takes_row_groups_from_manifests(pages_fixture, tmp_path,
+                                                monkeypatch):
+    """Each partition manifest records its file's ``input_row_groups``, so
+    a resume step opens no parquet footer of a kept file in the calling
+    process. An out dir whose manifests lack the key (an older one)
+    resumes through the footer read, and after every step equals a fresh
+    run in ``summary.json`` and ``load_violations``."""
+    import glob
+    import json
+
+    src = sorted(glob.glob(os.path.join(pages_fixture, "pages", "*.parquet")))
+    inp = tmp_path / "in"
+    inp.mkdir()
+    for f in src[:3]:
+        shutil.copy(f, inp / os.path.basename(f))
+    out = str(tmp_path / "out")
+    man = os.path.join(out, "manifests")
+    run_validation(str(inp), out)
+
+    def part_manifests():
+        return [os.path.join(man, n) for n in os.listdir(man)
+                if n.startswith("part-") and n != "part-global.json"]
+
+    for p in part_manifests():
+        with open(p) as f:
+            rec = json.load(f)
+        assert rec["input_row_groups"] == pq.read_metadata(
+            rec["input_fragment"]).num_row_groups
+
+    opened = []
+    real_pf = pq.ParquetFile
+
+    def spy(source, *a, **k):
+        opened.append(str(source))
+        return real_pf(source, *a, **k)
+
+    monkeypatch.setattr(pq, "ParquetFile", spy)
+    work = {"phase_wall", "wall_sec", "rows_per_sec", "rows_scanned",
+            "scan_items", "scan_tasks", "c1"}
+    order = [("check_id", "ascending"), ("url", "ascending"),
+             ("detail", "ascending")]
+
+    def step(i, new):
+        kept = sorted(str(p) for p in inp.iterdir())
+        shutil.copy(new, inp / os.path.basename(new))
+        del opened[:]
+        s = run_validation(str(inp), out)
+        footers = set(opened)
+        assert s["c1"]["sidecar_files"] == len(kept)
+        assert s["c1"]["url_fallback_files"] == 0
+        fresh = str(tmp_path / f"fresh{i}")
+        sf = run_validation(str(inp), fresh)
+        assert ({k: v for k, v in s.items() if k not in work}
+                == {k: v for k, v in sf.items() if k not in work})
+        assert load_violations(out).sort_by(order).equals(
+            load_violations(fresh).sort_by(order))
+        return kept, footers
+
+    kept, footers = step(0, src[3])
+    assert not footers & set(kept)
+
+    for p in part_manifests():
+        with open(p) as f:
+            rec = json.load(f)
+        del rec["input_row_groups"]
+        with open(p, "w") as f:
+            json.dump(rec, f)
+    for i, new in enumerate(src[4:6], 1):
+        kept, footers = step(i, new)
+        assert set(kept[:4]) <= footers
