@@ -279,33 +279,44 @@ def plan_scan_items(files: list[str], partition_of: dict[str, int],
 
 
 def sidecar_name(pid: int, lo: int, hi: int) -> str:
-    """C1 hash-sidecar filename for one scan item (stable across runs)."""
-    return f"item-{pid:05d}-{lo:05d}-{hi:05d}.npy"
+    """C1 sidecar filename for one scan item (stable across runs)."""
+    return f"item-{pid:05d}-{lo:05d}-{hi:05d}.arrow"
 
 
-_SIDECAR = re.compile(r"item-(\d+)-\d+-\d+\.npy")
+_SIDECAR = re.compile(r"item-(\d+)-(\d+)-(\d+)\.arrow")
+_SIDECAR_SCHEMA = pa.schema([("h", pa.uint64()), ("url", pa.string())])
 
 
-def write_sidecar(path: str, hashes: np.ndarray | None) -> None:
-    """Persist one item's C1 partial as a 2-row int64 ``.npy``: its sorted
-    unique url hashes (u64 bits) and their counts, 16 B per unique url.
-    ``None`` (no url column) writes an empty partial, so the file's
-    sidecars still tile it. Atomic, and a backup copy of the item rewrites
-    identical bytes."""
+def write_sidecar(path: str, hashes: np.ndarray | None,
+                  urls: pa.ChunkedArray | pa.Array | None) -> None:
+    """Persist one item's C1 feed as an Arrow IPC file of one record batch:
+    ``h`` (the url hashes, sorted ascending) and ``url`` (each row's url,
+    nulls included), one row per input row — 8 B plus the url bytes per
+    row. ``None`` for both (no url column) writes an empty feed, so the
+    file's sidecars still tile it. Atomic, and a backup copy of the item
+    rewrites the same rows (rows of one hash are interchangeable: the verify
+    counts them, so their order does not matter)."""
     if hashes is None:
-        hashes = np.empty(0, np.uint64)
-    hu, cu = np.unique(hashes, return_counts=True)
+        hashes, urls = np.empty(0, np.uint64), pa.array([], pa.string())
+    order = np.argsort(hashes)
+    urls = urls.take(order)
+    if isinstance(urls, pa.ChunkedArray):
+        urls = urls.combine_chunks()
+    batch = pa.record_batch([pa.array(hashes[order], pa.uint64()),
+                             urls.cast(pa.string())], schema=_SIDECAR_SCHEMA)
     tmp = path + f".tmp{os.getpid()}"
-    with open(tmp, "wb") as f:
-        np.save(f, np.stack([hu.view(np.int64), cu.astype(np.int64)]))
+    with pa.OSFile(tmp, "wb") as sink, \
+            pa.ipc.new_file(sink, _SIDECAR_SCHEMA) as writer:
+        writer.write_batch(batch)
     os.replace(tmp, path)
 
 
-def read_sidecar(path: str) -> tuple[np.ndarray, np.ndarray]:
-    """(sorted unique u64 hashes, int64 counts) of one ``write_sidecar``
-    file."""
-    hc = np.load(path)
-    return hc[0].view(np.uint64), hc[1]
+def read_sidecar(path: str) -> tuple[np.ndarray, pa.Array]:
+    """(sorted u64 hashes, their urls) of one ``write_sidecar`` file,
+    memory-mapped: only the pages a caller touches are read."""
+    with pa.memory_map(path) as src:  # the batch keeps the mapping
+        batch = pa.ipc.open_file(src).get_batch(0)
+    return batch.column(0).to_numpy(), batch.column(1)
 
 
 def sidecars_by_pid(c1_dir: str) -> dict[int, list[str]]:
@@ -343,8 +354,7 @@ def committed_sidecars(c1_dir: str, pid: int, path: str,
         return None
     by_lo: dict[int, tuple[int, str]] = {}
     for c in cands:
-        _, _, lo_s, hi_s = os.path.basename(c)[:-4].split("-")
-        lo, hi = int(lo_s), int(hi_s)
+        _, lo, hi = map(int, _SIDECAR.fullmatch(os.path.basename(c)).groups())
         if lo not in by_lo or hi > by_lo[lo][0]:
             by_lo[lo] = (hi, c)
     if n_rg is None:
@@ -399,14 +409,15 @@ def scan_block(items: list[dict], check_extract: bool, clean_dir: str | None,
             tbl = pf.schema_arrow.empty_table()
         # one hash of the url column serves the C1 sidecar below and the url
         # HyperLogLog
-        h = (hash_strings64(tbl["url"].to_pandas())
-             if "url" in tbl.column_names else None)
+        urls = tbl["url"] if "url" in tbl.column_names else None
+        h = hash_strings64(urls.to_pandas()) if urls is not None else None
         combined = rc._process(tbl, pid, item=(lo, hi), url_hash=h)
         out.append(combined)
-        # the item's C1 (hash, count) partial: the uniqueness exchange
-        # reads these instead of a second pass over the url columns, this
-        # run and every later resume
-        write_sidecar(os.path.join(c1_dir, sidecar_name(pid, lo, hi)), h)
+        # the item's C1 feed, (hash, url) per row: the uniqueness range
+        # tasks find and verify duplicates from these, never from the
+        # input again, this run and every later resume
+        write_sidecar(os.path.join(c1_dir, sidecar_name(pid, lo, hi)), h,
+                      urls)
         if clean_dir is not None:
             # quarantine split (the training-data use of validation): rows
             # untouched by any row-phase violation stream straight to
@@ -426,17 +437,18 @@ def scan_block(items: list[dict], check_extract: bool, clean_dir: str | None,
 @ray.remote
 def url_sidecar(path: str, pid: int, c1_dir: str) -> str:
     """Resume path for a committed file without a complete sidecar set (an
-    out dir written before sidecars, or by the ``.npz`` format): one
+    out dir written before sidecars, or by an older sidecar format): one
     url-only read writes a whole-file sidecar, which tiles the file from
     then on. Returns its path."""
     import pyarrow.parquet as pq
 
     pf = pq.ParquetFile(path)
-    h = None
+    h = urls = None
     if "url" in pf.schema_arrow.names:
-        h = hash_strings64(pf.read(columns=["url"])["url"].to_pandas())
+        urls = pf.read(columns=["url"])["url"]
+        h = hash_strings64(urls.to_pandas())
     sp = os.path.join(c1_dir, sidecar_name(pid, 0, pf.metadata.num_row_groups))
-    write_sidecar(sp, h)
+    write_sidecar(sp, h, urls)
     return sp
 
 

@@ -77,10 +77,9 @@ def als_recommend(ratings: rd.Dataset, user_col: str, item_col: str,
     # reuse the SAME materialized partitions for factorization
     user_parts, item_ids, Q = _als_from_parts(parts, rank, iters, reg,
                                               seed)
-    idx_of = {v: k for k, v in enumerate(item_ids)}
 
     @ray.remote
-    def recommend(tbl, uniq, U, q, item_index, items):
+    def recommend(tbl, uniq, U, q, items):
         if not isinstance(tbl, pa.Table):
             tbl = pa.Table.from_batches([tbl])
         if len(uniq) == 0:
@@ -88,11 +87,9 @@ def als_recommend(ratings: rd.Dataset, user_col: str, item_col: str,
                              "rec_item": pa.array([], pa.string()),
                              "score": pa.array([], pa.float64())})
         scores = U @ q.T                 # (n_users, n_items)
-        u = tbl["u"].to_numpy(zero_copy_only=False)
-        it = np.array([item_index[v] for v in tbl["i"].to_pylist()],
-                      np.int64)
-        pos_of = {int(x): k for k, x in enumerate(uniq)}
-        rows = np.array([pos_of[int(x)] for x in u], np.int64)
+        it = _item_index(tbl, items)
+        # uniq is np.unique output, so sorted
+        rows = np.searchsorted(uniq, tbl["u"].to_numpy(zero_copy_only=False))
         scores[rows, it] = -np.inf       # mask seen pairs
         best = scores.argmax(axis=1)
         bs = scores[np.arange(len(uniq)), best]
@@ -105,7 +102,7 @@ def als_recommend(ratings: rd.Dataset, user_col: str, item_col: str,
 
     q_ref = ray.put(Q)
     outs = ray.get([
-        recommend.remote(ref, up[0], up[1], q_ref, idx_of, item_ids)
+        recommend.remote(ref, up[0], up[1], q_ref, item_ids)
         for ref, up in zip(parts.to_arrow_refs(), user_parts)])
     live = [o for o in outs if o.num_rows]
     if not live:
@@ -129,7 +126,6 @@ def _als_from_parts(parts: rd.Dataset, rank: int, iters: int, reg: float,
         v for b in parts.select_columns(["i"])
         .iter_batches(batch_format="pyarrow", batch_size=None)
         for v in b["i"].to_pylist()))
-    idx_of = {v: k for k, v in enumerate(item_ids)}
     n_items = len(item_ids)
     rng = np.random.default_rng(seed)
     Q = rng.standard_normal((n_items, rank)) * 0.1
@@ -138,7 +134,7 @@ def _als_from_parts(parts: rd.Dataset, rank: int, iters: int, reg: float,
     user_parts = None
     for _ in range(iters):
         q_ref = ray.put(Q)
-        outs = ray.get([_solve_users.remote(ref, q_ref, idx_of, reg,
+        outs = ray.get([_solve_users.remote(ref, q_ref, item_ids, reg,
                                             rank, n_items)
                         for ref in refs])
         stats = sum(o[2] for o in outs)
@@ -150,8 +146,14 @@ def _als_from_parts(parts: rd.Dataset, rank: int, iters: int, reg: float,
     return user_parts, item_ids, Q
 
 
+def _item_index(tbl: pa.Table, items: list) -> np.ndarray:
+    """Each row's position of its item in the sorted ``items``."""
+    return pc.index_in(tbl["i"], value_set=pa.array(items, pa.string())
+                       ).to_numpy(zero_copy_only=False).astype(np.int64)
+
+
 @ray.remote
-def _solve_users(tbl, q, item_index, lam, r_rank, n_items):
+def _solve_users(tbl, q, items, lam, r_rank, n_items):
     """One ALS half-iteration for one user partition: batched r×r
     solves + the item-side sufficient-stat partials."""
     if not isinstance(tbl, pa.Table):
@@ -163,7 +165,7 @@ def _solve_users(tbl, q, item_index, lam, r_rank, n_items):
                                             ("i", "ascending")])
     tbl = tbl.take(order)
     u = tbl["u"].to_numpy(zero_copy_only=False)
-    it = np.array([item_index[v] for v in tbl["i"].to_pylist()], np.int64)
+    it = _item_index(tbl, items)
     r = tbl["r"].to_numpy(zero_copy_only=False)
     uniq, inv = np.unique(u, return_inverse=True)
     n_u = len(uniq)

@@ -5,7 +5,7 @@ the parquet footers → fused row-phase scan tasks (C0/C2/C3/C4/C6 + sketch
 partials + the C1 url-hash feed, ONE pass over the heavy columns) →
 per-partition violations + lineage manifests (resume unit) → global phase:
 C1 uniqueness from per-run tasks over disjoint hash ranges of the scan's
-(hash, count) sidecars + C5 drift from merged partials → union of violation
+(hash, url) sidecars + C5 drift from merged partials → union of violation
 streams + summary verdict.
 
 Execution/resume model:
@@ -24,12 +24,12 @@ Execution/resume model:
     append step's fixed floor.
   * the same loop re-issues straggling items as one-item backups of the
     same remote function and drops the slower copy by item key.
-  * C1 range tasks start at the last arrival; the verify and global commit
-    follow all partition commits. The range tasks read the url-hash
-    sidecars of every partition, which the scan has written by then, so
-    they run while the commits write; the verify adds url-only re-reads of
-    the files holding a candidate duplicate, and the global phase writes
-    its own manifest.
+  * C1 range tasks start at the last arrival. They read the (hash, url)
+    sidecars of every partition, which the scan has written by then, and
+    each finds and verifies the duplicates of its hash range, so C1 runs
+    while the commits write and the stats merge; no input file is read
+    after the scan. The global phase follows all partition commits and
+    writes its own manifest.
   * each partition manifest records its file's ``input_row_groups``, so a
     resume checks a committed file's sidecar tiling without opening its
     parquet footer.
@@ -57,8 +57,7 @@ from ..checks.row import (committed_sidecars, merge_stats, plan_scan_items,
                           scan_block, sidecar_name, sidecars_by_pid,
                           split_combined, split_items, url_sidecar)
 from ..checks.uniqueness import (collector_candidates, duplicates_to_violations,
-                                 load_verified, make_collectors,
-                                 verify_candidates)
+                                 make_collectors, verify_candidates)
 from ..schema import VIOLATIONS_SCHEMA
 from ..state.manifest import ManifestStore
 
@@ -103,13 +102,13 @@ def run_validation(
     hook).
 
     ``summary["phase_wall"]`` (seconds): ``plan`` (input sigs, manifests,
-    the verify table, the sidecar listing and item planning); ``row``,
-    which ends at the last scan arrival, when the C1 range tasks start;
-    ``commit_wait``, how long the partition commits still ran after that;
-    ``c1_drain`` (``feeds``: the wait on url-only fallbacks;
-    ``candidates``: the wait on the range tasks after the commits;
-    ``verify``, which includes ``stats_merge``, run while the verify's
-    tasks do); and ``global``, everything after the last arrival.
+    the sidecar listing and item planning); ``row``, which ends at the
+    last scan arrival, when the C1 range tasks start; ``commit_wait``, how
+    long the partition commits still ran after that; ``c1_drain``
+    (``feeds``: the wait on url-only fallbacks; ``verify``: the
+    ``stats_merge``, run while the range tasks do, plus the wait for their
+    duplicate tables; ``candidates``: the candidate union after that); and
+    ``global``, everything after the last arrival.
     """
     t0 = time.time()
     files = _pages_files(pages_path)
@@ -125,12 +124,8 @@ def run_validation(
     store = ManifestStore(os.path.join(out_dir, "manifests"))
     sigs = {f: _input_sig(f) for f in files}
     kept, n_dropped = _keep_committed(store, sigs, viol_dir, c1_dir)
-    # the C1 verify table keeps the rows of kept pids only — pruned before
-    # any commit, so a reused pid never sees stale rows
-    verified_path = os.path.join(c1_dir, "verified.parquet")
-    verified = load_verified(verified_path, keep=kept)
-    # one GCS round trip per run: the planner, the range tasks and the
-    # verify all size themselves to this count
+    # one GCS round trip per run: the planner and the range tasks size
+    # themselves to this count
     cpus = int(ray.cluster_resources().get("CPU", 8))
 
     # Resume keys on each manifest's recorded input_fragment, NOT the
@@ -155,8 +150,8 @@ def run_validation(
 
     # ---- global C1 uniqueness ------------------------------------------------
     # The scan tasks already hold every url column and persist each item's
-    # pre-aggregated (hash, count) partial as a sidecar — the corpus is read
-    # ONCE for both phases. Committed partitions (resume) never re-scan:
+    # (hash, url) rows as a sidecar — the corpus is read ONCE for both
+    # phases. Committed partitions (resume) never re-scan:
     # their sidecars, found by ONE listing of c1/, join this run's in the
     # exchange that starts at the scan's last arrival. A committed file
     # without a complete sidecar set (an older out dir) gets one url-only
@@ -251,9 +246,8 @@ def run_validation(
     t_committed = time.time()
 
     # ---------------- global phase: C1 verify + stats merge, OVERLAPPED ------
-    # every partition has committed. The candidate union waits for the range
-    # tasks; this process merges the per-partition stats pickles while the
-    # exact verify's tasks run.
+    # every partition has committed. This process merges the per-partition
+    # stats pickles while the range tasks find and verify the duplicates.
     t_row_done, collectors = c1["t_row_done"], c1["collectors"]
     # the kept manifests and this run's commits are every partition of THIS
     # run's input set (_keep_committed dropped the rest before the scan)
@@ -267,19 +261,14 @@ def run_validation(
         merged["stats"] = merge_stats([s for s in all_stats if s is not None])
         merged["wall"] = time.time() - t
 
+    dups, vc = verify_candidates(collectors, meanwhile=_merge_stats)
+    t_v = time.time()
     cand = collector_candidates(collectors)
-    t_c = time.time()
-    # exact verify (url strings + u64-collision collapse): the range tasks'
-    # per-file attribution names the files holding a candidate hash, and
-    # verified.parquet serves committed ones whose rows it already holds
-    dups, vc = verify_candidates(partition_of, "url", cand, collectors,
-                                 table=verified, table_path=verified_path,
-                                 cpus=cpus, meanwhile=_merge_stats)
     global_stats = merged["stats"]
     c1_counts.update(vc, candidates=int(cand.size))
     c1_walls = {"feeds": round(c1["t_f"] - t_row_done, 3),
-                "candidates": round(t_c - t_committed, 3),
-                "verify": round(time.time() - t_c, 3)}
+                "candidates": round(time.time() - t_v, 3),
+                "verify": round(t_v - t_committed, 3)}
     c1_viol = duplicates_to_violations(dups)
 
     # ---------------- global phase: C5 drift ---------------------------------
@@ -486,7 +475,8 @@ def _keep_committed(store: ManifestStore, sigs: dict, viol_dir: str,
     is any part or sidecar without a kept manifest (a run killed before the
     commit): a deleted and re-added file, or one rewritten in place, is
     re-scanned, and a reused pid starts clean instead of being tiled by a
-    deleted file's sidecars. Sidecars of the older ``.npz`` format are all
+    deleted file's sidecars. Sidecars of the older ``.npz`` and ``.npy``
+    formats and the older ``verified.parquet`` verify table are all
     removed; the kept files they covered get ``url_sidecar`` rewrites."""
     seen, keep = set(), {}
     parts = [(pid, rec) for pid, rec in store.completed().items()
@@ -502,7 +492,9 @@ def _keep_committed(store: ManifestStore, sigs: dict, viol_dir: str,
     for d in (viol_dir, c1_dir):
         for name in (os.listdir(d) if os.path.isdir(d) else []):
             m = re.match(r"(?:part|item)-(\d+)", name)
-            if name.endswith(".npz") or (m and int(m.group(1)) not in keep):
+            old = (name.endswith((".npz", ".npy"))
+                   or name == "verified.parquet")
+            if old or (m and int(m.group(1)) not in keep):
                 os.remove(os.path.join(d, name))
     return keep, len(parts) - len(keep)
 

@@ -176,7 +176,7 @@ def test_failing_scan_task_raises_then_resume_equals_fresh(pages_fixture,
 
 def test_resume_feeds_c1_from_sidecars(pages_fixture, tmp_path, monkeypatch):
     """A resume run must feed committed partitions' C1 hashes from the
-    persisted .npy sidecars (no parquet re-read): poison the url-read
+    persisted .arrow sidecars (no parquet re-read): poison the url-read
     fallback and assert the resumed verdicts still match a fresh run."""
     import glob
 
@@ -188,7 +188,7 @@ def test_resume_feeds_c1_from_sidecars(pages_fixture, tmp_path, monkeypatch):
     s_fresh = _run(pages_fixture, fresh_dir)
 
     _run(pages_fixture, resumed_dir)
-    assert glob.glob(os.path.join(resumed_dir, "c1", "*.npy"))
+    assert glob.glob(os.path.join(resumed_dir, "c1", "*.arrow"))
     # drop the global manifest so the run re-executes ONLY the global phase,
     # with every partition already committed → the feed covers all of them
     for p in glob.glob(os.path.join(resumed_dir, "manifests", "*global*")):
@@ -207,11 +207,10 @@ def test_resume_feeds_c1_from_sidecars(pages_fixture, tmp_path, monkeypatch):
 def test_committed_sidecars_tiling(tmp_path):
     """Sidecar discovery globs what the scan wrote and accepts ONLY an
     exact row-group tiling — mixed splits resolve greedily, gaps reject."""
-    import numpy as np
     import pyarrow as pa
     import pyarrow.parquet as pq
 
-    from lk_data_test_ray.checks.row import committed_sidecars
+    from lk_data_test_ray.checks.row import committed_sidecars, write_sidecar
 
     f = str(tmp_path / "part.parquet")
     # 8 row groups of 2 rows
@@ -221,8 +220,8 @@ def test_committed_sidecars_tiling(tmp_path):
     c1.mkdir()
 
     def touch(pid, lo, hi):
-        np.save(str(c1 / f"item-{pid:05d}-{lo:05d}-{hi:05d}.npy"),
-                np.zeros((2, 0), np.int64))
+        write_sidecar(str(c1 / f"item-{pid:05d}-{lo:05d}-{hi:05d}.arrow"),
+                      None, None)
 
     # incomplete coverage → None
     touch(3, 0, 4)
@@ -231,11 +230,12 @@ def test_committed_sidecars_tiling(tmp_path):
     touch(3, 4, 8)
     got = committed_sidecars(str(c1), 3, f)
     assert [os.path.basename(g) for g in got] == [
-        "item-00003-00000-00004.npy", "item-00003-00004-00008.npy"]
+        "item-00003-00000-00004.arrow", "item-00003-00004-00008.arrow"]
     # a different run's coarser split mixes in → greedy picks the max-hi walk
     touch(3, 0, 8)
     got = committed_sidecars(str(c1), 3, f)
-    assert [os.path.basename(g) for g in got] == ["item-00003-00000-00008.npy"]
+    assert [os.path.basename(g) for g in got] == [
+        "item-00003-00000-00008.arrow"]
     # other pid's sidecars are invisible
     assert committed_sidecars(str(c1), 4, f) is None
 
@@ -370,7 +370,7 @@ def test_delete_then_readd_equals_fresh(pages_fixture, tmp_path):
     out = str(tmp_path / "out")
     run_validation(str(inp), out)
     man, c1 = os.path.join(out, "manifests"), os.path.join(out, "c1")
-    assert glob.glob(os.path.join(c1, "item-00000-*.npy"))
+    assert glob.glob(os.path.join(c1, "item-00000-*.arrow"))
 
     # delete the first file: its whole partition goes
     os.remove(inp / parts[0])
@@ -472,19 +472,19 @@ def _dup_urls(by_file):
     return {u for u, n in c.items() if n > 1}
 
 
-def test_chained_append_rereads_only_new_dups(pages_fixture, tmp_path,
-                                              monkeypatch, caplog):
+def test_chained_append_counts_dups_from_sidecars(pages_fixture, tmp_path,
+                                                  monkeypatch, caplog):
     """Chained appends: a new file duplicates an old url, a later one takes
     that url to 3 copies, a third adds a dup of an old file, a fourth a
-    second dup of the first old file, a fifth none. Every step
-    equals a fresh run; the verify re-reads exactly the new files holding
-    a duplicate plus the old files holding a NEWLY duplicated url (the rest
-    are served from c1/verified.parquet); the summary and the one INFO
-    event report the step honestly."""
+    second dup of the first old file, a fifth none. Every step equals a
+    fresh run, fed from the committed sidecars alone (the url-only
+    fallback is poisoned); the summary and the one INFO event report the
+    step honestly, ``verify_files`` counting every file, old or new, that
+    holds a duplicated url."""
     import glob
     import logging
 
-    import lk_data_test_ray.checks.uniqueness as u
+    from lk_data_test_ray.pipelines import validate as v
 
     src = sorted(glob.glob(os.path.join(pages_fixture, "pages", "*.parquet")))
     inp = tmp_path / "in"
@@ -496,42 +496,32 @@ def test_chained_append_rereads_only_new_dups(pages_fixture, tmp_path,
     url0, url1 = pq.read_table(src[0], columns=["url"])["url"][:2]
     url0, url1 = url0.as_py(), url1.as_py()
 
-    reread = []
-    real = u._collect_rows.remote
+    def _boom(*a, **k):
+        raise AssertionError("a committed file's sidecars were incomplete")
 
-    def spy(paths, pids, key, cand):
-        reread.extend(paths)
-        return real(paths, pids, key, cand)
-
-    monkeypatch.setattr(u._collect_rows, "remote", spy)
     caplog.set_level(logging.INFO, logger="lk_data_test_ray")
     steps = [("a1.parquet", lambda d: _copy_with_urls(src[3], d, {0: url0})),
              ("a2.parquet", lambda d: _copy_with_urls(src[4], d, {0: url0})),
              # src[10] repeats a url of src[1]: an old file's first dup
              (os.path.basename(src[10]), lambda d: shutil.copy(src[10], d)),
-             # a second dup in src[0], whose first one the table holds
+             # a second dup in src[0]
              ("a3.parquet", lambda d: _copy_with_urls(src[5], d, {0: url1})),
-             # no dup at all: nothing is re-read, src[0] is served cached
+             # no new dup at all
              ("a4.parquet", lambda d: _copy_with_urls(src[6], d))]
     for i, (name, write) in enumerate(steps):
         old = sorted(glob.glob(str(inp / "*.parquet")))
-        before = _dup_urls(_urls(old))
         new = str(inp / name)
         write(new)
         by_file = _urls([*old, new])
         after = _dup_urls(by_file)
-        want = sorted(f for f in by_file
-                      if (f == new and set(by_file[f]) & after)
-                      or set(by_file[f]) & (after - before))
-        del reread[:]
+        holding = [f for f in by_file if set(by_file[f]) & after]
         caplog.clear()
-        s = run_validation(str(inp), out)
-        assert sorted(reread) == want
-        cached = [f for f in old if set(by_file[f]) & after and f not in want]
+        with monkeypatch.context() as m:
+            m.setattr(v.url_sidecar, "remote", _boom)
+            s = run_validation(str(inp), out)
         assert s["c1"] == {"sidecar_files": len(old),
                            "url_fallback_files": 0,
-                           "verify_reread_files": len(want),
-                           "verify_cached_files": len(cached),
+                           "verify_files": len(holding),
                            "candidates": len(after)}
         assert s["rows_scanned"] == len(by_file[new])
         assert s["rows_per_sec"] < s["n_rows"] / s["wall_sec"]
@@ -547,6 +537,8 @@ def test_chained_append_rereads_only_new_dups(pages_fixture, tmp_path,
     c1 = [r for r in load_violations(out).to_pylist()
           if r["check_id"] == "c1_url_unique"]
     assert {r["url"]: r["detail"] for r in c1}[url0] == "count=3"
+    # C1 rows come out sorted by url
+    assert [r["url"] for r in c1] == sorted(after)
 
 
 def test_inplace_rewrite_equals_fresh(pages_fixture, tmp_path):
@@ -588,15 +580,17 @@ def test_inplace_rewrite_equals_fresh(pages_fixture, tmp_path):
                   run_validation(str(inp), str(tmp_path / "fresh2")))
 
 
-def test_pid_reuse_never_reads_stale_verified_rows(pages_fixture, tmp_path,
-                                                   monkeypatch):
-    """The highest-pid file holds a duplicate (so verified.parquet has rows
-    for its pid). Delete it, run, add a different file that reuses the pid:
-    equal to a fresh run. Then swap that file for a third one reusing the
-    pid in a run that dies after its commits, before the table rewrite: the
-    next run must not serve the third file from the second one's rows."""
+def test_pid_reuse_never_reads_stale_c1_rows(pages_fixture, tmp_path,
+                                             monkeypatch):
+    """The highest-pid file holds a duplicate (so its sidecars carry the
+    duplicated url). Delete it, run: its sidecars go. Add a different file
+    that reuses the pid: equal to a fresh run, and the pid's sidecars hold
+    that file's urls only. Then swap that file for a third one reusing the
+    pid in a run that dies after its commits, before the global phase: the
+    next run must not count the second file's rows."""
     import glob
 
+    from lk_data_test_ray.checks.row import read_sidecar
     from lk_data_test_ray.pipelines import validate as v
 
     src = sorted(glob.glob(os.path.join(pages_fixture, "pages", "*.parquet")))
@@ -609,9 +603,14 @@ def test_pid_reuse_never_reads_stale_verified_rows(pages_fixture, tmp_path,
     _copy_with_urls(src[4], z, {0: url0})
     out = str(tmp_path / "out")
     run_validation(str(inp), out)
-    table = os.path.join(out, "c1", "verified.parquet")
-    rows = pq.read_table(table).to_pylist()
-    assert {"pid": 3, "h": rows[0]["h"], "url": url0} in rows
+
+    def pid3_urls():
+        return sorted(u for sp in glob.glob(os.path.join(
+            out, "c1", "item-00003-*.arrow"))
+            for u in read_sidecar(sp)[1].to_pylist())
+
+    assert pid3_urls() == sorted(_urls([z])[z])
+    assert url0 in pid3_urls()
 
     def check(tag, s):
         fresh = str(tmp_path / f"fresh_{tag}")
@@ -619,70 +618,67 @@ def test_pid_reuse_never_reads_stale_verified_rows(pages_fixture, tmp_path,
 
     os.remove(z)
     check("deleted", run_validation(str(inp), out))
+    assert pid3_urls() == []
     _copy_with_urls(src[5], y, {0: url0, 1: url0})
     check("reused", run_validation(str(inp), out))
-    assert pq.read_table(table)["pid"].to_pylist().count(3) == 2
+    assert pid3_urls() == sorted(_urls([y])[y])
+    assert pid3_urls().count(url0) == 2
 
     os.remove(y)
     _copy_with_urls(src[6], x, {0: url0, 1: url0, 2: url0})
 
-    def die(collectors):
-        raise RuntimeError("simulated death before the table rewrite")
+    def die(*a, **k):
+        raise RuntimeError("simulated death before the global phase")
 
     with monkeypatch.context() as m:
-        m.setattr(v, "collector_candidates", die)
+        m.setattr(v, "verify_candidates", die)
         with pytest.raises(RuntimeError, match="simulated death"):
             run_validation(str(inp), out)
     s = run_validation(str(inp), out)
     assert s["rows_scanned"] == 0
+    assert pid3_urls() == sorted(_urls([x])[x])
     check("crashed", s)
+    c1 = {r["url"]: r["detail"] for r in load_violations(out).to_pylist()
+          if r["check_id"] == "c1_url_unique"}
+    assert c1[url0] == "count=4"
 
 
 def test_verify_candidates_exact_under_u64_collision(tmp_path):
-    """Unit: hand-written sidecars and a pre-seeded verified table where two
-    distinct urls share one u64 hash. Committed files whose hashes the
-    table holds are served from it (they do not even exist on disk), the
-    new file is re-read, per-url counts are exact, and the rewritten table
-    holds the rows of committed and re-read pids only (loading it for the
-    committed pids drops pid 9 from the file)."""
+    """Unit: hand-written sidecars where two distinct urls share one u64
+    hash in each half of the hash space, and two null urls share a third.
+    The files need not exist (no input is read after the scan); for 1, 2
+    and 4 ranges the per-url counts are exact, nulls are not counted,
+    every colliding hash is a candidate, and the files holding one are
+    counted."""
     import numpy as np
 
     from lk_data_test_ray.checks.row import write_sidecar
     from lk_data_test_ray.checks.uniqueness import (collector_candidates,
-                                                    load_verified,
                                                     make_collectors,
-                                                    save_verified,
-                                                    verify_candidates,
-                                                    VERIFIED_SCHEMA)
+                                                    verify_candidates)
     from lk_data_test_ray.functions.hashing import hash_strings64
 
-    f1, f2, f3 = (str(tmp_path / n) for n in ("f1.parquet", "f2.parquet",
-                                               "f3.parquet"))
-    pq.write_table(pa.table({"url": ["c", "d", "c"]}), f3)
     hc, hd = hash_strings64(np.array(["c", "d"], dtype=object))
-    H, H2 = np.uint64(12345), np.uint64(777)  # "a" and "b" both hash to H
+    # "a"/"b" share H and "x"/"y" share G; N holds two null urls
+    H, H2, G, N = 12345, 777, 2**63 + 99, 2**62 + 3
+    feeds = {"f0.parquet": [(H2, "z"), (H, "a"), (G, "x"), (N, None)],
+             "f1.parquet": [(H, "b"), (H, "b"), (G, "y"), (N, None)],
+             "f2.parquet": [(int(hc), "c"), (int(hd), "d"), (int(hc), "c")],
+             "f3.parquet": [(1, "e")]}
     scs = []
-    for f, hs in ((f1, [H2, H]), (f2, [H, H]), (f3, [hc, hd, hc])):
-        scs.append((f, f + ".npy"))
-        write_sidecar(f + ".npy", np.array(hs, np.uint64))
-    cols = make_collectors(scs, 1)
-    table = str(tmp_path / "verified.parquet")
-    save_verified(table, pa.Table.from_pylist(
-        [{"pid": 0, "h": int(H), "url": "a"},
-         {"pid": 0, "h": int(H2), "url": "z"},
-         {"pid": 1, "h": int(H), "url": "b"},
-         {"pid": 1, "h": int(H), "url": "b"},
-         {"pid": 9, "h": int(H), "url": "stale"}], schema=VERIFIED_SCHEMA))
-    cand = collector_candidates(cols)
-    assert sorted(cand.tolist()) == sorted([int(H), int(hc)])
-    dups, counts = verify_candidates(
-        {f1: 0, f2: 1, f3: 2}, "url", cand, cols,
-        table=load_verified(table, keep={0, 1}), table_path=table)
-    assert dict(zip(dups["url"].to_pylist(),
-                    dups["count"].to_pylist())) == {"b": 2, "c": 2}
-    assert counts == {"verify_reread_files": 1, "verify_cached_files": 2}
-    got = sorted((r["pid"], r["url"]) for r in pq.read_table(table).to_pylist())
-    assert got == [(0, "a"), (0, "z"), (1, "b"), (1, "b"), (2, "c"), (2, "c")]
+    for f, rows in feeds.items():
+        sp = str(tmp_path / (f + ".arrow"))
+        write_sidecar(sp, np.array([h for h, _ in rows], np.uint64),
+                      pa.array([u for _, u in rows], pa.string()))
+        scs.append((str(tmp_path / f), sp))
+    for n in (1, 2, 4):
+        cols = make_collectors(scs, n)
+        assert sorted(collector_candidates(cols).tolist()) == sorted(
+            [H, G, N, int(hc)])
+        dups, counts = verify_candidates(cols)
+        assert dups.to_pylist() == [{"url": "b", "count": 2},
+                                    {"url": "c", "count": 2}]
+        assert counts == {"verify_files": 3}
 
 
 def test_concurrent_runs_keep_their_own_c1(pages_fixture, tmp_path,
@@ -742,16 +738,19 @@ def test_concurrent_runs_keep_their_own_c1(pages_fixture, tmp_path,
 
 def test_npz_sidecar_out_dir_upgrades_on_first_resume(pages_fixture,
                                                       tmp_path, monkeypatch):
-    """An out dir whose sidecars are the older three-member ``.npz`` files
-    (``h``, ``c``, ``item_key``): the first resume removes every ``.npz``,
-    writes one whole-file ``.npy`` sidecar per committed file through the
-    url-only fallback, and equals a fresh run. A second resume, with that
-    fallback poisoned, is fed from the new sidecars and equals a fresh run
-    too."""
+    """An out dir whose sidecars are of the two older formats, half
+    three-member ``.npz`` files (``h``, ``c``, ``item_key``) and half
+    2-row ``(hash, count)`` ``.npy`` arrays, beside an older
+    ``verified.parquet`` verify table: the first resume removes all of
+    them, writes one whole-file ``.arrow`` sidecar per committed file
+    through the url-only fallback, and equals a fresh run. A second
+    resume, with that fallback poisoned, is fed from the new sidecars and
+    equals a fresh run too."""
     import glob
 
     import numpy as np
 
+    from lk_data_test_ray.checks.row import read_sidecar
     from lk_data_test_ray.pipelines import validate as v
 
     src = sorted(glob.glob(os.path.join(pages_fixture, "pages", "*.parquet")))
@@ -764,12 +763,19 @@ def test_npz_sidecar_out_dir_upgrades_on_first_resume(pages_fixture,
     out = str(tmp_path / "out")
     run_validation(str(inp), out)
     c1 = os.path.join(out, "c1")
-    for sp in glob.glob(os.path.join(c1, "item-*.npy")):
-        hc = np.load(sp)
-        np.savez(sp[:-4], h=hc[0], c=hc[1],
-                 item_key=np.array(f"{sp}:0:1"))
+    for i, sp in enumerate(sorted(glob.glob(os.path.join(c1, "item-*")))):
+        h, c = np.unique(read_sidecar(sp)[0], return_counts=True)
+        base = sp[:-len(".arrow")]
+        if i < 2:
+            np.savez(base, h=h.view(np.int64), c=c,
+                     item_key=np.array(f"{sp}:0:1"))
+        else:
+            np.save(base + ".npy", np.stack([h.view(np.int64), c]))
         os.remove(sp)
-    assert len(glob.glob(os.path.join(c1, "*.npz"))) == 4
+    pq.write_table(pa.table({"pid": [3], "h": [1], "url": [url0]}),
+                   os.path.join(c1, "verified.parquet"))
+    assert len(glob.glob(os.path.join(c1, "*.npz"))) == 2
+    assert len(glob.glob(os.path.join(c1, "*.npy"))) == 2
     fresh = str(tmp_path / "fresh")
     s_fresh = run_validation(str(inp), fresh)
 
@@ -780,10 +786,8 @@ def test_npz_sidecar_out_dir_upgrades_on_first_resume(pages_fixture,
     s = rerun()
     assert s["c1"]["url_fallback_files"] == 4
     assert s["c1"]["sidecar_files"] == 0
-    assert not glob.glob(os.path.join(c1, "*.npz"))
-    assert sorted(os.path.basename(p) for p in glob.glob(
-        os.path.join(c1, "item-*"))) == [
-        f"item-{pid:05d}-00000-00001.npy" for pid in range(4)]
+    assert sorted(os.listdir(c1)) == [
+        f"item-{pid:05d}-00000-00001.arrow" for pid in range(4)]
     _same_outputs(out, s, fresh, s_fresh)
 
     def _boom(*a, **k):
@@ -911,3 +915,76 @@ def test_resume_takes_row_groups_from_manifests(pages_fixture, tmp_path,
     for i, new in enumerate(src[4:6], 1):
         kept, footers = step(i, new)
         assert set(kept[:4]) <= footers
+
+
+def test_resume_reads_no_committed_input(pages_fixture, tmp_path):
+    """No input is read after the scan. Commit 3 files, then overwrite one
+    with as many zero bytes and restore its mtime_ns, so it still counts
+    as committed. A new file repeats one of that file's urls: the resume
+    counts the duplicate from the sidecars alone (``count=2``) and equals
+    a fresh run over the original bytes."""
+    import glob
+
+    src = sorted(glob.glob(os.path.join(pages_fixture, "pages", "*.parquet")))
+    inp, orig = tmp_path / "in", tmp_path / "orig"
+    inp.mkdir()
+    orig.mkdir()
+    for f in src[:3]:
+        for d in (inp, orig):
+            shutil.copy(f, d / os.path.basename(f))
+    out = str(tmp_path / "out")
+    run_validation(str(inp), out)
+
+    seen = [u for us in _urls(src[:3]).values() for u in us]
+    url = next(u for u in _urls([src[1]])[src[1]] if seen.count(u) == 1)
+    victim = str(inp / os.path.basename(src[1]))
+    st = os.stat(victim)
+    with open(victim, "r+b") as fh:
+        fh.write(b"\0" * st.st_size)
+    os.utime(victim, ns=(st.st_atime_ns, st.st_mtime_ns))
+    for d in (inp, orig):
+        _copy_with_urls(src[5], str(d / "new.parquet"), {0: url})
+
+    s = run_validation(str(inp), out)
+    assert s["rows_scanned"] == pq.read_metadata(src[5]).num_rows
+    assert s["c1"]["url_fallback_files"] == 0
+    c1 = {r["url"]: r["detail"] for r in load_violations(out).to_pylist()
+          if r["check_id"] == "c1_url_unique"}
+    assert c1[url] == "count=2"
+    fresh = str(tmp_path / "fresh")
+    _same_outputs(out, s, fresh, run_validation(str(orig), fresh))
+
+
+def test_c1_null_urls_match_duckdb(pages_fixture, tmp_path):
+    """C1's null rule is SQL's: two files each hold a row with a null url,
+    beside a real duplicate. C1 reports only the real duplicates, in a
+    fresh run and in a resume that appends the second file, exactly as
+    DuckDB's ``url IS NOT NULL`` group count over the same files."""
+    import glob
+
+    import duckdb
+
+    src = sorted(glob.glob(os.path.join(pages_fixture, "pages", "*.parquet")))
+    real = pq.read_table(src[0], columns=["url"])["url"][1].as_py()
+    inp = tmp_path / "in"
+    inp.mkdir()
+    a, b, c = (str(inp / n) for n in ("a.parquet", "b.parquet", "c.parquet"))
+    _copy_with_urls(src[0], a, {0: None})
+    shutil.copy(src[2], c)
+    out = str(tmp_path / "out")
+    run_validation(str(inp), out)
+    _copy_with_urls(src[1], b, {0: None, 1: real})
+    resumed = run_validation(str(inp), out)
+    fresh = str(tmp_path / "fresh")
+    s_fresh = run_validation(str(inp), fresh)
+    _same_outputs(out, resumed, fresh, s_fresh)
+
+    want = dict(duckdb.sql(
+        f"SELECT url, count(*) FROM read_parquet({[a, b, c]!r}) "
+        "WHERE url IS NOT NULL GROUP BY url HAVING count(*) > 1").fetchall())
+    assert want[real] == 2 and None not in want
+    for d, s in ((out, resumed), (fresh, s_fresh)):
+        c1 = {r["url"]: r["detail"] for r in load_violations(d).to_pylist()
+              if r["check_id"] == "c1_url_unique"}
+        assert c1 == {u: f"count={n}" for u, n in want.items()}
+        assert s["per_check_violations"]["c1_url_unique"] == len(want)

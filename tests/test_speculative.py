@@ -82,56 +82,64 @@ def test_partial_resume_feeds_c1(pages_fixture, tmp_path, golden):
 
 
 def test_range_tasks_disjoint_and_exact(tmp_path):
-    """Unit: split_by_range partitions a sorted hash array into disjoint
-    top-bit ranges; the C1 range tasks over hand-written sidecars find a
-    url whose per-item count is 1 in two DIFFERENT items (of one file or of
-    two) as a global dup, and a backup copy of an item (the same sidecar
-    written twice) counts once. For every range count the tasks' candidates
-    stay inside their ranges and their union and per-file attribution are
-    the same; no sidecars give no candidates."""
+    """Unit: split_by_range cuts a sorted hash array into disjoint top-bit
+    ranges; the C1 range tasks over hand-written sidecars find a url whose
+    per-item count is 1 in two DIFFERENT items (of one file or of two) as
+    a global dup, and a backup copy of an item (the same sidecar written
+    twice) counts once. For every range count the tasks' candidates and
+    verified duplicates stay inside their ranges, and their union, the
+    duplicate table and the files holding a candidate are the same; no
+    sidecars give no candidates."""
+    import pyarrow as pa
+
     from lk_data_test_ray.checks.row import write_sidecar
     from lk_data_test_ray.checks.uniqueness import (collector_candidates,
                                                     make_collectors,
-                                                    split_by_range)
+                                                    split_by_range,
+                                                    verify_candidates)
 
     h = np.array([1, 2, 3, 2**63 + 5], dtype=np.uint64)
-    one = np.ones(4, dtype=np.int64)
     # split_by_range: top bit 0 → range 0; top bit 1 → range 1
-    parts = split_by_range(h, one, 2)
-    assert [p[0].tolist() for p in parts] == [[1, 2, 3], [2**63 + 5]]
-    assert sum(len(p[1]) for p in parts) == 4
+    assert [h[r].tolist() for r in split_by_range(h, 2)] == [
+        [1, 2, 3], [2**63 + 5]]
+    assert [h[r].tolist() for r in split_by_range(h, 1)] == [h.tolist()]
+    url_of = {1: "u1", 2: "u2", 3: "u3", 2**63 + 5: "u5", 2**62 + 7: "u7"}
 
     def sidecar(name, hs):
         sp = str(tmp_path / name)
-        write_sidecar(sp, np.asarray(hs, np.uint64))
+        write_sidecar(sp, np.asarray(hs, np.uint64),
+                      pa.array([url_of[x] for x in hs], pa.string()))
         return sp
 
     # hash 1 twice in one item, hash 2 once in each of two items of one
     # file, hash 2**63+5 once in each of two files: all three dup. Hash 3
-    # and 2**62+7 are unique, though b.npy is written twice.
-    sidecar("b.npy", [2, 3])
-    scs = [("f.parquet", sidecar("a.npy", [2, 2**63 + 5, 1, 1])),
-           ("f.parquet", sidecar("b.npy", [2, 3])),
-           ("g.parquet", sidecar("c.npy", [2**63 + 5, 2**62 + 7])),
-           ("h.parquet", sidecar("d.npy", []))]
+    # and 2**62+7 are unique, though b.arrow is written twice.
+    sidecar("b.arrow", [2, 3])
+    scs = [("f.parquet", sidecar("a.arrow", [2, 2**63 + 5, 1, 1])),
+           ("f.parquet", sidecar("b.arrow", [2, 3])),
+           ("g.parquet", sidecar("c.arrow", [2**63 + 5, 2**62 + 7])),
+           ("h.parquet", sidecar("d.arrow", []))]
     for n in (1, 2, 4):
         refs = make_collectors(scs, n)
         assert len(refs) == n
-        per = ray.get(refs)
         bits = n.bit_length() - 1
-        for j, (cand, _) in enumerate(per):
+        held = set()
+        for j, (cand, dups, files) in enumerate(ray.get(refs)):
             assert all(int(c) >> (64 - bits) == j for c in cand.tolist())
+            assert sorted(dups["url"].to_pylist()) == sorted(
+                url_of[c] for c in cand.tolist())
+            held.update(files)
+        assert held == {"f.parquet", "g.parquet"}
         cand = collector_candidates(refs)
         assert sorted(cand.tolist()) == [1, 2, 2**63 + 5]
-        hits: dict = {}
-        for _, part in per:
-            for f, hs in part.items():
-                hits[f] = sorted(hits.get(f, []) + hs.tolist())
-        assert hits == {"f.parquet": [1, 2, 2**63 + 5],
-                        "g.parquet": [2**63 + 5]}
+        dups, counts = verify_candidates(refs)
+        assert dups.to_pylist() == [{"url": u, "count": 2}
+                                    for u in ("u1", "u2", "u5")]
+        assert counts == {"verify_files": 2}
     for n in (1, 2):
         empty = make_collectors([], n)
         assert collector_candidates(empty).tolist() == []
-        assert [hits for _, hits in ray.get(empty)] == [{}] * n
+        dups, counts = verify_candidates(empty)
+        assert dups.num_rows == 0 and counts == {"verify_files": 0}
     with pytest.raises(ValueError, match="power of two"):
         make_collectors(scs, 3)
