@@ -34,6 +34,7 @@ import pyarrow.parquet as pq
 import ray
 
 from ..functions.hashing import hash_strings64
+from ..relational import default_p_bits
 
 
 @ray.remote
@@ -81,8 +82,7 @@ def find_dangling_links(pages_paths: list[str], links_paths: list[str],
                         p_bits: int | None = None) -> pa.Table:
     """All link rows whose dst_url does not exist in the pages table."""
     if p_bits is None:
-        cpus = int(ray.cluster_resources().get("CPU", 8))
-        p_bits = max(2, min(6, int(np.log2(max(2, cpus)))))
+        p_bits = default_p_bits()
     P = 1 << p_bits
 
     per_file = [

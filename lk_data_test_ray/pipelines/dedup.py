@@ -28,8 +28,7 @@ import ray.data as rd
 
 from ..functions.hashing import md5_hex
 from ..functions.text import TOKEN_SPLIT
-from ..relational import (partial_groupby_agg,
-                          round_half_away)
+from ..relational import map_groups, partial_groupby_agg, round_half_away
 from .graph import min_fixpoint, self_labels, state_dataset
 
 # ---------------------------------------------------------------------------
@@ -167,7 +166,7 @@ def shingle_jaccard_pairs(
         return pa.table({"id_a": pa.array(ids[ia], pa.int64()),
                          "id_b": pa.array(ids[ib], pa.int64())})
 
-    pairs = sh.groupby("shingle").map_groups(emit_pairs, batch_format="pyarrow")
+    pairs = map_groups(sh, "shingle", emit_pairs)
     inter = partial_groupby_agg(pairs, ["id_a", "id_b"],
                                 [("id_a", "count", "inter")])
 
@@ -669,8 +668,7 @@ def simhash_pairs(ds: rd.Dataset, id_col: str, text_col: str,
     # members reach the per-group pairing
     hot = _hot_buckets(signed, id_col)
     survivors = _filter_to_hot(signed, hot)
-    pairs = survivors.groupby(["band", "bkey"]).map_groups(
-        bucket_pairs, batch_format="pyarrow")
+    pairs = map_groups(survivors, ["band", "bkey"], bucket_pairs)
     return partial_groupby_agg(pairs, ["id_a", "id_b"],
                                [("hamming", "min", "hamming")])
 
@@ -708,8 +706,8 @@ def embedding_cosine_pairs(
                                pa.float64()),
         })
 
-    return ds.select_columns([id_col, vec_col, block_col]).groupby(
-        block_col).map_groups(pairs_in_block, batch_format="pyarrow")
+    return map_groups(ds.select_columns([id_col, vec_col, block_col]),
+                      block_col, pairs_in_block)
 
 
 def semantic_dedup(ds: rd.Dataset, id_col: str = "vec_id",

@@ -32,7 +32,7 @@ import pyarrow.compute as pc
 import ray
 import ray.data as rd
 
-from ..relational import (_bucket_of, default_p_bits, drop_empty_blocks,
+from ..relational import (default_p_bits, drop_empty_blocks, hash_split,
                           partial_groupby_agg, round_half_away)
 
 
@@ -612,11 +612,7 @@ _LOG = logging.getLogger("lk_data_test_ray")
 def _ranges(t: pa.Table, pb: int) -> tuple:
     """``t``'s rows with a non-null ``node``, split to the ``2**pb``
     node-hash ranges."""
-    t = t.filter(pc.is_valid(t["node"]))
-    if t.num_rows == 0:
-        return (t,) * (1 << pb)
-    bkt = _bucket_of(t["node"], pb)
-    return tuple(t.filter(pa.array(bkt == p)) for p in range(1 << pb))
+    return hash_split(t.filter(pc.is_valid(t["node"])), "node", pb)
 
 
 @ray.remote
@@ -1296,11 +1292,8 @@ def common_neighbor_scores(edges: rd.Dataset, a_col: str = "a",
             "aa": g["inv_ln_sum"]}, schema=pair_schema)
 
     # merge partials with ONE hash exchange + a local C++ group_by per
-    # range — NOT Dataset.groupby: Ray's sort-based aggregate pays ~90 s
-    # on a few million string-pair partial rows (key cardinality ≈ block
-    # size, so map-side combine can't shrink them), the same failure mode
-    # the day-series tree-fold fixed; pair keys are high-cardinality so
-    # the range-owned local merge is the right shape at any scale.
+    # range: pair-key cardinality ≈ block size, so a map-side combine
+    # can't shrink them.
     from ..relational import hash_repartition_map
 
     def merge_pairs(tbl: pa.Table) -> pa.Table:

@@ -20,8 +20,9 @@ from ..checks.vocab import ISO_639_1
 from ..functions.hashing import (md5_hex, md5_hex_ints,
                                  rolling_fingerprint, simhash64)
 from ..functions.text import lang_id, quality_features, token_counts
-from ..relational import (broadcast_join, partial_groupby_agg, read,
-                          read_table, round_half_away, topk)
+from ..relational import (broadcast_join, collect_tables, map_groups,
+                          partial_groupby_agg, read, read_table, round_cols,
+                          round_half_away, topk)
 
 # thresholds shared verbatim with the oracle SQL
 JACCARD_THRESHOLD = 0.3
@@ -33,16 +34,7 @@ STOPWORD_SQL_LIST = "'the','a','of','and','to','in','is','on','for','with'"
 
 
 def _round_stage(cols: dict[str, int]):
-    def fn(batch: pa.Table) -> pa.Table:
-        for name, nd in cols.items():
-            i = batch.column_names.index(name)
-            batch = batch.set_column(
-                i, name,
-                pc.round(batch[name], ndigits=nd,
-                         round_mode="half_towards_infinity"))
-        return batch
-
-    return fn
+    return lambda batch: round_cols(batch, cols)
 
 
 # ---------------------------------------------------------------------------
@@ -146,8 +138,7 @@ def q3_top_orders(sf_dir: str) -> rd.Dataset:
         return batch.append_column("revenue_part", disc)
 
     agg = partial_groupby_agg(joined, ["l_orderkey", "o_orderdate"],
-                              [("revenue_part", "sum", "revenue")], pre=pre,
-                              ts_cols=("o_orderdate",))
+                              [("revenue_part", "sum", "revenue")], pre=pre)
     agg = agg.map_batches(_round_stage({"revenue": 2}), batch_format="pyarrow")
     out = topk(agg, [("revenue", True), ("l_orderkey", False)], 10)
     return out.rename_columns({"l_orderkey": "o_orderkey"})
@@ -407,7 +398,7 @@ def e_hourly_windows(sf_dir: str) -> rd.Dataset:
     agg = partial_groupby_agg(
         ev, ["hour", "event_type"],
         [("value", "sum", "sum_value"), ("value", "count", "n_events")],
-        pre=pre, ts_cols=("hour",))
+        pre=pre)
     return agg.map_batches(_round_stage({"sum_value": 2}),
                            batch_format="pyarrow")
 
@@ -1365,9 +1356,7 @@ def v_daily_lang_drift(sf_dir: str) -> pa.Table:
             "one": pa.array(np.ones(batch.num_rows, np.int64)),
         })
 
-    from ..relational import small_groupby_agg
-
-    counts = small_groupby_agg(
+    counts = partial_groupby_agg(
         pages.map_batches(day_lang, batch_format="pyarrow"),
         ["day", "lang"], [("one", "sum", "n")]).to_pandas()
     pivot = counts.pivot_table(index="day", columns="lang", values="n",
@@ -1407,9 +1396,7 @@ def v_daily_lang_psi(sf_dir: str) -> pa.Table:
             "one": pa.array(np.ones(batch.num_rows, np.int64)),
         })
 
-    from ..relational import small_groupby_agg
-
-    counts = small_groupby_agg(
+    counts = partial_groupby_agg(
         pages.map_batches(day_lang, batch_format="pyarrow"),
         ["day", "lang"], [("one", "sum", "n")]).to_pandas()
     pivot = counts.pivot_table(index="day", columns="lang", values="n",
@@ -1453,9 +1440,7 @@ def v_count_anomaly(sf_dir: str) -> pa.Table:
             "one": pa.array(np.ones(batch.num_rows, np.int64)),
         })
 
-    from ..relational import small_groupby_agg
-
-    counts = small_groupby_agg(
+    counts = partial_groupby_agg(
         pages.map_batches(day_one, batch_format="pyarrow"),
         ["day"], [("one", "sum", "n")]).to_pandas().sort_values("day")
     n = counts["n"].to_numpy(np.float64)
@@ -1530,22 +1515,20 @@ def pages_rolling_distinct_7d(sf_dir: str) -> pa.Table:
                          "one": pa.array(np.ones(len(d), np.int64))},
                         schema=part_schema)
 
-    from ..relational import small_groupby_agg
-
-    counts = small_groupby_agg(
+    counts = collect_tables(partial_groupby_agg(
         hash_repartition_map(ud, "url", contrib),
-        ["d"], [("one", "sum", "n_distinct_7d")])
+        ["d"], [("one", "sum", "n_distinct_7d")]),
+        pa.schema([("d", pa.int32()), ("n_distinct_7d", pa.int64())]))
 
     # windows whose end day has no crawl rows are not reported: filter
     # by the (tiny, driver-merged) set of days present
-    days_present = small_groupby_agg(
+    days_present = partial_groupby_agg(
         ud.map_batches(lambda b: pa.table(
             {"day": b["day"],
              "one": pa.array(np.ones(b.num_rows, np.int64))}),
             batch_format="pyarrow"),
-        ["day"], [("one", "sum", "_n")])
-    present = np.sort(days_present["day"].to_numpy(
-        zero_copy_only=False).astype(np.int32))
+        ["day"], [("one", "sum", "_n")]).to_pandas()
+    present = np.sort(days_present["day"].to_numpy().astype(np.int32))
 
     d32 = counts["d"].cast(pa.int32())
     keep = pc.is_in(d32, value_set=pa.array(present, pa.int32()))
@@ -1595,10 +1578,8 @@ def pages_rolling_distinct_7d_hll(sf_dir: str) -> pa.Table:
         return pa.table({"day": group["day"][:1],
                          "sketch": pa.array([h.to_bytes()], pa.binary())})
 
-    rows = pages.map_batches(partials, batch_format="pyarrow") \
-                .groupby("day").map_groups(merge_day,
-                                           batch_format="pyarrow") \
-                .take_all()                      # one 4 KB sketch per day
+    rows = map_groups(pages.map_batches(partials, batch_format="pyarrow"),
+                      "day", merge_day).take_all()  # one 4 KB sketch/day
     from ..sketches import HyperLogLog
 
     rows.sort(key=lambda r: r["day"])
@@ -1712,8 +1693,6 @@ def pages_rolling_p95_len_7d(sf_dir: str) -> pa.Table:
 
     def merge_partition(tbl: pa.Table) -> pa.Table:
         # all partials of a day land in one range: local segmented merge
-        # (NOT Dataset.groupby().map_groups(): the sort aggregate + one
-        # Python task per day paid ~50 s on the 4385-day series)
         from lk_data_test_ray.sketches import TDigest as _TD
 
         if tbl.num_rows == 0:
@@ -1936,12 +1915,11 @@ def a_distinct_users_per_type(sf_dir: str) -> rd.Dataset:
 
 
 def pages_host_counts(sf_dir: str) -> rd.Dataset:
-    """Skew-safe per-host page counts over the Zipf-skewed fixture hosts —
-    the salted-groupby operator (SURVEY.md §4 'Skew') exercised end-to-end
-    with a DuckDB oracle (salting must not change any count)."""
+    """Skew-safe per-host page counts over the Zipf-skewed fixture hosts
+    (SURVEY.md §4 'Skew'), with a DuckDB oracle: map-side partials shrink
+    a hot host to one row per block before the merge, so no salting is
+    needed."""
     import os
-
-    from ..relational import salted_groupby_count
 
     fix = _pages_fixture(sf_dir)
     pages = rd.read_parquet(os.path.join(fix, "pages"), columns=["url"])
@@ -1950,10 +1928,11 @@ def pages_host_counts(sf_dir: str) -> rd.Dataset:
         host = pc.struct_field(
             pc.extract_regex(batch["url"].combine_chunks(),
                              r"^https://(?P<h>[^/]+)/"), "h")
-        return pa.table({"host": host})
+        return pa.table({"host": host,
+                         "one": pa.array(np.ones(len(host), np.int64))})
 
-    hosts = pages.map_batches(host_of, batch_format="pyarrow")
-    return salted_groupby_count(hosts, "host", out_name="n_pages")
+    return partial_groupby_agg(pages, ["host"], [("one", "count", "n_pages")],
+                               pre=host_of)
 
 
 def g_host_graph(sf_dir: str) -> rd.Dataset:
@@ -2049,8 +2028,7 @@ def g_hits(sf_dir: str) -> pa.Table:
     from ..relational import hash_repartition_map
 
     e = links.map_batches(host_edges, batch_format="pyarrow")
-    # exchange dedup, not the sort aggregate (_host_edges_undirected
-    # rationale: pair-key cardinality ≈ block size)
+    # exchange dedup: pair-key cardinality ≈ block size
     dedup = hash_repartition_map(
         e, "src_host",
         lambda t: t.group_by(["src_host", "dst_host"]).aggregate([]))
@@ -2138,9 +2116,7 @@ def pages_fetch_gaps(sf_dir: str) -> rd.Dataset:
     path and html never leave the scan), ONE hash exchange on host, then
     per partition one sort + segmented ``np.diff`` +
     ``minimum/add.reduceat`` — no per-host Python. Hot Zipf hosts are
-    fine: the per-host work is O(n log n) vectorized, and a genuinely
-    pathological host would shard under the salted-groupby machinery
-    (``relational.salted_groupby_count``) at the cost of exact min only."""
+    fine: the per-host work is O(n log n) vectorized."""
     import os
 
     from ..relational import hash_repartition_map
@@ -2449,7 +2425,7 @@ def t_inverted_index(sf_dir: str) -> rd.Dataset:
 def a_median_nchars(sf_dir: str) -> rd.Dataset:
     """Exact grouped median (per-group quantile; groups are few, rows per
     group arbitrary — the one aggregate that genuinely needs the group's
-    values together, so map_groups is the right tool here)."""
+    values together)."""
     docs = read(sf_dir, "documents", ["lang", "n_chars"])
 
     def med(group: pa.Table) -> pa.Table:
@@ -2461,7 +2437,7 @@ def a_median_nchars(sf_dir: str) -> rd.Dataset:
                 pa.float64()),
         })
 
-    return docs.groupby("lang").map_groups(med, batch_format="pyarrow")
+    return map_groups(docs, "lang", med)
 
 
 def t_quantiles_sketch(sf_dir: str) -> rd.Dataset:
@@ -2496,8 +2472,8 @@ def t_quantiles_sketch(sf_dir: str) -> rd.Dataset:
             "p95_est": pa.array([round(td.quantile(0.95), 1)], pa.float64()),
         })
 
-    return docs.map_batches(partials, batch_format="pyarrow") \
-               .groupby("lang").map_groups(merge, batch_format="pyarrow")
+    return map_groups(docs.map_batches(partials, batch_format="pyarrow"),
+                      "lang", merge)
 
 
 def t_tfidf_top(sf_dir: str) -> rd.Dataset:
@@ -2773,7 +2749,7 @@ def e_first_last_per_user(sf_dir: str) -> rd.Dataset:
     return partial_groupby_agg(
         ev, ["user_id"],
         [("ts", "min", "first_ts"), ("ts", "max", "last_ts"),
-         ("ts", "count", "n_events")], ts_cols=("ts",))
+         ("ts", "count", "n_events")])
 
 
 def q6_revenue_delta(sf_dir: str) -> rd.Dataset:
@@ -2808,9 +2784,7 @@ def q6_revenue_delta(sf_dir: str) -> rd.Dataset:
     agg = partial_groupby_agg(line.map_batches(pre_g, batch_format="pyarrow"),
                               ["g"], [("rev", "sum", "revenue")])
     return agg.map_batches(
-        lambda b: pa.table(
-            {"revenue": pc.round(b["revenue"], ndigits=2,
-                                 round_mode="half_towards_infinity")}),
+        lambda b: round_cols(b.select(["revenue"]), {"revenue": 2}),
         batch_format="pyarrow")
 
 
@@ -2830,8 +2804,7 @@ def e_cum_daily(sf_dir: str) -> rd.Dataset:
                                                  dtype=np.int64))})
 
     daily = partial_groupby_agg(ev.map_batches(day_of, batch_format="pyarrow"),
-                                ["day"], [("one", "count", "n")],
-                                ts_cols=("day",))
+                                ["day"], [("one", "count", "n")])
 
     def cum(tbl: pa.Table) -> pa.Table:
         idx = pc.sort_indices(tbl, sort_keys=[("day", "ascending")])
@@ -3144,12 +3117,11 @@ def t_gram_novelty_daily(sf_dir: str) -> pa.Table:
             "n_novel": agg["novel_sum"].cast(pa.int64()),
         }, schema=out_schema)
 
-    from ..relational import small_groupby_agg
-
     partials = hash_repartition_map(pairs, "g", per_gram_partition)
-    per_day = small_groupby_agg(       # day series: tree-fold, no exchange
+    per_day = collect_tables(partial_groupby_agg(
         partials, ["day"],
-        [("n_grams", "sum", "n_grams"), ("n_novel", "sum", "n_novel")])
+        [("n_grams", "sum", "n_grams"), ("n_novel", "sum", "n_novel")]),
+        out_schema)
     frac = (per_day["n_novel"].to_numpy(zero_copy_only=False)
             / per_day["n_grams"].to_numpy(zero_copy_only=False))
     return per_day.append_column(
@@ -3883,8 +3855,8 @@ def a_distinct_users_hll(sf_dir: str) -> rd.Dataset:
             "n_users_est": pa.array([round(h.estimate(), 1)], pa.float64()),
         })
 
-    return ev.map_batches(partials, batch_format="pyarrow") \
-             .groupby("event_type").map_groups(merge, batch_format="pyarrow")
+    return map_groups(ev.map_batches(partials, batch_format="pyarrow"),
+                      "event_type", merge)
 
 
 def a_user_overlap_hll(sf_dir: str) -> pa.Table:
@@ -3924,10 +3896,8 @@ def a_user_overlap_hll(sf_dir: str) -> pa.Table:
         return pa.table({"event_type": group["event_type"][:1],
                          "sketch": pa.array([h.to_bytes()], pa.binary())})
 
-    rows = ev.map_batches(partials, batch_format="pyarrow") \
-             .groupby("event_type").map_groups(merge,
-                                               batch_format="pyarrow") \
-             .take_all()                      # one 4 KB sketch per type
+    rows = map_groups(ev.map_batches(partials, batch_format="pyarrow"),
+                      "event_type", merge).take_all()  # 4 KB per type
     rows.sort(key=lambda r: r["event_type"])
     types = [r["event_type"] for r in rows]
     hs = [HyperLogLog.from_bytes(r["sketch"]) for r in rows]
@@ -3978,8 +3948,6 @@ def s_embed_dim_stats(sf_dir: str) -> rd.Dataset:
     ndim partial rows); the shuffle then moves ndim rows per block, never
     a vector. var = E[x²] − E[x]² in float64 matches DuckDB ``var_pop``
     to 6 decimals."""
-    from ray.data.aggregate import Sum
-
     emb = read(sf_dir, "embeddings", ["embedding"])
     out_schema = pa.schema([("dim", pa.int64()), ("s", pa.float64()),
                             ("s2", pa.float64()), ("n", pa.int64())])
@@ -3997,10 +3965,9 @@ def s_embed_dim_stats(sf_dir: str) -> rd.Dataset:
             "n": pa.array(np.full(ndim, m.shape[0], dtype=np.int64)),
         }, schema=out_schema)
 
-    merged = emb.map_batches(partials, batch_format="pyarrow") \
-        .groupby("dim").aggregate(Sum("s", alias_name="s"),
-                                  Sum("s2", alias_name="s2"),
-                                  Sum("n", alias_name="n"))
+    merged = partial_groupby_agg(
+        emb, ["dim"], [("s", "sum", "s"), ("s2", "sum", "s2"),
+                       ("n", "sum", "n")], pre=partials)
 
     def finish(batch: pa.Table) -> pa.Table:
         s = batch["s"].to_numpy(zero_copy_only=False)
@@ -4028,8 +3995,6 @@ def s_dim_covar(sf_dir: str, k: int = 8) -> rd.Dataset:
     per block cross the wire, never a vector — then a tiny groupby-sum
     and the closed form cov = (Σxy − ΣxΣy/n)/(n−1). Same partial shape
     as ``s_embed_dim_stats``; oracle is DuckDB ``covar_samp`` per pair."""
-    from ray.data.aggregate import Sum
-
     emb = read(sf_dir, "embeddings", ["embedding"])
     iu = np.triu_indices(k)
     out_schema = pa.schema([
@@ -4054,10 +4019,9 @@ def s_dim_covar(sf_dir: str, k: int = 8) -> rd.Dataset:
             "n": pa.array(np.full(len(iu[0]), m.shape[0], np.int64)),
         }, schema=out_schema)
 
-    merged = emb.map_batches(partials, batch_format="pyarrow") \
-        .groupby(["dim_i", "dim_j"]).aggregate(
-            Sum("sxy", alias_name="sxy"), Sum("sx", alias_name="sx"),
-            Sum("sy", alias_name="sy"), Sum("n", alias_name="n"))
+    merged = partial_groupby_agg(
+        emb, ["dim_i", "dim_j"],
+        [(c, "sum", c) for c in ("sxy", "sx", "sy", "n")], pre=partials)
 
     def finish(batch: pa.Table) -> pa.Table:
         sxy = batch["sxy"].to_numpy(zero_copy_only=False)
@@ -4260,10 +4224,9 @@ def j_fuzzy_name_match(sf_dir: str) -> rd.Dataset:
     each probe batch computes a full pair-grid levenshtein with the DP
     vectorized across every pair (``functions.strings``), and only ONE
     partial row per (supplier × batch) leaves the task — (dist, custkey)
-    packed into a single int64 so the global argmin is a built-in
-    vectorized ``Min``, never a per-group Python call."""
+    packed into a single int64 so the global argmin is a grouped ``min``,
+    never a per-group Python call."""
     import ray
-    from ray.data.aggregate import Min
 
     from ..functions.strings import levenshtein_matrix
 
@@ -4282,8 +4245,8 @@ def j_fuzzy_name_match(sf_dir: str) -> rd.Dataset:
 
     partials = cust.map_batches(partial, batch_format="pyarrow",
                                 batch_size=2048)
-    merged = partials.groupby("s_suppkey").aggregate(
-        Min("rank", alias_name="rank"))
+    merged = partial_groupby_agg(partials, ["s_suppkey"],
+                                 [("rank", "min", "rank")])
 
     def finish(batch: pa.Table) -> pa.Table:
         r = batch["rank"].to_numpy(zero_copy_only=False)
@@ -4437,8 +4400,8 @@ def t_top_tokens_per_lang(sf_dir: str) -> rd.Dataset:
             "n": pa.array([r[1] for r in rows], pa.int64()),
         })
 
-    return docs.map_batches(partial, batch_format="pyarrow") \
-               .groupby("lang").map_groups(merge, batch_format="pyarrow")
+    return map_groups(docs.map_batches(partial, batch_format="pyarrow"),
+                      "lang", merge)
 
 
 def s_pca_project(sf_dir: str, k: int = 8) -> rd.Dataset:
@@ -4509,8 +4472,6 @@ def s_label_centroids(sf_dir: str) -> rd.Dataset:
     n_labels × ndim partial rows per block, never a vector — then a tiny
     groupby merge. Same moment-partial shape as ``s_embed_dim_stats``
     but keyed, exercising the grouped vector aggregate."""
-    from ray.data.aggregate import Sum
-
     emb = read(sf_dir, "embeddings", ["label", "embedding"])
     part_schema = pa.schema([("label", pa.int64()), ("dim", pa.int64()),
                              ("s", pa.float64()), ("n", pa.int64())])
@@ -4534,9 +4495,9 @@ def s_label_centroids(sf_dir: str) -> rd.Dataset:
             "n": pa.array(np.repeat(cnt, ndim), pa.int64()),
         }, schema=part_schema)
 
-    merged = emb.map_batches(partials, batch_format="pyarrow") \
-        .groupby(["label", "dim"]).aggregate(Sum("s", alias_name="s"),
-                                             Sum("n", alias_name="n"))
+    merged = partial_groupby_agg(emb, ["label", "dim"],
+                                 [("s", "sum", "s"), ("n", "sum", "n")],
+                                 pre=partials)
 
     def finish(batch: pa.Table) -> pa.Table:
         s = batch["s"].to_numpy(zero_copy_only=False)
@@ -4654,7 +4615,7 @@ def e_daily_dense(sf_dir: str) -> rd.Dataset:
             lambda b: b.append_column(
                 "one", pa.array(np.ones(b.num_rows, np.int64))),
             batch_format="pyarrow"),
-        ["day"], [("one", "count", "n")], ts_cols=("day",))
+        ["day"], [("one", "count", "n")])
 
     # driver-side tiny spine from the observed min/max day
     got = days.take_all()
@@ -4697,13 +4658,8 @@ def j_bucketed_orders(sf_dir: str) -> rd.Dataset:
     agg = partial_groupby_agg(joined, ["c_nationkey"],
                               [("o_totalprice", "count", "n_orders"),
                                ("o_totalprice", "sum", "sum_price")])
-    return agg.map_batches(
-        lambda b: pa.table({
-            "c_nationkey": b["c_nationkey"],
-            "n_orders": b["n_orders"],
-            "sum_price": pc.round(b["sum_price"], ndigits=2,
-                                  round_mode="half_towards_infinity"),
-        }), batch_format="pyarrow")
+    return agg.map_batches(_round_stage({"sum_price": 2}),
+                           batch_format="pyarrow")
 
 
 def t_bigram_lm_score(sf_dir: str) -> rd.Dataset:
@@ -4918,8 +4874,7 @@ def e_retention_cohorts(sf_dir: str) -> rd.Dataset:
 
     parts = hash_repartition_map(ev, "user_id", per_partition)
     return partial_groupby_agg(parts, ["cohort_week", "week_offset"],
-                               [("n_users", "sum", "n_users")],
-                               ts_cols=("cohort_week",))
+                               [("n_users", "sum", "n_users")])
 
 
 def td_gopher_rules(sf_dir: str) -> rd.Dataset:
@@ -5475,18 +5430,16 @@ def td_chunks(sf_dir: str) -> rd.Dataset:
 
 
 def a_salted_event_counts(sf_dir: str) -> rd.Dataset:
-    """Skew-safe grouped count, driver-visible (the north-rule's hot-key
-    treatment): group on ``(key, salt)`` so one Zipf-hot key spreads across
-    ``salt_buckets`` reducers, then merge the ≤ buckets partial rows per
-    key in a second tiny reduce. Result is identical to a plain
-    ``GROUP BY``; only the shuffle shape changes (§4 skew row)."""
-    from ..relational import salted_groupby_count
-
+    """Skew-safe grouped count over a Zipf-hot key (§4 skew row). No salt
+    is needed: the map-side partials reduce a hot key to one row per
+    block before the merge, so no merge task sees its raw rows. The
+    result is a plain ``GROUP BY`` count; the name stays because
+    ``__ray_entry__.queries()`` exposes it."""
     ev = read(sf_dir, "events", ["event_type"])
-    out = salted_groupby_count(ev, "event_type", salt_buckets=16,
-                               out_name="n")
-    return out.map_batches(
-        lambda b: b.select(["event_type", "n"]), batch_format="pyarrow")
+    return partial_groupby_agg(
+        ev, ["event_type"], [("one", "count", "n")],
+        pre=lambda b: b.append_column(
+            "one", pa.array(np.ones(b.num_rows, np.int64))))
 
 
 def q11_important_parts(sf_dir: str) -> rd.Dataset:
@@ -5570,13 +5523,8 @@ def j_skew_user_events(sf_dir: str) -> rd.Dataset:
     agg = partial_groupby_agg(joined, ["c_mktsegment"],
                               [("value", "count", "n_events"),
                                ("value", "sum", "sum_value")])
-    return agg.map_batches(
-        lambda b: pa.table({
-            "c_mktsegment": b["c_mktsegment"],
-            "n_events": b["n_events"],
-            "sum_value": pc.round(b["sum_value"], ndigits=2,
-                                  round_mode="half_towards_infinity"),
-        }), batch_format="pyarrow")
+    return agg.map_batches(_round_stage({"sum_value": 2}),
+                           batch_format="pyarrow")
 
 
 def a_cube_lang_source(sf_dir: str) -> rd.Dataset:
@@ -6579,8 +6527,7 @@ def g_pagerank_weighted(sf_dir: str) -> pa.Table:
         g = t.group_by(["src_host", "dst_host"]).aggregate([("w", "sum")])
         return g.rename_columns(["src_host", "dst_host", "w"])
 
-    # exchange merge, not the sort aggregate (pair-key cardinality ≈
-    # block size — the _host_edges_undirected rationale)
+    # exchange merge: pair-key cardinality ≈ block size
     e = hash_repartition_map(
         links.map_batches(host_edges, batch_format="pyarrow"),
         "src_host", merge_w)
@@ -7470,13 +7417,13 @@ def e_cum_new_users(sf_dir: str) -> rd.Dataset:
 
     first = partial_groupby_agg(
         ev.map_batches(day_of, batch_format="pyarrow"),
-        ["user_id"], [("day", "min", "first_day")], ts_cols=("day",))
+        ["user_id"], [("day", "min", "first_day")])
     daily = partial_groupby_agg(
         first.map_batches(lambda b: pa.table(
             {"day": b["first_day"],
              "one": pa.array(np.ones(b.num_rows, np.int64))}),
             batch_format="pyarrow"),
-        ["day"], [("one", "count", "n_new")], ts_cols=("day",))
+        ["day"], [("one", "count", "n_new")])
 
     def cum(tbl: pa.Table) -> pa.Table:
         idx = pc.sort_indices(tbl, sort_keys=[("day", "ascending")])
@@ -7612,13 +7559,11 @@ def o_skyline_orders(sf_dir: str) -> pa.Table:
 def v_gap_days(sf_dir: str) -> pa.Table:
     """Calendar-gap detection (the feed-outage monitoring check next to
     ``v_count_anomaly``'s volume rule): every day inside the crawl's
-    [min, max] date span with ZERO rows. Day-count partials tree-fold
-    to the driver (the series is driver-sized by definition); the gap
-    scan is one np.setdiff1d over epoch-day ints. Oracle:
+    [min, max] date span with ZERO rows. Day-count partials merge in
+    one task (the series is driver-sized by definition); the gap scan
+    is one np.setdiff1d over epoch-day ints. Oracle:
     generate_series over the span anti-joined to the observed days."""
     import os
-
-    from ..relational import small_groupby_agg
 
     fix = _pages_fixture(sf_dir)
     pages = rd.read_parquet(os.path.join(fix, "pages"),
@@ -7630,10 +7575,10 @@ def v_gap_days(sf_dir: str) -> pa.Table:
                            pa.int32()),
             "one": pa.array(np.ones(batch.num_rows, np.int64))})
 
-    counts = small_groupby_agg(
+    counts = partial_groupby_agg(
         pages.map_batches(day_one, batch_format="pyarrow"),
-        ["day"], [("one", "sum", "n")])
-    present = counts["day"].to_numpy(zero_copy_only=False).astype(np.int32)
+        ["day"], [("one", "sum", "n")]).to_pandas()
+    present = counts["day"].to_numpy().astype(np.int32)
     span = np.arange(present.min(), present.max() + 1, dtype=np.int32)
     gaps = np.setdiff1d(span, present)
     return pa.table({
@@ -7937,8 +7882,7 @@ def a_mad_outliers(sf_dir: str) -> rd.Dataset:
     n_chars, the median absolute deviation, and the count of docs beyond
     3×MAD — the robust-statistics complement of the z-score anomaly query.
     Groups are few and the aggregate genuinely needs the group's values
-    (two nested order statistics), so map_groups is the right tool (the
-    a_median_nchars rationale); medians interpolate exactly like DuckDB's
+    (two nested order statistics); medians interpolate exactly like DuckDB's
     ``median`` and |x−m| / 3·MAD land on exact .0/.5 floats, so the strict
     ``>`` comparison is engine-independent."""
     from ..relational import round_half_away
@@ -7963,7 +7907,7 @@ def a_mad_outliers(sf_dir: str) -> rd.Dataset:
             "n_outliers": pa.array([n_out], pa.int64()),
         })
 
-    return docs.groupby("lang").map_groups(mad_group, batch_format="pyarrow")
+    return map_groups(docs, "lang", mad_group)
 
 
 # (child table, child key, parent table, parent key, parent is broadcast-small)
@@ -8078,7 +8022,7 @@ def e_rolling_revenue_7d(sf_dir: str) -> rd.Dataset:
 
     daily = partial_groupby_agg(
         orders.map_batches(day_cents, batch_format="pyarrow"),
-        ["day"], [("cents", "sum", "cents")], ts_cols=("day",))
+        ["day"], [("cents", "sum", "cents")])
 
     def window(tbl: pa.Table) -> pa.Table:
         idx = pc.sort_indices(tbl, sort_keys=[("day", "ascending")])
@@ -8365,8 +8309,7 @@ def a_churned_customers(sf_dir: str) -> rd.Dataset:
     table carries this operator.)"""
     orders = read(sf_dir, "orders", ["o_custkey", "o_orderdate"])
     last = partial_groupby_agg(orders, ["o_custkey"],
-                               [("o_orderdate", "max", "last_order")],
-                               ts_cols=("o_orderdate",))
+                               [("o_orderdate", "max", "last_order")])
     # driver scalar, closure-broadcast; max over raw int64 µs so Ray's
     # aggregate never numpy-round-trips a timestamp column
     hi_us = orders.map_batches(
@@ -8408,16 +8351,13 @@ def e_dau_mau(sf_dir: str) -> rd.Dataset:
 
     d_pairs = partial_groupby_agg(
         ev.map_batches(day_pairs, batch_format="pyarrow"),
-        ["day", "user_id"], [("user_id", "count", "_c")], ts_cols=("day",))
-    dau = partial_groupby_agg(d_pairs, ["day"], [("user_id", "count", "dau")],
-                              ts_cols=("day",))
+        ["day", "user_id"], [("user_id", "count", "_c")])
+    dau = partial_groupby_agg(d_pairs, ["day"], [("user_id", "count", "dau")])
     m_pairs = partial_groupby_agg(
         ev.map_batches(month_pairs, batch_format="pyarrow"),
-        ["month", "user_id"], [("user_id", "count", "_c")],
-        ts_cols=("month",))
+        ["month", "user_id"], [("user_id", "count", "_c")])
     mau_tbl = partial_groupby_agg(
-        m_pairs, ["month"], [("user_id", "count", "mau")],
-        ts_cols=("month",)).to_pandas()
+        m_pairs, ["month"], [("user_id", "count", "mau")]).to_pandas()
     mau = {np.datetime64(m, "us"): int(v)
            for m, v in zip(mau_tbl["month"], mau_tbl["mau"])}
 
@@ -8447,9 +8387,8 @@ def _host_edges_undirected(sf_dir: str) -> rd.Dataset:
     """DISTINCT undirected host-graph edge set (a < b, no loops) from the
     pages links fixture — the shared input contract of the triangle-family
     operators. Global distinct = per-batch combine, then ONE hash exchange
-    on `a` + a local C++ group_by per range (Ray's sort-based aggregate
-    paid 10.4 s on the sf0.1 pair partials — key cardinality ≈ block
-    size, the day-series failure mode; the exchange dedup is ~1 s)."""
+    on `a` + a local C++ group_by per range (key cardinality ≈ block
+    size, so a map-side combine would barely shrink the pairs)."""
     import os
 
     from ..relational import hash_repartition_map
@@ -8529,8 +8468,7 @@ def g_reciprocity(sf_dir: str) -> pa.Table:
                      pc.not_equal(h1, h2))
         return pa.table({"a": h1, "b": h2}).filter(ok)
 
-    # directed distinct via the exchange dedup (NOT the sort aggregate —
-    # the _host_edges_undirected rationale)
+    # directed distinct via the exchange dedup
     e = hash_repartition_map(
         links.map_batches(hosts, batch_format="pyarrow"),
         "a", lambda t: t.group_by(["a", "b"]).aggregate([])).materialize()
@@ -8689,9 +8627,8 @@ def a_gini_spend(sf_dir: str) -> pa.Table:
             .rename_columns(["o_custkey", "cents"])
 
     # per-customer spend via ONE hash exchange + local C++ group_by —
-    # customer cardinality ≈ block size, so the map-side combine barely
-    # shrinks and Ray's sort aggregate pays seconds (day-series failure
-    # mode); the exchange merge is ~1 s at any scale
+    # customer cardinality ≈ block size, so a map-side combine barely
+    # shrinks: one exchange merge instead
     spend = hash_repartition_map(
         orders.map_batches(to_cents, batch_format="pyarrow"),
         "o_custkey",
@@ -8819,7 +8756,7 @@ def v_ks_drift(sf_dir: str) -> pa.Table:
     categorical drift checks: KS(d) = max_x |F_d(x) − F(x)| over the
     empirical CDFs, x ranging over every observed length. Scale shape:
     the GLOBAL length distribution is tiny (distinct lengths, ~10³ rows)
-    — tree-folded once and broadcast into the closure; the (day, len)
+    — merged once and broadcast into the closure; the (day, len)
     partials then take ONE hash exchange on day, and each day range
     builds only ITS shard of the (days × lengths) CDF grid vectorized.
     Nothing driver-sized is ever built (the first version tree-folded the
@@ -8828,7 +8765,7 @@ def v_ks_drift(sf_dir: str) -> pa.Table:
     identical integer-ratio doubles, so the match is exact."""
     import os
 
-    from ..relational import hash_repartition_map, small_groupby_agg
+    from ..relational import hash_repartition_map
 
     fix = _pages_fixture(sf_dir)
     pages = rd.read_parquet(os.path.join(fix, "pages"),
@@ -8846,12 +8783,10 @@ def v_ks_drift(sf_dir: str) -> pa.Table:
 
     dl = pages.map_batches(day_len, batch_format="pyarrow").materialize()
 
-    g_len = small_groupby_agg(dl, ["len"], [("n", "sum", "n")])
-    glens = g_len["len"].to_numpy(zero_copy_only=False)
-    order = np.argsort(glens)
-    glens = glens[order]
-    gcum = np.cumsum(
-        g_len["n"].to_numpy(zero_copy_only=False)[order]).astype(np.float64)
+    g_len = partial_groupby_agg(dl, ["len"], [("n", "sum", "n")]) \
+        .to_pandas().sort_values("len")
+    glens = g_len["len"].to_numpy()
+    gcum = np.cumsum(g_len["n"].to_numpy()).astype(np.float64)
     n_all = float(gcum[-1]) if len(gcum) else 1.0
     g_cdf = gcum / n_all  # broadcast via closure: ~10³ float rows
 
@@ -9049,8 +8984,8 @@ def dd_cdc_chunks(sf_dir: str) -> rd.Dataset:
     parts = hash_repartition_map(
         chunks.map_batches(to_pairs, batch_format="pyarrow"),
         "chash", per_hash)
-    # per-doc merge: doc_id cardinality ≈ block size (sort-aggregate
-    # trap) — one hash exchange + local C++ group_by, dup_frac fused in
+    # per-doc merge: doc_id cardinality ≈ block size — one hash
+    # exchange + local C++ group_by, dup_frac fused in
     fin_schema = pa.schema([("doc_id", pa.int64()),
                             ("n_chunks", pa.int64()),
                             ("n_dup_chunks", pa.int64()),
@@ -9097,8 +9032,8 @@ def s_als_recommend(sf_dir: str) -> pa.Table:
             "value": batch["value"]})
 
     # (user, item) mean via ONE hash exchange on user + local group_by —
-    # (user × item) cardinality ≈ row count, the sort-aggregate trap;
-    # the subsequent ALS exchange shares the same key anyway
+    # (user × item) cardinality ≈ row count; the subsequent ALS
+    # exchange shares the same key anyway
     from ..relational import hash_repartition_map
 
     def pre(batch: pa.Table) -> pa.Table:
@@ -9275,11 +9210,9 @@ def v_dow_anomaly(sf_dir: str) -> pa.Table:
     that weekday's counts; residual = n / median(dow); a day is
     anomalous when |residual − 1| exceeds 3 × 1.4826 × MAD of the
     all-days residuals. Same distributed shape as ``v_count_anomaly``
-    (map-side day partials → tiny tree-fold; the n_days-row series
+    (map-side day partials → one tiny merge; the n_days-row series
     statistics are driver-sized by nature)."""
     import os
-
-    from ..relational import small_groupby_agg
 
     fix = _pages_fixture(sf_dir)
     pages = rd.read_parquet(os.path.join(fix, "pages"),
@@ -9292,7 +9225,7 @@ def v_dow_anomaly(sf_dir: str) -> pa.Table:
             "one": pa.array(np.ones(batch.num_rows, np.int64)),
         })
 
-    counts = small_groupby_agg(
+    counts = partial_groupby_agg(
         pages.map_batches(day_one, batch_format="pyarrow"),
         ["day", "dow"], [("one", "sum", "n")]).to_pandas() \
         .sort_values("day")
@@ -9323,11 +9256,11 @@ def v_join_fanout(sf_dir: str) -> pa.Table:
     silent upstream duplication shows up here as a fanout-distribution
     shift long before a join blows up. Shape per relation: one hash
     exchange on the key + local C++ group count (the A1 shape), then the
-    FANOUT HISTOGRAM (distinct fanout values are few) tree-folds to the
+    FANOUT HISTOGRAM (distinct fanout values are few) merges to the
     driver, where max/mean/quantile are exact arithmetic over ≤ a few
     hundred (fanout, count) rows — the full per-key table never leaves
     the cluster."""
-    from ..relational import hash_repartition_map, small_groupby_agg
+    from ..relational import hash_repartition_map
 
     def profile(rel: str, ds: rd.Dataset, key: str):
         def key_counts(tbl: pa.Table) -> pa.Table:
@@ -9344,17 +9277,14 @@ def v_join_fanout(sf_dir: str) -> pa.Table:
             key,
             lambda t: t.group_by([key]).aggregate([("n0", "sum")])
             .rename_columns([key, "n"]))
-        hist = small_groupby_agg(
+        hist = partial_groupby_agg(
             per_key.map_batches(
                 lambda t: pa.table({
                     "f": t["n"],
                     "one": pa.array(np.ones(t.num_rows, np.int64))}),
                 batch_format="pyarrow"),
-            ["f"], [("one", "sum", "c")])
-        f = hist["f"].to_numpy(zero_copy_only=False)
-        c = hist["c"].to_numpy(zero_copy_only=False)
-        order = np.argsort(f)
-        f, c = f[order], c[order]
+            ["f"], [("one", "sum", "c")]).to_pandas().sort_values("f")
+        f, c = hist["f"].to_numpy(), hist["c"].to_numpy()
         np_parents = int(c.sum())
         cum = np.cumsum(c)
         rank = max(0, int(np.ceil(0.99 * np_parents)) - 1)
@@ -9547,7 +9477,6 @@ def g_modularity(sf_dir: str) -> pa.Table:
     sums) — one exchange-dedup of the edges, one tiny per-community
     fold, exact at any scale; the only float is the final ratio. Returns
     one row per community (community, n_edges_within, degree_sum, q_c)."""
-    from ..relational import small_groupby_agg
 
     e = _host_edges_undirected(sf_dir).materialize()
 
@@ -9583,9 +9512,11 @@ def g_modularity(sf_dir: str) -> pa.Table:
                 np.int64))})
         return pa.concat_tables([deg, intra])
 
-    folded = small_groupby_agg(
+    folded = collect_tables(partial_groupby_agg(
         e.map_batches(partials, batch_format="pyarrow"),
-        ["community"], [("d", "sum", "d_c"), ("w", "sum", "e_c")])
+        ["community"], [("d", "sum", "d_c"), ("w", "sum", "e_c")]),
+        pa.schema([("community", pa.string()), ("d_c", pa.int64()),
+                   ("e_c", pa.int64())]))
     m = e.count()
     d_c = folded["d_c"].to_numpy(zero_copy_only=False).astype(np.float64)
     e_c = folded["e_c"].to_numpy(zero_copy_only=False).astype(np.float64)
@@ -9860,8 +9791,8 @@ def dd_c4_line_dedup(sf_dir: str, wire: str = "hash") -> rd.Dataset:
     parts = hash_repartition_map(
         docs.map_batches(explode, batch_format="pyarrow"),
         "h1" if hashed else "line", keep_first)
-    # per-doc merge: doc_id cardinality ≈ block size, the sort-aggregate
-    # trap — one hash exchange + local C++ group_by + the kept_frac
+    # per-doc merge: doc_id cardinality ≈ block size — one hash
+    # exchange + local C++ group_by + the kept_frac
     # arithmetic fused into the same range task (no extra execution)
     fin_schema = pa.schema([("doc_id", pa.int64()), ("n_lines", pa.int64()),
                             ("n_removed", pa.int64()),
@@ -10053,8 +9984,8 @@ def v_cusum_shift(sf_dir: str) -> pa.Table:
     ``v_count_anomaly``'s single-day spike rule — a feed that PERMANENTLY
     halves its volume never deviates 3 MADs on any one day, but its
     cumulative deviation ramps unmistakably. Distributed shape identical
-    to the anomaly family: map-side day-count partials → the tree-folded
-    tiny groupby (``small_groupby_agg``); the n_days-row series cumsum
+    to the anomaly family: map-side day-count partials → one tiny
+    ``partial_groupby_agg`` merge; the n_days-row series cumsum
     runs driver-side. Fully deterministic (window sum in day order) ⇒
     full-value SQL oracle."""
     events = read(sf_dir, "events", ["ts"])
@@ -10065,9 +9996,7 @@ def v_cusum_shift(sf_dir: str) -> pa.Table:
             "one": pa.array(np.ones(batch.num_rows, np.int64)),
         })
 
-    from ..relational import small_groupby_agg
-
-    counts = small_groupby_agg(
+    counts = partial_groupby_agg(
         events.map_batches(day_one, batch_format="pyarrow"),
         ["day"], [("one", "sum", "n")]).to_pandas().sort_values("day")
     x = counts["n"].to_numpy(np.float64)
@@ -10228,12 +10157,10 @@ def v_completeness_daily(sf_dir: str) -> pa.Table:
     flagship's per-row C2 check reports as violations but not as a
     trend. Distributed shape identical to the anomaly family: map-side
     (day, n, null counters) partials from one vectorized is_null pass →
-    the tree-folded small groupby; nothing bigger than the day series
+    one small groupby merge; nothing bigger than the day series
     ever leaves a block. ≙ the reference's non-empty-field assertions
     as a per-day rate."""
     import os
-
-    from ..relational import small_groupby_agg
 
     fix = _pages_fixture(sf_dir)
     pages = rd.read_parquet(os.path.join(fix, "pages"),
@@ -10247,10 +10174,12 @@ def v_completeness_daily(sf_dir: str) -> pa.Table:
             "nh": pc.is_null(batch["html"]).cast(pa.int64()),
         })
 
-    g = small_groupby_agg(
+    g = collect_tables(partial_groupby_agg(
         pages.map_batches(day_nulls, batch_format="pyarrow"),
         ["day"], [("one", "sum", "n"), ("nt", "sum", "n_null_text"),
-                  ("nh", "sum", "n_null_html")])
+                  ("nh", "sum", "n_null_html")]),
+        pa.schema([("day", pa.string())] + [
+            (c, pa.int64()) for c in ("n", "n_null_text", "n_null_html")]))
     n = g["n"].to_numpy().astype(np.float64)
     return pa.table({
         "day": g["day"],

@@ -18,6 +18,8 @@ import pyarrow as pa
 import ray
 import ray.data as rd
 
+from ..relational import map_groups, topk_per_key
+
 
 def _normalize(mat: np.ndarray) -> np.ndarray:
     return mat / np.maximum(np.linalg.norm(mat, axis=1, keepdims=True), 1e-12)
@@ -56,20 +58,26 @@ class BruteForceScorer:
         })
 
 
-def _final_topk(k: int):
-    def merge(group: pa.Table) -> pa.Table:
-        nid = np.asarray(group["neighbor_id"].to_pylist())
-        cos = np.asarray(group["cos"].to_pylist())
-        # deterministic total order: cos desc, neighbor_id asc
-        order = np.lexsort((nid, -cos))[:k]
-        qid = group["query_id"][0].as_py()
-        return pa.table({
-            "query_id": pa.array([qid] * len(order), pa.int64()),
-            "neighbor_id": pa.array(nid[order], pa.int64()),
-            "rank": pa.array(np.arange(1, len(order) + 1, dtype=np.int64)),
-        })
+def _final_topk(partial: rd.Dataset, k: int) -> rd.Dataset:
+    """The global top-k of each query's local candidates, in the
+    deterministic total order cos desc, neighbor_id asc, as
+    (query_id, neighbor_id, rank) with a 1-based rank."""
 
-    return merge
+    def ranked(tbl: pa.Table) -> pa.Table:
+        # one block per hash range, sorted by query then rank order
+        q = tbl["query_id"].to_numpy(zero_copy_only=False)
+        new = np.ones(len(q), bool)
+        new[1:] = q[1:] != q[:-1]
+        starts = np.flatnonzero(new)
+        rank = np.arange(len(q)) - np.repeat(
+            starts, np.diff(np.append(starts, len(q)))) + 1
+        return pa.table({"query_id": tbl["query_id"],
+                         "neighbor_id": tbl["neighbor_id"],
+                         "rank": pa.array(rank, pa.int64())})
+
+    return topk_per_key(partial, "query_id",
+                        [("cos", True), ("neighbor_id", False)], k) \
+        .map_batches(ranked, batch_format="pyarrow", batch_size=None)
 
 
 _SCORER_CACHE: dict = {}
@@ -99,8 +107,7 @@ def ann_brute_force(ds: rd.Dataset, queries: tuple[np.ndarray, np.ndarray],
     if concurrency is not None:
         kwargs["concurrency"] = concurrency
     partial = ds.map_batches(score, **kwargs)
-    return partial.groupby("query_id").map_groups(
-        _final_topk(k), batch_format="pyarrow")
+    return _final_topk(partial, k)
 
 
 def ann_filtered(ds: rd.Dataset, queries, id_col: str = "vec_id",
@@ -150,8 +157,7 @@ def ann_filtered(ds: rd.Dataset, queries, id_col: str = "vec_id",
         })
 
     partial = ds.map_batches(score, batch_format="pyarrow")
-    return partial.groupby("query_id").map_groups(
-        _final_topk(k), batch_format="pyarrow")
+    return _final_topk(partial, k)
 
 
 def load_queries_with_labels(sf_dir: str, n_queries: int = 10,
@@ -300,7 +306,7 @@ def ann_lsh(ds: rd.Dataset, queries: tuple[np.ndarray, np.ndarray],
             "rank": pa.array(np.arange(1, len(order) + 1, dtype=np.int64)),
         })
 
-    return scored.groupby("query_id").map_groups(merge, batch_format="pyarrow")
+    return map_groups(scored, "query_id", merge)
 
 
 def _pq_train(sample: np.ndarray, m: int, codes: int, n_iter: int = 10,
@@ -402,8 +408,7 @@ def ann_pq(ds: rd.Dataset, queries: tuple[np.ndarray, np.ndarray],
         })
 
     partial = ds.map_batches(score, batch_format="pyarrow")
-    return partial.groupby("query_id").map_groups(
-        _final_topk(k), batch_format="pyarrow")
+    return _final_topk(partial, k)
 
 
 def ann_refine(ds: rd.Dataset, queries: tuple[np.ndarray, np.ndarray],
@@ -466,8 +471,7 @@ def ann_refine(ds: rd.Dataset, queries: tuple[np.ndarray, np.ndarray],
         })
 
     partial = ds.map_batches(score, batch_format="pyarrow")
-    return partial.groupby("query_id").map_groups(
-        _final_topk(k), batch_format="pyarrow")
+    return _final_topk(partial, k)
 
 
 def ann_ivfpq(ds: rd.Dataset, queries: tuple[np.ndarray, np.ndarray],
@@ -537,8 +541,7 @@ def ann_ivfpq(ds: rd.Dataset, queries: tuple[np.ndarray, np.ndarray],
         })
 
     partial = ds.map_batches(score, batch_format="pyarrow")
-    return partial.groupby("query_id").map_groups(
-        _final_topk(k), batch_format="pyarrow")
+    return _final_topk(partial, k)
 
 
 def load_queries(sf_dir: str, n_queries: int = 10,
@@ -646,8 +649,7 @@ def ann_ivf(ds: rd.Dataset, queries: tuple[np.ndarray, np.ndarray],
         return sc(batch)
 
     scored = ds.map_batches(score_cells, batch_format="pyarrow")
-    return scored.groupby("query_id").map_groups(
-        _final_topk(k), batch_format="pyarrow")
+    return _final_topk(scored, k)
 
 
 def radius_search(ds: rd.Dataset, queries: tuple[np.ndarray, np.ndarray],
@@ -746,8 +748,7 @@ def knn_classify(ds: rd.Dataset, queries: tuple[np.ndarray, np.ndarray],
             "pred_label": pa.array([int(best)], pa.int64()),
             "n_votes": pa.array([int(cnts.max())], pa.int64())})
 
-    out = partial.groupby("query_id").map_groups(
-        vote, batch_format="pyarrow")
+    out = map_groups(partial, "query_id", vote)
     return pa.concat_tables(
         [b for b in out.iter_batches(batch_format="pyarrow",
                                      batch_size=None) if b.num_rows])

@@ -8,10 +8,14 @@ as scale-conscious Ray Data primitives:
   at ``:362-366, 419, 436``). Here the small side is shipped ONCE via
   ``ray.put`` and probed per batch with vectorized ``pc.index_in`` — never a
   shuffle, never re-serialized per batch.
-* **Map-side partial aggregation** (A4): per-batch Arrow ``group_by`` partials
-  → a tiny final shuffle over (keys × batches) partial rows instead of the
-  full fact table. At 10^12 rows this is the difference between shuffling
-  terabytes and shuffling megabytes.
+* **One hash exchange** (A4 and every big join): ``hash_split`` cuts a
+  block into key-hash ranges; ``hash_repartition_map``, ``map_groups``,
+  ``exchange_join`` and ``skew_join`` send range p of every block to one
+  task. ``partial_groupby_agg`` runs per-batch Arrow ``group_by`` partials
+  and merges them with one Arrow ``group_by`` — in one task while the
+  partials are small, else one task per hash range — so only (keys ×
+  batches) partial rows move, never the fact table. At 10^12 rows this is
+  the difference between shuffling terabytes and shuffling megabytes.
 * **Distributed top-k** (O1): per-batch local top-k, then a global sort+limit
   over ≤ k×num_batches survivors.
 
@@ -52,33 +56,6 @@ def _prepared_side(ref, right_on: str, suffix: str):
         hit = (keys, payload)
         _BCAST_CACHE[key] = hit
     return hit
-
-
-def join_partitions(*dss: rd.Dataset) -> int:
-    """Shuffle-join partition count scaled to the DATA, clamped by the
-    cluster: ≈1 partition per 256 MiB of joined input, in [8, 4×CPUs].
-
-    A fixed count tuned to one box is wrong both ways at 4N nodes: too few
-    partitions → aggregator memory pressure and no parallelism at volume;
-    too many → one actor + scheduling floor per near-empty partition at
-    bench scale (measured +37% on the sf0.1 join queries when 8 → 32).
-    Callers pass the join's input Datasets (or their upstream reads —
-    joined size never exceeds source size); inputs with no metadata-derived
-    size estimate contribute 0 and the floor of 8 applies.
-    """
-    import ray
-
-    try:
-        cpus = int(ray.cluster_resources().get("CPU", 8))
-    except Exception:
-        cpus = 8
-    total = 0
-    for ds in dss:
-        try:
-            total += ds.size_bytes() or 0
-        except Exception:
-            pass
-    return int(min(max(8, total // (256 << 20) + 1), max(8, 4 * cpus)))
 
 
 def broadcast_join(big: rd.Dataset, small: pa.Table, left_on: str, right_on: str,
@@ -125,12 +102,184 @@ def broadcast_join(big: rd.Dataset, small: pa.Table, left_on: str, right_on: str
 
 
 # ---------------------------------------------------------------------------
-# map-side partial aggregation (combiner before the shuffle)
+# hash exchange: one split, and the groupby built on it
 # ---------------------------------------------------------------------------
+
+_GOLDEN = np.uint64(0x9E3779B97F4A7C15)
+_MIX = np.uint64(0xBF58476D1CE4E5B9)
+_NULL_HASH = np.uint64(0x5851F42D4C957F2D)
+
+
+def _key_hash(col: pa.ChunkedArray | pa.Array) -> np.ndarray:
+    """Stable uint64 hash per row of one key column. Equal values hash
+    equal across integer widths and across string/large_string: integers,
+    booleans and temporals hash their int64 value (Fibonacci multiply, so
+    the top bits are uniform), floats their float64 bits, strings and
+    binaries go through ``hash_strings64``, any other type its string
+    form. A null hashes to one fixed value taken from the validity mask,
+    so a null never changes how the other rows of its block hash."""
+    from .functions.hashing import hash_strings64  # noqa: circular-safe
+
+    if isinstance(col, pa.ChunkedArray):
+        col = col.combine_chunks()
+    t = col.type
+    if pa.types.is_boolean(t):
+        col = col.cast(pa.int8())
+    elif pa.types.is_temporal(t):
+        col = col.view(pa.int64() if t.bit_width == 64 else pa.int32())
+    if pa.types.is_integer(col.type):
+        x = pc.fill_null(col, 0).to_numpy().astype(np.int64)
+        h = x.view(np.uint64) * _GOLDEN
+    elif pa.types.is_floating(t):
+        # + 0.0 folds -0.0 into 0.0
+        x = pc.fill_null(col.cast(pa.float64()), 0.0).to_numpy() + 0.0
+        h = x.view(np.uint64) * _GOLDEN
+    else:
+        if not (pa.types.is_string(t) or pa.types.is_large_string(t)
+                or pa.types.is_binary(t) or pa.types.is_large_binary(t)):
+            col = col.cast(pa.string())
+        h = hash_strings64(pc.fill_null(col, "").to_numpy(
+            zero_copy_only=False))
+    if col.null_count:
+        h[~col.is_valid().to_numpy(zero_copy_only=False)] = _NULL_HASH
+    return h
+
+
+def hash_split(tbl: pa.Table, keys: "str | list[str]",
+               p_bits: int) -> tuple:
+    """``tbl``'s rows cut into ``2**p_bits`` tables by the top ``p_bits``
+    of one 64-bit hash of ``keys`` (a column name or several). Equal keys
+    land in the same range from any block of any table whose key columns
+    hold equal values; nulls are one key. One stable argsort by range and
+    zero-copy slices, so rows keep their relative order in each range."""
+    keys = [keys] if isinstance(keys, str) else keys
+    if p_bits == 0 or tbl.num_rows == 0:
+        return (tbl,) * (1 << p_bits)
+    h = _key_hash(tbl[keys[0]])
+    for k in keys[1:]:
+        h = ((h ^ (h >> np.uint64(31))) * _MIX) ^ _key_hash(tbl[k])
+    rng = (h >> np.uint64(64 - p_bits)).astype(np.intp)
+    ends = np.cumsum(np.bincount(rng, minlength=1 << p_bits))
+    tbl = tbl.take(np.argsort(rng, kind="stable"))
+    return tuple(tbl.slice(e - n, n) for e, n in
+                 zip(ends, np.diff(ends, prepend=0)))
+
+
+@ray.remote
+def _split(tbl, keys, p_bits: int) -> tuple:
+    if not isinstance(tbl, pa.Table):
+        tbl = pa.Table.from_batches([tbl])
+    return hash_split(tbl, keys, p_bits)
+
+
+def _split_refs(refs: list, keys, p_bits: int) -> list:
+    """One ``_split`` task per block ref: a list of ``2**p_bits`` range
+    refs per block."""
+    P = 1 << p_bits
+    parts = [_split.options(num_returns=P).remote(r, keys, p_bits)
+             for r in refs]
+    return [[p] for p in parts] if P == 1 else parts
+
+
+def default_p_bits() -> int:
+    cpus = int(ray.cluster_resources().get("CPU", 8))
+    return max(2, min(6, int(np.log2(max(2, cpus)))))
+
+
+def hash_repartition_map(ds: rd.Dataset, key: "str | list[str]", fn,
+                         p_bits: int | None = None) -> rd.Dataset:
+    """Hash-exchange on ``key`` (a column name or several) then apply
+    ``fn`` ONCE per co-located partition.
+
+    A raw-Ray two-phase exchange: one ``hash_split`` task per block moves
+    each row to the partition owning its key's hash range — no sort, no
+    per-group Python call. ``fn`` receives one Arrow table holding EVERY
+    row of its keys and must itself be vectorized (sort-within-block +
+    segmented numpy / ``pa.Table.group_by``).
+
+    Partitioning assumption: one hash range fits a worker's heap; size
+    ``p_bits`` to the cluster (default ≈ log2(cores), capped). Wall time is
+    partition-count-parallel and group-count-independent.
+    """
+    if p_bits is None:
+        p_bits = default_p_bits()
+    ds = ds.materialize()  # run the input once; schema and refs read it
+    base_schema = ds.schema().base_schema
+
+    @ray.remote
+    def apply_fn(*parts):
+        live = [p for p in parts if p.num_rows]
+        tbl = (pa.concat_tables(live) if live
+               else base_schema.empty_table())
+        return fn(tbl)
+
+    refs = ds.to_arrow_refs()
+    if not refs:
+        return rd.from_arrow(fn(base_schema.empty_table()))
+    per_block = _split_refs(refs, key, p_bits)
+    return rd.from_arrow_refs([apply_fn.remote(*[b[p] for b in per_block])
+                               for p in range(1 << p_bits)])
+
+
+def map_groups(ds: rd.Dataset, keys: "str | list[str]", fn) -> rd.Dataset:
+    """``fn`` called once per group of ``keys`` with that group's rows as
+    one Arrow table; the outputs concatenate. Runs on
+    ``hash_repartition_map``: each range sorts by the keys and cuts its
+    groups, so no Ray sort aggregate is involved. Output rows come in
+    range order, not key order."""
+    keys = [keys] if isinstance(keys, str) else keys
+
+    def per_range(tbl: pa.Table) -> pa.Table:
+        if tbl.num_rows == 0:
+            return pa.table({})
+        tbl = tbl.take(pc.sort_indices(
+            tbl, sort_keys=[(k, "ascending") for k in keys]))
+        new = np.zeros(tbl.num_rows, bool)
+        new[0] = True
+        for k in keys:
+            code = pc.fill_null(tbl[k].combine_chunks().dictionary_encode()
+                                .indices, -1).to_numpy()
+            new[1:] |= code[1:] != code[:-1]
+        starts = np.flatnonzero(new)
+        ends = np.append(starts[1:], tbl.num_rows)
+        return pa.concat_tables(
+            [fn(tbl.slice(s, e - s)) for s, e in zip(starts, ends)],
+            promote_options="permissive")
+
+    return hash_repartition_map(ds, keys, per_range)
+
 
 _ARROW_OP = {"sum": "sum", "count": "count", "min": "min", "max": "max"}
 # merge op applied to partials of each base op
 _MERGE_OP = {"sum": "sum", "count": "sum", "min": "min", "max": "max"}
+# partial rows one merge task takes; above this they are hash-split first
+_MERGE_ROWS = 1 << 20
+
+
+@ray.remote
+def _merge_partials(keys: list, specs: list, bases: list,
+                    *parts) -> pa.Table:
+    """Merge Arrow ``group_by`` partials into the final rows of ``specs``.
+    A zero-row block whose map call was skipped has no columns; the result
+    is typed whenever any block is."""
+    names = [f"{c}_{o}" for c, o in bases]
+    typed = [p for p in parts if {*keys, *names} <= set(p.column_names)]
+    live = [p for p in typed if p.num_rows] or typed[:1]
+    if not live:
+        return pa.table({})
+    tbl = pa.concat_tables(live, promote_options="permissive")
+    merged = tbl.group_by(keys, use_threads=False).aggregate(
+        [(n, _MERGE_OP[o]) for n, (_, o) in zip(names, bases)])
+
+    def part(c: str, o: str):
+        return merged[f"{c}_{o}_{_MERGE_OP[o]}"]
+
+    out = {k: merged[k] for k in keys}
+    for col, op, name in specs:
+        out[name] = (pc.divide(pc.cast(part(col, "sum"), pa.float64()),
+                               pc.cast(part(col, "count"), pa.float64()))
+                     if op == "mean" else part(col, _ARROW_OP[op]))
+    return pa.table(out)
 
 
 def partial_groupby_agg(
@@ -138,162 +287,47 @@ def partial_groupby_agg(
     keys: list[str],
     specs: list[tuple[str, str, str]],
     pre: "callable | None" = None,
-    ts_cols: "tuple[str, ...]" = (),
 ) -> rd.Dataset:
     """``GROUP BY keys`` with aggregation pushed map-side.
 
     specs: (column, op, out_name) with op ∈ {sum, count, min, max, mean}.
     ``pre``: optional pa.Table → pa.Table projection applied per batch before
     aggregating (e.g. compute a revenue expression).
-    ``ts_cols``: names of ``timestamp("us")`` columns among the keys / spec
-    columns. Ray's aggregate round-trips blocks through numpy, silently
-    downcasting timestamp columns to 's' precision (with a per-worker 'D'
-    precision warning); listed columns are exchanged as raw int64 µs and
-    cast back to ``timestamp("us")`` on output, so the merge is precision-
-    stable end to end.
 
-    Per batch: Arrow ``Table.group_by`` produces one partial row per distinct
-    key in the batch; the global shuffle then moves only those partials
-    (reference analog: global counters accumulated in one process,
-    ``curation/check_fackel_references.py:32-37`` — here made distributive).
+    Per batch, Arrow ``Table.group_by`` makes one partial row per distinct
+    key (reference analog: global counters accumulated in one process,
+    ``curation/check_fackel_references.py:32-37`` — here made
+    distributive); this stage fuses into ``ds``'s pipeline and is
+    materialized. Up to ``_MERGE_ROWS`` partial rows (read from the block
+    metadata) merge in one Arrow ``group_by`` task; more are hash-split on
+    the keys, one task per block, and merged by one task per range.
+    Output rows are in no particular order, and float sums may differ in
+    the last bits from run to run: partial blocks arrive in completion
+    order.
     """
-    from ray.data.aggregate import Max, Min, Sum
-
-    base: list[tuple[str, str]] = []
-    for col, op, _out in specs:
-        if op == "mean":
-            base += [(col, "sum"), (col, "count")]
-        else:
-            base.append((col, _ARROW_OP[op]))
-    base = sorted(set(base))
-    partial_names = [f"{c}_{o}" for c, o in base]
+    bases = sorted({(c, o) for c, op, _ in specs
+                    for o in (("sum", "count") if op == "mean"
+                              else (_ARROW_OP[op],))})
 
     def make_partials(batch: pa.Table) -> pa.Table:
         if pre is not None:
             batch = pre(batch)
-        for c in ts_cols:
-            i = batch.schema.get_field_index(c)
-            if i >= 0:
-                batch = batch.set_column(
-                    i, c, batch.column(i).cast(pa.timestamp("us"))
-                    .cast(pa.int64()))
-        return batch.group_by(keys).aggregate(base)
+        return batch.group_by(keys, use_threads=False).aggregate(bases)
 
-    # merge partials with Ray's VECTORIZED built-in aggregations — never
-    # map_groups, which invokes a Python function once per group and melts
-    # down on high-cardinality keys (e.g. 10^7 near-dup candidate pairs)
-    merge_aggs = []
-    for (c, o), pn in zip(base, partial_names):
-        mo = _MERGE_OP[o]
-        cls = {"sum": Sum, "min": Min, "max": Max}[mo]
-        merge_aggs.append(cls(pn, alias_name=pn))
-    partials = ds.map_batches(make_partials, batch_format="pyarrow")
-    merged = partials.groupby(keys).aggregate(*merge_aggs)
-
-    def project(batch: pa.Table) -> pa.Table:
-        def restore(name: str, col):
-            if name in ts_cols:
-                return col.cast(pa.int64()).cast(pa.timestamp("us"))
-            return col
-
-        out = {k: restore(k, batch[k]) for k in keys}
-        for col, op, outn in specs:
-            if op == "mean":
-                out[outn] = pc.divide(
-                    pc.cast(batch[f"{col}_sum"], pa.float64()),
-                    pc.cast(batch[f"{col}_count"], pa.float64()))
-            elif op in ("min", "max"):
-                out[outn] = restore(col, batch[f"{col}_{_ARROW_OP[op]}"])
-            else:
-                out[outn] = batch[f"{col}_{_ARROW_OP[op]}"]
-        return pa.table(out)
-
-    return merged.map_batches(project, batch_format="pyarrow")
-
-
-def small_groupby_agg(
-    ds: rd.Dataset,
-    keys: list[str],
-    specs: list[tuple[str, str, str]],
-    pre: "callable | None" = None,
-    ts_cols: "tuple[str, ...]" = (),
-    fanin: int = 64,
-) -> pa.Table:
-    """``partial_groupby_agg`` for SMALL result sets (≤ ~10^5 groups):
-    tree-fold the per-block partials instead of Ray's sort-based
-    Aggregate exchange. Measured on the day-keyed series (4,385 groups,
-    600k rows): Ray's Aggregate pays 6.8 s on the 440k partial rows
-    (day cardinality ≈ block size, so the map-side combine barely
-    shrinks anything); folding blocks pairwise-by-``fanin`` and merging
-    the last ≤ ``fanin`` partial tables on the driver takes <0.5 s. At
-    10^12 rows the fold depth grows logarithmically (10^6 blocks → 2
-    folds at fanin=64) and no stage ever holds more than
-    fanin × n_groups rows. Use ONLY when the group count is known-small
-    (day series, lang histograms); high-cardinality groupbys stay on
-    ``partial_groupby_agg``'s exchange.
-
-    Returns a driver ``pa.Table`` (the result is driver-sized by
-    precondition)."""
-    from math import ceil
-
-    import ray
-
-    base: list[tuple[str, str]] = []
-    for col, op, _out in specs:
-        if op == "mean":
-            base += [(col, "sum"), (col, "count")]
-        else:
-            base.append((col, _ARROW_OP[op]))
-    base = sorted(set(base))
-    partial_names = [f"{c}_{o}" for c, o in base]
-    merge_pairs = [(pn, _MERGE_OP[o]) for (c, o), pn in
-                   zip(base, partial_names)]
-
-    def make_partials(batch: pa.Table) -> pa.Table:
-        if pre is not None:
-            batch = pre(batch)
-        for c in ts_cols:
-            i = batch.schema.get_field_index(c)
-            if i >= 0:
-                batch = batch.set_column(
-                    i, c, batch.column(i).cast(pa.timestamp("us"))
-                    .cast(pa.int64()))
-        return batch.group_by(keys).aggregate(base)
-
-    def combine(tbl: pa.Table) -> pa.Table:
-        g = tbl.group_by(keys).aggregate(merge_pairs)
-        cols = {k: g[k] for k in keys}
-        for pn, mo in merge_pairs:
-            cols[pn] = g[f"{pn}_{mo}"]
-        return pa.table(cols)
-
-    folded = ds.map_batches(make_partials, batch_format="pyarrow",
-                            batch_size=None).materialize()
-    while folded.num_blocks() > fanin:
-        folded = folded.repartition(
-            max(1, ceil(folded.num_blocks() / fanin))) \
-            .map_batches(combine, batch_format="pyarrow",
-                         batch_size=None).materialize()
-    merged = combine(pa.concat_tables(
-        [pa.Table.from_batches([b]) if isinstance(b, pa.RecordBatch) else b
-         for b in ray.get(folded.to_arrow_refs())]))
-
-    def restore(name: str, col):
-        if name in ts_cols:
-            return col.cast(pa.int64()).cast(pa.timestamp("us"))
-        return col
-
-    out = {k: restore(k, merged[k]) for k in keys}
-    for col, op, outn in specs:
-        if op == "mean":
-            out[outn] = pc.divide(
-                pc.cast(merged[f"{col}_sum"], pa.float64()),
-                pc.cast(merged[f"{col}_count"], pa.float64()))
-        elif op in ("min", "max"):
-            out[outn] = restore(col, merged[f"{col}_{_ARROW_OP[op]}"])
-        else:
-            out[outn] = merged[f"{col}_{_ARROW_OP[op]}"]
-    return pa.table(out)
+    parts = ds.map_batches(make_partials, batch_format="pyarrow") \
+        .materialize()
+    blocks = [(ref, meta.num_rows) for bundle in
+              parts.iter_internal_ref_bundles() for ref, meta in bundle.blocks]
+    refs = [r for r, n in blocks if n] or [r for r, _ in blocks]
+    if sum(n for _, n in blocks) <= _MERGE_ROWS:
+        out = [_merge_partials.remote(keys, specs, bases, *refs)]
+    else:
+        pb = default_p_bits()
+        per_block = _split_refs(refs, keys, pb)
+        out = [_merge_partials.remote(keys, specs, bases,
+                                      *[b[p] for b in per_block])
+               for p in range(1 << pb)]
+    return rd.from_arrow_refs(out)
 
 
 # ---------------------------------------------------------------------------
@@ -357,12 +391,18 @@ def round_half_away(x: np.ndarray, nd: int) -> np.ndarray:
 
 
 def round_cols(tbl: pa.Table, cols: dict[str, int]) -> pa.Table:
-    """Round float columns (half away from zero — DuckDB ROUND semantics)."""
+    """Round float columns half away from zero to the nearest double, as
+    DuckDB's ROUND does; nulls stay null. Arrow's ``pc.round`` returns a
+    value within an ULP of the rounding grid unchanged, so a float sum
+    that merged in another order kept its last-bit drift
+    (1509289948.6000001 where DuckDB gives 1509289948.6)."""
     for name, nd in cols.items():
-        i = tbl.column_names.index(name)
+        col = tbl[name]
+        x = pc.fill_null(col.cast(pa.float64()), 0.0).to_numpy()
         tbl = tbl.set_column(
-            i, name,
-            pc.round(tbl[name], ndigits=nd, round_mode="half_towards_infinity"))
+            tbl.column_names.index(name), name,
+            pa.array(round_half_away(x, nd),
+                     mask=col.is_null().to_numpy(zero_copy_only=False)))
     return tbl
 
 
@@ -405,113 +445,6 @@ def argmax_per_key(ds: rd.Dataset, key: str,
     return cur
 
 
-def salted_groupby_count(ds: rd.Dataset, key: str, salt_buckets: int = 16,
-                         out_name: str = "n") -> rd.Dataset:
-    """Skew-safe grouped count: group on ``(key, salt)`` then merge salts.
-
-    The north-rule's hot-host scenario: a Zipf-skewed key (one host = 20% of
-    rows) makes a single reducer the straggler in a plain ``groupby(key)``.
-    Salting splits every hot key across ``salt_buckets`` reducers; the second
-    reduce merges ≤ salt_buckets tiny partial rows per key. The salt is
-    derived from a stable row hash (never ``random`` — permutation-invariant,
-    SURVEY.md §4 'Skew').
-
-    Note: the engine's own C5 drift check needs NO salting — per-batch
-    map-side partials (checks/row.py) shrink the shuffle to (#langs ×
-    #batches) rows before any exchange. Salting is for groupbys that must
-    move raw rows, e.g. per-host accounting below a cardinality where
-    map-side combine stops helping.
-    """
-
-    def add_salt(batch: pa.Table) -> pa.Table:
-        # counts are invariant to the salt assignment, so a round-robin salt
-        # (deterministic, no RNG, no process-salted hash()) suffices to
-        # spread a hot key's rows across salt_buckets reducers
-        salt = (np.arange(batch.num_rows, dtype=np.int64)
-                % salt_buckets).astype(np.int32)
-        return pa.table({
-            key: batch[key],
-            "salt": pa.array(salt, pa.int32()),
-            "one": pa.array(np.ones(batch.num_rows, dtype=np.int64)),
-        })
-
-    salted = ds.map_batches(add_salt, batch_format="pyarrow")
-    per_salt = partial_groupby_agg(salted, [key, "salt"],
-                                   [("one", "count", "c")])
-    merged = partial_groupby_agg(per_salt, [key], [("c", "sum", out_name)])
-    return merged
-
-
-def _hash64(col: pa.ChunkedArray | pa.Array) -> np.ndarray:
-    """Stable 64-bit hash per row (strings via the shared string hasher,
-    integers via multiply-shift / Fibonacci hashing — uniform top bits)."""
-    from .functions.hashing import hash_strings64  # noqa: circular-safe
-
-    vals = col.to_numpy(zero_copy_only=False)
-    if vals.dtype == object:
-        return hash_strings64(vals.astype(object))
-    return (vals.astype(np.int64).view(np.uint64)
-            * np.uint64(0x9E3779B97F4A7C15))
-
-
-def _bucket_of(col: pa.ChunkedArray | pa.Array, p_bits: int) -> np.ndarray:
-    """Stable hash bucket per row (top ``p_bits`` of a 64-bit hash)."""
-    return (_hash64(col) >> np.uint64(64 - p_bits)).astype(np.int64)
-
-
-def default_p_bits() -> int:
-    cpus = int(ray.cluster_resources().get("CPU", 8))
-    return max(2, min(6, int(np.log2(max(2, cpus)))))
-
-
-def hash_repartition_map(ds: rd.Dataset, key: str, fn,
-                         p_bits: int | None = None) -> rd.Dataset:
-    """Hash-exchange on ``key`` then apply ``fn`` ONCE per co-located partition.
-
-    The scale-safe replacement for ``groupby(key).map_groups(fn_per_group)``
-    on high-cardinality keys: a raw-Ray two-phase exchange (the C1 uniqueness
-    pattern, ``checks/uniqueness.py``) moves each row to the partition owning
-    its key's hash range — no sort, no per-group Python call. ``fn`` receives
-    one Arrow table holding EVERY row of its keys and must itself be
-    vectorized (sort-within-block + segmented numpy / ``pa.Table.group_by``).
-
-    Partitioning assumption: one hash range fits a worker's heap; size
-    ``p_bits`` to the cluster (default ≈ log2(cores), capped). Wall time is
-    partition-count-parallel and group-count-independent.
-    """
-    if p_bits is None:
-        p_bits = default_p_bits()
-    P = 1 << p_bits
-    base_schema = ds.schema().base_schema
-
-    @ray.remote
-    def split(tbl, pb: int):
-        if not isinstance(tbl, pa.Table):
-            tbl = pa.Table.from_batches([tbl])
-        if tbl.num_rows == 0:
-            return tuple(tbl for _ in range(1 << pb))
-        bucket = _bucket_of(tbl[key], pb)
-        return tuple(tbl.filter(pa.array(bucket == p))
-                     for p in range(1 << pb))
-
-    @ray.remote
-    def apply_fn(*parts):
-        live = [p for p in parts if p.num_rows]
-        tbl = (pa.concat_tables(live) if live
-               else base_schema.empty_table())
-        return fn(tbl)
-
-    refs = ds.to_arrow_refs()
-    if not refs:
-        return rd.from_arrow(fn(base_schema.empty_table()))
-    per_block = [split.options(num_returns=P).remote(r, p_bits) for r in refs]
-    if P == 1:
-        per_block = [[r] for r in per_block]
-    out_refs = [apply_fn.remote(*[refs_[p] for refs_ in per_block])
-                for p in range(P)]
-    return rd.from_arrow_refs(out_refs)
-
-
 _ARROW_JOIN_TYPE = {
     "inner": "inner", "left_outer": "left outer",
     "right_outer": "right outer", "full_outer": "full outer",
@@ -546,10 +479,9 @@ def exchange_join(left: rd.Dataset, right: rd.Dataset,
     task's heap. Default ``p_bits`` scales with the DATA, not just the
     cluster: ≈ one partition per 256 MiB of joined input (metadata
     estimate), floored at log2(cores) and capped at 2^10 — a count tuned
-    to one box is wrong both ways at 4N nodes (the join_partitions
-    rationale). Skewed keys: a single pathological key lands in one task —
-    salt upstream (``salted_groupby_count`` pattern) if one key exceeds a
-    worker.
+    to one box is wrong both ways at 4N nodes. Skewed keys: a single
+    pathological key lands in one task — ``skew_join`` broadcasts the hot
+    keys instead.
     """
     if p_bits is None:
         total = 0
@@ -560,20 +492,9 @@ def exchange_join(left: rd.Dataset, right: rd.Dataset,
                 pass
         need = int(np.ceil(np.log2(max(1, total // (256 << 20)) + 1)))
         p_bits = min(10, max(default_p_bits(), need))
-    P = 1 << p_bits
     arrow_how = _ARROW_JOIN_TYPE[how]
     l_schema = left.schema().base_schema
     r_schema = right.schema().base_schema
-
-    @ray.remote
-    def split(tbl, key: str, pb: int):
-        if not isinstance(tbl, pa.Table):
-            tbl = pa.Table.from_batches([tbl])
-        if tbl.num_rows == 0:
-            return tuple(tbl for _ in range(1 << pb))
-        bucket = _bucket_of(tbl[key], pb)
-        return tuple(tbl.filter(pa.array(bucket == p))
-                     for p in range(1 << pb))
 
     @ray.remote
     def pjoin(nl: int, *parts):
@@ -618,7 +539,7 @@ def exchange_join(left: rd.Dataset, right: rd.Dataset,
                 tbl = pa.Table.from_batches([tbl])
             bf = BloomFilter(1, n_bits=n_bits, k=k)
             if tbl.num_rows:
-                bf.add_hashes(_hash64(tbl[right_on]))
+                bf.add_hashes(_key_hash(tbl[right_on]))
             return bf.to_bytes()
 
         cap = max(64, sum(ray.get([nrows.remote(r) for r in rrefs])))
@@ -638,7 +559,7 @@ def exchange_join(left: rd.Dataset, right: rd.Dataset,
             if tbl.num_rows == 0:
                 return tbl, tbl
             bf = BloomFilter.from_bytes(bloom_bytes)
-            hit = pa.array(bf.contains_hashes(_hash64(tbl[left_on])))
+            hit = pa.array(bf.contains_hashes(_key_hash(tbl[left_on])))
             return tbl.filter(hit), tbl.filter(pc.invert(hit))
 
         pre = [prefilter.options(num_returns=2).remote(r, bloom_ref)
@@ -647,16 +568,11 @@ def exchange_join(left: rd.Dataset, right: rd.Dataset,
         if how == "left_anti":
             miss_refs = [p[1] for p in pre]
 
-    lsp = [split.options(num_returns=P).remote(r, left_on, p_bits)
-           for r in lrefs]
-    rsp = [split.options(num_returns=P).remote(r, right_on, p_bits)
-           for r in rrefs]
-    if P == 1:
-        lsp = [[r] for r in lsp]
-        rsp = [[r] for r in rsp]
+    lsp = _split_refs(lrefs, left_on, p_bits)
+    rsp = _split_refs(rrefs, right_on, p_bits)
     out = [pjoin.remote(len(lsp), *[refs[p] for refs in lsp],
                         *[refs[p] for refs in rsp])
-           for p in range(P)]
+           for p in range(1 << p_bits)]
     return rd.from_arrow_refs(out + miss_refs)
 
 
@@ -670,11 +586,10 @@ def topk_per_key(ds: rd.Dataset, key: str,
     names = [key] + [c for c, _ in sort_keys]
     orders = ["ascending"] + ["descending" if d else "ascending"
                               for _, d in sort_keys]
-    base = ds.schema().base_schema
 
     def local(tbl: pa.Table) -> pa.Table:
         if tbl.num_rows == 0:
-            return base.empty_table()
+            return tbl
         idx = pc.sort_indices(tbl, sort_keys=list(zip(names, orders)))
         tbl = tbl.take(idx)
         keys_np = tbl[key].to_numpy(zero_copy_only=False)
@@ -1046,16 +961,10 @@ def skew_join(left: rd.Dataset, right: rd.Dataset,
         """bucket 0..P-1 = cold hash ranges; bucket P = hot rows."""
         if not isinstance(tbl, pa.Table):
             tbl = pa.Table.from_batches([tbl])
-        if tbl.num_rows == 0:
-            return tuple(tbl for _ in range((1 << pb) + 1))
         is_hot = pc.is_in(tbl[key], value_set=hot_keys)
         hot_part = tbl.filter(is_hot)
         cold = tbl.filter(pc.invert(pc.fill_null(is_hot, False)))
-        if cold.num_rows == 0:
-            return tuple([cold] * (1 << pb) + [hot_part])
-        bucket = _bucket_of(cold[key], pb)
-        return tuple([cold.filter(pa.array(bucket == p))
-                      for p in range(1 << pb)] + [hot_part])
+        return hash_split(cold, key, pb) + (hot_part,)
 
     @ray.remote
     def pjoin(nl: int, *parts):

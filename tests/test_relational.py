@@ -84,18 +84,204 @@ def test_topk_matches_sorted():
     assert list(out["id"]) == list(exp["id"])
 
 
-def test_salted_groupby_count_matches_plain():
-    from lk_data_test_ray.relational import salted_groupby_count
-
+def test_zipf_hot_key_count_matches_plain():
+    """A Zipf-hot key (40% of rows on one value) counts exactly through the
+    plain groupby: map-side partials shrink it to one row per block."""
     rng = np.random.default_rng(7)
-    # Zipf-hot key: one value dominates (the skew scenario salting targets)
     keys = np.where(rng.random(5000) < 0.4, "hot.example.org",
                     rng.choice([f"h{i}" for i in range(50)], 5000))
-    ds = rd.from_arrow(pa.table({"host": pa.array(keys, pa.string())}))
-    out = salted_groupby_count(ds, "host", salt_buckets=8).to_pandas()
-    exp = pd.Series(keys).value_counts()
+    ds = rd.from_arrow(pa.table({"host": pa.array(keys, pa.string())})) \
+        .repartition(8)
+    out = partial_groupby_agg(
+        ds, ["host"], [("one", "count", "n")],
+        pre=lambda b: b.append_column(
+            "one", pa.array(np.ones(b.num_rows, np.int64)))).to_pandas()
     got = dict(zip(out["host"], out["n"]))
-    assert got == exp.to_dict()
+    assert got == pd.Series(keys).value_counts().to_dict()
+
+
+def test_exchange_join_large_int_key_beside_null():
+    """An int64 key above 2**53 hashes to one range whether or not its
+    block holds a null (a float64 detour once rounded it apart)."""
+    from lk_data_test_ray.relational import exchange_join
+
+    big = 2**60 + 1
+    left = rd.from_arrow(pa.table({"k": pa.array([big, None], pa.int64()),
+                                   "a": [1, 2]}))
+    right = rd.from_arrow(pa.table({"k2": pa.array([big], pa.int64()),
+                                    "b": [3]}))
+    out = exchange_join(left, right, "k", "k2", p_bits=4).to_pandas()
+    assert out["a"].tolist() == [1] and out["b"].tolist() == [3]
+
+
+def test_hash_repartition_large_int_key_beside_null():
+    from lk_data_test_ray.relational import hash_repartition_map
+
+    big = 2**60 + 1
+    ds = rd.from_arrow([pa.table({"k": pa.array([big, None], pa.int64())}),
+                        pa.table({"k": pa.array([big], pa.int64())})])
+    out = hash_repartition_map(
+        ds, "k", lambda t: t.group_by(["k"]).aggregate([("k", "count")]),
+        p_bits=4).to_pandas()
+    assert sorted(out["k_count"]) == [0, 2]   # the null group counts 0
+
+
+def _range_of(tbl, keys, p_bits=3):
+    """row -> range index, from hash_split's outputs."""
+    from lk_data_test_ray.relational import hash_split
+
+    tagged = tbl.append_column("_row", pa.array(np.arange(tbl.num_rows)))
+    parts = hash_split(tagged, keys, p_bits)
+    assert len(parts) == 1 << p_bits
+    where = {}
+    for p, part in enumerate(parts):
+        for r in part["_row"].to_pylist():
+            assert r not in where          # ranges are disjoint
+            where[r] = p
+    assert sorted(where) == list(range(tbl.num_rows))   # and cover
+    return [where[r] for r in range(tbl.num_rows)]
+
+
+def test_hash_split_covers_and_agrees_across_types():
+    rng = np.random.default_rng(11)
+    ints = rng.integers(-2**40, 2**40, 300)
+    strs = [f"u{v}" for v in ints]
+    r64 = _range_of(pa.table({"k": pa.array(ints, pa.int64())}), "k")
+    r32 = _range_of(pa.table({"k": pa.array(ints % 2**31, pa.int32())}), "k")
+    r64b = _range_of(pa.table({"k": pa.array(ints % 2**31, pa.int64())}),
+                     "k")
+    assert r32 == r64b and len(set(r64)) > 1
+    rs = _range_of(pa.table({"k": pa.array(strs, pa.string())}), "k")
+    rl = _range_of(pa.table({"k": pa.array(strs, pa.large_string())}), "k")
+    assert rs == rl
+    two = pa.table({"a": pa.array(ints, pa.int64()),
+                    "b": pa.array(strs, pa.string())})
+    two32 = pa.table({"a": pa.array(ints, pa.int64()),
+                      "b": pa.array(strs, pa.large_string())})
+    assert _range_of(two, ["a", "b"]) == _range_of(two32, ["a", "b"])
+    # equal key pairs land together within one table too
+    dup = pa.concat_tables([two, two])
+    r = _range_of(dup, ["a", "b"])
+    assert r[:300] == r[300:]
+
+
+def test_hash_split_keeps_row_order_and_nulls_together():
+    from lk_data_test_ray.relational import hash_split
+
+    tbl = pa.table({"k": pa.array([None, 3, None, 7, 3, None], pa.int64()),
+                    "i": pa.array(range(6))})
+    parts = hash_split(tbl, "k", 2)
+    null_ranges = {p for p, t in enumerate(parts)
+                   if t["k"].null_count}
+    assert len(null_ranges) == 1
+    for t in parts:
+        assert t["i"].to_pylist() == sorted(t["i"].to_pylist())
+
+
+def test_partial_groupby_agg_null_keys_form_one_group():
+    ds = rd.from_arrow([
+        pa.table({"g": pa.array([None, "a", None], pa.string()),
+                  "v": pa.array([1, 2, 3], pa.int64())}),
+        pa.table({"g": pa.array([None, "a"], pa.string()),
+                  "v": pa.array([4, 5], pa.int64())})])
+    out = partial_groupby_agg(ds, ["g"], [("v", "sum", "s"),
+                                          ("v", "count", "c")]).to_pandas()
+    got = {(None if pd.isna(g) else g): (s, c)
+           for g, s, c in zip(out["g"], out["s"], out["c"])}
+    assert got == {None: (8, 3), "a": (7, 2)}
+
+
+def test_partial_groupby_agg_keeps_microseconds():
+    base = np.datetime64("2024-01-01T00:00:00", "us")
+    ts = pa.array([base + np.timedelta64(v, "us") for v in (1, 2, 999_999, 5)],
+                  pa.timestamp("us"))
+    day = pa.array([base, base, base + np.timedelta64(1, "us"), base],
+                   pa.timestamp("us"))
+    ds = rd.from_arrow([pa.table({"day": day[:2], "ts": ts[:2]}),
+                        pa.table({"day": day[2:], "ts": ts[2:]})])
+    out = partial_groupby_agg(ds, ["day"], [("ts", "min", "lo"),
+                                            ("ts", "max", "hi")])
+    from lk_data_test_ray.relational import collect_tables
+
+    tbl = collect_tables(out, pa.schema([("day", pa.timestamp("us")),
+                                         ("lo", pa.timestamp("us")),
+                                         ("hi", pa.timestamp("us"))]))
+    assert out.schema().base_schema.field("lo").type == pa.timestamp("us")
+    got = {d: (lo, hi) for d, lo, hi in zip(
+        tbl["day"].cast(pa.int64()).to_pylist(),
+        tbl["lo"].cast(pa.int64()).to_pylist(),
+        tbl["hi"].cast(pa.int64()).to_pylist())}
+    b = int(base.astype(np.int64))
+    assert got == {b: (b + 1, b + 5), b + 1: (b + 999_999, b + 999_999)}
+
+
+def test_partial_groupby_merge_paths_agree(monkeypatch):
+    """The one-task merge and the hash-split merge give the same groups;
+    exactly representable values make the float sums bit-equal."""
+    from lk_data_test_ray import relational
+
+    rng = np.random.default_rng(5)
+    n = 20_000
+    tbl = pa.table({"g": pa.array(rng.integers(0, 3000, n), pa.int64()),
+                    "h": pa.array(rng.choice(["x", "y", None], n)),
+                    "v": pa.array(rng.integers(-500, 500, n) / 8.0)})
+    ds = rd.from_arrow(tbl).repartition(6).materialize()
+    specs = [("v", "sum", "s"), ("v", "count", "c"), ("v", "min", "mn"),
+             ("v", "max", "mx"), ("v", "mean", "avg")]
+
+    def run():
+        return (partial_groupby_agg(ds, ["g", "h"], specs).to_pandas()
+                .sort_values(["g", "h"], na_position="first")
+                .reset_index(drop=True))
+
+    one = run()
+    monkeypatch.setattr(relational, "_MERGE_ROWS", 100)
+    split = run()
+    assert len(one) == tbl.group_by(["g", "h"]).aggregate([]).num_rows
+    pd.testing.assert_frame_equal(one, split)
+
+
+def test_map_groups_calls_fn_once_per_group():
+    from lk_data_test_ray.relational import map_groups
+
+    tbl = pa.table({"a": pa.array([1, 1, 2, None, None, 1], pa.int64()),
+                    "b": pa.array(["x", "y", "x", "x", "x", "x"]),
+                    "v": pa.array(range(6), pa.int64())})
+    ds = rd.from_arrow([tbl.slice(0, 3), tbl.slice(3)])
+    out = map_groups(ds, ["a", "b"], lambda g: pa.table({
+        "a": g["a"][:1], "b": g["b"][:1],
+        "vs": pa.array([sorted(g["v"].to_pylist())])})).to_pandas()
+    got = sorted((((None if pd.isna(a) else int(a)), b, list(vs))
+                  for a, b, vs in zip(out["a"], out["b"], out["vs"])),
+                 key=str)
+    assert got == sorted([(1, "x", [0, 5]), (1, "y", [1]), (2, "x", [2]),
+                          (None, "x", [3, 4])], key=str)
+
+
+def test_round_cols_snaps_ulp_drift_to_nearest_double():
+    """A sum that drifted one ULP off a 2-decimal value rounds to the same
+    double DuckDB's ROUND gives; nulls stay null."""
+    from lk_data_test_ray.relational import round_cols
+
+    tbl = pa.table({"s": pa.array([1509289948.6000001, None, -2.345, 0.5]),
+                    "k": pa.array([1, 2, 3, 4])})
+    out = round_cols(tbl, {"s": 2})
+    assert out["s"].to_pylist() == [1509289948.6, None, -2.35, 0.5]
+    assert out["k"].to_pylist() == [1, 2, 3, 4]
+
+
+def test_package_has_no_ray_groupby():
+    """Every groupby runs on the one hash exchange: no Ray ``.groupby(``
+    (the sort aggregate) anywhere in the package source."""
+    import pathlib
+
+    import lk_data_test_ray
+
+    root = pathlib.Path(lk_data_test_ray.__file__).parent
+    hits = [f"{p}:{i}" for p in sorted(root.rglob("*.py"))
+            for i, line in enumerate(p.read_text().splitlines(), 1)
+            if ".groupby(" in line]
+    assert hits == []
 
 
 def test_interval_join():
