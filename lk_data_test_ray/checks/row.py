@@ -21,7 +21,6 @@ from __future__ import annotations
 import json
 import os
 import pickle
-import re
 
 import numpy as np
 import pyarrow as pa
@@ -283,7 +282,6 @@ def sidecar_name(pid: int, lo: int, hi: int) -> str:
     return f"item-{pid:05d}-{lo:05d}-{hi:05d}.arrow"
 
 
-_SIDECAR = re.compile(r"item-(\d+)-(\d+)-(\d+)\.arrow")
 _SIDECAR_SCHEMA = pa.schema([("h", pa.uint64()), ("url", pa.string())])
 
 
@@ -292,8 +290,8 @@ def write_sidecar(path: str, hashes: np.ndarray | None,
     """Persist one item's C1 feed as an Arrow IPC file of one record batch:
     ``h`` (the url hashes, sorted ascending) and ``url`` (each row's url,
     nulls included), one row per input row — 8 B plus the url bytes per
-    row. ``None`` for both (no url column) writes an empty feed, so the
-    file's sidecars still tile it. Atomic, and a backup copy of the item
+    row. ``None`` for both (no url column) writes an empty feed, so every
+    item a manifest names has its sidecar. Atomic, and a backup copy of the item
     rewrites the same rows (rows of one hash are interchangeable: the verify
     counts them, so their order does not matter)."""
     if hashes is None:
@@ -317,65 +315,6 @@ def read_sidecar(path: str) -> tuple[np.ndarray, pa.Array]:
     with pa.memory_map(path) as src:  # the batch keeps the mapping
         batch = pa.ipc.open_file(src).get_batch(0)
     return batch.column(0).to_numpy(), batch.column(1)
-
-
-def sidecars_by_pid(c1_dir: str) -> dict[int, list[str]]:
-    """pid -> the item sidecar paths in ``c1_dir``, from ONE listing."""
-    out: dict[int, list[str]] = {}
-    for name in (os.listdir(c1_dir) if os.path.isdir(c1_dir) else []):
-        m = _SIDECAR.fullmatch(name)
-        if m:
-            out.setdefault(int(m.group(1)), []).append(
-                os.path.join(c1_dir, name))
-    return out
-
-
-def committed_sidecars(c1_dir: str, pid: int, path: str,
-                       listed: dict | None = None,
-                       n_rg: int | None = None) -> list | None:
-    """The sidecar set that fully covers a committed partition, discovered
-    from what the original scan actually wrote (``listed``, the
-    ``sidecars_by_pid`` listing, or a fresh one) — never by re-deriving the
-    item split (the live scan auto-sizes its items to the todo set, so a
-    re-plan over one file routinely disagrees with the names on disk and
-    would silently defeat the sidecar fast path). Returns the chosen files
-    only when their (rg_lo, rg_hi) ranges tile ``[0, n_row_groups)``
-    exactly (greedy max-hi walk, so sidecars from runs with different
-    splits may mix — any exact tiling of correct per-item partials is
-    correct); None → caller falls back to ``url_sidecar``. ``n_rg`` is the
-    file's row-group count as its manifest recorded it
-    (``input_row_groups``); without it the parquet footer is read."""
-    import pyarrow.parquet as pq
-
-    if listed is None:
-        listed = sidecars_by_pid(c1_dir)
-    cands = listed.get(pid)
-    if not cands:
-        return None
-    by_lo: dict[int, tuple[int, str]] = {}
-    for c in cands:
-        _, lo, hi = map(int, _SIDECAR.fullmatch(os.path.basename(c)).groups())
-        if lo not in by_lo or hi > by_lo[lo][0]:
-            by_lo[lo] = (hi, c)
-    if n_rg is None:
-        try:
-            n_rg = pq.ParquetFile(path).metadata.num_row_groups
-        except Exception:
-            return None
-    cur, chosen = 0, []
-    while cur < n_rg:
-        nxt = by_lo.get(cur)
-        if nxt is None or nxt[0] <= cur:
-            return None
-        cur = nxt[0]
-        chosen.append(nxt[1])
-    if n_rg == 0:
-        # zero-row-group files plan one empty (0, 0) item
-        empty = by_lo.get(0)
-        if empty is None or empty[0] != 0:
-            return None
-        chosen = [empty[1]]
-    return chosen
 
 
 _CHECKERS: dict = {}  # check_extract -> this worker's RowChecker
@@ -432,24 +371,6 @@ def scan_block(items: list[dict], check_extract: bool, clean_dir: str | None,
             pq.write_table(clean, dst + ".tmp")
             os.replace(dst + ".tmp", dst)
     return pa.concat_tables(out) if out else COMBINED_SCHEMA.empty_table()
-
-
-@ray.remote
-def url_sidecar(path: str, pid: int, c1_dir: str) -> str:
-    """Resume path for a committed file without a complete sidecar set (an
-    out dir written before sidecars, or by an older sidecar format): one
-    url-only read writes a whole-file sidecar, which tiles the file from
-    then on. Returns its path."""
-    import pyarrow.parquet as pq
-
-    pf = pq.ParquetFile(path)
-    h = urls = None
-    if "url" in pf.schema_arrow.names:
-        urls = pf.read(columns=["url"])["url"]
-        h = hash_strings64(urls.to_pandas())
-    sp = os.path.join(c1_dir, sidecar_name(pid, 0, pf.metadata.num_row_groups))
-    write_sidecar(sp, h, urls)
-    return sp
 
 
 def split_items(tbl: pa.Table) -> list[pa.Table]:

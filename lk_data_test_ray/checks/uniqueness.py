@@ -14,10 +14,9 @@ sort and no block re-materialization.
      url column, so no separate url pass runs: each task hashes its item's
      urls once and persists them as an item sidecar
      (``c1/item-*.arrow``: ``h`` sorted ascending and ``url``, one row per
-     input row, nulls included — 8 B plus the url bytes per row). A resume
-     reuses the committed partitions' sidecars; a file without a complete
-     set gets one url-only read that writes a whole-file sidecar
-     (``row.url_sidecar``).
+     input row, nulls included — 8 B plus the url bytes per row). Each
+     partition manifest names its items, so a resume reuses exactly those
+     sidecars; a partition missing one is dropped and re-scanned.
   2. **Hash compaction** — urls → stable u64 hashes (vectorized SipHash);
      the exchange moves 8-byte ints, not ~70-byte strings (~10x volume cut).
      ``hash(url)`` is uniform, so no salting is needed for this key

@@ -30,9 +30,10 @@ Execution/resume model:
     while the commits write and the stats merge; no input file is read
     after the scan. The global phase follows all partition commits and
     writes its own manifest.
-  * each partition manifest records its file's ``input_row_groups``, so a
-    resume checks a committed file's sidecar tiling without opening its
-    parquet footer.
+  * each partition manifest names its scan ``items`` (row-group ranges, in
+    plan order), and so the C1 sidecars a resume feeds from: a partition is
+    kept only while every one of them is in ``c1/``, and re-scanned
+    otherwise.
 """
 
 from __future__ import annotations
@@ -53,9 +54,8 @@ import pyarrow.parquet as pq
 import ray
 
 from ..checks.drift import chi_square_drift
-from ..checks.row import (committed_sidecars, merge_stats, plan_scan_items,
-                          scan_block, sidecar_name, sidecars_by_pid,
-                          split_combined, split_items, url_sidecar)
+from ..checks.row import (merge_stats, plan_scan_items, scan_block,
+                          sidecar_name, split_combined, split_items)
 from ..checks.uniqueness import (collector_candidates, duplicates_to_violations,
                                  make_collectors, verify_candidates)
 from ..schema import VIOLATIONS_SCHEMA
@@ -105,10 +105,9 @@ def run_validation(
     the sidecar listing and item planning); ``row``, which ends at the
     last scan arrival, when the C1 range tasks start; ``commit_wait``, how
     long the partition commits still ran after that; ``c1_drain``
-    (``feeds``: the wait on url-only fallbacks; ``verify``: the
-    ``stats_merge``, run while the range tasks do, plus the wait for their
-    duplicate tables; ``candidates``: the candidate union after that); and
-    ``global``, everything after the last arrival.
+    (``verify``: the ``stats_merge``, run while the range tasks do, plus
+    the wait for their duplicate tables; ``candidates``: the candidate
+    union after that); and ``global``, everything after the last arrival.
     """
     t0 = time.time()
     files = _pages_files(pages_path)
@@ -151,30 +150,14 @@ def run_validation(
     # ---- global C1 uniqueness ------------------------------------------------
     # The scan tasks already hold every url column and persist each item's
     # (hash, url) rows as a sidecar — the corpus is read ONCE for both
-    # phases. Committed partitions (resume) never re-scan:
-    # their sidecars, found by ONE listing of c1/, join this run's in the
-    # exchange that starts at the scan's last arrival. A committed file
-    # without a complete sidecar set (an older out dir) gets one url-only
-    # read that writes a whole-file sidecar, concurrently with the row
-    # phase. At 100 TB an incremental run re-feeds yesterday's corpus from
-    # ~1.6% of its bytes. The manifest's row-group count spares a footer
-    # read per committed file.
-    listed = sidecars_by_pid(c1_dir)
-    sidecars: list = []  # (file, sidecar path)
-    fallback: list = []  # (file, ref of the sidecar path url_sidecar writes)
-    c1_counts = {"sidecar_files": 0, "url_fallback_files": 0}
-    for f in files:
-        pid = partition_of[f]
-        if pid not in kept:
-            continue
-        exp = committed_sidecars(c1_dir, pid, f, listed,
-                                 kept[pid].get("input_row_groups"))
-        if exp:
-            sidecars += [(f, sp) for sp in exp]
-            c1_counts["sidecar_files"] += 1
-        else:
-            c1_counts["url_fallback_files"] += 1
-            fallback.append((f, url_sidecar.remote(f, pid, c1_dir)))
+    # phases. Committed partitions (resume) never re-scan: each kept
+    # manifest names its items, whose sidecars _keep_committed found in
+    # c1/, and they join this run's in the exchange that starts at the
+    # scan's last arrival. At 100 TB an incremental run re-feeds
+    # yesterday's corpus from ~1.6% of its bytes.
+    sidecars = [(rec["input_fragment"],
+                 os.path.join(c1_dir, sidecar_name(pid, lo, hi)))
+                for pid, rec in kept.items() for lo, hi in rec["items"]]
 
     # ---------------- row phase ----------------------------------------------
     # one scan_block task per packed block of scan items (plan_scan_items'
@@ -188,14 +171,13 @@ def run_validation(
     items = plan_scan_items(todo, partition_of, target_rows=scan_target_rows,
                             cpus=cpus)
     blocks: dict[int, list[dict]] = {}
-    n_rg_of: dict[int, int] = {}  # pid -> the file's row-group count
+    items_of: dict[int, list] = {}  # pid -> its [rg_lo, rg_hi] in plan order
     for it in items:
         blocks.setdefault(it["block"], []).append(it)
-        n_rg_of[it["pid"]] = max(n_rg_of.get(it["pid"], 0), it["rg_hi"])
+        items_of.setdefault(it["pid"], []).append([it["rg_lo"], it["rg_hi"]])
+        sidecars.append((it["path"], os.path.join(
+            c1_dir, sidecar_name(it["pid"], it["rg_lo"], it["rg_hi"]))))
     file_of_pid = {partition_of[f]: f for f in todo}
-    sidecars += [(it["path"], os.path.join(
-        c1_dir, sidecar_name(it["pid"], it["rg_lo"], it["rg_hi"])))
-        for it in items]
     committed: dict = {}  # pid -> the manifest record this run committed
 
     def _commit(pid: int, viols: list, partials: list) -> None:
@@ -211,7 +193,7 @@ def run_validation(
             "input_fragment": file_of_pid[pid],
             "input_size": size,
             "input_mtime_ns": mtime_ns,
-            "input_row_groups": n_rg_of[pid],
+            "items": items_of[pid],
             "n_rows": stats["n_rows"],
             "violation_count": int(pv.num_rows),
             "per_check_violations": _per_check_counts(pv),
@@ -226,15 +208,9 @@ def run_validation(
 
     def _start_c1() -> None:
         # the range tasks read only sidecars, all written once the last scan
-        # item has arrived: they run while the partitions commit. The
-        # url-only fallbacks' sidecars must exist before the range tasks
-        # read them (no-op when every file has its sidecars).
+        # item has arrived: they run while the partitions commit
         c1["t_row_done"] = time.time()
-        written = ray.get([ref for _, ref in fallback])
-        c1["t_f"] = time.time()
-        c1["collectors"] = make_collectors(
-            sidecars + [(f, sp) for (f, _), sp in zip(fallback, written)],
-            cpus=cpus)
+        c1["collectors"] = make_collectors(sidecars, cpus=cpus)
         c1["t_started"] = time.time()
 
     if items:
@@ -265,9 +241,8 @@ def run_validation(
     t_v = time.time()
     cand = collector_candidates(collectors)
     global_stats = merged["stats"]
-    c1_counts.update(vc, candidates=int(cand.size))
-    c1_walls = {"feeds": round(c1["t_f"] - t_row_done, 3),
-                "candidates": round(time.time() - t_v, 3),
+    c1_counts = {**vc, "candidates": int(cand.size)}
+    c1_walls = {"candidates": round(time.time() - t_v, 3),
                 "verify": round(t_v - t_committed, 3)}
     c1_viol = duplicates_to_violations(dups)
 
@@ -470,32 +445,36 @@ def _keep_committed(store: ManifestStore, sigs: dict, viol_dir: str,
     """The committed partitions this run keeps, pid -> manifest, and the
     number dropped. One is kept per input file still present and unchanged
     (its manifest's size and mtime_ns equal ``sigs[file]``; the lowest pid
-    when two manifests claim the same file). Every other partition is
-    dropped with its stats, its violations part and its C1 sidecars, and so
-    is any part or sidecar without a kept manifest (a run killed before the
-    commit): a deleted and re-added file, or one rewritten in place, is
-    re-scanned, and a reused pid starts clean instead of being tiled by a
-    deleted file's sidecars. Sidecars of the older ``.npz`` and ``.npy``
-    formats and the older ``verified.parquet`` verify table are all
-    removed; the kept files they covered get ``url_sidecar`` rewrites."""
-    seen, keep = set(), {}
+    when two manifests claim the same file) whose manifest names its scan
+    ``items`` and whose sidecars of those items are all in ``c1_dir``.
+    Every other partition is dropped with its stats and is re-scanned: a
+    deleted and re-added file, one rewritten in place, one that lost a
+    sidecar, and every partition of an out dir written before manifests
+    named their items. Then every violations part without a kept manifest
+    and every file in ``c1_dir`` that no kept manifest names (a dropped
+    partition's sidecars, a killed run's uncommitted ones and ``.tmp``
+    leftovers) is removed, so a reused pid starts clean."""
+    present = set(os.listdir(c1_dir))
+    seen, keep, named = set(), {}, set()
     parts = [(pid, rec) for pid, rec in store.completed().items()
              if pid != "global"]
     for pid, rec in sorted(parts, key=lambda kv: kv[0]):
         frag = rec.get("input_fragment")
         sig = [rec.get("input_size"), rec.get("input_mtime_ns")]
-        if frag in sigs and frag not in seen and sig == sigs[frag]:
+        names = {sidecar_name(pid, lo, hi) for lo, hi in rec.get("items", ())}
+        if (frag in sigs and frag not in seen and sig == sigs[frag]
+                and names and names <= present):
             seen.add(frag)
             keep[pid] = rec
+            named |= names
         else:
             store.drop(pid)
-    for d in (viol_dir, c1_dir):
-        for name in (os.listdir(d) if os.path.isdir(d) else []):
-            m = re.match(r"(?:part|item)-(\d+)", name)
-            old = (name.endswith((".npz", ".npy"))
-                   or name == "verified.parquet")
-            if old or (m and int(m.group(1)) not in keep):
-                os.remove(os.path.join(d, name))
+    for name in present - named:
+        os.remove(os.path.join(c1_dir, name))
+    for name in os.listdir(viol_dir):
+        m = re.match(r"part-(\d+)", name)
+        if m and int(m.group(1)) not in keep:
+            os.remove(os.path.join(viol_dir, name))
     return keep, len(parts) - len(keep)
 
 

@@ -483,6 +483,8 @@ def exchange_join(left: rd.Dataset, right: rd.Dataset,
     pathological key lands in one task — ``skew_join`` broadcasts the hot
     keys instead.
     """
+    # run each input once: the size, schema and block refs all read it
+    left, right = left.materialize(), right.materialize()
     if p_bits is None:
         total = 0
         for ds in (left, right):
@@ -656,6 +658,8 @@ def asof_join(left: rd.Dataset, right: rd.Dataset, key: str,
     r_keep = list(dict.fromkeys(
         right_cols + ([right_tiebreak] if right_tiebreak
                       and right_tiebreak not in right_cols else [])))
+    # run each input once: the schema probe and the exchange both read it
+    left, right = left.materialize(), right.materialize()
     # union requires identical schemas: both sides carry the full column set,
     # null-filled for the columns the other side owns
     l_types = {f.name: f.type for f in left.schema().base_schema}
@@ -731,6 +735,8 @@ def nearest_join(left: rd.Dataset, right: rd.Dataset, key: str,
 
     right_key = right_key or key  # the right side's key column name
     r_keep = list(dict.fromkeys(right_cols + [right_id]))
+    # run each input once: the schema probe and the exchange both read it
+    left, right = left.materialize(), right.materialize()
     l_types = {f.name: f.type for f in left.schema().base_schema}
     r_types = {f.name: f.type for f in right.schema().base_schema}
     all_cols = ([(c, l_types[c], 0) for c in left_cols]
@@ -923,6 +929,8 @@ def skew_join(left: rd.Dataset, right: rd.Dataset,
     """
     if how not in ("inner", "left_outer", "left_semi", "left_anti"):
         raise ValueError(f"skew_join does not support how={how!r}")
+    # run each input once: the schema and block refs both read it
+    left, right = left.materialize(), right.materialize()
     if p_bits is None:
         p_bits = default_p_bits()
     P = 1 << p_bits
@@ -936,11 +944,6 @@ def skew_join(left: rd.Dataset, right: rd.Dataset,
         return exchange_join(left, right, left_on, right_on, how,
                              p_bits=p_bits)
 
-    def _as_ds(refs, schema):
-        # blocks are already materialized — wrap, don't re-execute
-        return rd.from_arrow_refs(refs) if refs else rd.from_arrow(
-            schema.empty_table())
-
     sketch, total = detect_hot_keys(lrefs, left_on, m=sketch_m)
     # default threshold: a key 4× an average hash-range's share would
     # dominate its partition
@@ -953,8 +956,8 @@ def skew_join(left: rd.Dataset, right: rd.Dataset,
                       key_type) if hot else None
 
     if hot_arr is None or len(hot_arr) == 0:
-        return exchange_join(_as_ds(lrefs, l_schema), _as_ds(rrefs, r_schema),
-                             left_on, right_on, how, p_bits=p_bits)
+        return exchange_join(left, right, left_on, right_on, how,
+                             p_bits=p_bits)
 
     @ray.remote
     def split(tbl, key: str, hot_keys, pb: int):

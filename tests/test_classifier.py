@@ -3,12 +3,13 @@ of a separable synthetic corpus), determinism across runs, and the driver
 query's end-to-end shape."""
 
 import sys
+from pathlib import Path
 
 import numpy as np
 import pyarrow as pa
 import pytest
 
-sys.path.insert(0, "/root/repo")
+sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
 
 from lk_data_test_ray.pipelines.classifier import (  # noqa: E402
     featurize, score_logreg_hashed, train_logreg_hashed)

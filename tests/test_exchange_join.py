@@ -3,13 +3,16 @@ must equal a single-table Arrow join for every join type, key dtype, and
 duplicate/empty-side shape — it now carries q3/q5/q10, J2/J3, the bigram-LM
 joins and PageRank."""
 
+import os
 import sys
+from pathlib import Path
 
 import numpy as np
 import pyarrow as pa
+import pyarrow.parquet as pq
 import pytest
 
-sys.path.insert(0, "/root/repo")
+sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
 
 from lk_data_test_ray.relational import exchange_join  # noqa: E402
 
@@ -193,3 +196,55 @@ def test_exchange_join_bloom_reduce(ray_session, how):
         exchange_join(left, right, "k", "rk", how=how).to_pandas(),
         preserve_index=False))
     assert got.equals(want), how
+
+
+def _counted_side(tmp_path, name, tbl, n_blocks=4):
+    """A lazy ``read_parquet -> map_batches`` input of ``n_blocks`` blocks
+    whose UDF leaves one marker file per call, and the marker dir."""
+    import tempfile
+
+    import ray.data as rd
+
+    src, marks = tmp_path / f"{name}_src", tmp_path / f"{name}_calls"
+    src.mkdir()
+    marks.mkdir()
+    step = -(-tbl.num_rows // n_blocks)
+    for b in range(n_blocks):
+        pq.write_table(tbl.slice(b * step, step), src / f"{b}.parquet")
+
+    def udf(batch):
+        os.close(tempfile.mkstemp(dir=str(marks))[0])
+        return batch
+
+    ds = rd.read_parquet(str(src), override_num_blocks=n_blocks).map_batches(
+        udf, batch_format="pyarrow", batch_size=None)
+    return ds, marks
+
+
+@pytest.mark.parametrize("op", ["exchange_join", "skew_join", "asof_join",
+                                "nearest_join"])
+def test_joins_run_each_input_once(ray_session, tmp_path, op):
+    """Each join executes its lazy inputs once: the upstream UDF runs once
+    per input block, not again for a schema probe."""
+    from lk_data_test_ray import relational
+
+    n = 64
+    left = pa.table({"k": pa.array(np.arange(n) % 8, pa.int64()),
+                     "lt": pa.array(np.arange(n), pa.int64()),
+                     "v": pa.array(np.arange(n), pa.int64())})
+    right = pa.table({"k": pa.array(np.arange(n) % 8, pa.int64()),
+                      "rt": pa.array(np.arange(n) * 2, pa.int64()),
+                      "w": pa.array(np.arange(n), pa.int64())})
+    lds, lmarks = _counted_side(tmp_path, "l", left)
+    rds, rmarks = _counted_side(tmp_path, "r", right)
+    if op == "exchange_join":
+        out = relational.exchange_join(lds, rds, "k", "k", p_bits=2)
+    elif op == "skew_join":
+        out = relational.skew_join(lds, rds, "k", "k", p_bits=2)
+    elif op == "asof_join":
+        out = relational.asof_join(lds, rds, "k", "lt", "rt", ["v"], ["w"])
+    else:
+        out = relational.nearest_join(lds, rds, "k", "lt", "rt", ["v"],
+                                      ["w"], right_id="w")
+    assert out.count() > 0
+    assert (len(os.listdir(lmarks)), len(os.listdir(rmarks))) == (4, 4)

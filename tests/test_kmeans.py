@@ -6,11 +6,12 @@ init — cluster sizes match exactly, inertia to float tolerance (summation
 order differs across block layouts)."""
 
 import sys
+from pathlib import Path
 
 import numpy as np
 import pyarrow.parquet as pq
 
-sys.path.insert(0, "/root/repo")
+sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
 
 SF = "/root/testdata/sf0.001"
 

@@ -4,12 +4,14 @@ unpivot/melt, full-outer join) — same compare as the driver's gate,
 at sf0.001 for speed."""
 
 import sys
+from pathlib import Path
 
 import duckdb
 import pytest
 
-sys.path.insert(0, "/root/repo")
-sys.path.insert(0, "/root/repo/tools")
+REPO = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(REPO))
+sys.path.insert(0, str(REPO / "tools"))
 
 from oracle_check import TABLES, compare, to_pandas  # noqa: E402
 

@@ -3,6 +3,7 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pandas as pd
@@ -12,6 +13,8 @@ import ray.data as rd
 
 from lk_data_test_ray.checks.protocol import Rule, run_rule_checks
 from lk_data_test_ray.relational import argmax_per_key
+
+REPO = Path(__file__).resolve().parents[1]  # this checkout
 
 DOCS = pa.table({
     "id": pa.array([1, 2, 3, 4], pa.int64()),
@@ -70,7 +73,7 @@ def test_cli_validate(tmp_path):
         [sys.executable, "-m", "lk_data_test_ray", "validate",
          f"{fix}/pages", str(tmp_path / "out"),
          "--lang-hist", f"{fix}/lang_hist.parquet", "--num-cpus", "4"],
-        capture_output=True, text=True, cwd="/root/repo", timeout=300)
+        capture_output=True, text=True, cwd=REPO, timeout=300)
     line = [ln for ln in p.stdout.splitlines() if ln.startswith("{")][-1]
     summary = json.loads(line)
     assert summary["n_rows"] == 6000
@@ -102,7 +105,7 @@ def test_cli_max_partitions_and_clean(tmp_path):
          f"{fix}/pages", str(tmp_path / "out"),
          "--max-partitions", "4", "--clean-dir", clean,
          "--no-extract-check", "--num-cpus", "4"],
-        capture_output=True, text=True, cwd="/root/repo", timeout=300)
+        capture_output=True, text=True, cwd=REPO, timeout=300)
     line = [ln for ln in p.stdout.splitlines() if ln.startswith("{")][-1]
     summary = json.loads(line)
     assert summary["n_partitions"] == 4  # smoke mode: first 4 files only
@@ -155,7 +158,7 @@ def test_cli_curate(tmp_path):
         [sys.executable, "-m", "lk_data_test_ray", "curate",
          f"{fix}/pages", str(tmp_path / "cur"),
          "--lang-hist", f"{fix}/lang_hist.parquet", "--num-cpus", "4"],
-        capture_output=True, text=True, cwd="/root/repo", timeout=300)
+        capture_output=True, text=True, cwd=REPO, timeout=300)
     assert p.returncode == 0, p.stderr[-2000:]
     line = [ln for ln in p.stdout.splitlines() if ln.startswith("{")][-1]
     funnel = json.loads(line)

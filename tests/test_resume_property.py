@@ -20,6 +20,30 @@ def _run(fix, out):
     )
 
 
+def _spy_scans(monkeypatch):
+    """The pid of every scan item submitted from now on, in order."""
+    from lk_data_test_ray.checks import row
+
+    pids, real = [], row.scan_block.remote
+
+    def spy(items, *args):
+        pids.extend(it["pid"] for it in items)
+        return real(items, *args)
+
+    monkeypatch.setattr(row.scan_block, "remote", spy)
+    return pids
+
+
+def _named_sidecars(out):
+    """The sidecar names the out dir's partition manifests name."""
+    from lk_data_test_ray.checks.row import sidecar_name
+    from lk_data_test_ray.state.manifest import ManifestStore
+
+    return sorted(sidecar_name(pid, lo, hi) for pid, rec in ManifestStore(
+        os.path.join(out, "manifests")).completed().items()
+        if pid != "global" for lo, hi in rec["items"])
+
+
 def test_kill_after_k_partitions_then_resume(pages_fixture, tmp_path):
     fresh_dir = str(tmp_path / "fresh")
     killed_dir = str(tmp_path / "killed")
@@ -161,13 +185,12 @@ def test_failing_scan_task_raises_then_resume_equals_fresh(pages_fixture,
     assert resumed["rows_scanned"] == pq.ParquetFile(bad).metadata.num_rows
     fresh_dir = str(tmp_path / "fresh")
     fresh = run_validation(str(inp), fresh_dir, lang_hist_path=hist)
-    # what each run did (walls, rows scanned, tasks, feeds) differs; what it
+    # what each run did (walls, rows scanned, tasks) differs; what it
     # found may not
     work = {"phase_wall", "wall_sec", "rows_per_sec", "rows_scanned",
-            "scan_items", "scan_tasks", "c1"}
+            "scan_items", "scan_tasks"}
     assert ({k: v for k, v in resumed.items() if k not in work}
             == {k: v for k, v in fresh.items() if k not in work})
-    assert resumed["c1"]["candidates"] == fresh["c1"]["candidates"]
     order = [("check_id", "ascending"), ("url", "ascending"),
              ("detail", "ascending")]
     assert load_violations(out).sort_by(order).equals(
@@ -176,12 +199,9 @@ def test_failing_scan_task_raises_then_resume_equals_fresh(pages_fixture,
 
 def test_resume_feeds_c1_from_sidecars(pages_fixture, tmp_path, monkeypatch):
     """A resume run must feed committed partitions' C1 hashes from the
-    persisted .arrow sidecars (no parquet re-read): poison the url-read
-    fallback and assert the resumed verdicts still match a fresh run."""
+    persisted .arrow sidecars: with every partition committed it submits
+    no scan item at all, and its verdicts still match a fresh run."""
     import glob
-
-    import lk_data_test_ray.checks.uniqueness as u
-    from lk_data_test_ray.pipelines import validate as v
 
     fresh_dir = str(tmp_path / "fresh")
     resumed_dir = str(tmp_path / "resumed")
@@ -194,50 +214,54 @@ def test_resume_feeds_c1_from_sidecars(pages_fixture, tmp_path, monkeypatch):
     for p in glob.glob(os.path.join(resumed_dir, "manifests", "*global*")):
         os.remove(p)
 
-    def _boom(*a, **k):
-        raise AssertionError("resume fed C1 by re-reading parquet urls — "
-                             "sidecars were expected to cover it")
-
-    monkeypatch.setattr(v.url_sidecar, "remote", _boom)
+    scanned = _spy_scans(monkeypatch)
     s_resumed = _run(pages_fixture, resumed_dir)
+    assert scanned == [] and s_resumed["rows_scanned"] == 0
     assert (s_resumed["per_check_violations"]
             == s_fresh["per_check_violations"])
 
 
-def test_committed_sidecars_tiling(tmp_path):
-    """Sidecar discovery globs what the scan wrote and accepts ONLY an
-    exact row-group tiling — mixed splits resolve greedily, gaps reject."""
-    import pyarrow as pa
-    import pyarrow.parquet as pq
+def test_missing_sidecar_rescans_only_its_partition(pages_fixture, tmp_path,
+                                                  monkeypatch):
+    """A kept partition is one whose manifest's items all have their
+    sidecars in c1/. Three files of 4 row groups, 4 items each: deleting
+    one sidecar of the second file re-scans that file alone (under a fresh
+    pid), and an unnamed ``item-*.arrow`` plus ``.tmp`` leftovers in c1/
+    are removed. The resume equals a fresh run, and the next one scans
+    nothing."""
+    import glob
 
-    from lk_data_test_ray.checks.row import committed_sidecars, write_sidecar
+    src = sorted(glob.glob(os.path.join(pages_fixture, "pages", "*.parquet")))
+    inp = tmp_path / "in"
+    inp.mkdir()
+    files = [str(inp / os.path.basename(f)) for f in src[:3]]
+    for f, d in zip(src, files):
+        pq.write_table(pq.read_table(f), d, row_group_size=100)
+    assert pq.read_metadata(files[1]).num_row_groups == 4
+    out = str(tmp_path / "out")
+    run_validation(str(inp), out, scan_target_rows=100)
+    c1 = os.path.join(out, "c1")
+    assert sorted(os.listdir(c1)) == _named_sidecars(out)
+    assert len(os.listdir(c1)) == 12
 
-    f = str(tmp_path / "part.parquet")
-    # 8 row groups of 2 rows
-    t = pa.table({"x": pa.array(range(16))})
-    pq.write_table(t, f, row_group_size=2)
-    c1 = tmp_path / "c1"
-    c1.mkdir()
+    os.remove(os.path.join(c1, "item-00001-00002-00003.arrow"))
+    junk = ["item-00000-00007-00009.arrow",
+            "item-00002-00000-00001.arrow.tmp4242", "stray.tmp"]
+    for name in junk:
+        with open(os.path.join(c1, name), "wb") as fh:
+            fh.write(b"x")
+    scanned = _spy_scans(monkeypatch)
+    s = run_validation(str(inp), out)
+    assert scanned == [3]
+    assert s["rows_scanned"] == pq.read_metadata(files[1]).num_rows
+    assert not set(junk) & set(os.listdir(c1))
+    assert sorted(os.listdir(c1)) == _named_sidecars(out)
+    _same_outputs(out, s, str(tmp_path / "fresh"),
+                  run_validation(str(inp), str(tmp_path / "fresh")))
 
-    def touch(pid, lo, hi):
-        write_sidecar(str(c1 / f"item-{pid:05d}-{lo:05d}-{hi:05d}.arrow"),
-                      None, None)
-
-    # incomplete coverage → None
-    touch(3, 0, 4)
-    assert committed_sidecars(str(c1), 3, f) is None
-    # exact tiling → chosen, in range order
-    touch(3, 4, 8)
-    got = committed_sidecars(str(c1), 3, f)
-    assert [os.path.basename(g) for g in got] == [
-        "item-00003-00000-00004.arrow", "item-00003-00004-00008.arrow"]
-    # a different run's coarser split mixes in → greedy picks the max-hi walk
-    touch(3, 0, 8)
-    got = committed_sidecars(str(c1), 3, f)
-    assert [os.path.basename(g) for g in got] == [
-        "item-00003-00000-00008.arrow"]
-    # other pid's sidecars are invisible
-    assert committed_sidecars(str(c1), 4, f) is None
+    del scanned[:]
+    s = run_validation(str(inp), out)
+    assert scanned == [] and s["rows_scanned"] == 0
 
 
 def test_incremental_append_sorts_first(pages_fixture, tmp_path, ray_session):
@@ -477,14 +501,12 @@ def test_chained_append_counts_dups_from_sidecars(pages_fixture, tmp_path,
     """Chained appends: a new file duplicates an old url, a later one takes
     that url to 3 copies, a third adds a dup of an old file, a fourth a
     second dup of the first old file, a fifth none. Every step equals a
-    fresh run, fed from the committed sidecars alone (the url-only
-    fallback is poisoned); the summary and the one INFO event report the
-    step honestly, ``verify_files`` counting every file, old or new, that
-    holds a duplicated url."""
+    fresh run and scans only the new file: the committed files feed C1
+    from their sidecars alone. The summary and the one INFO event report
+    the step honestly, ``verify_files`` counting every file, old or new,
+    that holds a duplicated url."""
     import glob
     import logging
-
-    from lk_data_test_ray.pipelines import validate as v
 
     src = sorted(glob.glob(os.path.join(pages_fixture, "pages", "*.parquet")))
     inp = tmp_path / "in"
@@ -496,9 +518,7 @@ def test_chained_append_counts_dups_from_sidecars(pages_fixture, tmp_path,
     url0, url1 = pq.read_table(src[0], columns=["url"])["url"][:2]
     url0, url1 = url0.as_py(), url1.as_py()
 
-    def _boom(*a, **k):
-        raise AssertionError("a committed file's sidecars were incomplete")
-
+    scanned = _spy_scans(monkeypatch)
     caplog.set_level(logging.INFO, logger="lk_data_test_ray")
     steps = [("a1.parquet", lambda d: _copy_with_urls(src[3], d, {0: url0})),
              ("a2.parquet", lambda d: _copy_with_urls(src[4], d, {0: url0})),
@@ -516,13 +536,11 @@ def test_chained_append_counts_dups_from_sidecars(pages_fixture, tmp_path,
         after = _dup_urls(by_file)
         holding = [f for f in by_file if set(by_file[f]) & after]
         caplog.clear()
-        with monkeypatch.context() as m:
-            m.setattr(v.url_sidecar, "remote", _boom)
-            s = run_validation(str(inp), out)
-        assert s["c1"] == {"sidecar_files": len(old),
-                           "url_fallback_files": 0,
-                           "verify_files": len(holding),
+        del scanned[:]
+        s = run_validation(str(inp), out)
+        assert s["c1"] == {"verify_files": len(holding),
                            "candidates": len(after)}
+        assert scanned == [len(old)]  # the new file's fresh pid only
         assert s["rows_scanned"] == len(by_file[new])
         assert s["rows_per_sec"] < s["n_rows"] / s["wall_sec"]
         events = [r.resume for r in caplog.records if hasattr(r, "resume")]
@@ -738,20 +756,20 @@ def test_concurrent_runs_keep_their_own_c1(pages_fixture, tmp_path,
 
 def test_npz_sidecar_out_dir_upgrades_on_first_resume(pages_fixture,
                                                       tmp_path, monkeypatch):
-    """An out dir whose sidecars are of the two older formats, half
-    three-member ``.npz`` files (``h``, ``c``, ``item_key``) and half
-    2-row ``(hash, count)`` ``.npy`` arrays, beside an older
-    ``verified.parquet`` verify table: the first resume removes all of
-    them, writes one whole-file ``.arrow`` sidecar per committed file
-    through the url-only fallback, and equals a fresh run. A second
-    resume, with that fallback poisoned, is fed from the new sidecars and
+    """An out dir of an older layout: manifests that record
+    ``input_row_groups`` instead of naming their items, and sidecars of
+    the two older formats, half three-member ``.npz`` files (``h``, ``c``,
+    ``item_key``) and half 2-row ``(hash, count)`` ``.npy`` arrays, beside
+    an older ``verified.parquet`` verify table. The first resume drops
+    every partition, re-scans exactly those files, removes every old file
+    from c1/ and equals a fresh run; the next resume scans nothing and
     equals a fresh run too."""
     import glob
+    import json
 
     import numpy as np
 
     from lk_data_test_ray.checks.row import read_sidecar
-    from lk_data_test_ray.pipelines import validate as v
 
     src = sorted(glob.glob(os.path.join(pages_fixture, "pages", "*.parquet")))
     inp = tmp_path / "in"
@@ -774,28 +792,32 @@ def test_npz_sidecar_out_dir_upgrades_on_first_resume(pages_fixture,
         os.remove(sp)
     pq.write_table(pa.table({"pid": [3], "h": [1], "url": [url0]}),
                    os.path.join(c1, "verified.parquet"))
+    for p in glob.glob(os.path.join(out, "manifests", "part-[0-9]*.json")):
+        with open(p) as fh:
+            rec = json.load(fh)
+        rec["input_row_groups"] = rec.pop("items")[-1][1]
+        with open(p, "w") as fh:
+            json.dump(rec, fh)
     assert len(glob.glob(os.path.join(c1, "*.npz"))) == 2
     assert len(glob.glob(os.path.join(c1, "*.npy"))) == 2
     fresh = str(tmp_path / "fresh")
     s_fresh = run_validation(str(inp), fresh)
+    scanned = _spy_scans(monkeypatch)
 
     def rerun():
+        del scanned[:]
         os.remove(os.path.join(out, "manifests", "part-global.json"))
         return run_validation(str(inp), out)
 
     s = rerun()
-    assert s["c1"]["url_fallback_files"] == 4
-    assert s["c1"]["sidecar_files"] == 0
-    assert sorted(os.listdir(c1)) == [
+    assert sorted(scanned) == [0, 1, 2, 3]
+    assert s["rows_scanned"] == s_fresh["n_rows"]
+    assert sorted(os.listdir(c1)) == _named_sidecars(out) == [
         f"item-{pid:05d}-00000-00001.arrow" for pid in range(4)]
     _same_outputs(out, s, fresh, s_fresh)
 
-    def _boom(*a, **k):
-        raise AssertionError("the upgraded sidecars should cover every file")
-
-    monkeypatch.setattr(v.url_sidecar, "remote", _boom)
     s = rerun()
-    assert s["c1"]["sidecar_files"] == 4
+    assert scanned == [] and s["rows_scanned"] == 0
     _same_outputs(out, s, fresh, s_fresh)
 
 
@@ -847,11 +869,12 @@ def test_c1_starts_while_partitions_commit(pages_fixture, tmp_path,
 
 def test_resume_takes_row_groups_from_manifests(pages_fixture, tmp_path,
                                                 monkeypatch):
-    """Each partition manifest records its file's ``input_row_groups``, so
-    a resume step opens no parquet footer of a kept file in the calling
-    process. An out dir whose manifests lack the key (an older one)
-    resumes through the footer read, and after every step equals a fresh
-    run in ``summary.json`` and ``load_violations``."""
+    """Each partition manifest names its scan ``items``, which tile the
+    file's row groups, so a resume step opens no parquet footer of a kept
+    file in the calling process and scans only the new file. An out dir
+    whose manifests lack the key (an older one) re-scans every file once;
+    after every step the out dir equals a fresh run in ``summary.json``
+    and ``load_violations``."""
     import glob
     import json
 
@@ -871,8 +894,8 @@ def test_resume_takes_row_groups_from_manifests(pages_fixture, tmp_path,
     for p in part_manifests():
         with open(p) as f:
             rec = json.load(f)
-        assert rec["input_row_groups"] == pq.read_metadata(
-            rec["input_fragment"]).num_row_groups
+        assert rec["items"] == [[0, pq.read_metadata(
+            rec["input_fragment"]).num_row_groups]]
 
     opened = []
     real_pf = pq.ParquetFile
@@ -882,47 +905,54 @@ def test_resume_takes_row_groups_from_manifests(pages_fixture, tmp_path,
         return real_pf(source, *a, **k)
 
     monkeypatch.setattr(pq, "ParquetFile", spy)
+    scanned = _spy_scans(monkeypatch)
     work = {"phase_wall", "wall_sec", "rows_per_sec", "rows_scanned",
-            "scan_items", "scan_tasks", "c1"}
+            "scan_items", "scan_tasks"}
     order = [("check_id", "ascending"), ("url", "ascending"),
              ("detail", "ascending")]
 
     def step(i, new):
         kept = sorted(str(p) for p in inp.iterdir())
         shutil.copy(new, inp / os.path.basename(new))
-        del opened[:]
+        del opened[:], scanned[:]
         s = run_validation(str(inp), out)
-        footers = set(opened)
-        assert s["c1"]["sidecar_files"] == len(kept)
-        assert s["c1"]["url_fallback_files"] == 0
+        footers, pids = set(opened), list(scanned)
         fresh = str(tmp_path / f"fresh{i}")
         sf = run_validation(str(inp), fresh)
         assert ({k: v for k, v in s.items() if k not in work}
                 == {k: v for k, v in sf.items() if k not in work})
         assert load_violations(out).sort_by(order).equals(
             load_violations(fresh).sort_by(order))
-        return kept, footers
+        return kept, footers, pids, s
 
-    kept, footers = step(0, src[3])
+    kept, footers, pids, s = step(0, src[3])
     assert not footers & set(kept)
+    assert pids == [3] and s["rows_scanned"] == pq.read_metadata(
+        src[3]).num_rows
 
     for p in part_manifests():
         with open(p) as f:
             rec = json.load(f)
-        del rec["input_row_groups"]
+        rec["input_row_groups"] = rec.pop("items")[-1][1]
         with open(p, "w") as f:
             json.dump(rec, f)
-    for i, new in enumerate(src[4:6], 1):
-        kept, footers = step(i, new)
-        assert set(kept[:4]) <= footers
+    kept, footers, pids, s = step(1, src[4])
+    assert set(kept) <= footers
+    assert sorted(pids) == list(range(5))
+    assert s["rows_scanned"] == s["n_rows"]
+    kept, footers, pids, s = step(2, src[5])
+    assert not footers & set(kept)
+    assert pids == [5] and s["rows_scanned"] == pq.read_metadata(
+        src[5]).num_rows
 
 
-def test_resume_reads_no_committed_input(pages_fixture, tmp_path):
+def test_resume_reads_no_committed_input(pages_fixture, tmp_path,
+                                         monkeypatch):
     """No input is read after the scan. Commit 3 files, then overwrite one
     with as many zero bytes and restore its mtime_ns, so it still counts
     as committed. A new file repeats one of that file's urls: the resume
-    counts the duplicate from the sidecars alone (``count=2``) and equals
-    a fresh run over the original bytes."""
+    scans only the new file, counts the duplicate from the sidecars alone
+    (``count=2``) and equals a fresh run over the original bytes."""
     import glob
 
     src = sorted(glob.glob(os.path.join(pages_fixture, "pages", "*.parquet")))
@@ -945,9 +975,10 @@ def test_resume_reads_no_committed_input(pages_fixture, tmp_path):
     for d in (inp, orig):
         _copy_with_urls(src[5], str(d / "new.parquet"), {0: url})
 
+    scanned = _spy_scans(monkeypatch)
     s = run_validation(str(inp), out)
+    assert scanned == [3]
     assert s["rows_scanned"] == pq.read_metadata(src[5]).num_rows
-    assert s["c1"]["url_fallback_files"] == 0
     c1 = {r["url"]: r["detail"] for r in load_violations(out).to_pylist()
           if r["check_id"] == "c1_url_unique"}
     assert c1[url] == "count=2"
