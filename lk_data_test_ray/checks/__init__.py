@@ -1,3 +1,3 @@
 from .vocab import ISO_639_1  # noqa: F401
-from .row import RowChecker, COMBINED_SCHEMA, split_combined  # noqa: F401
+from .row import RowChecker  # noqa: F401
 from .drift import chi_square_drift  # noqa: F401

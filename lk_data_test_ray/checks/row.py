@@ -5,12 +5,12 @@ every per-row constraint in a single pass over zero-copy Arrow batches — the
 reference evaluates its checks in separate whole-corpus scripts
 (``curation/check_*.py``); fusing them avoids re-reading 100 TB once per check.
 
-Output is a "combined" table: violation rows (≙ the reference's per-check
-failure prints, e.g. ``scripts/make_texts.py:421``) plus exactly one
-``__stats__`` row per scan item carrying serialized mergeable sketch partials
-(HyperLogLog url/lang cardinality, t-digest text-length quantiles, exact lang
-counts for the drift check, warc_ts min/max, null counters). Partials are
-merged associatively on the driver — no shuffle needed for any of these stats.
+Each scan item yields one plain record: its violation columns (≙ the
+reference's per-check failure prints, e.g. ``scripts/make_texts.py:421``) as
+Python lists, and one dict of mergeable stats partials (HyperLogLog url/lang
+cardinality, t-digest text-length quantiles, exact lang counts for the drift
+check, warc_ts min/max, null counters). Partials are merged associatively on
+the driver — no shuffle needed for any of these stats.
 
 Stateful setup (vocab array, bounds parsing) happens once per worker process
 (``RowChecker`` is cached per ``check_extract``), never per block.
@@ -18,9 +18,7 @@ Stateful setup (vocab array, bounds parsing) happens once per worker process
 
 from __future__ import annotations
 
-import json
 import os
-import pickle
 
 import numpy as np
 import pyarrow as pa
@@ -33,17 +31,6 @@ from ..functions.hashing import hash_strings64
 from ..schema import PAGES_SCHEMA, VIOLATIONS_SCHEMA, WARC_TS_MAX, WARC_TS_MIN
 from ..sketches import HyperLogLog, TDigest
 from .vocab import ISO_639_1
-
-COMBINED_SCHEMA = pa.schema(
-    list(VIOLATIONS_SCHEMA)
-    + [pa.field("kind", pa.string()), pa.field("blob", pa.binary())]
-)
-
-STATS_ROW_ID = "__stats__"
-
-
-def _empty_cols():
-    return {"check_id": [], "url": [], "partition_id": [], "severity": [], "detail": []}
 
 
 class RowChecker:
@@ -62,11 +49,13 @@ class RowChecker:
 
     def _process(self, batch: pa.Table, pid: int,
                  item: tuple | None = None,
-                 url_hash: np.ndarray | None = None) -> pa.Table:
-        """Check one scan item. ``url_hash``: ``hash_strings64`` of the url
-        column when the caller already holds it (the fused C1 feed hashes
-        the same column), else hashed here for the url HyperLogLog."""
-        cols = _empty_cols()
+                 url_hash: np.ndarray | None = None) -> tuple[dict, dict]:
+        """Check one scan item: ``(cols, stats)``, the violation columns of
+        ``VIOLATIONS_SCHEMA`` as lists and the item's stats partial (with
+        ``item`` set). ``url_hash``: ``hash_strings64`` of the url column
+        when the caller already holds it (the fused C1 feed hashes the same
+        column), else hashed here for the url HyperLogLog."""
+        cols = {f.name: [] for f in VIOLATIONS_SCHEMA}
 
         def emit(check_id, urls, severity, details):
             n = len(urls)
@@ -91,12 +80,10 @@ class RowChecker:
         ):
             emit("c0_schema", ["__schema__"], "fatal",
                  f"batch schema {batch.schema!s} != declared pages schema")
-            # a C0-failed item still emits a (merge-identity) stats partial:
-            # the drain loop counts stats rows to detect item arrival, so
-            # every item must contribute exactly one
+            # a C0-failed item still has a (merge-identity) stats partial
             stats = merge_stats([])
             stats["item"] = item
-            return _finish(cols, pid, stats)
+            return cols, stats
 
         url_col = batch["url"]
         text_col = batch["text"]
@@ -179,33 +166,7 @@ class RowChecker:
             "ts_max": str(ts_valid.max()) if ts_valid.size else None,
             "item": item,  # the driver dedups arrivals by (pid, item)
         }
-        return _finish(cols, pid, stats)
-
-
-def _finish(cols, pid: int, stats: dict | None) -> pa.Table:
-    n_viol = len(cols["check_id"])
-    kind = ["violation"] * n_viol
-    blob: list = [None] * n_viol
-    if stats is not None:
-        cols["check_id"].append(STATS_ROW_ID)
-        cols["url"].append("")
-        cols["partition_id"].append(pid)
-        cols["severity"].append("info")
-        cols["detail"].append(json.dumps({"n_rows": stats["n_rows"]}))
-        kind.append("stats")
-        blob.append(pickle.dumps(stats, protocol=5))
-    return pa.table(
-        {
-            "check_id": pa.array(cols["check_id"], pa.string()),
-            "url": pa.array(cols["url"], pa.string()),
-            "partition_id": pa.array(cols["partition_id"], pa.int32()),
-            "severity": pa.array(cols["severity"], pa.string()),
-            "detail": pa.array(cols["detail"], pa.string()),
-            "kind": pa.array(kind, pa.string()),
-            "blob": pa.array(blob, pa.binary()),
-        },
-        schema=COMBINED_SCHEMA,
-    )
+        return cols, stats
 
 
 def plan_scan_items(files: list[str], partition_of: dict[str, int],
@@ -282,6 +243,11 @@ def sidecar_name(pid: int, lo: int, hi: int) -> str:
     return f"item-{pid:05d}-{lo:05d}-{hi:05d}.arrow"
 
 
+def clean_name(pid: int, lo: int) -> str:
+    """Clean-output filename of the scan item at row group ``lo``."""
+    return f"clean-{pid:05d}-{lo:05d}.parquet"
+
+
 _SIDECAR_SCHEMA = pa.schema([("h", pa.uint64()), ("url", pa.string())])
 
 
@@ -322,10 +288,11 @@ _CHECKERS: dict = {}  # check_extract -> this worker's RowChecker
 
 @ray.remote
 def scan_block(items: list[dict], check_extract: bool, clean_dir: str | None,
-               c1_dir: str) -> pa.Table:
-    """Fused read+check of one block of scan items (``plan_scan_items``),
-    returned as one combined table: each item's violations, then its stats
-    row, in item order (``split_items`` recovers the items).
+               c1_dir: str) -> list[tuple[int, dict, dict]]:
+    """Fused read+check of one block of scan items (``plan_scan_items``):
+    one ``(pid, cols, stats)`` record per item, in item order, as
+    ``RowChecker._process`` returns them — plain lists and dicts, which Ray
+    moves far cheaper than small Arrow tables.
 
     The heavy html/text columns NEVER enter the object store: each item
     reads its row-group range straight from parquet, and only violations +
@@ -350,8 +317,8 @@ def scan_block(items: list[dict], check_extract: bool, clean_dir: str | None,
         # HyperLogLog
         urls = tbl["url"] if "url" in tbl.column_names else None
         h = hash_strings64(urls.to_pandas()) if urls is not None else None
-        combined = rc._process(tbl, pid, item=(lo, hi), url_hash=h)
-        out.append(combined)
+        cols, stats = rc._process(tbl, pid, item=(lo, hi), url_hash=h)
+        out.append((pid, cols, stats))
         # the item's C1 feed, (hash, url) per row: the uniqueness range
         # tasks find and verify duplicates from these, never from the
         # input again, this run and every later resume
@@ -361,55 +328,18 @@ def scan_block(items: list[dict], check_extract: bool, clean_dir: str | None,
             # quarantine split (the training-data use of validation): rows
             # untouched by any row-phase violation stream straight to
             # partitioned clean output — resumable (keyed by (pid, rg
-            # range)), atomic (tmp+rename), written in the same task so
-            # heavy columns still never cross the object store
-            viol = combined.filter(pc.equal(combined["kind"], "violation"))
-            bad_urls = pc.unique(viol["url"])
+            # range)), atomic (tmp+rename; the tmp is per process, as a
+            # backup copy of the item may write the same part at once),
+            # written in the same task so heavy columns still never cross
+            # the object store
+            bad_urls = pc.unique(pa.array(cols["url"], pa.string()))
             keep = pc.invert(pc.is_in(tbl["url"], value_set=bad_urls))
             clean = tbl.filter(pc.coalesce(keep, pa.scalar(True)))
-            dst = os.path.join(clean_dir, f"clean-{pid:05d}-{lo:05d}.parquet")
-            pq.write_table(clean, dst + ".tmp")
-            os.replace(dst + ".tmp", dst)
-    return pa.concat_tables(out) if out else COMBINED_SCHEMA.empty_table()
-
-
-def split_items(tbl: pa.Table) -> list[pa.Table]:
-    """Split a combined output table into per-item slices.
-
-    ``scan_block`` emits each scan item as (violations..., stats) in order,
-    and every item contributes exactly ONE stats row — so slicing at
-    stats-row positions recovers the per-item tables. The drain loop needs
-    item granularity to deduplicate arrivals (a speculative backup can
-    deliver the same item twice)."""
-    if tbl.num_rows == 0:
-        return []
-    is_stats = pc.equal(tbl["kind"], "stats").to_numpy(zero_copy_only=False)
-    ends = np.flatnonzero(is_stats)
-    out, start = [], 0
-    for e in ends:
-        out.append(tbl.slice(start, int(e) + 1 - start))
-        start = int(e) + 1
-    if start < tbl.num_rows:  # defensive: a trailing stats-less segment
-        out.append(tbl.slice(start))
+            dst = os.path.join(clean_dir, clean_name(pid, lo))
+            tmp = dst + f".tmp{os.getpid()}"
+            pq.write_table(clean, tmp)
+            os.replace(tmp, dst)
     return out
-
-
-def split_combined(tables: list[pa.Table]) -> tuple[pa.Table, list[tuple[int, dict]]]:
-    """Split combined output into (violations table, [(partition_id, stats)])."""
-    combined = (
-        pa.concat_tables(tables) if tables else COMBINED_SCHEMA.empty_table()
-    )
-    is_v = pc.equal(combined["kind"], "violation")
-    violations = combined.filter(is_v).select(
-        [f.name for f in VIOLATIONS_SCHEMA]
-    ).cast(VIOLATIONS_SCHEMA)
-    stats_rows = combined.filter(pc.invert(is_v))
-    partials = [
-        (stats_rows["partition_id"][i].as_py(),
-         pickle.loads(stats_rows["blob"][i].as_py()))
-        for i in range(stats_rows.num_rows)
-    ]
-    return violations, partials
 
 
 def merge_stats(partials: list[dict]) -> dict:

@@ -952,12 +952,12 @@ def j_best_match_lineitem(sf_dir: str) -> rd.Dataset:
     """Best-match resolution per key (J4, ≙ staged match with tiebreaks
     ``scripts/enrich_fackel_bibls.py:67-117``): for each order, the lineitem
     with max extendedprice, ties broken by lowest linenumber."""
-    from ..relational import argmax_per_key
+    from ..relational import topk_per_key
 
     line = read(sf_dir, "lineitem",
                 ["l_orderkey", "l_linenumber", "l_extendedprice"])
-    win = argmax_per_key(line, "l_orderkey",
-                         [("l_extendedprice", True), ("l_linenumber", False)])
+    win = topk_per_key(line, "l_orderkey",
+                       [("l_extendedprice", True), ("l_linenumber", False)], 1)
     return win.select_columns(["l_orderkey", "l_linenumber", "l_extendedprice"])
 
 
@@ -2538,13 +2538,13 @@ def t_tfidf_top(sf_dir: str) -> rd.Dataset:
 def a_mode_lang_per_source(sf_dir: str) -> rd.Dataset:
     """Deterministic grouped mode (most frequent lang per source; ties →
     lexicographically smallest lang): map-side partial counts then the
-    vectorized winner-halving argmax — never per-group Python (A1/J4)."""
-    from ..relational import argmax_per_key
+    vectorized top-1 per key — never per-group Python (A1/J4)."""
+    from ..relational import topk_per_key
 
     docs = read(sf_dir, "documents", ["source", "lang", "doc_id"])
     counts = partial_groupby_agg(docs, ["source", "lang"],
                                  [("doc_id", "count", "n")])
-    return argmax_per_key(counts, "source", [("n", True), ("lang", False)])
+    return topk_per_key(counts, "source", [("n", True), ("lang", False)], 1)
 
 
 def a_price_stats_by_priority(sf_dir: str) -> rd.Dataset:
@@ -7980,12 +7980,12 @@ def v_fk_orphans(sf_dir: str) -> pa.Table:
 def pages_latest_per_host(sf_dir: str) -> rd.Dataset:
     """Recrawl snapshot dedup (the web-archive 'latest capture wins'
     operator): per host, the single page with the newest warc_ts (ties →
-    max url) — argmax_per_key's winner-halving, so only one candidate row
-    per host per batch ever moves, never the page set. Zipf-skewed hosts
+    max url) — ``topk_per_key(..., 1)``, so only one candidate row per
+    host per block ever moves, never the page set. Zipf-skewed hosts
     are exactly the keys where a groupby+rank plan melts down."""
     import os
 
-    from ..relational import argmax_per_key
+    from ..relational import topk_per_key
 
     fix = _pages_fixture(sf_dir)
     pages = rd.read_parquet(os.path.join(fix, "pages"),
@@ -7999,8 +7999,7 @@ def pages_latest_per_host(sf_dir: str) -> rd.Dataset:
                          "warc_ts": batch["warc_ts"]})
 
     hosts = pages.map_batches(host_of, batch_format="pyarrow")
-    return argmax_per_key(hosts, "host",
-                          [("warc_ts", True), ("url", True)])
+    return topk_per_key(hosts, "host", [("warc_ts", True), ("url", True)], 1)
 
 
 def e_rolling_revenue_7d(sf_dir: str) -> rd.Dataset:

@@ -32,8 +32,9 @@ import pyarrow.compute as pc
 import ray
 import ray.data as rd
 
-from ..relational import (argmax_per_key, broadcast_join, exchange_join,
-                          partial_groupby_agg, read, read_table, topk)
+from ..relational import (broadcast_join, exchange_join,
+                          partial_groupby_agg, read, read_table, topk,
+                          topk_per_key)
 from .queries import _batch_distinct, _round_stage
 
 
@@ -96,8 +97,8 @@ def q2_min_cost_supplier(sf_dir: str) -> rd.Dataset:
 
     For parts of one size, the cheapest (min ``l_extendedprice``) supplying
     row per part among suppliers of one region, ties broken by min suppkey —
-    the ``argmax_per_key`` winner-halving operator (J4), so only one
-    candidate row per part per batch ever moves. Dimension folds (part size
+    ``topk_per_key(..., 1)`` (J4), so only one candidate row per part per
+    block ever moves. Dimension folds (part size
     filter, region→supplier membership) broadcast; output is the top 10 by
     supplier account balance.
     """
@@ -123,8 +124,8 @@ def q2_min_cost_supplier(sf_dir: str) -> rd.Dataset:
     line = broadcast_join(line, keys7, "l_partkey", "p_partkey", how="semi")
     line = broadcast_join(line, supp_eur.select(["s_suppkey"]),
                           "l_suppkey", "s_suppkey", how="semi")
-    best = argmax_per_key(line, "l_partkey",
-                          [("l_extendedprice", False), ("l_suppkey", False)])
+    best = topk_per_key(line, "l_partkey",
+                        [("l_extendedprice", False), ("l_suppkey", False)], 1)
     best = broadcast_join(
         best, supp_eur.select(["s_suppkey", "s_name", "s_acctbal", "n_name"]),
         "l_suppkey", "s_suppkey", how="inner")

@@ -14,14 +14,14 @@ Execution/resume model:
   * the row phase is plain Ray tasks, one ``scan_block`` task per packed
     block of scan items, drained by ONE driver-side ``ray.wait`` loop
     (``_scan``). Every partition's violations + manifest commit on a small
-    thread pool as soon as all of its scan items have arrived (each item
-    contributes exactly one stats partial, so completion is a per-partition
-    item count). A killed run re-runs only uncommitted partitions
-    (resume-equals-fresh is property-tested). A task's input is a few
-    item dicts the driver already holds, so a streaming executor has
-    nothing to stream: on a 1-CPU host a Ray Data stream over such blocks
-    took about 50 ms per run and plain tasks about 6 ms, most of a small
-    append step's fixed floor.
+    thread pool as soon as all of its scan items have arrived (a task
+    returns one plain ``(pid, violation columns, stats)`` record per item,
+    so completion is a per-partition item count). A killed run re-runs
+    only uncommitted partitions (resume-equals-fresh is property-tested).
+    A task's input is a few item dicts the driver already holds, so a
+    streaming executor has nothing to stream: on a 1-CPU host a Ray Data
+    stream over such blocks took about 50 ms per run and plain tasks about
+    6 ms, most of a small append step's fixed floor.
   * the same loop re-issues straggling items as one-item backups of the
     same remote function and drops the slower copy by item key.
   * C1 range tasks start at the last arrival. They read the (hash, url)
@@ -32,7 +32,8 @@ Execution/resume model:
     writes its own manifest.
   * each partition manifest names its scan ``items`` (row-group ranges, in
     plan order), and so the C1 sidecars a resume feeds from: a partition is
-    kept only while every one of them is in ``c1/``, and re-scanned
+    kept only while every one of them is in ``c1/`` (and, with a
+    ``clean_dir``, every item's clean part is there), and re-scanned
     otherwise.
 """
 
@@ -54,8 +55,8 @@ import pyarrow.parquet as pq
 import ray
 
 from ..checks.drift import chi_square_drift
-from ..checks.row import (merge_stats, plan_scan_items, scan_block,
-                          sidecar_name, split_combined, split_items)
+from ..checks.row import (clean_name, merge_stats, plan_scan_items,
+                          scan_block, sidecar_name)
 from ..checks.uniqueness import (collector_candidates, duplicates_to_violations,
                                  make_collectors, verify_candidates)
 from ..schema import VIOLATIONS_SCHEMA
@@ -91,6 +92,9 @@ def run_validation(
 ) -> dict:
     """Run the full suite; returns the summary dict (also written as JSON).
 
+    ``clean_dir``: also write each item's rows that no row-phase check
+    flagged there as ``clean-<pid>-<rg_lo>.parquet``; a resume keeps those
+    of its kept partitions and removes every other such file.
     ``concurrency``: at most this many scan tasks in flight (default: every
     block is submitted at once and Ray's scheduler fills the cluster).
     ``scan_target_rows``: rows per scan item and per block
@@ -120,9 +124,12 @@ def run_validation(
             shutil.rmtree(os.path.join(out_dir, sub), ignore_errors=True)
     os.makedirs(viol_dir, exist_ok=True)
     os.makedirs(c1_dir, exist_ok=True)
+    if clean_dir is not None:
+        os.makedirs(clean_dir, exist_ok=True)
     store = ManifestStore(os.path.join(out_dir, "manifests"))
     sigs = {f: _input_sig(f) for f in files}
-    kept, n_dropped = _keep_committed(store, sigs, viol_dir, c1_dir)
+    kept, n_dropped = _keep_committed(store, sigs, viol_dir, c1_dir,
+                                      clean_dir)
     # one GCS round trip per run: the planner and the range tasks size
     # themselves to this count
     cpus = int(ray.cluster_resources().get("CPU", 8))
@@ -166,8 +173,6 @@ def run_validation(
     # object store; only violations + stats partials (KBs) come back. A
     # partition commits the moment its last scan item lands, so a mid-run
     # kill keeps all finished partitions.
-    if clean_dir is not None:
-        os.makedirs(clean_dir, exist_ok=True)
     items = plan_scan_items(todo, partition_of, target_rows=scan_target_rows,
                             cpus=cpus)
     blocks: dict[int, list[dict]] = {}
@@ -180,9 +185,8 @@ def run_validation(
     file_of_pid = {partition_of[f]: f for f in todo}
     committed: dict = {}  # pid -> the manifest record this run committed
 
-    def _commit(pid: int, viols: list, partials: list) -> None:
-        pv = (pa.concat_tables(viols) if viols
-              else VIOLATIONS_SCHEMA.empty_table())
+    def _commit(pid: int, cols: dict, partials: list) -> None:
+        pv = pa.table(cols, schema=VIOLATIONS_SCHEMA)
         vp = os.path.join(viol_dir, f"part-{pid:05d}.parquet")
         tmp = vp + ".tmp"
         pq.write_table(pv, tmp)
@@ -332,18 +336,18 @@ def _scan(blocks: list[list[dict]], args: tuple, concurrency: int | None,
     """Run the row phase: one ``scan_block`` task per block, at most
     ``concurrency`` of them in flight (all at t=0 when None), drained by one
     ``ray.wait`` loop. ``args`` are ``scan_block``'s arguments after the
-    items. Each arriving item is deduplicated by (pid, row-group range);
-    once all items of a partition have arrived, ``commit(pid, violation
-    tables, stats partials)`` runs on a 4-thread pool. ``on_last()`` runs
-    on this thread once the last item has arrived, before that result's
-    commits are submitted; the call returns when every commit has
-    finished. A task error raises (after every commit already submitted
-    has finished); backups still outstanding at the end keep running and
-    are not awaited."""
+    items. Each arriving ``(pid, cols, stats)`` record is deduplicated by
+    (pid, row-group range); once all items of a partition have arrived,
+    ``commit(pid, its violation columns concatenated, its stats partials)``
+    runs on a 4-thread pool. ``on_last()`` runs on this thread once the
+    last item has arrived, before that result's commits are submitted; the
+    call returns when every commit has finished. A task error raises
+    (after every commit already submitted has finished); backups still
+    outstanding at the end keep running and are not awaited."""
     items = {(it["pid"], (it["rg_lo"], it["rg_hi"])): it
              for blk in blocks for it in blk}
     left = Counter(pid for pid, _ in items)  # items still due per pid
-    pend_viol: dict[int, list[pa.Table]] = {}
+    pend_viol: dict[int, dict] = {}  # pid -> its violation columns so far
     pend_stats: dict[int, list[dict]] = {}
     arrived: set = set()
     arrival_ts: list[float] = []
@@ -413,22 +417,22 @@ def _scan(blocks: list[list[dict]], args: tuple, concurrency: int | None,
                     ray.wait(pending, num_returns=len(pending), timeout=10)
                 raise
             whole = []  # pids whose last item is in this result
-            for item_tbl in split_items(out):
-                viol, [(pid, p)] = split_combined([item_tbl])
+            for pid, cols, p in out:
                 key = (pid, tuple(p["item"]))
                 if key in arrived:
                     continue  # slower copy of a backed-up item
                 arrived.add(key)
                 arrival_ts.append(time.time())
                 pend_stats.setdefault(pid, []).append(p)
-                if viol.num_rows:
-                    pend_viol.setdefault(pid, []).append(viol)
+                acc = pend_viol.setdefault(pid, {k: [] for k in cols})
+                for k, v in cols.items():
+                    acc[k] += v
                 left[pid] -= 1
                 if not left[pid]:
                     whole.append(pid)
             if len(arrived) == len(items):
                 on_last()
-            futs += [commit_ex.submit(commit, pid, pend_viol.pop(pid, []),
+            futs += [commit_ex.submit(commit, pid, pend_viol.pop(pid),
                                       pend_stats.pop(pid)) for pid in whole]
         for f in futs:
             f.result()  # surface commit errors
@@ -441,36 +445,45 @@ def _input_sig(path: str) -> list[int]:
 
 
 def _keep_committed(store: ManifestStore, sigs: dict, viol_dir: str,
-                    c1_dir: str) -> tuple[dict, int]:
+                    c1_dir: str, clean_dir: str | None) -> tuple[dict, int]:
     """The committed partitions this run keeps, pid -> manifest, and the
     number dropped. One is kept per input file still present and unchanged
     (its manifest's size and mtime_ns equal ``sigs[file]``; the lowest pid
     when two manifests claim the same file) whose manifest names its scan
-    ``items`` and whose sidecars of those items are all in ``c1_dir``.
-    Every other partition is dropped with its stats and is re-scanned: a
-    deleted and re-added file, one rewritten in place, one that lost a
-    sidecar, and every partition of an out dir written before manifests
-    named their items. Then every violations part without a kept manifest
-    and every file in ``c1_dir`` that no kept manifest names (a dropped
-    partition's sidecars, a killed run's uncommitted ones and ``.tmp``
-    leftovers) is removed, so a reused pid starts clean."""
+    ``items`` and whose sidecars of those items are all in ``c1_dir`` (and,
+    when ``clean_dir`` is given, their clean parts all in it). Every other
+    partition is dropped with its stats and is re-scanned: a deleted and
+    re-added file, one rewritten in place, one that lost a sidecar or a
+    clean part, and every partition of an out dir written before manifests
+    named their items. Then every violations part without a kept manifest,
+    every file in ``c1_dir`` and every ``clean-*.parquet[.tmp<pid>]`` in
+    ``clean_dir`` that no kept manifest names (a dropped partition's
+    files, a killed run's uncommitted ones and ``.tmp`` leftovers) is
+    removed, so a reused pid starts clean."""
     present = set(os.listdir(c1_dir))
+    cleans = set(os.listdir(clean_dir)) if clean_dir is not None else set()
     seen, keep, named = set(), {}, set()
     parts = [(pid, rec) for pid, rec in store.completed().items()
              if pid != "global"]
     for pid, rec in sorted(parts, key=lambda kv: kv[0]):
         frag = rec.get("input_fragment")
         sig = [rec.get("input_size"), rec.get("input_mtime_ns")]
-        names = {sidecar_name(pid, lo, hi) for lo, hi in rec.get("items", ())}
+        items = rec.get("items", ())
+        names = {sidecar_name(pid, lo, hi) for lo, hi in items}
+        clean = ({clean_name(pid, lo) for lo, _ in items}
+                 if clean_dir is not None else set())
         if (frag in sigs and frag not in seen and sig == sigs[frag]
-                and names and names <= present):
+                and names and names <= present and clean <= cleans):
             seen.add(frag)
             keep[pid] = rec
-            named |= names
+            named |= names | clean
         else:
             store.drop(pid)
     for name in present - named:
         os.remove(os.path.join(c1_dir, name))
+    for name in cleans - named:
+        if re.fullmatch(r"clean-\d+-\d+\.parquet(\.tmp\d*)?", name):
+            os.remove(os.path.join(clean_dir, name))
     for name in os.listdir(viol_dir):
         m = re.match(r"part-(\d+)", name)
         if m and int(m.group(1)) not in keep:

@@ -406,45 +406,6 @@ def round_cols(tbl: pa.Table, cols: dict[str, int]) -> pa.Table:
     return tbl
 
 
-def argmax_per_key(ds: rd.Dataset, key: str,
-                   sort_keys: list[tuple[str, bool]]) -> rd.Dataset:
-    """Best-match resolution (J4): one winning row per key.
-
-    Reference analog: multi-condition best-match join with tiebreaks
-    (``scripts/enrich_fackel_bibls.py:67-117`` — exact key equality, then
-    page-bound filters, then title tiebreak). Distributive: each batch keeps
-    its local winner per key (first row in (key, sort_keys) order), later
-    rounds resolve winners-of-winners — only ≤ one row per key per batch
-    ever moves, never the fact table.
-
-    Fully vectorized winner-halving: per-batch local winners (sort + first
-    per key), then repartition and re-reduce until one block holds the global
-    winners — never ``map_groups``, whose per-group Python call melts down at
-    high key cardinality. The final round concentrates ≤ one row per key; at
-    key cardinalities too large for one block, insert a hash exchange on the
-    key before the last round (the C1 exchange in checks/uniqueness.py is the
-    template).
-    """
-    names = [key] + [c for c, _ in sort_keys]
-    orders = ["ascending"] + ["descending" if d else "ascending"
-                              for _, d in sort_keys]
-
-    def local_winners(batch: pa.Table) -> pa.Table:
-        if batch.num_rows == 0:
-            return batch
-        idx = pc.sort_indices(batch, sort_keys=list(zip(names, orders)))
-        sorted_tbl = batch.take(idx)
-        keys_np = np.asarray(sorted_tbl[key].to_pandas())
-        _, first = np.unique(keys_np, return_index=True)
-        return sorted_tbl.take(pa.array(np.sort(first)))
-
-    cur = ds.map_batches(local_winners, batch_format="pyarrow")
-    for n_blocks in (8, 1):
-        cur = cur.repartition(n_blocks).map_batches(
-            local_winners, batch_format="pyarrow", batch_size=None)
-    return cur
-
-
 _ARROW_JOIN_TYPE = {
     "inner": "inner", "left_outer": "left outer",
     "right_outer": "right outer", "full_outer": "full outer",
@@ -580,11 +541,15 @@ def exchange_join(left: rd.Dataset, right: rd.Dataset,
 
 def topk_per_key(ds: rd.Dataset, key: str,
                  sort_keys: list[tuple[str, bool]], k: int) -> rd.Dataset:
-    """Top-k rows per key (the general-k form of ``argmax_per_key``): one
-    hash exchange, then per partition ONE sort + a segmented vectorized rank
-    (arange minus each key's first index) — no per-group Python, wall time
-    independent of key count. Deterministic: ties broken by the sort_keys
-    themselves (make them total)."""
+    """Top-k rows per key (``k=1``: best-match resolution, J4 — one winning
+    row per key, ≙ the staged match with tiebreaks of
+    ``scripts/enrich_fackel_bibls.py:67-117``). Top-k per key is
+    distributive, so each block first keeps its own top k per key; then
+    one hash exchange moves only those rows, and each partition cuts again.
+    A cut is ONE sort + a segmented vectorized rank (arange minus each
+    key's first index) — no per-group Python, wall time independent of key
+    count. Deterministic: ties broken by the sort_keys themselves (make
+    them total)."""
     names = [key] + [c for c, _ in sort_keys]
     orders = ["ascending"] + ["descending" if d else "ascending"
                               for _, d in sort_keys]
@@ -594,15 +559,20 @@ def topk_per_key(ds: rd.Dataset, key: str,
             return tbl
         idx = pc.sort_indices(tbl, sort_keys=list(zip(names, orders)))
         tbl = tbl.take(idx)
-        keys_np = tbl[key].to_numpy(zero_copy_only=False)
-        n = len(keys_np)
-        change = np.concatenate([[True], keys_np[1:] != keys_np[:-1]])
+        # dictionary codes, nulls -1: null keys are one key of any type (a
+        # float view of an int column with nulls would split them on NaN)
+        codes = pc.fill_null(tbl[key].combine_chunks().dictionary_encode()
+                             .indices, -1).to_numpy()
+        n = len(codes)
+        change = np.concatenate([[True], codes[1:] != codes[:-1]])
         starts = np.flatnonzero(change)
         seg_start = np.repeat(starts, np.diff(np.append(starts, n)))
         rank = np.arange(n) - seg_start
         return tbl.filter(pa.array(rank < k))
 
-    return hash_repartition_map(ds, key, local)
+    return hash_repartition_map(
+        ds.map_batches(local, batch_format="pyarrow", batch_size=None),
+        key, local)
 
 
 def drop_empty_blocks(ds: rd.Dataset) -> rd.Dataset | None:

@@ -6,8 +6,10 @@ north_rule mandates per-partition lineage + metrics so a killed run resumes
 from the last committed partition.
 
 A manifest commits ONLY after the partition's data files are durably written,
-via tmp-file + atomic ``os.replace``. partition_id is a stable function of the
-sorted input fragment list, so resume is correct across runs.
+via tmp-file + atomic ``os.replace``. ``run_validation`` keys partition ids on
+each manifest's recorded ``input_fragment``, not on a file's place in the
+sorted listing: a file keeps its id across runs, and new files get fresh ids
+past the highest kept one.
 """
 
 from __future__ import annotations

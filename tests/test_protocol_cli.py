@@ -1,18 +1,15 @@
-"""Tests: data-driven Rule checks, argmax_per_key, CLI validate command."""
+"""Tests: data-driven Rule checks, CLI validate command."""
 
 import json
 import subprocess
 import sys
 from pathlib import Path
 
-import numpy as np
-import pandas as pd
 import pyarrow as pa
 import pytest
 import ray.data as rd
 
 from lk_data_test_ray.checks.protocol import Rule, run_rule_checks
-from lk_data_test_ray.relational import argmax_per_key
 
 REPO = Path(__file__).resolve().parents[1]  # this checkout
 
@@ -45,23 +42,6 @@ def test_rule_regex():
     rules = [Rule("c_fmt", "lang", "regex_match", pattern="[a-z]{2}")]
     out = run_rule_checks(rd.from_arrow(DOCS), rules, id_col="id").to_pandas()
     assert set(out["id"]) == {4}  # only the null fails the full-match
-
-
-def test_argmax_per_key():
-    rng = np.random.default_rng(11)
-    df = pd.DataFrame({
-        "k": rng.integers(0, 20, 500),
-        "v": rng.normal(size=500),
-        "tie": rng.integers(0, 1000, 500),
-    })
-    ds = rd.from_pandas(df, override_num_blocks=6)
-    out = argmax_per_key(ds, "k", [("v", True), ("tie", False)]).to_pandas()
-    exp = df.sort_values(["k", "v", "tie"],
-                         ascending=[True, False, True]).groupby("k").head(1)
-    out = out.sort_values("k").reset_index(drop=True)
-    exp = exp.sort_values("k").reset_index(drop=True)
-    assert (out["v"].to_numpy() == exp["v"].to_numpy()).all()
-    assert (out["tie"].to_numpy() == exp["tie"].to_numpy()).all()
 
 
 @pytest.mark.slow

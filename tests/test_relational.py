@@ -306,6 +306,30 @@ def test_topk_per_key():
     got = sorted(zip(out["k"], out["id"]))
     assert got == [(1, 11), (1, 12), (2, 20), (2, 21), (3, 30)]
 
+    # null keys are one key, for an int key as for a string key
+    for typ, keys in ((pa.int64(), [1, 1, None, None, None]),
+                      (pa.string(), ["a", "a", None, None, None])):
+        ds = rd.from_arrow(pa.table({"k": pa.array(keys, typ),
+                                     "v": pa.array([1, 2, 3, 4, 5])}))
+        out = topk_per_key(ds, "k", [("v", True)], 1).to_pandas()
+        assert sorted(out["v"]) == [2, 5]
+
+    # k=1 over several blocks: the best-match (argmax) case, each block
+    # cut before the exchange
+    rng = np.random.default_rng(11)
+    df = pd.DataFrame({
+        "k": rng.integers(0, 20, 500),
+        "v": rng.normal(size=500),
+        "tie": rng.integers(0, 1000, 500),
+    })
+    ds = rd.from_pandas(df, override_num_blocks=6)
+    out = topk_per_key(ds, "k", [("v", True), ("tie", False)], 1).to_pandas()
+    exp = df.sort_values(["k", "v", "tie"],
+                         ascending=[True, False, True]).groupby("k").head(1)
+    out = out.sort_values("k").reset_index(drop=True)
+    exp = exp.sort_values("k").reset_index(drop=True)
+    assert out[["k", "v", "tie"]].equals(exp[["k", "v", "tie"]])
+
 
 def test_hash_repartition_map_covers_all_keys():
     from lk_data_test_ray.relational import hash_repartition_map

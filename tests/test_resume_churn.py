@@ -2,8 +2,8 @@
 re-adds, in-place rewrites, deleted C1 sidecars and killed runs, over at
 most 8 tiny input files. After every step the resumed out dir equals a
 fresh run over the same inputs: ``summary.json`` without the walls and the
-work counters, and ``load_violations`` with each row's partition id read
-as its input file."""
+work counters, ``load_violations`` with each row's partition id read as
+its input file, and the urls of the rows in the clean output dir."""
 
 import glob
 import json
@@ -68,6 +68,8 @@ def _write(pool, path, i, rows, version):
 
 
 def _snapshot(out):
+    """What a run found: its summary, violations and clean rows (read
+    whole, as ``training_data.curate_pages`` reads them)."""
     with open(os.path.join(out, "summary.json")) as fh:
         s = {k: v for k, v in json.load(fh).items() if k not in WORK}
     file_of = {pid: os.path.basename(rec["input_fragment"]) for pid, rec in
@@ -78,7 +80,15 @@ def _snapshot(out):
     v = v.drop_columns(["partition_id"]).append_column(
         "file", pa.array(files, pa.string()))
     order = [(c, "ascending") for c in v.column_names]
-    return s, v.take(pc.sort_indices(v, sort_keys=order)).to_pylist()
+    clean = sorted((u is None, u or "") for f in glob.glob(
+        os.path.join(out + "-clean", "*.parquet"))
+        for u in pq.read_table(f)["url"].to_pylist())
+    return s, v.take(pc.sort_indices(v, sort_keys=order)).to_pylist(), clean
+
+
+def _run(inp, out, hist, **kw):
+    run_validation(inp, out, lang_hist_path=hist, clean_dir=out + "-clean",
+                   **kw)
 
 
 def _replay(pool, hist, steps):
@@ -94,14 +104,14 @@ def _replay(pool, hist, steps):
 
         for i, (rows, ver) in state.items():
             _write(pool, path(i), i, rows, ver)
-        run_validation(inp, out, lang_hist_path=hist)
+        _run(inp, out, hist)
         for changes, kill in steps:
             for act, arg in changes:
                 _change(pool, out, state, path, act, arg)
             if kill is not None:
                 _killed_run(inp, out, hist, kill)
-            run_validation(inp, out, lang_hist_path=hist)
-            run_validation(inp, fresh, lang_hist_path=hist, resume=False)
+            _run(inp, out, hist)
+            _run(inp, fresh, hist, resume=False)
             assert _snapshot(out) == _snapshot(fresh), (changes, kill)
     finally:
         shutil.rmtree(root, ignore_errors=True)
@@ -144,7 +154,7 @@ def _killed_run(inp, out, hist, k):
 
     ManifestStore.commit = dying_commit
     try:
-        run_validation(inp, out, lang_hist_path=hist)
+        _run(inp, out, hist)
     except RuntimeError as e:
         assert "simulated death" in str(e)
     finally:

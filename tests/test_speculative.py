@@ -11,6 +11,7 @@ import glob
 import os
 
 import numpy as np
+import pyarrow.parquet as pq
 import pytest
 import ray
 
@@ -21,14 +22,22 @@ def _keys(tbl):
     return set(zip(tbl["check_id"].to_pylist(), tbl["url"].to_pylist()))
 
 
+def _clean(clean_dir):
+    """Every clean part in a clean dir, with the sorted urls of its rows."""
+    return {os.path.basename(f): sorted(
+        u or "" for u in pq.read_table(f)["url"].to_pylist())
+        for f in glob.glob(os.path.join(clean_dir, "*.parquet"))}
+
+
 @pytest.fixture(scope="module")
 def golden(pages_fixture, tmp_path_factory):
     out = str(tmp_path_factory.mktemp("spec_gold"))
     summary = run_validation(
         os.path.join(pages_fixture, "pages"), out,
         lang_hist_path=os.path.join(pages_fixture, "lang_hist.parquet"),
-        speculative=False)
-    return summary, _keys(load_violations(out))
+        speculative=False, clean_dir=os.path.join(out, "clean"))
+    return (summary, _keys(load_violations(out)),
+            _clean(os.path.join(out, "clean")))
 
 
 def test_forced_speculation_matches(pages_fixture, tmp_path, golden):
@@ -36,15 +45,17 @@ def test_forced_speculation_matches(pages_fixture, tmp_path, golden):
     stream ends (and whenever the loop polls) — near-total duplication —
     and the item-key dedup must still produce exactly the golden verdicts,
     including C1 (each copy of a duplicated item rewrites the same
-    sidecar, so its hashes count once)."""
-    g_summary, g_keys = golden
+    sidecar, so its hashes count once; and each clean part, through its
+    own tmp file, so the clean dir holds the golden parts and rows)."""
+    g_summary, g_keys, g_clean = golden
     out = str(tmp_path / "forced")
     s = run_validation(
         os.path.join(pages_fixture, "pages"), out,
         lang_hist_path=os.path.join(pages_fixture, "lang_hist.parquet"),
-        speculative="force")
+        speculative="force", clean_dir=os.path.join(out, "clean"))
     assert s["per_check_violations"] == g_summary["per_check_violations"]
     assert _keys(load_violations(out)) == g_keys
+    assert _clean(os.path.join(out, "clean")) == g_clean
     assert s["n_rows"] == g_summary["n_rows"]
 
 
@@ -54,7 +65,7 @@ def test_partial_resume_feeds_c1(pages_fixture, tmp_path, golden):
     scan — a duplicate url pair SPANNING the two halves must still surface."""
     import shutil
 
-    g_summary, g_keys = golden
+    g_summary, g_keys, _ = golden
     out = str(tmp_path / "resume")
     run_validation(
         os.path.join(pages_fixture, "pages"), out,

@@ -268,11 +268,52 @@ def test_c0_schema_violation_direct():
                     "html": pa.array([b"x"], pa.binary()),
                     "text": pa.array(["x"], pa.string()),
                     "lang": pa.array(["en"], pa.string())})
-    out = rc._process(bad, 3)
-    viol = out.filter(__import__("pyarrow.compute", fromlist=["x"]).equal(
-        out["kind"], "violation"))
-    assert viol["check_id"].to_pylist() == ["c0_schema"]
-    assert viol["partition_id"].to_pylist() == [3]
+    cols, stats = rc._process(bad, 3)
+    assert cols["check_id"] == ["c0_schema"]
+    assert cols["partition_id"] == [3]
+    assert stats["n_rows"] == 0
+
+
+def test_scan_block_returns_one_plain_record_per_item(pages_fixture,
+                                                      tmp_path):
+    """One ``scan_block`` task over a wrong-typed file, a zero-row-group
+    file and a normal file returns one (pid, cols, stats) record per item,
+    in plan order, holding only plain lists and dicts."""
+    import glob
+
+    import pyarrow as pa
+    import ray
+
+    from lk_data_test_ray.checks.row import plan_scan_items, scan_block
+    from lk_data_test_ray.schema import PAGES_SCHEMA
+
+    good = sorted(glob.glob(os.path.join(pages_fixture, "pages",
+                                         "*.parquet")))[0]
+    bad = str(tmp_path / "bad.parquet")
+    t = pq.read_table(good).slice(0, 5)
+    pq.write_table(t.set_column(1, "warc_ts", pa.array(range(5), pa.int64())),
+                   bad)
+    empty = str(tmp_path / "empty.parquet")
+    pq.write_table(PAGES_SCHEMA.empty_table(), empty)
+    files = [bad, empty, good]
+    items = plan_scan_items(files, {bad: 5, empty: 6, good: 7})
+    assert len(items) == 3
+    c1 = tmp_path / "c1"
+    c1.mkdir()
+    out = ray.get(scan_block.remote(items, False, None, str(c1)))
+    assert [(pid, stats["item"]) for pid, _, stats in out] == \
+        [(it["pid"], (it["rg_lo"], it["rg_hi"])) for it in items]
+    assert [pid for pid, _, _ in out] == [5, 6, 7]
+    (_, bad_cols, bad_stats), (_, empty_cols, empty_stats), \
+        (_, _, good_stats) = out
+    assert bad_cols["check_id"] == ["c0_schema"] and bad_stats["n_rows"] == 0
+    assert empty_cols["check_id"] == [] and empty_stats["n_rows"] == 0
+    assert good_stats["n_rows"] == pq.ParquetFile(good).metadata.num_rows
+    for pid, cols, stats in out:
+        assert all(type(v) is list for v in cols.values())
+        assert set(cols["partition_id"]) <= {pid}
+        assert not any(isinstance(v, (pa.Array, pa.ChunkedArray, pa.Table))
+                       for v in stats.values())
 
 
 def test_empty_partition_commits_and_resumes(pages_fixture, tmp_path):
