@@ -17,8 +17,11 @@ sort and no block re-materialization.
      input row, nulls included — 8 B plus the url bytes per row). Each
      partition manifest names its items, so a resume reuses exactly those
      sidecars; a partition missing one is dropped and re-scanned.
-  2. **Hash compaction** — urls → stable u64 hashes (vectorized SipHash);
-     the exchange moves 8-byte ints, not ~70-byte strings (~10x volume cut).
+  2. **Hash compaction** — urls → stable u64 hashes: pandas' SipHash of
+     each url (``hash_strings64``), computed by ``strhash.c`` straight from
+     the url column's Arrow buffers in the same pass that fills the url
+     HyperLogLog, with no Python string per row; the exchange moves 8-byte
+     ints, not ~70-byte strings (~10x volume cut).
      ``hash(url)`` is uniform, so no salting is needed for this key
      (SURVEY.md §4: skew lives in hosts, not hashes).
   3. **Partition by hash top bits** (``split_by_range``): at the scan's

@@ -8,10 +8,15 @@ and pandas versions by contract) and numpy.
 
 from __future__ import annotations
 
+import ctypes
+import functools
 import hashlib
+import os
 
 import numpy as np
 import pandas as pd
+
+from ..native import compile_library, load_or_warn
 
 _MERSENNE61 = (1 << 61) - 1
 
@@ -31,6 +36,65 @@ def hash_strings64(values) -> np.ndarray:
     """
     arr = np.asarray(values, dtype=object)
     return pd.util.hash_array(arr, categorize=False)
+
+
+_STRHASH_SOURCE = os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                               "strhash.c")
+
+
+def _build_strhash():
+    """Build ``strhash.c`` (``native.compile_library``) and bind its entry
+    point."""
+    fn = compile_library(_STRHASH_SOURCE).str_hash_hll
+    fn.argtypes = [ctypes.c_int64, ctypes.c_void_p, ctypes.c_int64,
+                   ctypes.c_void_p, ctypes.c_int, ctypes.c_void_p,
+                   ctypes.c_void_p, ctypes.c_void_p, ctypes.c_int]
+    fn.restype = None
+    return fn
+
+
+@functools.cache
+def strhash_kernel():
+    """The native string hash, or None (after one WARNING) when it cannot
+    be built or loaded in this process."""
+    return load_or_warn(
+        _build_strhash, "string hash kernel unavailable, pandas hashes "
+        "every row")
+
+
+_EMPTY = ctypes.create_string_buffer(1)  # data of an all-empty column
+
+
+def hash_arrow_strings(arr, registers: np.ndarray) -> np.ndarray | None:
+    """``hash_strings64(arr.to_pandas())`` of an Arrow string or binary
+    column (nulls hash as ``"None"``), read straight from its buffers by
+    ``strhash.c``, and the same hashes added to ``registers``, the uint8
+    registers of a HyperLogLog with ``2**p`` of them, in the same pass. No
+    Python object per row. None, with ``registers`` untouched, when the
+    kernel is unavailable or the column has another type: the caller then
+    runs the pandas reference."""
+    import pyarrow as pa
+
+    fn = strhash_kernel()
+    t = arr.type
+    if fn is None or not (pa.types.is_string(t) or pa.types.is_binary(t)
+                          or pa.types.is_large_string(t)
+                          or pa.types.is_large_binary(t)):
+        return None
+    p = int(registers.size).bit_length() - 1
+    wide = int(pa.types.is_large_string(t) or pa.types.is_large_binary(t))
+    out, base = np.empty(len(arr), np.uint64), 0
+    chunks = arr.chunks if isinstance(arr, pa.ChunkedArray) else [arr]
+    for c in chunks:
+        if len(c):
+            valid, offs, data = c.buffers()[:3]
+            fn(len(c), valid.address if valid is not None and c.null_count
+               else None, c.offset, offs.address, wide,
+               data.address if data is not None
+               else ctypes.addressof(_EMPTY),
+               out[base:].ctypes.data, registers.ctypes.data, p)
+        base += len(c)
+    return out
 
 
 _MD5_CON = None  # per-process cached DuckDB connection (workers are 1-thread)

@@ -13,11 +13,12 @@ Execution/resume model:
     manifest recorded, new files get fresh ids past the highest kept one.
   * the row phase is plain Ray tasks, one ``scan_block`` task per packed
     block of scan items, drained by ONE driver-side ``ray.wait`` loop
-    (``_scan``). Every partition's violations + manifest commit on a small
-    thread pool as soon as all of its scan items have arrived (a task
+    (``_scan``). Every partition's violations + manifest commit on that
+    loop's thread as soon as all of its scan items have arrived (a task
     returns one plain ``(pid, violation columns, stats)`` record per item,
-    so completion is a per-partition item count). A killed run re-runs
-    only uncommitted partitions (resume-equals-fresh is property-tested).
+    so completion is a per-partition item count); a commit takes a few ms,
+    less than a thread pool's hand-offs cost. A killed run re-runs only
+    uncommitted partitions (resume-equals-fresh is property-tested).
     A task's input is a few item dicts the driver already holds, so a
     streaming executor has nothing to stream: on a 1-CPU host a Ray Data
     stream over such blocks took about 50 ms per run and plain tasks about
@@ -32,9 +33,9 @@ Execution/resume model:
     writes its own manifest.
   * each partition manifest names its scan ``items`` (row-group ranges, in
     plan order), and so the C1 sidecars a resume feeds from: a partition is
-    kept only while every one of them is in ``c1/`` (and, with a
-    ``clean_dir``, every item's clean part is there), and re-scanned
-    otherwise.
+    kept only while every file it names is there (its violations part, its
+    ``stats_file``, every item's sidecar in ``c1/`` and, with a
+    ``clean_dir``, every item's clean part), and re-scanned otherwise.
 """
 
 from __future__ import annotations
@@ -47,10 +48,10 @@ import re
 import shutil
 import time
 from collections import Counter
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pyarrow as pa
+import pyarrow.compute as pc
 import pyarrow.parquet as pq
 import ray
 
@@ -187,7 +188,7 @@ def run_validation(
 
     def _commit(pid: int, cols: dict, partials: list) -> None:
         pv = pa.table(cols, schema=VIOLATIONS_SCHEMA)
-        vp = os.path.join(viol_dir, f"part-{pid:05d}.parquet")
+        vp = os.path.join(viol_dir, _part_name(pid))
         tmp = vp + ".tmp"
         pq.write_table(pv, tmp)
         os.replace(tmp, vp)
@@ -254,7 +255,7 @@ def run_validation(
     drift = None
     c5_viol = VIOLATIONS_SCHEMA.empty_table()
     if lang_hist_path and os.path.exists(lang_hist_path):
-        hist = pq.read_table(lang_hist_path)
+        hist = pq.ParquetFile(lang_hist_path).read()
         expected = dict(zip(hist["lang"].to_pylist(),
                             hist["expected_fraction"].to_pylist()))
         drift = chi_square_drift(global_stats["lang_counts"], expected,
@@ -339,11 +340,11 @@ def _scan(blocks: list[list[dict]], args: tuple, concurrency: int | None,
     items. Each arriving ``(pid, cols, stats)`` record is deduplicated by
     (pid, row-group range); once all items of a partition have arrived,
     ``commit(pid, its violation columns concatenated, its stats partials)``
-    runs on a 4-thread pool. ``on_last()`` runs on this thread once the
-    last item has arrived, before that result's commits are submitted; the
-    call returns when every commit has finished. A task error raises
-    (after every commit already submitted has finished); backups still
-    outstanding at the end keep running and are not awaited."""
+    runs on this thread, before the next ``ray.wait``. ``on_last()`` runs
+    once the last item has arrived, before that result's commits. A task
+    error or a commit error cancels the scans still outstanding and
+    raises; partitions already committed stay. Backups still outstanding
+    at the end keep running and are not awaited."""
     items = {(it["pid"], (it["rg_lo"], it["rg_hi"])): it
              for blk in blocks for it in blk}
     left = Counter(pid for pid, _ in items)  # items still due per pid
@@ -383,39 +384,28 @@ def _scan(blocks: list[list[dict]], args: tuple, concurrency: int | None,
         backed_up.update(missing)
         return [scan_block.remote([items[k]], *args) for k in missing]
 
-    with ThreadPoolExecutor(max_workers=4) as commit_ex:
-        futs = []
-        while len(arrived) < len(items):
-            while queued and len(primary) < window:
-                blk = queued.pop()
-                started.add(blk[0]["block"])
-                ref = scan_block.remote(blk, *args)
-                primary.add(ref)
-                pending.append(ref)
-            if speculative == "force":
-                # test hook: duplicate every started item from t=0 so the
-                # arrival dedup runs under total duplication, not just the
-                # tail
-                pending += _backups()
-            if not pending:
-                raise RuntimeError(
-                    f"row phase ended with {len(items) - len(arrived)}"
-                    " scan items unaccounted for")
-            ready, pending = ray.wait(pending, num_returns=1, timeout=0.25)
-            if not ready:
-                pending += _backups()
-                continue
-            primary.discard(ready[0])
-            try:
-                out = ray.get(ready[0])
-            except Exception:
-                # stop the other scans, so none keeps writing sidecars or
-                # clean output into out_dir after this run has raised
-                if pending:
-                    for ref in pending:
-                        ray.cancel(ref)
-                    ray.wait(pending, num_returns=len(pending), timeout=10)
-                raise
+    while len(arrived) < len(items):
+        while queued and len(primary) < window:
+            blk = queued.pop()
+            started.add(blk[0]["block"])
+            ref = scan_block.remote(blk, *args)
+            primary.add(ref)
+            pending.append(ref)
+        if speculative == "force":
+            # test hook: duplicate every started item from t=0 so the
+            # arrival dedup runs under total duplication, not just the tail
+            pending += _backups()
+        if not pending:
+            raise RuntimeError(
+                f"row phase ended with {len(items) - len(arrived)}"
+                " scan items unaccounted for")
+        ready, pending = ray.wait(pending, num_returns=1, timeout=0.25)
+        if not ready:
+            pending += _backups()
+            continue
+        primary.discard(ready[0])
+        try:
+            out = ray.get(ready[0])
             whole = []  # pids whose last item is in this result
             for pid, cols, p in out:
                 key = (pid, tuple(p["item"]))
@@ -432,10 +422,16 @@ def _scan(blocks: list[list[dict]], args: tuple, concurrency: int | None,
                     whole.append(pid)
             if len(arrived) == len(items):
                 on_last()
-            futs += [commit_ex.submit(commit, pid, pend_viol.pop(pid),
-                                      pend_stats.pop(pid)) for pid in whole]
-        for f in futs:
-            f.result()  # surface commit errors
+            for pid in whole:
+                commit(pid, pend_viol.pop(pid), pend_stats.pop(pid))
+        except Exception:
+            # stop the other scans, so none keeps writing sidecars or clean
+            # output into out_dir after this run has raised
+            if pending:
+                for ref in pending:
+                    ray.cancel(ref)
+                ray.wait(pending, num_returns=len(pending), timeout=10)
+            raise
 
 
 def _input_sig(path: str) -> list[int]:
@@ -450,18 +446,21 @@ def _keep_committed(store: ManifestStore, sigs: dict, viol_dir: str,
     number dropped. One is kept per input file still present and unchanged
     (its manifest's size and mtime_ns equal ``sigs[file]``; the lowest pid
     when two manifests claim the same file) whose manifest names its scan
-    ``items`` and whose sidecars of those items are all in ``c1_dir`` (and,
-    when ``clean_dir`` is given, their clean parts all in it). Every other
-    partition is dropped with its stats and is re-scanned: a deleted and
-    re-added file, one rewritten in place, one that lost a sidecar or a
-    clean part, and every partition of an out dir written before manifests
-    named their items. Then every violations part without a kept manifest,
-    every file in ``c1_dir`` and every ``clean-*.parquet[.tmp<pid>]`` in
-    ``clean_dir`` that no kept manifest names (a dropped partition's
-    files, a killed run's uncommitted ones and ``.tmp`` leftovers) is
-    removed, so a reused pid starts clean."""
+    ``items`` and every file of which is still there: its violations part,
+    its ``stats_file``, the sidecars of its items in ``c1_dir`` and, when
+    ``clean_dir`` is given, their clean parts in it. Every other partition
+    is dropped with its stats and is re-scanned: a deleted and re-added
+    file, one rewritten in place, one that lost any of its files, and every
+    partition of an out dir written before manifests named their items.
+    Then every violations part without a kept manifest, every file in
+    ``c1_dir`` and every ``clean-*.parquet[.tmp<pid>]`` in ``clean_dir``
+    that no kept manifest names (a dropped partition's files, a killed
+    run's uncommitted ones and ``.tmp`` leftovers) is removed, so a reused
+    pid starts clean."""
     present = set(os.listdir(c1_dir))
     cleans = set(os.listdir(clean_dir)) if clean_dir is not None else set()
+    viol_parts = set(os.listdir(viol_dir))
+    stored = set(os.listdir(store.root))
     seen, keep, named = set(), {}, set()
     parts = [(pid, rec) for pid, rec in store.completed().items()
              if pid != "global"]
@@ -473,7 +472,9 @@ def _keep_committed(store: ManifestStore, sigs: dict, viol_dir: str,
         clean = ({clean_name(pid, lo) for lo, _ in items}
                  if clean_dir is not None else set())
         if (frag in sigs and frag not in seen and sig == sigs[frag]
-                and names and names <= present and clean <= cleans):
+                and names and names <= present and clean <= cleans
+                and rec.get("stats_file") in stored
+                and _part_name(pid) in viol_parts):
             seen.add(frag)
             keep[pid] = rec
             named |= names | clean
@@ -484,11 +485,16 @@ def _keep_committed(store: ManifestStore, sigs: dict, viol_dir: str,
     for name in cleans - named:
         if re.fullmatch(r"clean-\d+-\d+\.parquet(\.tmp\d*)?", name):
             os.remove(os.path.join(clean_dir, name))
-    for name in os.listdir(viol_dir):
+    for name in viol_parts:
         m = re.match(r"part-(\d+)", name)
         if m and int(m.group(1)) not in keep:
             os.remove(os.path.join(viol_dir, name))
     return keep, len(parts) - len(keep)
+
+
+def _part_name(pid: int) -> str:
+    """Violations-part filename of one partition."""
+    return f"part-{pid:05d}.parquet"
 
 
 def load_violations(out_dir: str) -> pa.Table:
@@ -498,12 +504,7 @@ def load_violations(out_dir: str) -> pa.Table:
 
 
 def _per_check_counts(viol: pa.Table) -> dict[str, int]:
-    if viol.num_rows == 0:
-        return {}
-    vals = viol.group_by("check_id").aggregate([("check_id", "count")])
-    return {
-        vals["check_id"][i].as_py(): vals["check_id_count"][i].as_py()
-        for i in range(vals.num_rows)
-    }
+    ids, counts = pc.value_counts(viol["check_id"]).flatten()
+    return dict(zip(ids.to_pylist(), counts.to_pylist()))
 
 

@@ -13,6 +13,8 @@ from __future__ import annotations
 import numpy as np
 import pandas as pd
 
+from ..functions.hashing import hash_arrow_strings, hash_strings64
+
 
 class HyperLogLog:
     __slots__ = ("p", "m", "registers")
@@ -52,9 +54,31 @@ class HyperLogLog:
             pd.util.hash_array(np.asarray(values, dtype=object), categorize=False)
         )
 
+    def update_arrow(self, arr) -> np.ndarray:
+        """Add every row of an Arrow string column, nulls included, and
+        return the row hashes: ``hash_strings64(arr.to_pandas())``, so this
+        equals ``update_strings(arr.to_pandas())``. One native pass over the
+        column's buffers (``hashing.hash_arrow_strings``); the pandas path
+        when that is unavailable or the column is not string or binary."""
+        h = hash_arrow_strings(arr, self.registers)
+        if h is None:
+            h = hash_strings64(arr.to_pandas())
+            self.update_hashes(h)
+        return h
+
     def merge(self, other: "HyperLogLog") -> "HyperLogLog":
         assert self.p == other.p
         return HyperLogLog(self.p, np.maximum(self.registers, other.registers))
+
+    @classmethod
+    def merge_bytes(cls, blobs: "list[bytes]") -> "HyperLogLog":
+        """The merge of many ``to_bytes`` sketches of one ``p``: their
+        registers stacked into one array and reduced by one ``max``."""
+        p = blobs[0][0]
+        if any(b[0] != p for b in blobs):
+            raise ValueError("HyperLogLog merge needs one precision")
+        regs = np.frombuffer(b"".join(b[1:] for b in blobs), np.uint8)
+        return cls(p, regs.reshape(len(blobs), 1 << p).max(axis=0))
 
     def estimate(self) -> float:
         m = float(self.m)

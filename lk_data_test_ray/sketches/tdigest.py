@@ -67,7 +67,7 @@ def _compress_loop(m: np.ndarray, c: np.ndarray, total, delta: int):
 
 
 class TDigest:
-    __slots__ = ("delta", "means", "counts", "_buf")
+    __slots__ = ("delta", "means", "counts", "_buf", "_compressed")
 
     def __init__(self, delta: int = 100,
                  means: np.ndarray | None = None,
@@ -76,6 +76,10 @@ class TDigest:
         self.means = means if means is not None else np.empty(0, dtype=np.float64)
         self.counts = counts if counts is not None else np.empty(0, dtype=np.float64)
         self._buf: list[np.ndarray] = []
+        # the centroids are a compress output with nothing buffered since:
+        # compressing them again gives the same bytes (fuzzed in
+        # tests/test_sketches.py), so it is skipped
+        self._compressed = False
 
     # -- update ---------------------------------------------------------------
     def update(self, values: np.ndarray) -> None:
@@ -83,10 +87,14 @@ class TDigest:
         v = v[~np.isnan(v)]
         if v.size:
             self._buf.append(v)
+            self._compressed = False
         if sum(b.size for b in self._buf) > 32 * self.delta:
             self._compress()
 
     def _compress(self) -> None:
+        if self._compressed:
+            return
+        self._compressed = True
         if self._buf:
             new_means = np.concatenate([self.means] + self._buf)
             new_counts = np.concatenate(
@@ -154,4 +162,6 @@ class TDigest:
         n = int.from_bytes(b[4:8], "little")
         means = np.frombuffer(b[8:8 + 8 * n], dtype=np.float64).copy()
         counts = np.frombuffer(b[8 + 8 * n:8 + 16 * n], dtype=np.float64).copy()
-        return cls(delta, means, counts)
+        out = cls(delta, means, counts)
+        out._compressed = True  # to_bytes compressed it
+        return out

@@ -1,5 +1,6 @@
 """Random churn over one resumed out dir (Hypothesis): appends, deletes,
-re-adds, in-place rewrites, deleted C1 sidecars and killed runs, over at
+re-adds, in-place rewrites, deleted store files (a sidecar, a violations
+part, a stats pickle or a clean part) and killed runs, over at
 most 8 tiny input files. After every step the resumed out dir equals a
 fresh run over the same inputs: ``summary.json`` without the walls and the
 work counters, ``load_violations`` with each row's partition id read as
@@ -8,6 +9,7 @@ its input file, and the urls of the rows in the clean output dir."""
 import glob
 import json
 import os
+import re
 import shutil
 import tempfile
 
@@ -27,9 +29,10 @@ N_FILES = 8
 WORK = {"phase_wall", "wall_sec", "rows_per_sec", "rows_scanned",
         "scan_items", "scan_tasks"}
 
-# a change names a file index (for drop_sidecar: an index into c1/)
+# a change names a file index (for drop_file: an index into the files
+# the store's manifests name)
 CHANGES = st.tuples(
-    st.sampled_from(["add", "delete", "resize", "rewrite", "drop_sidecar"]),
+    st.sampled_from(["add", "delete", "resize", "rewrite", "drop_file"]),
     st.integers(0, N_FILES - 1))
 # a step: one to three changes, then one run, killed after k partition
 # commits when k is drawn, and then a run that resumes it
@@ -134,10 +137,22 @@ def _change(pool, out, state, path, act, arg):
             assert os.stat(path(arg)).st_size == old.st_size
             os.utime(path(arg), ns=(old.st_atime_ns,
                                     old.st_mtime_ns + 10**9))
-    elif act == "drop_sidecar":
-        names = sorted(os.listdir(os.path.join(out, "c1")))
+    elif act == "drop_file":
+        names = _store_files(out)
         if names:
-            os.remove(os.path.join(out, "c1", names[arg % len(names)]))
+            os.remove(names[arg % len(names)])
+
+
+def _store_files(out):
+    """Every file a partition manifest of ``out`` names, of every kind:
+    sidecars, violations parts, stats pickles and clean parts, sorted by
+    kind and then by name."""
+    kinds = [(os.path.join(out, "c1"), r"item-.*\.arrow"),
+             (os.path.join(out, "violations"), r"part-.*\.parquet"),
+             (os.path.join(out, "manifests"), r"stats-.*\.pkl"),
+             (out + "-clean", r"clean-.*\.parquet")]
+    return [os.path.join(d, n) for d, pat in kinds
+            for n in sorted(os.listdir(d)) if re.fullmatch(pat, n)]
 
 
 def _killed_run(inp, out, hist, k):
@@ -167,10 +182,14 @@ def test_random_churn_resume_equals_fresh(pool):
     @settings(max_examples=40, deadline=None, derandomize=True,
               database=None, suppress_health_check=list(HealthCheck))
     @given(STEPS)
-    # a same-size rewrite of a committed file; a lost sidecar; a run
-    # killed after one of its three commits
+    # a same-size rewrite of a committed file; a lost sidecar, violations
+    # part, stats pickle and clean part (two files per kind at the start);
+    # a run killed after one of its three commits
     @example([([("rewrite", 0)], None)])
-    @example([([("drop_sidecar", 1)], None)])
+    @example([([("drop_file", 1)], None)])
+    @example([([("drop_file", 3)], None)])
+    @example([([("drop_file", 5)], None)])
+    @example([([("drop_file", 7)], None)])
     @example([([("add", 2), ("resize", 1), ("add", 5)], 1)])
     def churn(steps):
         _replay(tables, hist, steps)

@@ -823,18 +823,25 @@ def test_npz_sidecar_out_dir_upgrades_on_first_resume(pages_fixture,
 
 def test_c1_starts_while_partitions_commit(pages_fixture, tmp_path,
                                            monkeypatch):
-    """The C1 range tasks are submitted at the last scan arrival, not after
-    the partition commits: every partition commit waits (at most 5 s) for
-    ``make_collectors``, and the last commit to return saw it called. The
-    summary and the violations equal an unpatched run."""
+    """The C1 range tasks are submitted at the last scan arrival, before
+    that arrival's partition commits, not after all of them: one file per
+    scan task, and only the last partition's commit finds
+    ``make_collectors`` called. The summary and the violations equal an
+    unpatched run."""
     import json
     import threading
 
     from lk_data_test_ray.pipelines import validate as v
     from lk_data_test_ray.state.manifest import ManifestStore
 
+    def run(out):
+        run_validation(os.path.join(pages_fixture, "pages"), out,
+                       lang_hist_path=os.path.join(pages_fixture,
+                                                   "lang_hist.parquet"),
+                       scan_target_rows=1, concurrency=1)
+
     fresh = str(tmp_path / "fresh")
-    _run(pages_fixture, fresh)
+    run(fresh)
     started = threading.Event()
     real_make, real_commit = v.make_collectors, ManifestStore.commit
     seen = []  # per partition commit, in return order: C1 already started?
@@ -844,8 +851,6 @@ def test_c1_starts_while_partitions_commit(pages_fixture, tmp_path,
         return real_make(*a, **k)
 
     def commit(self, pid, record, stats=None):
-        if pid != "global":
-            started.wait(timeout=5)
         real_commit(self, pid, record, stats=stats)
         if pid != "global":
             seen.append(started.is_set())
@@ -853,9 +858,9 @@ def test_c1_starts_while_partitions_commit(pages_fixture, tmp_path,
     monkeypatch.setattr(v, "make_collectors", make_collectors)
     monkeypatch.setattr(ManifestStore, "commit", commit)
     out = str(tmp_path / "out")
-    _run(pages_fixture, out)
-    assert len(seen) == len(os.listdir(os.path.join(pages_fixture, "pages")))
-    assert seen[-1]
+    run(out)
+    n = len(os.listdir(os.path.join(pages_fixture, "pages")))
+    assert seen == [False] * (n - 1) + [True]
 
     def summary(d):
         with open(os.path.join(d, "summary.json")) as f:
@@ -1019,3 +1024,100 @@ def test_c1_null_urls_match_duckdb(pages_fixture, tmp_path):
               if r["check_id"] == "c1_url_unique"}
         assert c1 == {u: f"count={n}" for u, n in want.items()}
         assert s["per_check_violations"]["c1_url_unique"] == len(want)
+
+
+def _order_free(summary):
+    """``summary`` without what depends on partition order: a t-digest
+    merge is not commutative byte for byte, and a resume gives re-scanned
+    files pids past the kept ones, so its text-length quantiles may differ
+    from a fresh run's. Every other stat is an exact merge."""
+    return {**summary, "stats": {k: v for k, v in summary["stats"].items()
+                                 if k != "textlen_quantiles"}}
+
+
+def _max_violation_pid(out):
+    from lk_data_test_ray.state.manifest import ManifestStore
+
+    done = ManifestStore(os.path.join(out, "manifests")).completed()
+    return max((pid for pid in done if pid != "global"),
+               key=lambda pid: done[pid]["violation_count"])
+
+
+@pytest.mark.parametrize("lost", ["stats", "part"])
+def test_lost_store_file_rescans_its_partition(pages_fixture, tmp_path,
+                                               monkeypatch, lost):
+    """A committed partition whose stats pickle or violations part is gone
+    is dropped and re-scanned, like one that lost a sidecar: the resume
+    equals a fresh run in ``n_rows`` (a lost pickle used to drop its rows
+    from the merged stats) and in ``load_violations`` (a lost part used to
+    drop its rows while the summary still counted them)."""
+    from lk_data_test_ray.state.manifest import ManifestStore
+
+    fresh_dir, out = str(tmp_path / "fresh"), str(tmp_path / "out")
+    fresh = _run(pages_fixture, fresh_dir)
+    _run(pages_fixture, out)
+    pid = _max_violation_pid(out)
+    rec = ManifestStore(os.path.join(out, "manifests")).completed()[pid]
+    assert rec["violation_count"] > 0
+    if lost == "stats":
+        os.remove(os.path.join(out, "manifests", rec["stats_file"]))
+    else:
+        os.remove(os.path.join(out, "violations", f"part-{pid:05d}.parquet"))
+    scanned = _spy_scans(monkeypatch)
+    s = _run(pages_fixture, out)
+    assert len(scanned) == 1 and scanned[0] != pid
+    assert s["rows_scanned"] == rec["n_rows"]
+    assert s["n_rows"] == fresh["n_rows"]
+    assert _order_free(s)["stats"] == _order_free(fresh)["stats"]
+    assert load_violations(out).num_rows == load_violations(fresh_dir).num_rows
+    _same_outputs(out, s, fresh_dir, fresh)
+
+
+def test_failing_commit_raises_then_resume_equals_fresh(pages_fixture,
+                                                        tmp_path,
+                                                        monkeypatch):
+    """A partition commit that raises ends the run like a failing scan
+    task: the error surfaces, the scans still outstanding are cancelled (no
+    file under the out dir changes after the raise), the first partition's
+    commit stays, and a resume equals a fresh run."""
+    import time
+
+    from lk_data_test_ray.state.manifest import ManifestStore
+
+    hist = os.path.join(pages_fixture, "lang_hist.parquet")
+    pages = os.path.join(pages_fixture, "pages")
+    real, calls = ManifestStore.commit, []
+
+    def commit(self, pid, record, stats=None):
+        if pid != "global":
+            calls.append(pid)
+            if len(calls) == 2:
+                raise RuntimeError("simulated commit failure")
+        return real(self, pid, record, stats=stats)
+
+    def listing(d):
+        return {os.path.join(r, f): (os.stat(os.path.join(r, f)).st_size,
+                                     os.stat(os.path.join(r, f)).st_mtime_ns)
+                for r, _, fs in os.walk(d) for f in fs}
+
+    out = str(tmp_path / "out")
+    monkeypatch.setattr(ManifestStore, "commit", commit)
+    # one file per task, every task submitted at once: the failure lands
+    # while most scans are still queued or running
+    with pytest.raises(RuntimeError, match="simulated commit failure"):
+        run_validation(pages, out, lang_hist_path=hist, scan_target_rows=1)
+    monkeypatch.undo()
+    after = listing(out)
+    time.sleep(1.5)
+    assert listing(out) == after
+    done = ManifestStore(os.path.join(out, "manifests")).completed()
+    assert list(done) == calls[:1]
+
+    resumed = run_validation(pages, out, lang_hist_path=hist)
+    fresh_dir = str(tmp_path / "fresh")
+    fresh = run_validation(pages, fresh_dir, lang_hist_path=hist)
+    work = {"phase_wall", "wall_sec", "rows_per_sec", "rows_scanned",
+            "scan_items", "scan_tasks"}
+    assert ({k: v for k, v in _order_free(resumed).items() if k not in work}
+            == {k: v for k, v in _order_free(fresh).items() if k not in work})
+    _same_outputs(out, resumed, fresh_dir, fresh)

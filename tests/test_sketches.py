@@ -160,8 +160,8 @@ def _updated(delta, values):
 
 
 def _observe(digests):
-    """Every digest's quantiles then bytes (quantile compresses again:
-    compress is not idempotent, so this also covers repeated passes)."""
+    """Every digest's quantiles then bytes, each read twice (the second
+    read reuses the first compress)."""
     return [(np.array([d.quantile(q) for q in QS]).tobytes(), d.to_bytes(),
              np.array([d.quantile(q) for q in QS]).tobytes())
             for d in digests]
@@ -228,6 +228,136 @@ def test_merge_stats_fallback_identical_and_single_warning(monkeypatch,
     finally:
         monkeypatch.undo()
         tdigest.native_compress.cache_clear()
+
+
+def _recompressed(d: TDigest) -> TDigest:
+    """``d`` compressed once more, past the skip for compressed digests."""
+    d._compressed = False
+    d._compress()
+    return d
+
+
+def test_compress_is_a_no_op_on_compressed_digests():
+    """What the compress skip relies on: compressing a digest that
+    ``from_bytes`` decoded, or a merged digest after its first compress,
+    again changes no byte. Covers every ``_digest_cases`` digest plus
+    random value sets, deltas and merges."""
+    rng = np.random.default_rng(17)
+    digests = [d for _, build in _digest_cases() for d in build()]
+    for i in range(300):
+        d = TDigest(int(rng.choice([20, 100, 300])))
+        n = int(rng.integers(0, 20_000))
+        d.update([rng.normal(0, 1, n), np.floor(rng.lognormal(6, 1, n)),
+                  rng.pareto(1.2, n), rng.integers(0, 9, n) * 1.0,
+                  rng.uniform(-1e9, 1e9, n)][i % 5])
+        digests.append(d)
+    for i in range(60):
+        parts = [TDigest.from_bytes(d.to_bytes()) for d in
+                 rng.choice(np.array(digests[-300:], dtype=object),
+                            int(rng.integers(1, 40)))]
+        if len({p.delta for p in parts}) == 1:
+            merged = TDigest.merge_many(parts)
+            merged._compress()
+            want = (merged.means.tobytes(), merged.counts.tobytes())
+            _recompressed(merged)
+            assert (merged.means.tobytes(), merged.counts.tobytes()) == want
+    for d in digests:
+        b = d.to_bytes()
+        assert _recompressed(TDigest.from_bytes(b)).to_bytes() == b
+
+
+def _fold_merge_stats(partials):
+    """The stats merge as a Python fold, every digest re-compressed where
+    the fold used to: the reference ``merge_stats`` must equal byte for
+    byte."""
+    from lk_data_test_ray.checks.row import merge_stats
+
+    if not partials:
+        return merge_stats([])
+    hll_u = HyperLogLog.from_bytes(partials[0]["hll_url"])
+    hll_l = HyperLogLog.from_bytes(partials[0]["hll_lang"])
+    digests = [_recompressed(TDigest.from_bytes(p["tdigest_textlen"]))
+               for p in partials]
+    td = _recompressed(TDigest(digests[0].delta,
+                               np.concatenate([d.means for d in digests]),
+                               np.concatenate([d.counts for d in digests])))
+    out = {
+        "n_rows": partials[0]["n_rows"],
+        "lang_counts": dict(partials[0]["lang_counts"]),
+        "html_null": partials[0]["html_null"],
+        "text_null": partials[0]["text_null"],
+        "ts_min": partials[0]["ts_min"],
+        "ts_max": partials[0]["ts_max"],
+    }
+    for p in partials[1:]:
+        hll_u = hll_u.merge(HyperLogLog.from_bytes(p["hll_url"]))
+        hll_l = hll_l.merge(HyperLogLog.from_bytes(p["hll_lang"]))
+        out["n_rows"] += p["n_rows"]
+        for k, v in p["lang_counts"].items():
+            out["lang_counts"][k] = out["lang_counts"].get(k, 0) + v
+        out["html_null"] += p["html_null"]
+        out["text_null"] += p["text_null"]
+        for key, fn in (("ts_min", min), ("ts_max", max)):
+            vals = [x for x in (out[key], p[key]) if x is not None]
+            out[key] = fn(vals) if vals else None
+    out["hll_url"] = hll_u.to_bytes()
+    out["hll_lang"] = hll_l.to_bytes()
+    out["tdigest_textlen"] = _recompressed(td).to_bytes()
+    out["url_cardinality_est"] = hll_u.estimate()
+    out["lang_cardinality_est"] = hll_l.estimate()
+    out["textlen_quantiles"] = {str(q): _recompressed(td).quantile(q)
+                                for q in (0.1, 0.5, 0.9, 0.99)}
+    return out
+
+
+def _random_partials(rng, n):
+    """``n`` stats partials as scan items make them: every tenth an empty
+    (C0-failed) one, the rest with tied integer text lengths, langs in
+    random first-seen order and, in some, no timestamps."""
+    from lk_data_test_ray.checks.row import merge_stats
+
+    langs = np.array(["en", "de", "fr", "", "zz", "ja", "es"], dtype=object)
+    out = []
+    for i in range(n):
+        if i % 10 == 3:
+            out.append(merge_stats([]))
+            continue
+        rows = int(rng.integers(1, 60))
+        hu, hl, td = HyperLogLog(12), HyperLogLog(12), TDigest()
+        hu.update_strings([f"u{v}" for v in rng.integers(0, 10**6, rows)])
+        seen = rng.permutation(langs)[:int(rng.integers(0, len(langs)))]
+        hl.update_strings(seen)
+        td.update(rng.integers(0, 50, rows).astype(np.float64))
+        ts = None if rng.random() < 0.3 else sorted(
+            f"2023-0{m}-01T00:00:00.000000" for m in rng.integers(1, 9, 2))
+        out.append({
+            "n_rows": rows, "hll_url": hu.to_bytes(),
+            "hll_lang": hl.to_bytes(), "tdigest_textlen": td.to_bytes(),
+            "lang_counts": {str(k): int(rng.integers(1, 9)) for k in seen},
+            "html_null": int(rng.integers(0, 3)),
+            "text_null": int(rng.integers(0, 3)),
+            "ts_min": ts and ts[0], "ts_max": ts and ts[1],
+            "item": (0, 1)})
+    return out
+
+
+@pytest.mark.parametrize("n", [1, 64, 2576])
+def test_merge_stats_equals_fold_byte_for_byte(n):
+    """The vectorized merge pickles to the same bytes as the fold it
+    replaced, and merging merged partials again is the same merge."""
+    import pickle
+
+    from lk_data_test_ray.checks.row import merge_stats
+
+    partials = _random_partials(np.random.default_rng(n), n)
+    got = merge_stats(partials)
+    assert (pickle.dumps(got, protocol=5)
+            == pickle.dumps(_fold_merge_stats(partials), protocol=5))
+    if n > 1:
+        halves = [merge_stats(partials[:n // 2]),
+                  merge_stats(partials[n // 2:])]
+        assert (pickle.dumps(merge_stats(halves), protocol=5)
+                == pickle.dumps(_fold_merge_stats(halves), protocol=5))
 
 
 def test_grouped_tdigest_quantiles_close_to_exact():

@@ -417,3 +417,63 @@ def test_small_files_pack_into_row_sized_tasks(pages_fixture, tmp_path,
         assert len(pids) == len(files)
         for pid in pids:
             assert stores[0].load_stats(pid) == stores[1].load_stats(pid)
+
+
+def test_c0_failed_item_writes_empty_pages_clean_part(pages_fixture,
+                                                      tmp_path):
+    """The quarantine split keeps no row of a file that fails C0: a file
+    with an int64 ``warc_ts`` gets a 0-row clean part with the pages
+    schema, not its own rows under its own schema."""
+    import glob
+
+    import pyarrow as pa
+    import ray
+
+    from lk_data_test_ray.checks.row import (clean_name, plan_scan_items,
+                                             scan_block)
+    from lk_data_test_ray.schema import PAGES_SCHEMA
+
+    good = sorted(glob.glob(os.path.join(pages_fixture, "pages",
+                                         "*.parquet")))[0]
+    bad = str(tmp_path / "bad.parquet")
+    t = pq.read_table(good).slice(0, 5)
+    pq.write_table(t.set_column(1, "warc_ts", pa.array(range(5), pa.int64())),
+                   bad)
+    c1, clean = tmp_path / "c1", tmp_path / "clean"
+    c1.mkdir()
+    clean.mkdir()
+    items = plan_scan_items([bad], {bad: 4})
+    [(_, cols, _)] = ray.get(scan_block.remote(items, False, str(clean),
+                                               str(c1)))
+    assert cols["check_id"] == ["c0_schema"]
+    part = pq.read_table(str(clean / clean_name(4, 0)))
+    assert part.num_rows == 0 and part.schema.equals(PAGES_SCHEMA)
+
+
+def test_file_without_url_with_clean_dir(pages_fixture, tmp_path):
+    """A file without a ``url`` column is a C0 violation with or without a
+    clean dir: the run with one does not raise, and its violations equal
+    the run without."""
+    import glob
+
+    good = sorted(glob.glob(os.path.join(pages_fixture, "pages",
+                                         "*.parquet")))[:2]
+    inp = tmp_path / "in"
+    inp.mkdir()
+    pq.write_table(pq.read_table(good[0]).drop_columns(["url"]),
+                   str(inp / "a_nourl.parquet"))
+    pq.write_table(pq.read_table(good[1]), str(inp / "b_good.parquet"))
+    hist = os.path.join(pages_fixture, "lang_hist.parquet")
+    plain = run_validation(str(inp), str(tmp_path / "plain"),
+                           lang_hist_path=hist)
+    with_clean = run_validation(str(inp), str(tmp_path / "out"),
+                                lang_hist_path=hist,
+                                clean_dir=str(tmp_path / "clean"))
+    assert plain["per_check_violations"]["c0_schema"] == 1
+    assert (with_clean["per_check_violations"]
+            == plain["per_check_violations"])
+    order = [(c, "ascending") for c in ("check_id", "url", "detail")]
+    assert load_violations(str(tmp_path / "out")).sort_by(order).equals(
+        load_violations(str(tmp_path / "plain")).sort_by(order))
+    assert sum(pq.read_table(f).num_rows for f in glob.glob(
+        str(tmp_path / "clean" / "*.parquet"))) > 0
