@@ -2821,18 +2821,23 @@ def oracle_sql() -> dict[str, str]:
         "v_table_fingerprint": """
             WITH o AS (
                 SELECT CAST(('0x' || substr(md5(
-                    o_orderkey::VARCHAR || '|' || o_custkey::VARCHAR
-                    || '|' || o_orderstatus || '|'
-                    || CAST(round(o_totalprice * 100) AS BIGINT)::VARCHAR
-                    || '|' || epoch_us(o_orderdate)::VARCHAR || '|'
-                    || o_orderpriority), 1, 15)) AS BIGINT) AS h
+                    coalesce(o_orderkey::VARCHAR, '') || '|'
+                    || coalesce(o_custkey::VARCHAR, '') || '|'
+                    || coalesce(o_orderstatus, '') || '|'
+                    || coalesce(CAST(round(o_totalprice * 100) AS BIGINT)
+                                ::VARCHAR, '') || '|'
+                    || coalesce(epoch_us(o_orderdate)::VARCHAR, '') || '|'
+                    || coalesce(o_orderpriority, '')), 1, 15)) AS BIGINT)
+                    AS h
                 FROM orders),
             e AS (
                 SELECT CAST(('0x' || substr(md5(
-                    event_id::VARCHAR || '|' || user_id::VARCHAR || '|'
-                    || event_type || '|' || epoch_us(ts)::VARCHAR || '|'
-                    || CAST(round(value * 100) AS BIGINT)::VARCHAR),
-                    1, 15)) AS BIGINT) AS h
+                    coalesce(event_id::VARCHAR, '') || '|'
+                    || coalesce(user_id::VARCHAR, '') || '|'
+                    || coalesce(event_type, '') || '|'
+                    || coalesce(epoch_us(ts)::VARCHAR, '') || '|'
+                    || coalesce(CAST(round(value * 100) AS BIGINT)
+                                ::VARCHAR, '')), 1, 15)) AS BIGINT) AS h
                 FROM events)
             SELECT 'orders' AS tbl, count(*)::BIGINT AS n_rows,
                    CAST(sum(h) % 2305843009213693951 AS BIGINT)

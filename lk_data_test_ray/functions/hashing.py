@@ -309,14 +309,6 @@ def simhash64(tokens: list[str]) -> int:
     return int(((votes > 0).astype(np.uint64) << np.arange(64, dtype=np.uint64)).sum())
 
 
-def char_shingles(text: str, k: int = 5) -> list[str]:
-    """Character k-shingles (lowercased, whitespace-collapsed)."""
-    t = " ".join(text.lower().split())
-    if len(t) < k:
-        return [t] if t else []
-    return [t[i : i + k] for i in range(len(t) - k + 1)]
-
-
 def minhash_from_token_hashes(tok_hashes: np.ndarray, counts: np.ndarray,
                               num_perm: int, seed: int = 7) -> np.ndarray:
     """MinHash signatures for a batch from PRE-HASHED tokens — the

@@ -28,7 +28,9 @@ import ray.data as rd
 
 from ..functions.hashing import md5_hex
 from ..functions.text import TOKEN_SPLIT
-from ..relational import map_groups, partial_groupby_agg, round_half_away
+from ..relational import (broadcast_join, collect_tables, drop_empty_blocks,
+                          exchange_join, hash_repartition_map, map_groups,
+                          partial_groupby_agg, round_half_away, runs)
 from .graph import min_fixpoint, self_labels, state_dataset
 
 # ---------------------------------------------------------------------------
@@ -170,8 +172,6 @@ def shingle_jaccard_pairs(
     inter = partial_groupby_agg(pairs, ["id_a", "id_b"],
                                 [("id_a", "count", "inter")])
 
-    from ..relational import drop_empty_blocks
-
     out_schema = pa.schema([("id_a", pa.int64()), ("id_b", pa.int64()),
                             (score_col, pa.float64())])
     inter = drop_empty_blocks(inter)
@@ -183,7 +183,6 @@ def shingle_jaccard_pairs(
     sz_b = sizes.map_batches(
         lambda b: pa.table({"b_key": b[id_col], "sz_b": b["sz"]}),
         batch_format="pyarrow")
-    from ..relational import exchange_join
 
     inter = exchange_join(inter, sz_a, "id_a", "a_key")
     inter = exchange_join(inter, sz_b, "id_b", "b_key")
@@ -377,8 +376,6 @@ def minhash_lsh_pairs(
     # the regime below decides whether they may be driver-collected
     cand = rd.from_arrow_refs(pair_refs)
 
-    from ..relational import hash_repartition_map
-
     out_schema = pa.schema([("id_a", pa.int64()), ("id_b", pa.int64()),
                             ("est_jaccard", pa.float64())])
 
@@ -390,7 +387,6 @@ def minhash_lsh_pairs(
             [t[id_col].to_numpy(zero_copy_only=False)
              for t in ray.get(surv_id_refs)]))
         id_tbl = pa.table({id_col: pa.array(surv_ids, pa.int64())})
-        from ..relational import broadcast_join, collect_tables
 
         surv_docs = broadcast_join(ds.select_columns([id_col, text_col]),
                                    id_tbl, id_col, id_col, how="semi")
@@ -409,8 +405,6 @@ def minhash_lsh_pairs(
             # all rows of an id_a are co-located: one np.unique dedups the
             # cross-band repeats, then every unique pair's agreement is one
             # fancy-index + compare against the broadcast signature matrix
-            if tbl.num_rows == 0:
-                return out_schema.empty_table()
             a = tbl["id_a"].to_numpy(zero_copy_only=False)
             b = tbl["id_b"].to_numpy(zero_copy_only=False)
             M = np.unique(np.stack([a, b], axis=1), axis=0)
@@ -425,13 +419,13 @@ def minhash_lsh_pairs(
                  "est_jaccard": pa.array(est[keep], pa.float64())},
                 schema=out_schema)
 
-        return hash_repartition_map(cand, "id_a", dedup_and_estimate)
+        return hash_repartition_map(cand, "id_a", dedup_and_estimate,
+                                    schema=out_schema)
 
     # degenerate regime (template-heavy crawl): too many hot survivors to
     # collect on the driver — signatures stay in the object store and reach
     # each pair through the hash exchange (two equi-joins), so no term
     # grows with the corpus on any single node
-    from ..relational import exchange_join
 
     surv_docs = exchange_join(ds.select_columns([id_col, text_col]),
                               rd.from_arrow_refs(surv_id_refs),
@@ -442,8 +436,6 @@ def minhash_lsh_pairs(
     pair_schema = pa.schema([("id_a", pa.int64()), ("id_b", pa.int64())])
 
     def dedup_only(tbl: pa.Table) -> pa.Table:
-        if tbl.num_rows == 0:
-            return pair_schema.empty_table()
         a = tbl["id_a"].to_numpy(zero_copy_only=False)
         b = tbl["id_b"].to_numpy(zero_copy_only=False)
         M = np.unique(np.stack([a, b], axis=1), axis=0)
@@ -451,7 +443,8 @@ def minhash_lsh_pairs(
                          "id_b": pa.array(M[:, 1], pa.int64())},
                         schema=pair_schema)
 
-    uniq_pairs = hash_repartition_map(cand, "id_a", dedup_only)
+    uniq_pairs = hash_repartition_map(cand, "id_a", dedup_only,
+                                      schema=pair_schema)
     sig_a = sig_ds.map_batches(
         lambda t: t.rename_columns(["id_a", "sig_a"]),
         batch_format="pyarrow")
@@ -513,20 +506,17 @@ def _range_bucket_pairs(cap: int, id_col: str, *parts):
                             "id_b": pa.array([], pa.int64())})
     if not live:
         return empty_pairs, pa.table({id_col: pa.array([], pa.int64())}), 0
-    ids = np.concatenate([p[0] for p in live])
-    key = np.concatenate([p[1] for p in live])
-    order = np.lexsort((ids, key))
-    ids, key = ids[order], key[order]
-    first = np.ones(len(key), bool)
-    first[1:] = key[1:] != key[:-1]
-    starts = np.flatnonzero(first)
-    lens = np.diff(np.append(starts, len(key)))
+    t, starts = runs(pa.table({"key": np.concatenate([p[1] for p in live]),
+                               "id": np.concatenate([p[0] for p in live])}),
+                     "key", ["id"])
+    ids = t["id"].to_numpy()
+    lens = np.diff(np.append(starts, len(ids)))
     hot = lens >= 2
     n_surv = int(lens[hot].sum())
     if n_surv == 0:
         return empty_pairs, pa.table({id_col: pa.array([], pa.int64())}), 0
     ia_parts, ib_parts = [], []
-    surv_mask = np.zeros(len(key), bool)
+    surv_mask = np.zeros(len(ids), bool)
     for s, ln in zip(starts[hot], lens[hot]):
         seg = np.unique(ids[s:s + ln])  # one row per (doc, band): sorted
         surv_mask[s:s + ln] = True
@@ -729,7 +719,6 @@ def semantic_dedup(ds: rd.Dataset, id_col: str = "vec_id",
     Returns (id, cluster, keeper) for every input vector; ``keeper == id``
     marks survivors.
     """
-    from ..relational import hash_repartition_map
     from .similarity import _normalize, train_centroids
 
     sample_rows = ds.limit(train_sample).to_pandas()
@@ -757,18 +746,11 @@ def semantic_dedup(ds: rd.Dataset, id_col: str = "vec_id",
                             ("keeper", pa.int64())])
 
     def dedup_cells(tbl: pa.Table) -> pa.Table:
-        if tbl.num_rows == 0:
-            return out_schema.empty_table()
-        order = pc.sort_indices(
-            pa.table({"cluster": tbl["cluster"], "id": tbl["id"]}),
-            sort_keys=[("cluster", "ascending"), ("id", "ascending")])
-        tbl = tbl.take(order)
-        cells = tbl["cluster"].to_numpy(zero_copy_only=False)
+        tbl, starts = runs(tbl, "cluster", ["id"])
         ids = tbl["id"].to_numpy(zero_copy_only=False)
         X = np.asarray(tbl["vec"].combine_chunks().values,
                        dtype=np.float64).reshape(len(ids), dim)
-        bounds = np.concatenate(
-            [[0], np.flatnonzero(cells[1:] != cells[:-1]) + 1, [len(ids)]])
+        bounds = np.append(starts, len(ids))
         keepers = np.empty(len(ids), dtype=np.int64)
         for lo, hi in zip(bounds[:-1], bounds[1:]):
             S = X[lo:hi]
@@ -782,12 +764,13 @@ def semantic_dedup(ds: rd.Dataset, id_col: str = "vec_id",
                 lab = new
             keepers[lo:hi] = lab.astype(np.int64)
         return pa.table({
-            "id": pa.array(ids, pa.int64()),
-            "cluster": pa.array(cells, pa.int64()),
-            "keeper": pa.array(keepers, pa.int64()),
+            "id": ids,
+            "cluster": tbl["cluster"],
+            "keeper": keepers,
         }, schema=out_schema)
 
-    return hash_repartition_map(assigned, "cluster", dedup_cells)
+    return hash_repartition_map(assigned, "cluster", dedup_cells,
+                                schema=out_schema)
 
 
 def shingle_jaccard_pairs_matmul(
@@ -1059,7 +1042,6 @@ def bloom_incremental_members(
         # small committed key set: broadcast it and fuse Bloom pre-screen +
         # exact verify into ONE map stage (no shuffle join, no extra
         # executions - each costs a ~1.5 s executor floor)
-        from ..relational import collect_tables
 
         keys_tbl = collect_tables(
             committed_k.map_batches(
@@ -1091,8 +1073,6 @@ def bloom_incremental_members(
             np.asarray(batch["__key"].to_pylist(), dtype=object))
         return batch.filter(pa.array(mask))
 
-    from ..relational import drop_empty_blocks
-
     candidates = drop_empty_blocks(
         incoming_k.map_batches(screen, batch_format="pyarrow"))
     committed_keys = drop_empty_blocks(committed_k.map_batches(
@@ -1100,7 +1080,6 @@ def bloom_incremental_members(
         batch_format="pyarrow"))
     if candidates is None or committed_keys is None:
         return rd.from_arrow(out_schema.empty_table())
-    from ..relational import exchange_join
 
     verified = exchange_join(candidates, committed_keys, "__key", "__ckey",
                              how="left_semi")
@@ -1205,8 +1184,6 @@ def paragraph_dedup(ds: rd.Dataset, id_col: str, text_col: str,
     Chunk text crosses the wire once (unavoidable: the keeper must win by
     global order, and the output needs the text back).
     """
-    from ..relational import hash_repartition_map
-
     C = chunk_tokens
     lines_schema = pa.schema([(id_col, pa.int64()), ("ci", pa.int64()),
                               ("chunk", pa.string())])
@@ -1238,38 +1215,22 @@ def paragraph_dedup(ds: rd.Dataset, id_col: str, text_col: str,
     marked_schema = lines_schema.append(pa.field("keep", pa.bool_()))
 
     def mark_first(tbl: pa.Table) -> pa.Table:
-        if tbl.num_rows == 0:
-            return marked_schema.empty_table()
-        idx = pc.sort_indices(tbl, sort_keys=[
-            ("chunk", "ascending"), (id_col, "ascending"),
-            ("ci", "ascending")])
-        tbl = tbl.take(idx)
-        ch = tbl["chunk"].combine_chunks()
-        n = len(ch)
-        neq = pc.not_equal(ch.slice(1), ch.slice(0, n - 1))
-        keep = pa.concat_arrays([
-            pa.array([True]), neq.combine_chunks() if isinstance(
-                neq, pa.ChunkedArray) else neq])
-        return tbl.append_column("keep", keep)
+        tbl, starts = runs(tbl, "chunk", [id_col, "ci"])
+        keep = np.zeros(tbl.num_rows, bool)
+        keep[starts] = True
+        return tbl.append_column("keep", pa.array(keep))
 
-    marked = hash_repartition_map(lines, "chunk", mark_first)
+    marked = hash_repartition_map(lines, "chunk", mark_first,
+                                  schema=marked_schema)
 
     out_schema = pa.schema([(id_col, pa.int64()), ("n_chunks", pa.int64()),
                             ("n_kept", pa.int64()),
                             ("text_deduped", pa.string())])
 
     def assemble(tbl: pa.Table) -> pa.Table:
-        if tbl.num_rows == 0:
-            return out_schema.empty_table()
-        idx = pc.sort_indices(tbl, sort_keys=[
-            (id_col, "ascending"), ("ci", "ascending")])
-        tbl = tbl.take(idx)
-        ids = tbl[id_col].to_numpy(zero_copy_only=False)
+        tbl, starts = runs(tbl, id_col, ["ci"])
         keep = tbl["keep"].to_numpy(zero_copy_only=False)
-        n = len(ids)
-        starts = np.flatnonzero(
-            np.concatenate([[True], ids[1:] != ids[:-1]]))
-        n_chunks = np.diff(np.append(starts, n))
+        n_chunks = np.diff(np.append(starts, tbl.num_rows))
         n_kept = np.add.reduceat(keep.astype(np.int64), starts)
         kept_tbl = tbl.filter(pa.array(keep))
         kept_chunks = kept_tbl["chunk"].combine_chunks()
@@ -1281,12 +1242,12 @@ def paragraph_dedup(ds: rd.Dataset, id_col: str, text_col: str,
                                      kept_chunks), " ")
         text_dd = pc.if_else(pa.array(n_kept > 0), joined,
                              pa.scalar(None, pa.string()))
-        return pa.table({id_col: pa.array(ids[starts], pa.int64()),
+        return pa.table({id_col: tbl[id_col].take(starts),
                          "n_chunks": pa.array(n_chunks, pa.int64()),
                          "n_kept": pa.array(n_kept, pa.int64()),
                          "text_deduped": text_dd}, schema=out_schema)
 
-    return hash_repartition_map(marked, id_col, assemble)
+    return hash_repartition_map(marked, id_col, assemble, schema=out_schema)
 
 
 # ---------------------------------------------------------------------------
@@ -1366,9 +1327,7 @@ def cdc_chunks(batch: pa.Table, id_col: str = "doc_id",
     chunk_arr = pa.Array.from_buffers(
         pa.large_string(), len(chunk_doc),
         [None, pa.py_buffer(new_offs), s.buffers()[2]])
-    first = np.ones(len(chunk_doc), bool)
-    first[1:] = chunk_doc[1:] != chunk_doc[:-1]
-    fstarts = np.flatnonzero(first)
+    _, fstarts = runs(pa.table({"d": chunk_doc}), "d")
     cidx = np.arange(len(chunk_doc)) - np.repeat(
         fstarts, np.diff(np.append(fstarts, len(chunk_doc))))
     return pa.table({

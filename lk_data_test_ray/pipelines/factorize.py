@@ -33,6 +33,8 @@ import pyarrow.compute as pc
 import ray
 import ray.data as rd
 
+from ..relational import hash_repartition_map, round_half_away
+
 
 def als_factorize(ratings: rd.Dataset, user_col: str, item_col: str,
                   value_col: str, rank: int = 3, iters: int = 8,
@@ -47,8 +49,6 @@ def als_factorize(ratings: rd.Dataset, user_col: str, item_col: str,
 def _exchanged_parts(ratings: rd.Dataset, user_col: str, item_col: str,
                      value_col: str) -> rd.Dataset:
     """ONE hash exchange on user; every iteration reuses this layout."""
-    from ..relational import hash_repartition_map
-
     return hash_repartition_map(
         ratings.map_batches(
             lambda t: pa.table({
@@ -71,8 +71,6 @@ def als_recommend(ratings: rd.Dataset, user_col: str, item_col: str,
     Returns (user_id, rec_item, score) — deterministic under the seed;
     iterative least squares has no SQL oracle (rows-only), convergence /
     reconstruction / determinism are pytest-asserted."""
-    from ..relational import round_half_away
-
     parts = _exchanged_parts(ratings, user_col, item_col, value_col)
     # reuse the SAME materialized partitions for factorization
     user_parts, item_ids, Q = _als_from_parts(parts, rank, iters, reg,

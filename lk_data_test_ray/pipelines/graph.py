@@ -32,8 +32,10 @@ import pyarrow.compute as pc
 import ray
 import ray.data as rd
 
-from ..relational import (default_p_bits, drop_empty_blocks, hash_split,
-                          partial_groupby_agg, round_half_away)
+from ..relational import (broadcast_join, default_p_bits, drop_empty_blocks,
+                          exchange_join, hash_repartition_map, hash_split,
+                          partial_groupby_agg, round_half_away, runs,
+                          skew_join, topk)
 
 
 def pagerank(edges: rd.Dataset, src_col: str, dst_col: str,
@@ -197,7 +199,6 @@ def pagerank(edges: rd.Dataset, src_col: str, dst_col: str,
     ranks_ds = nodes_ds.map_batches(
         lambda b: pa.table({"rnode": b["node"], "r": _p_of(b["node"])}),
         batch_format="pyarrow")
-    from ..relational import exchange_join
 
     ew = exchange_join(edges, outdeg_ds.map_batches(
         lambda b: pa.table({"onode": b["node"], "od": b["od"]}),
@@ -389,8 +390,6 @@ def _closed_wedges(edges: rd.Dataset, a_col: str, b_col: str,
     carries the corner ids, 3 strings/row) else just the bare pair_key.
     ``None`` closed means zero wedges.
     """
-    from ..relational import broadcast_join, exchange_join
-
     n_nodes = deg_ds.count()
     if n_nodes == 0:
         return None, 0
@@ -542,8 +541,6 @@ def local_clustering(edges: rd.Dataset, a_col: str = "a", b_col: str = "b",
 
     Returns (node, deg, n_tri, clustering) — one row per node.
     """
-    from ..relational import exchange_join
-
     edges = edges.materialize()
     deg_ds = _degree_table(edges, a_col, b_col).materialize()
 
@@ -858,7 +855,6 @@ def hyperball_harmonic(edges: rd.Dataset, src_col: str, dst_col: str,
     Returns (node, harmonic) — reachability-weighted closeness, the
     centrality Boldi & Vigna recommend for web graphs.
     """
-    from ..relational import exchange_join, partial_groupby_agg
     from ..sketches import HyperLogLog
 
     m = 1 << p
@@ -946,17 +942,11 @@ def hyperball_harmonic(edges: rd.Dataset, src_col: str, dst_col: str,
 
     def make_merge(t: int):
         def merge_partition(tbl: pa.Table) -> pa.Table:
-            if tbl.num_rows == 0:
-                return out_schema.empty_table()
-            idx = pc.sort_indices(tbl, sort_keys=[("node", "ascending")])
-            tbl = tbl.take(idx)
+            tbl, starts = runs(tbl, "node")
             n = tbl.num_rows
-            node = tbl["node"].to_numpy(zero_copy_only=False)
             regs = _regs_matrix(tbl["regs"], n)
-            first = np.ones(n, bool)
-            first[1:] = node[1:] != node[:-1]
-            starts = np.flatnonzero(first)
-            grp = np.cumsum(first) - 1
+            grp = np.repeat(np.arange(len(starts)),
+                            np.diff(np.append(starts, n)))
             mx = np.maximum.reduceat(regs, starts, axis=0)
             g = len(starts)
             h_arr = tbl["h"].to_numpy(zero_copy_only=False)
@@ -971,14 +961,12 @@ def hyperball_harmonic(edges: rd.Dataset, src_col: str, dst_col: str,
             est = _estimates(mx)
             h_g += np.maximum(est - ep_g, 0.0) / t
             return pa.table({
-                "node": pa.array(node[starts], pa.string()),
+                "node": tbl["node"].take(starts),
                 "regs": pa.array([r.tobytes() for r in mx], pa.binary()),
                 "est_prev": pa.array(est, pa.float64()),
                 "h": pa.array(h_g, pa.float64()),
                 "chg": pa.array(chg)}, schema=out_schema)
         return merge_partition
-
-    from ..relational import hash_repartition_map
 
     changed: list[int] = []
     while not changed or changed[-1]:
@@ -990,8 +978,8 @@ def hyperball_harmonic(edges: rd.Dataset, src_col: str, dst_col: str,
                                 "chg": pa.nulls(b.num_rows, pa.bool_())}),
             batch_format="pyarrow")
         state = hash_repartition_map(msgs.union(state), "node",
-                                     make_merge(len(changed) + 1)
-                                     ).materialize()
+                                     make_merge(len(changed) + 1),
+                                     schema=out_schema).materialize()
         changed.append(int(sum(r["n"] for r in state.map_batches(
             lambda b: pa.table({"n": [pc.sum(b["chg"]).as_py() or 0]}),
             batch_format="pyarrow").take_all())))
@@ -1023,8 +1011,6 @@ def kcore(edges: rd.Dataset, src_col: str, dst_col: str,
     Returns (node, degree) of the k-core members with their in-core
     degree.
     """
-    from ..relational import exchange_join, partial_groupby_agg
-
     def orient(batch: pa.Table) -> pa.Table:
         a = batch[src_col].cast(pa.string())
         b = batch[dst_col].cast(pa.string())
@@ -1088,7 +1074,6 @@ def random_walks(edges: rd.Dataset, src_col: str, dst_col: str,
     Returns (start, step, node) trace rows, step 0 = the start itself.
     """
     from ..functions.hashing import md5_int32
-    from ..relational import hash_repartition_map, skew_join
 
     def orient(batch: pa.Table) -> pa.Table:
         # Per-batch dedup is a COMBINER only — cross-batch duplicate
@@ -1110,19 +1095,10 @@ def random_walks(edges: rd.Dataset, src_col: str, dst_col: str,
         one sorted pass; deg/pos columns ride along so the per-node
         degree table is a FILTER of this one exchange, not a second
         shuffle of the edge set."""
-        if tbl.num_rows == 0:
-            return adj_schema.empty_table()
-        tbl = tbl.group_by(["a", "b"]).aggregate([])
-        idx = pc.sort_indices(tbl, sort_keys=[("a", "ascending"),
-                                              ("b", "ascending")])
-        t = tbl.take(idx)
-        a = t["a"].to_numpy(zero_copy_only=False)
-        first = np.ones(len(a), bool)
-        first[1:] = a[1:] != a[:-1]
-        starts = np.flatnonzero(first)
-        runs = np.diff(np.append(starts, len(a)))
-        pos = np.arange(len(a)) - np.repeat(starts, runs)
-        deg = np.repeat(runs, runs)
+        t, starts = runs(tbl.group_by(["a", "b"]).aggregate([]), "a", ["b"])
+        lens = np.diff(np.append(starts, t.num_rows))
+        pos = np.arange(t.num_rows) - np.repeat(starts, lens)
+        deg = np.repeat(lens, lens)
         akey = pc.binary_join_element_wise(
             t["a"], pa.array(pos.astype("U"), pa.string()), "#")
         return pa.table({"akey": akey, "nbr": t["b"], "anode": t["a"],
@@ -1130,9 +1106,8 @@ def random_walks(edges: rd.Dataset, src_col: str, dst_col: str,
                          "pos": pa.array(pos, pa.int64())},
                         schema=adj_schema)
 
-    adj = hash_repartition_map(e, "a", rank_partition).materialize()
-
-    from ..relational import partial_groupby_agg
+    adj = hash_repartition_map(e, "a", rank_partition,
+                               schema=adj_schema).materialize()
 
     deg = adj.map_batches(
         lambda b: b.filter(pc.equal(b["pos"], 0)).select(
@@ -1211,8 +1186,6 @@ def common_neighbor_scores(edges: rd.Dataset, a_col: str = "a",
     ≤ hub_cap · m. The oracle applies the SAME cap, so results stay
     exactly comparable.
     """
-    from ..relational import exchange_join, topk
-
     edges = edges.materialize()
     deg_ds = _degree_table(edges, a_col, b_col).materialize()
 
@@ -1294,11 +1267,8 @@ def common_neighbor_scores(edges: rd.Dataset, a_col: str = "a",
     # merge partials with ONE hash exchange + a local C++ group_by per
     # range: pair-key cardinality ≈ block size, so a map-side combine
     # can't shrink them.
-    from ..relational import hash_repartition_map
 
     def merge_pairs(tbl: pa.Table) -> pa.Table:
-        if tbl.num_rows == 0:
-            return pair_schema.empty_table()
         g = tbl.group_by(["pk", "v", "w"]).aggregate(
             [("cn", "sum"), ("aa", "sum")])
         return pa.table({"pk": g["pk"], "v": g["v"], "w": g["w"],
@@ -1307,7 +1277,7 @@ def common_neighbor_scores(edges: rd.Dataset, a_col: str = "a",
 
     keyed = hash_repartition_map(
         wed.map_batches(pair_partials, batch_format="pyarrow"),
-        "pk", merge_pairs)
+        "pk", merge_pairs, schema=pair_schema)
 
     # drop pairs that are already edges (we predict MISSING links)
     ekey = edges.map_batches(
@@ -1454,8 +1424,6 @@ def scc_coloring(edges: rd.Dataset, src_col: str, dst_col: str,
 
     Returns (node, scc_id) with scc_id = min node id of the SCC.
     """
-    from ..relational import exchange_join
-
     def orient(batch: pa.Table) -> pa.Table:
         a = batch[src_col].combine_chunks().cast(pa.string())
         b = batch[dst_col].combine_chunks().cast(pa.string())
@@ -1532,8 +1500,6 @@ def bowtie_parts(edges: rd.Dataset, src_col: str, dst_col: str) -> rd.Dataset:
     hash joins + a vectorized if_else chain. A node holding both flags
     is mutually connected to the core, hence ALREADY in GSCC — the CASE
     order is total. Returns (node, part)."""
-    from ..relational import exchange_join, partial_groupby_agg, topk
-
     def orient(batch: pa.Table) -> pa.Table:
         a = batch[src_col].combine_chunks().cast(pa.string())
         b = batch[dst_col].combine_chunks().cast(pa.string())

@@ -94,17 +94,6 @@ def payload_meta_table(batch: pa.Table, id_col: str = "url",
     }, schema=MEDIA_META_SCHEMA)
 
 
-def payload_metadata(ds: rd.Dataset, id_col: str = "url",
-                     payload_col: str = "html") -> rd.Dataset:
-    """(id, kind, n_bytes) per payload — stateless, vectorized."""
-
-    def meta(batch: pa.Table) -> pa.Table:
-        return payload_meta_table(batch, id_col, payload_col)
-
-    return ds.select_columns([id_col, payload_col]).map_batches(
-        meta, batch_format="pyarrow")
-
-
 class DecodeStage:
     """Actor-pool decode → feature-extract stage over a binary media column.
 

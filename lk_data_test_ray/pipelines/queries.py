@@ -11,18 +11,74 @@ Reference-parity mapping (SURVEY.md §2 row ids) is noted per function.
 
 from __future__ import annotations
 
+import collections
+import datetime as dt
+import glob
+import hashlib
+import os
+import shutil
+import unicodedata
+
 import numpy as np
+import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
+import pyarrow.parquet as pq
+import ray
 import ray.data as rd
+from ray.data.aggregate import Sum
+from ray.data.datasource.partitioning import Partitioning
 
+from ..checks.links import find_dangling_links
+from ..checks.protocol import Rule, run_rule_checks
 from ..checks.vocab import ISO_639_1
-from ..functions.hashing import (md5_hex, md5_hex_ints,
-                                 rolling_fingerprint, simhash64)
-from ..functions.text import lang_id, quality_features, token_counts
-from ..relational import (broadcast_join, collect_tables, map_groups,
-                          partial_groupby_agg, read, read_table, round_cols,
-                          round_half_away, topk)
+from ..functions.bpe import apply_merge_batch, train_bpe
+from ..functions.extract import binary_views, extract_links
+from ..functions.hashing import (_duck_exec, _md5_con, gram_hash_pairs,
+                                 hash_strings64, md5_hex, md5_hex_ints,
+                                 md5_int32, md5_sum_mod,
+                                 rolling_fingerprints_batch, simhash64_batch)
+from ..functions.redact import redact
+from ..functions.strings import levenshtein_matrix
+from ..functions.text import (STOPWORDS, TOKEN_SPLIT, bpe_token_counts,
+                              lang_id, quality_features, token_counts,
+                              word_ngrams_batch)
+from ..functions.urls import normalize_urls_batch, point_wkt
+from ..relational import (asof_join, broadcast_join, collect_tables,
+                          drop_empty_blocks, exchange_join,
+                          hash_repartition_map, interval_join, map_groups,
+                          nearest_join, partial_groupby_agg, read, read_table,
+                          round_cols, round_half_away, runs, skew_join,
+                          topk, topk_per_key, union_by_name)
+from ..sketches import ApproxTopK, CountMin, HyperLogLog, TDigest
+from ..sources.lines import ensure_lines, lines_ndocs_for_sf
+from ..sources.pages import ensure_pages, pages_nrows_for_sf
+from ..sources.recrawl import ensure_recrawl, recrawl_nurls_for_sf
+from ..sources.robots import ensure_robots, parse_robots
+from ..sources.scan import _parquet_files, fused_parquet_map, pruned_range_scan
+from ..sources.warc import ensure_warc_segments, fetch_records, read_warc
+from ..state.manifest import ManifestStore
+from .bucketed import bucket_write, bucketed_join
+from .classifier import featurize, score_logreg_hashed, train_logreg_hashed
+from .dedup import (_capped_pair_indices, bloom_incremental_members,
+                    cdc_chunks, connected_components, exact_dedup_groups,
+                    semantic_dedup, shingle_jaccard_pairs_matmul)
+from .factorize import als_recommend
+from .graph import (_degree_table, bfs_depth, bowtie_parts,
+                    common_neighbor_scores, components_min_label, hits,
+                    hyperball_harmonic, kcore, local_clustering, pagerank,
+                    random_walks, scc_coloring, triangle_count)
+from .maintenance import compact_parquet
+from .multimodal import (FrameSampleStage, audio_feature_table,
+                         decode_features, gif_decode, gif_encode, gif_header,
+                         image_dims_table, jpeg_decode, jpeg_encode,
+                         jpeg_header, payload_meta_table, png_decode,
+                         png_encode, png_header, ppm_decode, ppm_encode,
+                         spectrum_feature_table, wav_encode)
+from .snapshot import snapshot_diff
+from .training_data import curate_pages
+from .validate import load_violations, run_validation
+from .zorder import minmax2, overlapping_files, zorder_write
 
 # thresholds shared verbatim with the oracle SQL
 JACCARD_THRESHOLD = 0.3
@@ -84,8 +140,6 @@ def q1_pricing_summary(sf_dir: str) -> rd.Dataset:
     )
 
     def finish(batch: pa.Table) -> pa.Table:
-        from ..relational import round_half_away
-
         n = batch["count_order"].to_numpy(zero_copy_only=False)
         qty = batch["sum_qty_c2"].to_numpy(zero_copy_only=False)
         return pa.table({
@@ -118,7 +172,6 @@ def q3_top_orders(sf_dir: str) -> rd.Dataset:
     orders = broadcast_join(orders, cust, "o_custkey", "c_custkey", how="semi")
     # a filter can empty a block, and empty blocks carry no schema — the
     # join's hash partitioner would crash on them (drop_empty_blocks doc)
-    from ..relational import drop_empty_blocks
 
     orders = drop_empty_blocks(orders)
     line = read(sf_dir, "lineitem",
@@ -128,7 +181,6 @@ def q3_top_orders(sf_dir: str) -> rd.Dataset:
             [("o_orderkey", pa.int64()),
              ("o_orderdate", pa.timestamp("us")),
              ("revenue", pa.float64())]).empty_table())
-    from ..relational import exchange_join
 
     joined = exchange_join(line, orders, "l_orderkey", "o_orderkey")
 
@@ -164,7 +216,6 @@ def q5_regional_revenue(sf_dir: str) -> rd.Dataset:
     orders = orders.map_batches(in_1996, batch_format="pyarrow")
     orders = broadcast_join(orders, cust.select(["c_custkey", "n_name"]),
                             "o_custkey", "c_custkey", how="inner")
-    from ..relational import drop_empty_blocks
 
     orders = drop_empty_blocks(orders)  # date filter can empty blocks
     line = read(sf_dir, "lineitem",
@@ -173,7 +224,6 @@ def q5_regional_revenue(sf_dir: str) -> rd.Dataset:
         return rd.from_arrow(pa.schema(
             [("n_name", pa.string()),
              ("revenue", pa.float64())]).empty_table())
-    from ..relational import exchange_join
 
     joined = exchange_join(line, orders, "l_orderkey", "o_orderkey")
 
@@ -217,7 +267,6 @@ def j_anti_customers_no_events(sf_dir: str) -> rd.Dataset:
     users = read(sf_dir, "events", ["user_id"]).map_batches(
         _batch_distinct("user_id"), batch_format="pyarrow")
     cust = read(sf_dir, "customer", ["c_custkey", "c_name"])
-    from ..relational import exchange_join
 
     return exchange_join(cust, users, "c_custkey", "user_id",
                          how="left_anti")
@@ -227,7 +276,6 @@ def j_semi_error_customers(sf_dir: str) -> rd.Dataset:
     """Semi-join existence probe (J3, ≙ ``make_texts.py:363-366``) — same
     distributed shape as J2 (``left_semi``, no driver-side key set)."""
     ev = read(sf_dir, "events", ["user_id", "event_type"])
-    from ..relational import drop_empty_blocks, exchange_join
 
     err_users = drop_empty_blocks(ev.map_batches(
         lambda b: b.filter(pc.equal(b["event_type"], "error")).select(["user_id"]),
@@ -262,15 +310,11 @@ def a_collect_event_types(sf_dir: str) -> rd.Dataset:
     partition does a vectorized sort + Arrow ``group_by(...).aggregate(list)``
     + ``binary_join`` — no per-group Python call (group-count-independent
     wall time; round 1 paid one Python call per user here)."""
-    from ..relational import hash_repartition_map
-
     ev = read(sf_dir, "events", ["user_id", "event_type", "event_id"])
     out_schema = pa.schema([("user_id", pa.int64()), ("types", pa.string()),
                             ("n_events", pa.int64())])
 
     def collect_partition(tbl: pa.Table) -> pa.Table:
-        if tbl.num_rows == 0:
-            return out_schema.empty_table()
         idx = pc.sort_indices(tbl, sort_keys=[
             ("user_id", "ascending"), ("event_type", "ascending"),
             ("event_id", "ascending")])
@@ -283,7 +327,8 @@ def a_collect_event_types(sf_dir: str) -> rd.Dataset:
             "n_events": agg["event_id_count"],
         }, schema=out_schema)
 
-    return hash_repartition_map(ev, "user_id", collect_partition)
+    return hash_repartition_map(ev, "user_id", collect_partition,
+                                schema=out_schema)
 
 
 def a_lang_source_counts(sf_dir: str) -> rd.Dataset:
@@ -410,8 +455,6 @@ def e_sessionize(sf_dir: str) -> rd.Dataset:
     Scale shape: hash exchange on user_id, then per partition ONE sort by
     (user, ts) + a segmented numpy diff marks session starts (new user OR
     gap > 30 min) + vectorized grouped sum/count — no per-group Python."""
-    from ..relational import hash_repartition_map
-
     ev = read(sf_dir, "events", ["user_id", "ts"])
     gap_us = 30 * 60 * 1_000_000
     out_schema = pa.schema([("user_id", pa.int64()),
@@ -419,27 +462,19 @@ def e_sessionize(sf_dir: str) -> rd.Dataset:
                             ("n_events", pa.int64())])
 
     def sessions_partition(tbl: pa.Table) -> pa.Table:
-        if tbl.num_rows == 0:
-            return out_schema.empty_table()
-        idx = pc.sort_indices(tbl, sort_keys=[
-            ("user_id", "ascending"), ("ts", "ascending")])
-        tbl = tbl.take(idx)
-        uid = tbl["user_id"].to_numpy(zero_copy_only=False)
+        tbl, starts = runs(tbl, "user_id", ["ts"])
         ts = tbl["ts"].cast(pa.int64()).to_numpy(zero_copy_only=False)
-        new_s = np.ones(len(uid), dtype=np.int64)
-        new_s[1:] = ((uid[1:] != uid[:-1])
-                     | ((ts[1:] - ts[:-1]) > gap_us)).astype(np.int64)
-        marked = pa.table({"user_id": pa.array(uid, pa.int64()),
-                           "new_s": pa.array(new_s, pa.int64())})
-        agg = marked.group_by(["user_id"], use_threads=False).aggregate(
-            [("new_s", "sum"), ("new_s", "count")])
+        new_s = np.zeros(tbl.num_rows, np.int64)
+        new_s[1:] = np.diff(ts) > gap_us
+        new_s[starts] = 1
         return pa.table({
-            "user_id": agg["user_id"],
-            "n_sessions": agg["new_s_sum"],
-            "n_events": agg["new_s_count"],
+            "user_id": tbl["user_id"].take(starts),
+            "n_sessions": np.add.reduceat(new_s, starts),
+            "n_events": np.diff(np.append(starts, tbl.num_rows)),
         }, schema=out_schema)
 
-    return hash_repartition_map(ev, "user_id", sessions_partition)
+    return hash_repartition_map(ev, "user_id", sessions_partition,
+                                schema=out_schema)
 
 
 def e_gap_quantiles(sf_dir: str) -> rd.Dataset:
@@ -450,8 +485,6 @@ def e_gap_quantiles(sf_dir: str) -> rd.Dataset:
     SQL ``quantile_cont``). No per-group Python; wall time is independent of
     group count. Gaps reported in µs (interpolated halves are exact in
     float64, so the rounded output is engine-independent)."""
-    from ..relational import hash_repartition_map, round_half_away
-
     ev = read(sf_dir, "events", ["user_id", "ts"])
     out_schema = pa.schema([("user_id", pa.int64()),
                             ("n_gaps", pa.int64()),
@@ -459,23 +492,16 @@ def e_gap_quantiles(sf_dir: str) -> rd.Dataset:
                             ("p90_gap_us", pa.float64())])
 
     def gap_partition(tbl: pa.Table) -> pa.Table:
-        if tbl.num_rows == 0:
-            return out_schema.empty_table()
-        idx = pc.sort_indices(tbl, sort_keys=[
-            ("user_id", "ascending"), ("ts", "ascending")])
-        tbl = tbl.take(idx)
-        uid = tbl["user_id"].to_numpy(zero_copy_only=False)
+        tbl, starts = runs(tbl, "user_id", ["ts"])
         ts = tbl["ts"].cast(pa.int64()).to_numpy(zero_copy_only=False)
-        same = uid[1:] == uid[:-1]
-        gaps = (ts[1:] - ts[:-1])[same].astype(np.float64)
-        guid = uid[1:][same]
-        if not len(gaps):
-            return out_schema.empty_table()
-        order = np.lexsort((gaps, guid))
-        guid, gaps = guid[order], gaps[order]
-        starts = np.flatnonzero(
-            np.concatenate(([True], guid[1:] != guid[:-1])))
-        counts = np.diff(np.concatenate((starts, [len(guid)])))
+        later = np.ones(tbl.num_rows, bool)
+        later[starts] = False
+        g, starts = runs(pa.table({
+            "user_id": tbl["user_id"].filter(later),
+            "gap": np.diff(ts)[later[1:]].astype(np.float64)}),
+            "user_id", ["gap"])
+        gaps = g["gap"].to_numpy()
+        counts = np.diff(np.append(starts, g.num_rows))
 
         def q_at(q: float) -> np.ndarray:
             x = q * (counts - 1)
@@ -486,13 +512,14 @@ def e_gap_quantiles(sf_dir: str) -> rd.Dataset:
             return round_half_away(vlo + frac * (vhi - vlo), 1)
 
         return pa.table({
-            "user_id": pa.array(guid[starts], pa.int64()),
-            "n_gaps": pa.array(counts, pa.int64()),
+            "user_id": g["user_id"].take(starts),
+            "n_gaps": counts,
             "p50_gap_us": pa.array(q_at(0.5), pa.float64()),
             "p90_gap_us": pa.array(q_at(0.9), pa.float64()),
         }, schema=out_schema)
 
-    return hash_repartition_map(ev, "user_id", gap_partition)
+    return hash_repartition_map(ev, "user_id", gap_partition,
+                                schema=out_schema)
 
 
 # ---------------------------------------------------------------------------
@@ -518,8 +545,6 @@ def t_bpe_tokens(sf_dir: str) -> rd.Dataset:
     """BPE-style pre-tokenizer counting (the 'token budget' unit a training
     pipeline packs and filters on) — one vectorized RE2 pass per batch,
     alongside the whitespace count for the fertility ratio."""
-    from ..functions.text import bpe_token_counts
-
     docs = read(sf_dir, "documents", ["doc_id", "text"])
 
     def counts(batch: pa.Table) -> pa.Table:
@@ -576,10 +601,6 @@ def t_fingerprint_extra(sf_dir: str) -> rd.Dataset:
     (``hashing.rolling_fingerprints_batch``), the SimHash from
     dictionary-encoded token hashes (``hashing.simhash64_batch``) — each
     bitwise-equal to its scalar (property-tested), no per-row Python."""
-    import pandas as pd
-
-    from ..functions.hashing import rolling_fingerprints_batch, simhash64_batch
-
     docs = read(sf_dir, "documents", ["doc_id", "text"])
 
     def fp(batch: pa.Table) -> pa.Table:
@@ -694,8 +715,6 @@ def v_unique_doc_ids(sf_dir: str) -> pa.Table:
 
 
 def _pages_fixture(sf_dir: str) -> str:
-    from ..sources.pages import ensure_pages, pages_nrows_for_sf
-
     return ensure_pages(pages_nrows_for_sf(sf_dir))
 
 
@@ -703,10 +722,6 @@ def pages_validate(sf_dir: str) -> pa.Table:
     """Flagship: full constraint suite (C0-C6) over the pages table;
     returns the violation rows (≙ the reference's frozen review artifacts,
     ``AmbiguousFackelReferences.txt``, ``check_fackel_references.py:74-76``)."""
-    import os
-
-    from .validate import load_violations, run_validation
-
     fix = _pages_fixture(sf_dir)
     n = os.path.basename(fix)
     out = f"/tmp/lk_out/pages_{n}"
@@ -722,11 +737,6 @@ def pages_links(sf_dir: str) -> rd.Dataset:
     """Outbound-link extraction flat-map (M1/M11): pages → child table
     keyed by (src_url, ordinal) (≙ mention enumeration
     ``make_texts.py:375-383``)."""
-    import os
-
-    from ..functions.extract import extract_links
-    from ..sources.scan import fused_parquet_map
-
     fix = _pages_fixture(sf_dir)
 
     def explode(batch: pa.Table) -> pa.Table:
@@ -773,8 +783,6 @@ def pages_anchor_text(sf_dir: str) -> rd.Dataset:
 def _anchor_agg(links: rd.Dataset) -> rd.Dataset:
     """Per-dst_url anchor aggregation core of ``pages_anchor_text`` —
     factored so the map-side multiplicity carry is unit-testable."""
-    from ..relational import hash_repartition_map
-
     out_schema = pa.schema([
         ("dst_url", pa.string()), ("n_inlinks", pa.int64()),
         ("n_src", pa.int64()), ("anchors", pa.string())])
@@ -791,51 +799,24 @@ def _anchor_agg(links: rd.Dataset) -> rd.Dataset:
         })
 
     def agg(tbl: pa.Table) -> pa.Table:
-        if tbl.num_rows == 0:
-            return out_schema.empty_table()
-
-        def segments(sorted_tbl: pa.Table):
-            codes = sorted_tbl["dst_url"].combine_chunks() \
-                .dictionary_encode().indices.to_numpy(zero_copy_only=False)
-            first = np.concatenate([[True], codes[1:] != codes[:-1]])
-            seg_id = np.cumsum(first) - 1
-            return first, seg_id
-
-        ia = pc.sort_indices(tbl, sort_keys=[
-            ("dst_url", "ascending"), ("anchor", "ascending")])
-        ta = tbl.take(ia)
-        first_a, seg_a = segments(ta)
-        n_seg = int(seg_a[-1]) + 1
-        n_inlinks = np.bincount(
-            seg_a, weights=ta["n"].to_numpy(zero_copy_only=False),
-            minlength=n_seg).astype(np.int64)
-        anch = ta["anchor"].combine_chunks()
-        prev_ne = pc.not_equal(anch.slice(1), anch.slice(0, len(anch) - 1)) \
-            .to_numpy(zero_copy_only=False)
-        keep = first_a | np.concatenate([[True], prev_ne])
-        kept_per_seg = np.bincount(seg_a[keep], minlength=n_seg)
-        offs = np.concatenate([[0], np.cumsum(kept_per_seg)])
-        anchors = pc.binary_join(pa.ListArray.from_arrays(
-            pa.array(offs, pa.int32()), anch.filter(pa.array(keep))), " | ")
-        dsts = ta["dst_url"].filter(pa.array(first_a))
-
-        isrc = pc.sort_indices(tbl, sort_keys=[
-            ("dst_url", "ascending"), ("src_url", "ascending")])
-        ts = tbl.take(isrc)
-        first_s, seg_s = segments(ts)
-        src = ts["src_url"].combine_chunks()
-        sne = pc.not_equal(src.slice(1), src.slice(0, len(src) - 1)) \
-            .to_numpy(zero_copy_only=False)
-        skeep = first_s | np.concatenate([[True], sne])
-        n_src = np.bincount(seg_s[skeep], minlength=n_seg).astype(np.int64)
-
+        # one row per distinct (dst, anchor) and per distinct (dst, src);
+        # a second cut of those rows, already in dst order, finds each dst
+        ta, first = runs(tbl, ["dst_url", "anchor"])
+        n = np.add.reduceat(ta["n"].to_numpy(zero_copy_only=False), first)
+        d, dst = runs(ta.take(first), "dst_url")
+        ts, sfirst = runs(tbl, ["dst_url", "src_url"])
+        _, sdst = runs(ts.take(sfirst), "dst_url")
         return pa.table({
-            "dst_url": dsts, "n_inlinks": pa.array(n_inlinks, pa.int64()),
-            "n_src": pa.array(n_src, pa.int64()), "anchors": anchors,
+            "dst_url": d["dst_url"].take(dst),
+            "n_inlinks": np.add.reduceat(n, dst),
+            "n_src": np.diff(np.append(sdst, len(sfirst))),
+            "anchors": pc.binary_join(pa.ListArray.from_arrays(
+                pa.array(np.append(dst, d.num_rows), pa.int32()),
+                d["anchor"].combine_chunks()), " | "),
         }, schema=out_schema)
 
     pairs = links.map_batches(pre, batch_format="pyarrow")
-    return hash_repartition_map(pairs, "dst_url", agg)
+    return hash_repartition_map(pairs, "dst_url", agg, schema=out_schema)
 
 
 def mm_payload_meta(sf_dir: str) -> rd.Dataset:
@@ -844,11 +825,6 @@ def mm_payload_meta(sf_dir: str) -> rd.Dataset:
     The sniff+length is fused INTO the parquet read task (fused_parquet_map)
     so the multi-KB html payloads never enter the object store — only
     (url, kind, n_bytes) rows flow out of each scan item."""
-    import os
-
-    from ..sources.scan import fused_parquet_map
-    from .multimodal import payload_meta_table
-
     fix = _pages_fixture(sf_dir)
     meta = fused_parquet_map(os.path.join(fix, "pages"), payload_meta_table,
                              columns=["url", "html"])
@@ -861,10 +837,6 @@ def mm_decode_feats(sf_dir: str) -> rd.Dataset:
     """Multimodal: stubbed decode/feature actor stage (fake decoder over the
     whole fixture — the deterministic fake is oracle-expressible, so the
     actor-pool plumbing is hash-checked end-to-end)."""
-    import os
-
-    from .multimodal import decode_features
-
     fix = _pages_fixture(sf_dir)
     pages = rd.read_parquet(os.path.join(fix, "pages"),
                             columns=["url", "html"])
@@ -877,10 +849,6 @@ def mm_frame_sample(sf_dir: str) -> rd.Dataset:
     """Multimodal: video frame-sampling flat-map stub (1 payload → N frame
     rows keyed by (url, frame_idx)); the deterministic fake derives frame
     boundaries from payload length, so it is oracle-expressible."""
-    import os
-
-    from .multimodal import FrameSampleStage
-
     fix = _pages_fixture(sf_dir)
     pages = rd.read_parquet(os.path.join(fix, "pages"),
                             columns=["url", "html"])
@@ -894,13 +862,9 @@ def approx_stats(sf_dir: str) -> pa.Table:
     """Sketch sidecar (A6): HLL cardinalities + t-digest quantiles over
     documents, computed as mergeable per-batch partials (exact counterparts
     asserted in pytest; rows-only here — estimates are approximate by design)."""
-    from ..sketches import HyperLogLog, TDigest
-
     docs = read(sf_dir, "documents", ["doc_id", "text", "lang"])
 
     def partial(batch: pa.Table) -> pa.Table:
-        import pandas as pd
-
         h_doc, h_lang, td = HyperLogLog(12), HyperLogLog(12), TDigest()
         # both HLL updates are fully vectorized: doc_id hashes the int64
         # buffer directly (no per-row str()); lang hashes only the TINY
@@ -952,8 +916,6 @@ def j_best_match_lineitem(sf_dir: str) -> rd.Dataset:
     """Best-match resolution per key (J4, ≙ staged match with tiebreaks
     ``scripts/enrich_fackel_bibls.py:67-117``): for each order, the lineitem
     with max extendedprice, ties broken by lowest linenumber."""
-    from ..relational import topk_per_key
-
     line = read(sf_dir, "lineitem",
                 ["l_orderkey", "l_linenumber", "l_extendedprice"])
     win = topk_per_key(line, "l_orderkey",
@@ -1010,9 +972,6 @@ def o_sample_orders(sf_dir: str) -> rd.Dataset:
 def v_rules_demo(sf_dir: str) -> rd.Dataset:
     """§2.8 user-extension surface: constraints as DATA (≙ the rule table
     ``curation/work_type_mapping.py:1-23``); one fused pass for all rules."""
-    from ..checks.protocol import Rule, run_rule_checks
-    from ..checks.vocab import ISO_639_1
-
     rules = [
         Rule("r_lang_vocab", "lang", "in_set", values=tuple(sorted(ISO_639_1)),
              detail="lang_not_in_vocab"),
@@ -1059,8 +1018,6 @@ def m_nfc_normalize(sf_dir: str) -> rd.Dataset:
     a per-string scalar kernel in stdlib Python (a 100-TB deployment
     swaps in a vectorized ICU transliterator behind the same batch
     seam); strings are processed once per batch, no shuffle."""
-    import unicodedata
-
     docs = read(sf_dir, "documents", ["doc_id", "text"])
 
     def norm(batch: pa.Table) -> pa.Table:
@@ -1082,10 +1039,6 @@ def m_nfc_normalize(sf_dir: str) -> rd.Dataset:
 def pages_url_canon(sf_dir: str) -> rd.Dataset:
     """Url canonicalization stage (M4 key-canonicalization before any
     shuffle/join; rows-only): per-host counts of canonicalized urls."""
-    import os
-
-    from ..functions.urls import normalize_urls_batch
-
     fix = _pages_fixture(sf_dir)
     pages = rd.read_parquet(os.path.join(fix, "pages"), columns=["url"])
 
@@ -1121,8 +1074,6 @@ def pages_blocklist(sf_dir: str) -> rd.Dataset:
     `relational.py:42` broadcast pattern); host and registered domain are
     vectorized regex extracts; no shuffle, no row loop, html never read
     (column pruning at the scan)."""
-    import os
-
     fix = _pages_fixture(sf_dir)
     pages = rd.read_parquet(os.path.join(fix, "pages"),
                             columns=["url", "lang"])
@@ -1165,13 +1116,8 @@ def pages_robots(sf_dir: str) -> rd.Dataset:
     vectorized regex, rows group by host via ``np.unique``, and each
     host's ≤3 rules apply as vectorized ``pc.starts_with`` passes over
     that host's row subset. No shuffle; html never read."""
-    import os
-
-    from ..sources.robots import ensure_robots, parse_robots
-
     fix = _pages_fixture(sf_dir)
     rfix = ensure_robots()
-    import pyarrow.parquet as pq
 
     rt = pq.read_table(os.path.join(rfix, "robots.parquet"))
     rules = {h: parse_robots(b) for h, b in
@@ -1306,10 +1252,6 @@ def v_zorder_prune(sf_dir: str) -> rd.Dataset:
     files whose footer stats overlap — a linear sort could prune one
     dimension; the z-curve prunes both (file survival fraction asserted
     in pytest). Output = the filtered rows, plain-SQL oracle."""
-    import os
-
-    from .zorder import minmax2, overlapping_files, zorder_write
-
     cols = ["event_id", "ts", "user_id", "event_type", "value"]
     ev = read(sf_dir, "events", cols)
     a_lo, a_hi, b_lo, b_hi = minmax2(ev, "user_id", "ts")
@@ -1343,8 +1285,6 @@ def v_daily_lang_drift(sf_dir: str) -> pa.Table:
     mixture. One map-side-combine groupby moves only (day, lang) partial
     counts; the chi2 math runs on the tiny day×lang aggregate (zero-count
     cells included, as the test requires)."""
-    import os
-
     fix = _pages_fixture(sf_dir)
     pages = rd.read_parquet(os.path.join(fix, "pages"),
                             columns=["warc_ts", "lang"])
@@ -1383,8 +1323,6 @@ def v_daily_lang_psi(sf_dir: str) -> pa.Table:
     Zero cells are handled by add-½ smoothing on BOTH distributions
     (PSI is undefined at empty bins; the smoothing is mirrored exactly
     in the SQL oracle)."""
-    import os
-
     fix = _pages_fixture(sf_dir)
     pages = rd.read_parquet(os.path.join(fix, "pages"),
                             columns=["warc_ts", "lang"])
@@ -1428,8 +1366,6 @@ def v_count_anomaly(sf_dir: str) -> pa.Table:
     MAD run driver-side on the n_days-row series. ≙ the reference's
     expected-triple-count assertions (``check_fackel_references.py``) as
     a per-day volume invariant."""
-    import os
-
     fix = _pages_fixture(sf_dir)
     pages = rd.read_parquet(os.path.join(fix, "pages"),
                             columns=["warc_ts"])
@@ -1470,10 +1406,6 @@ def pages_rolling_distinct_7d(sf_dir: str) -> pa.Table:
     ≤7× flat expansion of (d, 1) partials → one tiny groupby-sum, then
     a broadcast filter to days actually present. Every step vectorized;
     nothing per-window, nothing driver-sized but the day series."""
-    import os
-
-    from ..relational import hash_repartition_map
-
     fix = _pages_fixture(sf_dir)
     pages = rd.read_parquet(os.path.join(fix, "pages"),
                             columns=["url", "warc_ts"])
@@ -1490,23 +1422,14 @@ def pages_rolling_distinct_7d(sf_dir: str) -> pa.Table:
     part_schema = pa.schema([("d", pa.int32()), ("one", pa.int64())])
 
     def contrib(tbl: pa.Table) -> pa.Table:
-        if tbl.num_rows == 0:
-            return part_schema.empty_table()
-        idx = pc.sort_indices(tbl, sort_keys=[
-            ("url", "ascending"), ("day", "ascending")])
-        tbl = tbl.take(idx)
-        url = tbl["url"].to_numpy(zero_copy_only=False)
-        day = tbl["day"].to_numpy(zero_copy_only=False).astype(np.int64)
-        first = np.ones(len(url), bool)
-        first[1:] = url[1:] != url[:-1]
-        # exact (url, day) dedup across batches (same url+day adjacent)
-        dup = np.zeros(len(url), bool)
-        dup[1:] = (~first[1:]) & (day[1:] == day[:-1])
-        url, day, first = url[~dup], day[~dup], first[~dup]
-        prev = np.empty(len(day), np.int64)
-        prev[1:] = day[:-1]
+        # one row per distinct (url, day) pair (a pair can come from
+        # several batches), then each url's first day
+        t, pair = runs(tbl, ["url", "day"])
+        t, first = runs(t.take(pair), "url")
+        day = t["day"].to_numpy(zero_copy_only=False).astype(np.int64)
         start = day.copy()
-        np.maximum(start[~first], prev[~first] + 7, out=start[~first])
+        start[1:] = np.maximum(day[1:], day[:-1] + 7)
+        start[first] = day[first]
         lens = (day + 6 - start + 1).astype(np.int64)   # in [1, 7]
         offs = np.arange(lens.sum(), dtype=np.int64) \
             - np.repeat(np.cumsum(lens) - lens, lens)
@@ -1516,7 +1439,7 @@ def pages_rolling_distinct_7d(sf_dir: str) -> pa.Table:
                         schema=part_schema)
 
     counts = collect_tables(partial_groupby_agg(
-        hash_repartition_map(ud, "url", contrib),
+        hash_repartition_map(ud, "url", contrib, schema=part_schema),
         ["d"], [("one", "sum", "n_distinct_7d")]),
         pa.schema([("d", pa.int32()), ("n_distinct_7d", pa.int64())]))
 
@@ -1548,21 +1471,17 @@ def pages_rolling_distinct_7d_hll(sf_dir: str) -> pa.Table:
     shifted rows of the (n_days × m) register matrix — sketch
     mergeability doing the window, zero re-reads of the data. ε ≈ 1.6%
     at p=12; tests assert the series tracks the exact one within 5%."""
-    import os
-
     fix = _pages_fixture(sf_dir)
     pages = rd.read_parquet(os.path.join(fix, "pages"),
                             columns=["url", "warc_ts"])
 
     def partials(batch: pa.Table) -> pa.Table:
-        from lk_data_test_ray.sketches import HyperLogLog as _HLL
-
         day = pc.cast(pc.cast(batch["warc_ts"], pa.date32()), pa.int32())
         t = pa.table({"day": day, "url": batch["url"]})
         g = t.group_by(["day"]).aggregate([("url", "list")])
         days, blobs = [], []
         for i in range(g.num_rows):
-            h = _HLL(12)
+            h = HyperLogLog(12)
             h.update_strings(g["url_list"][i].as_py())
             days.append(g["day"][i].as_py())
             blobs.append(h.to_bytes())
@@ -1570,17 +1489,14 @@ def pages_rolling_distinct_7d_hll(sf_dir: str) -> pa.Table:
                          "sketch": pa.array(blobs, pa.binary())})
 
     def merge_day(group: pa.Table) -> pa.Table:
-        from lk_data_test_ray.sketches import HyperLogLog as _HLL
-
-        h = _HLL.from_bytes(group["sketch"][0].as_py())
+        h = HyperLogLog.from_bytes(group["sketch"][0].as_py())
         for b in group["sketch"].to_pylist()[1:]:
-            h = h.merge(_HLL.from_bytes(b))
+            h = h.merge(HyperLogLog.from_bytes(b))
         return pa.table({"day": group["day"][:1],
                          "sketch": pa.array([h.to_bytes()], pa.binary())})
 
     rows = map_groups(pages.map_batches(partials, batch_format="pyarrow"),
                       "day", merge_day).take_all()  # one 4 KB sketch/day
-    from ..sketches import HyperLogLog
 
     rows.sort(key=lambda r: r["day"])
     days = np.array([r["day"] for r in rows], np.int32)
@@ -1609,13 +1525,6 @@ def v_ts_monotonic(sf_dir: str) -> rd.Dataset:
     (url, warc_ts) columns of its file, runs one vectorized
     ``np.maximum.accumulate``, and emits violation rows — no exchange at
     all; 10^5 segment files = 10^5 independent tasks."""
-    import os
-
-    import pyarrow.parquet as pq
-    import ray
-
-    from ..sources.scan import _parquet_files
-
     fix = _pages_fixture(sf_dir)
     files = _parquet_files(os.path.join(fix, "pages"))
     ds = rd.from_arrow_refs([
@@ -1660,66 +1569,48 @@ def pages_rolling_p95_len_7d(sf_dir: str) -> pa.Table:
     over the data, constant bytes per day on the wire). Approximate by
     construction ⇒ no SQL oracle; the series is ε-tested against exact
     per-window quantiles in tests/test_sketches.py."""
-    import os
-
     fix = _pages_fixture(sf_dir)
     pages = rd.read_parquet(os.path.join(fix, "pages"),
                             columns=["warc_ts", "text"])
 
     def partials(batch: pa.Table) -> pa.Table:
-        from lk_data_test_ray.sketches import TDigest as _TD
-
         day = pc.cast(pc.cast(batch["warc_ts"], pa.date32()), pa.int32()) \
             .to_numpy(zero_copy_only=False)
         ln = pc.fill_null(pc.utf8_length(batch["text"]), 0) \
             .to_numpy(zero_copy_only=False).astype(np.float64)
-        # segment by day with ONE argsort; each digest ingests a numpy
+        # segment by day with ONE sort; each digest ingests a numpy
         # SLICE (the group_by + per-group as_py() list conversion paid
         # most of this stage's 18 s at sf0.1)
-        order = np.argsort(day, kind="stable")
-        day_s, ln_s = day[order], ln[order]
-        first = np.ones(len(day_s), bool)
-        first[1:] = day_s[1:] != day_s[:-1]
-        starts = np.flatnonzero(first)
+        t, starts = runs(pa.table({"day": day, "ln": ln}), "day")
+        day_s, ln_s = t["day"].to_numpy(), t["ln"].to_numpy()
         ends = np.append(starts[1:], len(day_s))
         days, blobs = [], []
         for s, e in zip(starts, ends):
-            d = _TD()
+            d = TDigest()
             d.update(ln_s[s:e])
             days.append(int(day_s[s]))
             blobs.append(d.to_bytes())
         return pa.table({"day": pa.array(days, pa.int32()),
                          "sketch": pa.array(blobs, pa.binary())})
 
+    sketch_schema = pa.schema([("day", pa.int32()), ("sketch", pa.binary())])
+
     def merge_partition(tbl: pa.Table) -> pa.Table:
         # all partials of a day land in one range: local segmented merge
-        from lk_data_test_ray.sketches import TDigest as _TD
-
-        if tbl.num_rows == 0:
-            return pa.table({"day": pa.array([], pa.int32()),
-                             "sketch": pa.array([], pa.binary())})
-        idx = pc.sort_indices(tbl, sort_keys=[("day", "ascending")])
-        tbl = tbl.take(idx)
+        tbl, starts = runs(tbl, "day")
         day = tbl["day"].to_numpy(zero_copy_only=False)
         blobs = tbl["sketch"].to_pylist()
-        first = np.ones(len(day), bool)
-        first[1:] = day[1:] != day[:-1]
-        starts = np.flatnonzero(first)
         ends = np.append(starts[1:], len(day))
-        out_d, out_b = [], []
-        for s, e in zip(starts, ends):
-            d = _TD.merge_many([_TD.from_bytes(b) for b in blobs[s:e]])
-            out_d.append(int(day[s]))
-            out_b.append(d.to_bytes())
-        return pa.table({"day": pa.array(out_d, pa.int32()),
-                         "sketch": pa.array(out_b, pa.binary())})
-
-    from ..relational import hash_repartition_map
+        out_b = [TDigest.merge_many([TDigest.from_bytes(b)
+                                     for b in blobs[s:e]]).to_bytes()
+                 for s, e in zip(starts, ends)]
+        return pa.table({"day": day[starts], "sketch": out_b},
+                        schema=sketch_schema)
 
     rows = hash_repartition_map(
         pages.map_batches(partials, batch_format="pyarrow"),
-        "day", merge_partition).take_all()    # one small digest per day
-    from ..sketches import TDigest
+        "day", merge_partition,
+        schema=sketch_schema).take_all()    # one small digest per day
 
     rows.sort(key=lambda r: r["day"])
     days = np.array([r["day"] for r in rows], np.int32)
@@ -1770,11 +1661,6 @@ def pages_dangling_links(sf_dir: str) -> pa.Table:
     dst_url has no matching page — big-to-big anti-join via the raw-Ray
     hash-membership exchange (checks/links.py). Rows-only here; the pytest
     suite cross-checks against an exact DuckDB anti-join."""
-    import glob
-    import os
-
-    from ..checks.links import find_dangling_links
-
     fix = _pages_fixture(sf_dir)
     pages_files = sorted(glob.glob(os.path.join(fix, "pages", "*.parquet")))
     links_file = os.path.join(fix, "links.parquet")
@@ -1786,8 +1672,6 @@ def e_asof_last_order(sf_dir: str) -> rd.Dataset:
     """As-of join (custom operator; guide 'as-of / range join'): for each
     event, the customer's latest order at-or-before the event time, with a
     deterministic tiebreak on order key."""
-    from ..relational import asof_join
-
     ev = read(sf_dir, "events", ["event_id", "user_id", "ts"])
     orders = read(sf_dir, "orders",
                   ["o_orderkey", "o_custkey", "o_orderdate", "o_totalprice"])
@@ -1806,8 +1690,6 @@ def dd_clusters(sf_dir: str) -> rd.Dataset:
     """Near-dup clustering: connected components (min-label propagation)
     over exact shingle-Jaccard pairs — pairs → clusters, the step a real
     dedup pipeline needs before choosing keepers."""
-    from .dedup import connected_components, shingle_jaccard_pairs_matmul
-
     pairs = shingle_jaccard_pairs_matmul(
         read(sf_dir, "documents", ["doc_id", "text"]), "doc_id", "text",
         k=2, threshold=JACCARD_THRESHOLD)
@@ -1818,11 +1700,6 @@ def td_curate(sf_dir: str) -> pa.Table:
     """End-to-end training-data curation funnel over the pages fixture
     (validate → clean split → LSH dedup → quality filter); returns the
     one-row funnel so the driver sees a deterministic shape (rows-only)."""
-    import os
-    import shutil
-
-    from .training_data import curate_pages
-
     fix = _pages_fixture(sf_dir)
     out = f"/tmp/lk_out/curate_{os.path.basename(fix)}"
     shutil.rmtree(out, ignore_errors=True)
@@ -1846,9 +1723,6 @@ def dd_bloom_incremental(sf_dir: str) -> pa.Table:
     committed corpus (ts < split) — Bloom pre-screen (zero false negatives)
     + exact semi-join verify, so the result is exact and oracle-checkable
     despite the sketch."""
-    from ..relational import collect_tables
-    from .dedup import bloom_incremental_members
-
     ev = read(sf_dir, "events", ["event_id", "user_id", "ts"])
     split = pa.scalar(BLOOM_SPLIT_TS)
 
@@ -1874,8 +1748,6 @@ def m_geo_wkt(sf_dir: str) -> rd.Dataset:
     """Geo WKT point formatting (M7, ≙ ``utils/utilities.py:507-514``:
     '"lon lat"' text → Point WKT literal). The lon/lat text is derived from
     integer columns so string formatting is engine-independent."""
-    from ..functions.urls import point_wkt
-
     cust = read(sf_dir, "customer", ["c_custkey"])
 
     def wkt(batch: pa.Table) -> pa.Table:
@@ -1919,8 +1791,6 @@ def pages_host_counts(sf_dir: str) -> rd.Dataset:
     (SURVEY.md §4 'Skew'), with a DuckDB oracle: map-side partials shrink
     a hot host to one row per block before the merge, so no salting is
     needed."""
-    import os
-
     fix = _pages_fixture(sf_dir)
     pages = rd.read_parquet(os.path.join(fix, "pages"), columns=["url"])
 
@@ -1949,8 +1819,6 @@ def g_host_graph(sf_dir: str) -> rd.Dataset:
     then finishes both aggregates per partition with two Arrow
     group_bys (sum of multiplicities = n_links, count of distinct
     pages = n_pages) — no joins, no per-edge Python."""
-    from ..relational import hash_repartition_map
-
     links = pages_links(sf_dir)
 
     def edges(batch: pa.Table) -> pa.Table:
@@ -1976,8 +1844,6 @@ def g_host_graph(sf_dir: str) -> rd.Dataset:
         ("n_links", pa.int64()), ("n_pages", pa.int64())])
 
     def agg(tbl: pa.Table) -> pa.Table:
-        if tbl.num_rows == 0:
-            return out_schema.empty_table()
         # finish the map-side partials: collapse (edge, page) across
         # batches first, then reduce to the edge level
         p = tbl.group_by(["src_host", "dst_host", "src_url"]) \
@@ -1990,7 +1856,7 @@ def g_host_graph(sf_dir: str) -> rd.Dataset:
             "n_pages": g["src_url_count"].cast(pa.int64())},
             schema=out_schema)
 
-    return hash_repartition_map(e, "src_host", agg)
+    return hash_repartition_map(e, "src_host", agg, schema=out_schema)
 
 
 def g_hits(sf_dir: str) -> pa.Table:
@@ -2006,10 +1872,6 @@ def g_hits(sf_dir: str) -> pa.Table:
     ``g_pagerank`` convention). Reads the links table (the ``g_pagerank``
     input convention); ``pages_anchor_text`` covers the html-extraction
     path."""
-    import os
-
-    from .graph import hits
-
     fix = _pages_fixture(sf_dir)
     links = rd.read_parquet(os.path.join(fix, "links.parquet"),
                             columns=["src_url", "dst_url"])
@@ -2024,8 +1886,6 @@ def g_hits(sf_dir: str) -> pa.Table:
         t = pa.table({"src_host": sh, "dst_host": dh})
         t = t.filter(pc.invert(pc.equal(sh, dh)))
         return t.group_by(["src_host", "dst_host"]).aggregate([])
-
-    from ..relational import hash_repartition_map
 
     e = links.map_batches(host_edges, batch_format="pyarrow")
     # exchange dedup: pair-key cardinality ≈ block size
@@ -2055,12 +1915,6 @@ def pages_recrawl_delta(sf_dir: str) -> rd.Dataset:
     64-bit hash collision (p ≈ n·2⁻⁶⁴) is the documented trade.
     Input is the deterministic capture corpus (``sources/recrawl.py``;
     the pages fixture is capture-unique by construction)."""
-    import os
-
-    from ..functions.hashing import hash_strings64
-    from ..relational import hash_repartition_map, round_half_away
-    from ..sources.recrawl import ensure_recrawl, recrawl_nurls_for_sf
-
     fix = ensure_recrawl(recrawl_nurls_for_sf(sf_dir))
     caps = rd.read_parquet(fix, columns=["url", "capture_ts", "text"])
 
@@ -2073,36 +1927,28 @@ def pages_recrawl_delta(sf_dir: str) -> rd.Dataset:
             "th": pa.array(th.view(np.int64), pa.int64()),
         })
 
+    out_schema = pa.schema([
+        ("url", pa.string()), ("n_captures", pa.int64()),
+        ("n_changes", pa.int64()), ("churn", pa.float64())])
+
     def churn(tbl: pa.Table) -> pa.Table:
-        if tbl.num_rows == 0:
-            return pa.table({"url": pa.array([], pa.string()),
-                             "n_captures": pa.array([], pa.int64()),
-                             "n_changes": pa.array([], pa.int64()),
-                             "churn": pa.array([], pa.float64())})
-        tbl = tbl.sort_by([("url", "ascending"),
-                           ("capture_ts", "ascending")])
-        urls = tbl["url"].combine_chunks()
+        tbl, starts = runs(tbl, "url", ["capture_ts"])
         th = tbl["th"].to_numpy(zero_copy_only=False)
-        same_url = pc.equal(urls.slice(1), urls.slice(0, len(urls) - 1)) \
-            .to_numpy(zero_copy_only=False)
         chg = np.zeros(tbl.num_rows, np.int64)
-        chg[1:] = (same_url & (th[1:] != th[:-1])).astype(np.int64)
-        g = pa.table({"url": urls, "chg": pa.array(chg)}) \
-            .group_by("url").aggregate([("chg", "sum"), ("chg", "count")])
-        n_caps = g["chg_count"].to_numpy(zero_copy_only=False) \
-            .astype(np.int64)
-        n_chg = g["chg_sum"].to_numpy(zero_copy_only=False).astype(np.int64)
-        ratio = round_half_away(
-            n_chg / np.maximum(n_caps - 1, 1).astype(np.float64), 6)
+        chg[1:] = th[1:] != th[:-1]
+        chg[starts] = 0
+        n_caps = np.diff(np.append(starts, tbl.num_rows))
+        n_chg = np.add.reduceat(chg, starts)
         return pa.table({
-            "url": g["url"],
-            "n_captures": pa.array(n_caps, pa.int64()),
-            "n_changes": pa.array(n_chg, pa.int64()),
-            "churn": pa.array(ratio, pa.float64()),
-        })
+            "url": tbl["url"].take(starts),
+            "n_captures": n_caps,
+            "n_changes": n_chg,
+            "churn": round_half_away(
+                n_chg / np.maximum(n_caps - 1, 1).astype(np.float64), 6),
+        }, schema=out_schema)
 
     proj = caps.map_batches(project, batch_format="pyarrow")
-    return hash_repartition_map(proj, "url", churn)
+    return hash_repartition_map(proj, "url", churn, schema=out_schema)
 
 
 def pages_fetch_gaps(sf_dir: str) -> rd.Dataset:
@@ -2117,10 +1963,6 @@ def pages_fetch_gaps(sf_dir: str) -> rd.Dataset:
     per partition one sort + segmented ``np.diff`` +
     ``minimum/add.reduceat`` — no per-host Python. Hot Zipf hosts are
     fine: the per-host work is O(n log n) vectorized."""
-    import os
-
-    from ..relational import hash_repartition_map
-
     fix = _pages_fixture(sf_dir)
     pages = rd.read_parquet(os.path.join(fix, "pages"),
                             columns=["url", "warc_ts"])
@@ -2138,16 +1980,8 @@ def pages_fetch_gaps(sf_dir: str) -> rd.Dataset:
         ("sum_gap_us", pa.int64())])
 
     def agg(tbl: pa.Table) -> pa.Table:
-        if tbl.num_rows == 0:
-            return out_schema.empty_table()
-        idx = pc.sort_indices(tbl, sort_keys=[
-            ("host", "ascending"), ("ts", "ascending")])
-        t = tbl.take(idx)
-        codes = t["host"].combine_chunks().dictionary_encode() \
-            .indices.to_numpy(zero_copy_only=False)
+        t, starts = runs(tbl, "host", ["ts"])
         ts = t["ts"].to_numpy(zero_copy_only=False)
-        first = np.concatenate([[True], codes[1:] != codes[:-1]])
-        starts = np.flatnonzero(first)
         n_seg = len(starts)
         n_fetches = np.diff(np.append(starts, len(ts)))
         # within-host gaps: every adjacent diff except host boundaries;
@@ -2164,7 +1998,7 @@ def pages_fetch_gaps(sf_dir: str) -> rd.Dataset:
             min_gap[has_gap] = np.minimum.reduceat(gaps, gstarts)
             sum_gap[has_gap] = np.add.reduceat(gaps, gstarts)
         return pa.table({
-            "host": t["host"].filter(pa.array(first)),
+            "host": t["host"].take(starts),
             "n_fetches": pa.array(n_fetches, pa.int64()),
             "n_gaps": pa.array(n_fetches - 1, pa.int64()),
             "min_gap_us": pa.array(min_gap, pa.int64(), mask=~has_gap),
@@ -2172,7 +2006,7 @@ def pages_fetch_gaps(sf_dir: str) -> rd.Dataset:
         }, schema=out_schema)
 
     rows = pages.map_batches(host_ts, batch_format="pyarrow")
-    return hash_repartition_map(rows, "host", agg)
+    return hash_repartition_map(rows, "host", agg, schema=out_schema)
 
 
 def m_parse_props(sf_dir: str) -> rd.Dataset:
@@ -2197,41 +2031,31 @@ def e_lag_diff(sf_dir: str) -> rd.Dataset:
     """Per-key lag/diff window (time since previous event per user, µs):
     hash exchange + ONE sort per partition + a segmented shifted diff —
     first event of each user gets null, no per-group Python."""
-    from ..relational import hash_repartition_map
-
     ev = read(sf_dir, "events", ["event_id", "user_id", "ts"])
     out_schema = pa.schema([("event_id", pa.int64()),
                             ("user_id", pa.int64()),
                             ("gap_us", pa.int64())])
 
     def lag(tbl: pa.Table) -> pa.Table:
-        if tbl.num_rows == 0:
-            return out_schema.empty_table()
-        idx = pc.sort_indices(tbl, sort_keys=[
-            ("user_id", "ascending"), ("ts", "ascending"),
-            ("event_id", "ascending")])
-        tbl = tbl.take(idx)
-        uid = tbl["user_id"].to_numpy(zero_copy_only=False)
+        tbl, starts = runs(tbl, "user_id", ["ts", "event_id"])
         ts = tbl["ts"].cast(pa.int64()).to_numpy(zero_copy_only=False)
-        gap = np.zeros(len(uid), dtype=np.int64)
-        first = np.ones(len(uid), dtype=bool)
-        first[1:] = uid[1:] != uid[:-1]
-        gap[1:] = ts[1:] - ts[:-1]
+        gap = np.zeros(tbl.num_rows, dtype=np.int64)
+        gap[1:] = np.diff(ts)
+        first = np.zeros(tbl.num_rows, dtype=bool)
+        first[starts] = True
         return pa.table({
             "event_id": tbl["event_id"],
             "user_id": tbl["user_id"],
             "gap_us": pa.array(gap, pa.int64(), mask=first),
         }, schema=out_schema)
 
-    return hash_repartition_map(ev, "user_id", lag)
+    return hash_repartition_map(ev, "user_id", lag, schema=out_schema)
 
 
 def o_topk_per_cust(sf_dir: str) -> rd.Dataset:
     """Grouped top-k (the general-k window-rank operator): each customer's
     3 most expensive orders — hash exchange + segmented vectorized rank
     (relational.topk_per_key), never a per-group Python call."""
-    from ..relational import topk_per_key
-
     orders = read(sf_dir, "orders", ["o_custkey", "o_orderkey", "o_totalprice"])
     return topk_per_key(orders, "o_custkey",
                         [("o_totalprice", True), ("o_orderkey", False)], 3)
@@ -2241,25 +2065,15 @@ def e_rolling_avg(sf_dir: str) -> rd.Dataset:
     """Per-key rolling window (3-event moving average of value per user,
     ordered by ts): hash exchange, ONE sort per partition, then a segmented
     prefix-sum — windows never cross user boundaries, no per-group Python."""
-    from ..relational import hash_repartition_map
-
     ev = read(sf_dir, "events", ["event_id", "user_id", "ts", "value"])
     out_schema = pa.schema([("event_id", pa.int64()),
                             ("user_id", pa.int64()),
                             ("rolling_avg", pa.float64())])
 
     def roll(tbl: pa.Table) -> pa.Table:
-        if tbl.num_rows == 0:
-            return out_schema.empty_table()
-        idx = pc.sort_indices(tbl, sort_keys=[
-            ("user_id", "ascending"), ("ts", "ascending"),
-            ("event_id", "ascending")])
-        tbl = tbl.take(idx)
-        uid = tbl["user_id"].to_numpy(zero_copy_only=False)
+        tbl, starts = runs(tbl, "user_id", ["ts", "event_id"])
         v = tbl["value"].to_numpy(zero_copy_only=False).astype(np.float64)
-        n = len(uid)
-        starts = np.flatnonzero(
-            np.concatenate([[True], uid[1:] != uid[:-1]]))
+        n = tbl.num_rows
         seg_start = np.repeat(starts, np.diff(np.append(starts, n)))
         i = np.arange(n)
         lo = np.maximum(i - 2, seg_start)
@@ -2271,7 +2085,7 @@ def e_rolling_avg(sf_dir: str) -> rd.Dataset:
             "rolling_avg": pa.array(round_half_away(avg, 6), pa.float64()),
         }, schema=out_schema)
 
-    return hash_repartition_map(ev, "user_id", roll)
+    return hash_repartition_map(ev, "user_id", roll, schema=out_schema)
 
 
 def a_pivot_lang_source(sf_dir: str) -> rd.Dataset:
@@ -2304,8 +2118,6 @@ QTY_BANDS = [(0.0, 10.0, "tiny"), (10.0, 20.0, "small"),
 def j_range_quantity_bands(sf_dir: str) -> rd.Dataset:
     """Range/interval join (custom operator): each lineitem's quantity band
     via a broadcast sorted-interval probe; grouped count+revenue per band."""
-    from ..relational import interval_join
-
     bands = pa.table({
         "lo": pa.array([b[0] for b in QTY_BANDS], pa.float64()),
         "hi": pa.array([b[1] for b in QTY_BANDS], pa.float64()),
@@ -2376,8 +2188,6 @@ def t_inverted_index(sf_dir: str) -> rd.Dataset:
     same exchange, narrower values; df stays exact as a count partial.
     Here lists are strings so the oracle can compare them byte-for-byte
     (``string_agg ORDER BY``)."""
-    from ..relational import hash_repartition_map
-
     docs = read(sf_dir, "documents", ["doc_id", "text"])
     out_schema = pa.schema([("token", pa.string()), ("df", pa.int64()),
                             ("postings", pa.string())])
@@ -2393,33 +2203,21 @@ def t_inverted_index(sf_dir: str) -> rd.Dataset:
         return t.group_by(["token", "doc_id"]).aggregate([])
 
     def build(tbl: pa.Table) -> pa.Table:
-        if tbl.num_rows == 0:
-            return out_schema.empty_table()
-        idx = pc.sort_indices(tbl, sort_keys=[
-            ("token", "ascending"), ("doc_id", "ascending")])
-        t = tbl.take(idx)
-        codes = t["token"].combine_chunks().dictionary_encode() \
-            .indices.to_numpy(zero_copy_only=False)
-        ids = t["doc_id"].to_numpy(zero_copy_only=False)
         # cross-batch duplicates of one (token, doc) pair collapse here
-        keep = np.concatenate(
-            [[True], (codes[1:] != codes[:-1]) | (ids[1:] != ids[:-1])])
-        t = t.filter(pa.array(keep))
-        codes = codes[keep]
-        first = np.concatenate([[True], codes[1:] != codes[:-1]])
-        df = np.bincount(np.cumsum(first) - 1).astype(np.int64)
-        offs = np.concatenate([[0], np.cumsum(df)])
-        id_str = pc.cast(t["doc_id"], pa.string()).combine_chunks()
+        t, pair = runs(tbl, ["token", "doc_id"])
+        t, first = runs(t.take(pair), "token")
+        offs = np.append(first, t.num_rows)
         postings = pc.binary_join(pa.ListArray.from_arrays(
-            pa.array(offs, pa.int32()), id_str), ",")
+            pa.array(offs, pa.int32()),
+            pc.cast(t["doc_id"], pa.string()).combine_chunks()), ",")
         return pa.table({
-            "token": t["token"].combine_chunks().filter(pa.array(first)),
-            "df": pa.array(df),
+            "token": t["token"].take(first),
+            "df": np.diff(offs),
             "postings": postings,
-        })
+        }, schema=out_schema)
 
     ex = docs.map_batches(pairs, batch_format="pyarrow")
-    return hash_repartition_map(ex, "token", build)
+    return hash_repartition_map(ex, "token", build, schema=out_schema)
 
 
 def a_median_nchars(sf_dir: str) -> rd.Dataset:
@@ -2446,8 +2244,6 @@ def t_quantiles_sketch(sf_dir: str) -> rd.Dataset:
     handful of sketch blobs — the group shuffle moves kilobytes of digests,
     never the value column. Rows-only (approximate by design; ε asserted in
     pytest against exact quantiles)."""
-    from ..sketches import TDigest
-
     docs = read(sf_dir, "documents", ["lang", "n_chars"])
 
     def partials(batch: pa.Table) -> pa.Table:
@@ -2487,12 +2283,6 @@ def t_tfidf_top(sf_dir: str) -> rd.Dataset:
     vectorized → grouped top-k via the segmented-rank doc_id exchange.
     Replaces the earlier tf-groupby + tf⋈df shuffle join: same result, one
     exchange instead of three."""
-    import os
-
-    import pyarrow.parquet as pq
-
-    from ..relational import hash_repartition_map, topk_per_key
-
     docs = read(sf_dir, "documents", ["doc_id", "text"])
     # exact corpus size from parquet footers: no Dataset execution needed
     n_docs = pq.ParquetFile(
@@ -2539,8 +2329,6 @@ def a_mode_lang_per_source(sf_dir: str) -> rd.Dataset:
     """Deterministic grouped mode (most frequent lang per source; ties →
     lexicographically smallest lang): map-side partial counts then the
     vectorized top-1 per key — never per-group Python (A1/J4)."""
-    from ..relational import topk_per_key
-
     docs = read(sf_dir, "documents", ["source", "lang", "doc_id"])
     counts = partial_groupby_agg(docs, ["source", "lang"],
                                  [("doc_id", "count", "n")])
@@ -2629,8 +2417,6 @@ def j_upsert_cdc(sf_dir: str) -> rd.Dataset:
     exchange on the key → per-partition vectorized resolution (sort +
     segmented last-per-key, is_in splits) — no per-key Python, no driver
     materialization of either side."""
-    from ..relational import hash_repartition_map
-
     base = read(sf_dir, "customer", ["c_custkey", "c_acctbal"])
     ev = read(sf_dir, "events",
               ["event_id", "ts", "user_id", "event_type", "value"])
@@ -2666,23 +2452,12 @@ def j_upsert_cdc(sf_dir: str) -> rd.Dataset:
                             ("src", pa.string())])
 
     def resolve(tbl: pa.Table) -> pa.Table:
-        if tbl.num_rows == 0:
-            return out_schema.empty_table()
         is_base = pc.equal(tbl["op"], "B")
         base_t = tbl.filter(is_base)
         ch = tbl.filter(pc.invert(is_base))
-        if ch.num_rows:
-            ch = ch.take(pc.sort_indices(
-                pa.table({"key": ch["key"], "ts_us": ch["ts_us"],
-                          "eid": ch["eid"]}),
-                sort_keys=[("key", "ascending"), ("ts_us", "ascending"),
-                           ("eid", "ascending")]))
-            keys = ch["key"].to_numpy(zero_copy_only=False)
-            last = np.flatnonzero(
-                np.concatenate([keys[1:] != keys[:-1], [True]]))
-            latest = ch.take(pa.array(last, pa.int64()))
-        else:
-            latest = ch
+        ch, first = runs(ch, "key", [("ts_us", "descending"),
+                                     ("eid", "descending")])
+        latest = ch.take(first)
         latest_keys = latest["key"].combine_chunks()
         base_keys = base_t["key"].combine_chunks()
         kept = base_t.filter(pc.invert(
@@ -2698,7 +2473,7 @@ def j_upsert_cdc(sf_dir: str) -> rd.Dataset:
                       "src": src.cast(pa.string())}, schema=out_schema),
         ])
 
-    return hash_repartition_map(stream, "key", resolve)
+    return hash_repartition_map(stream, "key", resolve, schema=out_schema)
 
 
 def j_full_outer_activity(sf_dir: str) -> rd.Dataset:
@@ -2706,8 +2481,6 @@ def j_full_outer_activity(sf_dir: str) -> rd.Dataset:
     per-customer order counts ⋈ per-user event counts, either side may be
     absent — both sides pre-aggregated map-side so the shuffle moves one row
     per key, not the fact tables."""
-    from ..relational import drop_empty_blocks
-
     orders = read(sf_dir, "orders", ["o_custkey"])
     o_cnt = partial_groupby_agg(
         orders.map_batches(
@@ -2724,7 +2497,6 @@ def j_full_outer_activity(sf_dir: str) -> rd.Dataset:
         ["user_id"], [("one", "count", "n_events")])
     o_cnt = drop_empty_blocks(o_cnt)
     e_cnt = drop_empty_blocks(e_cnt)
-    from ..relational import exchange_join
 
     joined = exchange_join(o_cnt, e_cnt, "o_custkey", "user_id",
                            how="full_outer")
@@ -2849,8 +2621,6 @@ def a_rollup_cust(sf_dir: str) -> rd.Dataset:
                                ["r_name", "n_name"], [("one", "count", "n_cust")])
 
     def rollup(tbl: pa.Table) -> pa.Table:
-        import collections
-
         rn = tbl["r_name"].to_pylist()
         n = tbl["n_cust"].to_pylist()
         sub = collections.Counter()
@@ -2880,8 +2650,6 @@ def t_repetition(sf_dir: str) -> rd.Dataset:
     K = 5
 
     def rep(batch: pa.Table) -> pa.Table:
-        from ..functions.text import word_ngrams_batch
-
         nb = batch.num_rows
         grams, gcnt, grow = word_ngrams_batch(batch["text"], K)
         if len(grams) == 0:
@@ -2934,10 +2702,6 @@ def g_pagerank(sf_dir: str) -> pa.Table:
     node returned with its rounded rank. Auto-selects the broadcast shape
     (node table fits a worker) — the shuffle shape is property-tested equal
     in tests/test_graph.py."""
-    import os
-
-    from .graph import pagerank
-
     fix = _pages_fixture(sf_dir)
     links = rd.read_parquet(os.path.join(fix, "links.parquet"),
                             columns=["src_url", "dst_url"])
@@ -2964,17 +2728,11 @@ def dd_ngram_coverage(sf_dir: str, wire: str = "hash") -> rd.Dataset:
     gram strings themselves — the collision-free oracle-exactness mode;
     the two paths' per-doc fractions are property-tested equal."""
     K = 5
-    from ..relational import hash_repartition_map
 
     docs = read(sf_dir, "documents", ["doc_id", "text"])
 
     if wire == "hash":
-        from ..functions.hashing import gram_hash_pairs
-        from ..functions.text import TOKEN_SPLIT
-
         def gram_rows(batch: pa.Table) -> pa.Table:
-            import pandas as pd
-
             toks = pc.split_pattern_regex(
                 batch["text"].combine_chunks(), TOKEN_SPLIT)
             counts = pc.fill_null(pc.list_value_length(toks), 0) \
@@ -2995,8 +2753,6 @@ def dd_ngram_coverage(sf_dir: str, wire: str = "hash") -> rd.Dataset:
 
         gram_key = ["g", "g2"]
     else:
-        from ..functions.text import word_ngrams_batch
-
         def gram_rows(batch: pa.Table) -> pa.Table:
             grams, gcnt, grow = word_ngrams_batch(batch["text"], K)
             ids = batch["doc_id"].to_numpy(zero_copy_only=False)
@@ -3010,11 +2766,10 @@ def dd_ngram_coverage(sf_dir: str, wire: str = "hash") -> rd.Dataset:
 
     pairs = docs.map_batches(gram_rows, batch_format="pyarrow")
 
+    part_schema = pa.schema([("doc_id", pa.int64()), ("n_dup", pa.int64()),
+                             ("n_tot", pa.int64())])
+
     def per_gram_partition(tbl: pa.Table) -> pa.Table:
-        if tbl.num_rows == 0:
-            return pa.table({"doc_id": pa.array([], pa.int64()),
-                             "n_dup": pa.array([], pa.int64()),
-                             "n_tot": pa.array([], pa.int64())})
         # docs-per-gram, then mark each (gram, doc) row dup if its gram has
         # ≥2 docs; count + flag-attach are both vectorized Acero ops
         cnt = tbl.group_by(gram_key).aggregate([("doc_id", "count")])
@@ -3028,11 +2783,12 @@ def dd_ngram_coverage(sf_dir: str, wire: str = "hash") -> rd.Dataset:
             [("dup", "sum"), ("dup", "count")])
         return pa.table({
             "doc_id": agg["doc_id"],
-            "n_dup": agg["dup_sum"].cast(pa.int64()),
-            "n_tot": agg["dup_count"].cast(pa.int64()),
-        })
+            "n_dup": agg["dup_sum"],
+            "n_tot": agg["dup_count"],
+        }, schema=part_schema)
 
-    partials = hash_repartition_map(pairs, "g", per_gram_partition)
+    partials = hash_repartition_map(pairs, "g", per_gram_partition,
+                                    schema=part_schema)
     per_doc = partial_groupby_agg(
         partials, ["doc_id"],
         [("n_dup", "sum", "n_dup"), ("n_tot", "sum", "n_grams")])
@@ -3062,19 +2818,12 @@ def t_gram_novelty_daily(sf_dir: str) -> pa.Table:
     tiny day-keyed sum finishes. The SQL oracle runs on gram STRINGS
     (the collision-free form; both folds colliding ≈ 2⁻¹²⁸/pair)."""
     K = 5
-    import os
-
-    from ..functions.hashing import gram_hash_pairs
-    from ..functions.text import TOKEN_SPLIT
-    from ..relational import hash_repartition_map
 
     fix = _pages_fixture(sf_dir)
     pages = rd.read_parquet(os.path.join(fix, "pages"),
                             columns=["warc_ts", "text"])
 
     def gram_rows(batch: pa.Table) -> pa.Table:
-        import pandas as pd
-
         days = pc.strftime(batch["warc_ts"], format="%Y-%m-%d")
         toks = pc.split_pattern_regex(
             batch["text"].combine_chunks(), TOKEN_SPLIT)
@@ -3099,8 +2848,6 @@ def t_gram_novelty_daily(sf_dir: str) -> pa.Table:
                             ("n_novel", pa.int64())])
 
     def per_gram_partition(tbl: pa.Table) -> pa.Table:
-        if tbl.num_rows == 0:
-            return out_schema.empty_table()
         d = tbl.group_by(["g", "g2", "day"]).aggregate([])
         mins = d.group_by(["g", "g2"]).aggregate([("day", "min")])
         joined = d.join(mins, keys=["g", "g2"], join_type="inner")
@@ -3117,7 +2864,8 @@ def t_gram_novelty_daily(sf_dir: str) -> pa.Table:
             "n_novel": agg["novel_sum"].cast(pa.int64()),
         }, schema=out_schema)
 
-    partials = hash_repartition_map(pairs, "g", per_gram_partition)
+    partials = hash_repartition_map(pairs, "g", per_gram_partition,
+                                    schema=out_schema)
     per_day = collect_tables(partial_groupby_agg(
         partials, ["day"],
         [("n_grams", "sum", "n_grams"), ("n_novel", "sum", "n_novel")]),
@@ -3134,9 +2882,6 @@ def t_bpe_merges(sf_dir: str) -> pa.Table:
     the LLM-pipeline vocabulary-induction step. Deterministic (count-desc,
     lexical-asc tiebreak) but iterative, so no SQL oracle; a single-process
     reference asserts the exact merge table in pytest."""
-    from ..functions.bpe import train_bpe
-    from ..functions.text import TOKEN_SPLIT
-
     docs = read(sf_dir, "documents", ["text"])
 
     def words(batch: pa.Table) -> pa.Table:
@@ -3164,9 +2909,6 @@ def t_bpe_encode(sf_dir: str) -> rd.Dataset:
     come from one bincount over the dictionary indices. Deterministic but
     iterative upstream (no SQL oracle); encode-vs-reference equality is
     pytest-asserted."""
-    from ..functions.bpe import apply_merge_batch
-    from ..functions.text import TOKEN_SPLIT
-
     merges = t_bpe_merges(sf_dir)
     mlist = list(zip(merges["left"].to_pylist(),
                      merges["right"].to_pylist()))
@@ -3228,10 +2970,6 @@ def td_dsir_weights(sf_dir: str) -> rd.Dataset:
     tiny groupby — driver state O(B)); (2) per-doc segmented sum of the
     broadcast log-ratio vector over its token buckets. md5 runs once per
     DISTINCT token per batch (dictionary-encode first)."""
-    import hashlib
-
-    from ..functions.text import TOKEN_SPLIT
-
     B = 64
     docs = read(sf_dir, "documents", ["doc_id", "text"])
 
@@ -3301,8 +3039,6 @@ def dd_semantic(sf_dir: str) -> rd.Dataset:
     within each cluster, keeper = min id). No SQL oracle — k-means isn't
     SQL-expressible; a single-process numpy reference asserts identical
     (id, cluster, keeper) triples in pytest."""
-    from .dedup import semantic_dedup
-
     emb = read(sf_dir, "embeddings", ["vec_id", "embedding"])
     return semantic_dedup(emb, "vec_id", "embedding",
                           n_cells=8, threshold=0.95)
@@ -3321,8 +3057,6 @@ def td_decontaminate(sf_dir: str) -> rd.Dataset:
     docs = read(sf_dir, "documents", ["doc_id", "text"])
 
     def grams_of(batch: pa.Table):
-        from ..functions.text import word_ngrams_batch
-
         grams, gcnt, grow = word_ngrams_batch(batch["text"], K)
         if len(grams) == 0:
             return None, gcnt, batch.num_rows
@@ -3344,15 +3078,14 @@ def td_decontaminate(sf_dir: str) -> rd.Dataset:
     eval_set = partial_groupby_agg(
         ev.map_batches(ev_grams, batch_format="pyarrow"),
         ["g"], [("g", "count", "c")])
-    import ray as _ray
 
     ev_tbl = pa.concat_tables(
         list(eval_set.select_columns(["g"])
              .iter_batches(batch_format="pyarrow", batch_size=None)))
-    ev_ref = _ray.put(ev_tbl["g"].combine_chunks())
+    ev_ref = ray.put(ev_tbl["g"].combine_chunks())
 
     def probe(batch: pa.Table) -> pa.Table:
-        ev_vals = _ray.get(ev_ref)
+        ev_vals = ray.get(ev_ref)
         grams, gcnt, grow = grams_of(batch)
         ids = batch["doc_id"].to_numpy(zero_copy_only=False)
         keep_doc = (ids % 50) != 0
@@ -3419,10 +3152,6 @@ def _events_sidecar(sf_dir: str, fmt: str) -> str:
     derived once from the parquet events table and cached — lets the S1
     source layer be exercised over non-parquet formats with a parquet-side
     oracle (same rows, different container)."""
-    import os
-
-    import pyarrow.parquet as pq
-
     tag = os.path.basename(os.path.normpath(sf_dir))
     out_dir = f"/tmp/lk_srcfmt/{tag}_{fmt}"
     marker = os.path.join(out_dir, "_done")
@@ -3466,10 +3195,6 @@ def _events_ts_clustered(sf_dir: str) -> str:
     """Deterministic ts-SORTED parquet sidecar of events with small row
     groups — the key-clustered storage layout zone-map pruning needs
     (a time-partitioned event log / date-sorted crawl snapshot)."""
-    import os
-
-    import pyarrow.parquet as pq
-
     tag = os.path.basename(os.path.normpath(sf_dir))
     out_dir = f"/tmp/lk_srcfmt/{tag}_tssorted"
     marker = os.path.join(out_dir, "_done")
@@ -3496,12 +3221,6 @@ def v_pruned_ts_range(sf_dir: str) -> rd.Dataset:
     range, filter exactly inside the read task. A pytest asserts the
     planner actually skipped row groups; the oracle is the plain BETWEEN
     over the unsorted events table (same rows, clustering-independent)."""
-    import os
-
-    from ..sources.scan import pruned_range_scan
-
-    import datetime as dt
-
     d = _events_ts_clustered(sf_dir)
     lo = dt.datetime.fromisoformat(PRUNE_TS_LO)
     hi = dt.datetime.fromisoformat(PRUNE_TS_HI)
@@ -3522,8 +3241,6 @@ def v_jsonl_source(sf_dir: str) -> rd.Dataset:
     """Non-parquet source format (S1 over JSONL via ``ray.data.read_json``):
     grouped sum/count over the JSONL mirror must equal the parquet oracle
     exactly — format-independent ingestion."""
-    import os
-
     d = _events_sidecar(sf_dir, "jsonl")
     ev = rd.read_json(os.path.join(d, "events.jsonl"))
     agg = partial_groupby_agg(ev, ["event_type"],
@@ -3540,8 +3257,6 @@ def v_jsonl_gz_source(sf_dir: str) -> rd.Dataset:
     from the ``.gz`` extension, one task per file — the natural
     parallelism unit since gzip streams aren't splittable), and the
     grouped sum/count must equal the parquet oracle exactly."""
-    import os
-
     d = _events_sidecar(sf_dir, "jsonl.gz")
     ev = rd.read_json(os.path.join(d))
     agg = partial_groupby_agg(ev, ["event_type"],
@@ -3569,8 +3284,6 @@ def v_parquet_zstd_source(sf_dir: str) -> rd.Dataset:
 def v_csv_source(sf_dir: str) -> rd.Dataset:
     """Non-parquet source format (S1 over CSV via ``ray.data.read_csv``) —
     same parity contract as the JSONL mirror."""
-    import os
-
     d = _events_sidecar(sf_dir, "csv")
     ev = rd.read_csv(os.path.join(d, "events.csv"))
     agg = partial_groupby_agg(ev, ["event_type"],
@@ -3587,19 +3300,12 @@ def v_warc_source(sf_dir: str) -> rd.Dataset:
     record — (url, warc_ts, n_bytes, payload_md5) — so the oracle compare
     never ships payload bytes; the md5 proves the payload round-tripped
     byte-identically, NULL payloads included."""
-    import hashlib
-    import os
-
-    from ..sources.warc import ensure_warc_segments, read_warc
-
     fix = _pages_fixture(sf_dir)
     warc_dir = ensure_warc_segments(fix)
     return _warc_digest(read_warc(warc_dir))
 
 
 def _warc_digest(recs: rd.Dataset) -> rd.Dataset:
-    import hashlib
-
     def compact(batch: pa.Table) -> pa.Table:
         html = batch["html"]
         md5s = pa.array([None if v is None else hashlib.md5(v).hexdigest()
@@ -3622,24 +3328,16 @@ def v_warc_fetch(sf_dir: str) -> pa.Table:
     segment). The md5 full-value oracle proves the byte-range path returns
     the same payload bytes as the original table — the access shape a
     100 TB archive is actually served in (range request per member)."""
-    import os
-
-    import pyarrow.parquet as _pq
-
-    from ..sources.warc import ensure_warc_segments, fetch_records
-
     fix = _pages_fixture(sf_dir)
     warc_dir = ensure_warc_segments(fix, compress=True)
     pages = os.path.join(fix, "pages")
     first = sorted(os.listdir(pages))[0]
-    urls = _pq.read_table(os.path.join(pages, first),
+    urls = pq.read_table(os.path.join(pages, first),
                           columns=["url"])["url"].to_pylist()[:200]
     return _warc_digest_table(fetch_records(warc_dir, urls))
 
 
 def _warc_digest_table(recs: pa.Table) -> pa.Table:
-    import hashlib
-
     html = recs["html"]
     md5s = pa.array([None if v is None else hashlib.md5(v).hexdigest()
                      for v in html.to_pylist()], pa.string())
@@ -3662,9 +3360,6 @@ def v_wet_roundtrip(sf_dir: str) -> rd.Dataset:
     oracle reads the ORIGINAL parquet — a hash match proves the text
     round-tripped byte-identically through the WET container, NULL text
     (unextractable pages) included."""
-    from ..functions.hashing import md5_hex
-    from ..sources.warc import ensure_warc_segments, read_warc
-
     fix = _pages_fixture(sf_dir)
     wet = ensure_warc_segments(fix, payload="text")
     ds = read_warc(wet)
@@ -3692,8 +3387,6 @@ def v_wat_roundtrip(sf_dir: str) -> rd.Dataset:
     json.loads). The oracle recomputes every field from the original
     parquet — a hash match proves the metadata round-tripped exactly,
     nulls included."""
-    from ..sources.warc import ensure_warc_segments, read_warc
-
     fix = _pages_fixture(sf_dir)
     wat = ensure_warc_segments(fix, payload="wat")
     ds = read_warc(wat)
@@ -3726,8 +3419,6 @@ def v_warc_gz_source(sf_dir: str) -> rd.Dataset:
     full-value oracle as ``v_warc_source``: proves the
     compress→concatenate→inflate→parse path is byte-lossless, NULL
     payloads included."""
-    from ..sources.warc import ensure_warc_segments, read_warc
-
     fix = _pages_fixture(sf_dir)
     warc_dir = ensure_warc_segments(fix, compress=True)
     return _warc_digest(read_warc(warc_dir))
@@ -3780,11 +3471,6 @@ def mm_payload_entropy(sf_dir: str) -> rd.Dataset:
     bincount over the batch's ZERO-COPY concatenated byte buffer (row-keyed
     ``np.bincount`` on row*256+byte), never a per-row Python pass. Binary
     payloads never convert to Python objects."""
-    import os
-
-    from ..functions.extract import binary_views
-    from ..sources.scan import fused_parquet_map
-
     fix = _pages_fixture(sf_dir)
 
     def entropy(batch: pa.Table) -> pa.Table:
@@ -3824,15 +3510,12 @@ def a_distinct_users_hll(sf_dir: str) -> rd.Dataset:
     users per type this moves KBs where the exact path
     (``a_distinct_users_per_type``) shuffles every distinct pair;
     tests assert the estimate within the sketch's ε of the exact counts."""
-    from ..sketches import HyperLogLog
-
     ev = read(sf_dir, "events", ["event_type", "user_id"])
 
     def partials(batch: pa.Table) -> pa.Table:
         tbl = batch.group_by(["event_type"]).aggregate(
             [("user_id", "list")])
         types, blobs = [], []
-        import pandas as pd
 
         for i in range(tbl.num_rows):
             h = HyperLogLog(12)
@@ -3844,11 +3527,9 @@ def a_distinct_users_hll(sf_dir: str) -> rd.Dataset:
                          "sketch": pa.array(blobs, pa.binary())})
 
     def merge(group: pa.Table) -> pa.Table:
-        from ..sketches import HyperLogLog as H
-
-        h = H.from_bytes(group["sketch"][0].as_py())
+        h = HyperLogLog.from_bytes(group["sketch"][0].as_py())
         for b in group["sketch"].to_pylist()[1:]:
-            h = h.merge(H.from_bytes(b))
+            h = h.merge(HyperLogLog.from_bytes(b))
         return pa.table({
             "event_type": pa.array([group["event_type"][0].as_py()],
                                    pa.string()),
@@ -3867,19 +3548,13 @@ def a_user_overlap_hll(sf_dir: str) -> pa.Table:
     every (user, type) pair per cell; this ships one 4 KB sketch per
     type). Approximate ⇒ no SQL oracle; ε vs the exact overlaps is
     pytest-asserted."""
-    from ..sketches import HyperLogLog
-
     ev = read(sf_dir, "events", ["event_type", "user_id"])
 
     def partials(batch: pa.Table) -> pa.Table:
-        import pandas as pd
-
-        from lk_data_test_ray.sketches import HyperLogLog as _HLL
-
         tbl = batch.group_by(["event_type"]).aggregate([("user_id", "list")])
         types, blobs = [], []
         for i in range(tbl.num_rows):
-            h = _HLL(12)
+            h = HyperLogLog(12)
             h.update_hashes(pd.util.hash_array(
                 np.asarray(tbl["user_id_list"][i].as_py(), np.int64)))
             types.append(tbl["event_type"][i].as_py())
@@ -3888,11 +3563,9 @@ def a_user_overlap_hll(sf_dir: str) -> pa.Table:
                          "sketch": pa.array(blobs, pa.binary())})
 
     def merge(group: pa.Table) -> pa.Table:
-        from lk_data_test_ray.sketches import HyperLogLog as _HLL
-
-        h = _HLL.from_bytes(group["sketch"][0].as_py())
+        h = HyperLogLog.from_bytes(group["sketch"][0].as_py())
         for b in group["sketch"].to_pylist()[1:]:
-            h = h.merge(_HLL.from_bytes(b))
+            h = h.merge(HyperLogLog.from_bytes(b))
         return pa.table({"event_type": group["event_type"][:1],
                          "sketch": pa.array([h.to_bytes()], pa.binary())})
 
@@ -3925,10 +3598,6 @@ def o_stratified_sample(sf_dir: str) -> rd.Dataset:
     oracle-checkable. One hash exchange + segmented vectorized rank via
     ``topk_per_key``; the digest is C-level (16 bytes of compute per row)
     and the exchange moves only (doc_id, lang, h), never document text."""
-    import hashlib
-
-    from ..relational import topk_per_key
-
     docs = read(sf_dir, "documents", ["doc_id", "lang"])
 
     def add_key(batch: pa.Table) -> pa.Table:
@@ -4053,8 +3722,6 @@ def td_pack(sf_dir: str) -> rd.Dataset:
     its exact global token start; bins follow arithmetically (vectorized
     repeat/clip, no row loop). Driver state is O(n_docs / 4096).
     """
-    from ..relational import hash_repartition_map
-
     B = 512          # tokens per packed training sequence
     R = 4096         # docs per prefix-sum bucket
 
@@ -4072,7 +3739,6 @@ def td_pack(sf_dir: str) -> rd.Dataset:
 
     # phase 1: one partial row per (bucket, block) → merged per bucket;
     # the collect is bounded by n_docs/R rows, never by corpus size
-    from ..relational import collect_tables, partial_groupby_agg
     bucket_sums = collect_tables(
         partial_groupby_agg(per_doc, ["rid"], [("nt", "sum", "s")]),
         pa.schema([("rid", pa.int64()), ("s", pa.int64())]))
@@ -4088,17 +3754,12 @@ def td_pack(sf_dir: str) -> rd.Dataset:
                             ("n_tok", pa.int64())])
 
     def pack(tbl: pa.Table) -> pa.Table:
-        if tbl.num_rows == 0:
-            return out_schema.empty_table()
-        idx = pc.sort_indices(tbl, sort_keys=[("doc_id", "ascending")])
-        tbl = tbl.take(idx)
+        tbl, starts = runs(tbl, "rid", ["doc_id"])
         rid = tbl["rid"].to_numpy(zero_copy_only=False)
         nt = tbl["nt"].to_numpy(zero_copy_only=False)
         ids = tbl["doc_id"].to_numpy(zero_copy_only=False)
         n = len(rid)
         # segmented exclusive cumsum of nt within each rid segment
-        starts = np.flatnonzero(
-            np.concatenate([[True], rid[1:] != rid[:-1]]))
         csum = np.concatenate([[0], np.cumsum(nt)[:-1]])
         seg_base = np.repeat(csum[starts], np.diff(np.append(starts, n)))
         cb = offsets[rid] + (csum - seg_base)     # global token start
@@ -4115,7 +3776,7 @@ def td_pack(sf_dir: str) -> rd.Dataset:
                          "n_tok": pa.array(tok, pa.int64())},
                         schema=out_schema)
 
-    return hash_repartition_map(per_doc, "rid", pack)
+    return hash_repartition_map(per_doc, "rid", pack, schema=out_schema)
 
 
 def pages_redact(sf_dir: str) -> rd.Dataset:
@@ -4125,12 +3786,6 @@ def pages_redact(sf_dir: str) -> rd.Dataset:
     DuckDB uses, so the oracle matches byte-for-byte. Output is compact:
     per-pattern match counts plus an md5 of the redacted payload (content
     equality without shipping megabytes through the compare)."""
-    import hashlib
-    import os
-
-    from ..functions.redact import redact
-    from ..sources.scan import fused_parquet_map
-
     fix = _pages_fixture(sf_dir)
 
     def scrub(batch: pa.Table) -> pa.Table:
@@ -4165,9 +3820,6 @@ def o_ntile_price(sf_dir: str) -> rd.Dataset:
     DuckDB's ntile split (first N%k tiles get one extra row). At
     production scale the fixed bands become sampled range boundaries —
     the phases don't change."""
-    from ..relational import (collect_tables, hash_repartition_map,
-                              partial_groupby_agg)
-
     K = 4
     W = 50_000.0
     orders = read(sf_dir, "orders", ["o_orderkey", "o_totalprice"])
@@ -4195,16 +3847,9 @@ def o_ntile_price(sf_dir: str) -> rd.Dataset:
                             ("tile", pa.int64())])
 
     def rank(tbl: pa.Table) -> pa.Table:
-        if tbl.num_rows == 0:
-            return out_schema.empty_table()
-        idx = pc.sort_indices(tbl, sort_keys=[
-            ("band", "ascending"), ("o_totalprice", "ascending"),
-            ("o_orderkey", "ascending")])
-        tbl = tbl.take(idx)
+        tbl, starts = runs(tbl, "band", ["o_totalprice", "o_orderkey"])
         band = tbl["band"].to_numpy(zero_copy_only=False)
         n = len(band)
-        starts = np.flatnonzero(
-            np.concatenate([[True], band[1:] != band[:-1]]))
         seg_start = np.repeat(starts, np.diff(np.append(starts, n)))
         r = offsets[band] + (np.arange(n) - seg_start)   # 0-based global
         cut = rem * (base + 1)
@@ -4214,7 +3859,7 @@ def o_ntile_price(sf_dir: str) -> rd.Dataset:
                          "tile": pa.array(tile.astype(np.int64))},
                         schema=out_schema)
 
-    return hash_repartition_map(banded, "band", rank)
+    return hash_repartition_map(banded, "band", rank, schema=out_schema)
 
 
 def j_fuzzy_name_match(sf_dir: str) -> rd.Dataset:
@@ -4226,10 +3871,6 @@ def j_fuzzy_name_match(sf_dir: str) -> rd.Dataset:
     partial row per (supplier × batch) leaves the task — (dist, custkey)
     packed into a single int64 so the global argmin is a grouped ``min``,
     never a per-group Python call."""
-    import ray
-
-    from ..functions.strings import levenshtein_matrix
-
     sup = read_table(sf_dir, "supplier", ["s_suppkey", "s_name"])
     ref = ray.put(sup)
     cust = read(sf_dir, "customer", ["c_custkey", "c_name"])
@@ -4269,19 +3910,16 @@ def t_top_tokens_approx(sf_dir: str) -> pa.Table:
     (``t_top_tokens``) shuffles every distinct token. The merged sketch
     carries per-item [lo, hi] count bounds; tests assert the exact
     top-20 is contained and every bound brackets the true count."""
-    from ..sketches import ApproxTopK
-
     docs = read(sf_dir, "documents", ["text"])
 
     def partial(batch: pa.Table) -> pa.Table:
         # import inside the task so cloudpickle ships a module REFERENCE,
         # not the class by value (by-value cost ≈ 3.6 s/run, measured)
-        from lk_data_test_ray.sketches import ApproxTopK as _ATK
 
         toks = pc.list_flatten(
             pc.split_pattern_regex(batch["text"].combine_chunks(), r"\s+"))
         vc = toks.value_counts()
-        sk = _ATK.from_counts(
+        sk = ApproxTopK.from_counts(
             vc.field("values").to_numpy(zero_copy_only=False),
             vc.field("counts").to_numpy(zero_copy_only=False), m=128)
         return pa.table({"sketch": pa.array([sk.to_bytes()], pa.binary())})
@@ -4313,25 +3951,19 @@ def t_token_freq_cms(sf_dir: str) -> pa.Table:
     Reference analog: the reference's exact Counter word-count passes
     (``make_texts.py``-style tallies) — exact at toy scale, two
     constant-size partials per block at web scale."""
-    from ..sketches import ApproxTopK, CountMin
-
     docs = read(sf_dir, "documents", ["text"])
 
     def partial(batch: pa.Table) -> pa.Table:
         # module-reference import (not by-value capture) — see
         # t_top_tokens_approx for the measured cost of the alternative
-        import pandas as pd
-
-        from lk_data_test_ray.sketches import ApproxTopK as _ATK
-        from lk_data_test_ray.sketches import CountMin as _CMS
 
         toks = pc.list_flatten(
             pc.split_pattern_regex(batch["text"].combine_chunks(), r"\s+"))
         vc = toks.value_counts()
         items = vc.field("values").to_numpy(zero_copy_only=False)
         counts = vc.field("counts").to_numpy(zero_copy_only=False)
-        mg = _ATK.from_counts(items, counts, m=128)
-        cms = _CMS(depth=4, width=2048)
+        mg = ApproxTopK.from_counts(items, counts, m=128)
+        cms = CountMin(depth=4, width=2048)
         cms.add_hashed(pd.util.hash_array(items.astype(object)), counts)
         return pa.table({"mg": pa.array([mg.to_bytes()], pa.binary()),
                          "cms": pa.array([cms.to_bytes()], pa.binary())})
@@ -4341,7 +3973,6 @@ def t_token_freq_cms(sf_dir: str) -> pa.Table:
                                 for r in blobs])
     cms = CountMin.merge_many([CountMin.from_bytes(r["cms"])
                                for r in blobs])
-    import pandas as pd
 
     cand = np.array([t for t, _, _ in mg.top(20)], dtype=object)
     est = cms.query_hashed(pd.util.hash_array(cand))
@@ -4361,13 +3992,9 @@ def t_top_tokens_per_lang(sf_dir: str) -> rd.Dataset:
     The fixture vocabulary is far below m=128, so bounds are tight
     (lo = hi = exact) and the query is fully oracle-checkable; the
     truncation path is Zipf-tested in test_sketches.py."""
-    from ..sketches import ApproxTopK
-
     docs = read(sf_dir, "documents", ["lang", "text"])
 
     def partial(batch: pa.Table) -> pa.Table:
-        from lk_data_test_ray.sketches import ApproxTopK as _ATK
-
         toks = pc.split_pattern_regex(
             pc.fill_null(batch["text"].combine_chunks(), ""), r"\s+")
         flat = pc.list_flatten(toks)
@@ -4379,7 +4006,7 @@ def t_top_tokens_per_lang(sf_dir: str) -> rd.Dataset:
         lt = g.group_by(["lang"]).aggregate(
             [("tok", "list"), ("tok_count", "list")])
         for i in range(lt.num_rows):
-            sk = _ATK.from_counts(
+            sk = ApproxTopK.from_counts(
                 np.asarray(lt["tok_list"][i].as_py(), object),
                 np.asarray(lt["tok_count_list"][i].as_py(), np.int64),
                 m=128)
@@ -4389,9 +4016,7 @@ def t_top_tokens_per_lang(sf_dir: str) -> rd.Dataset:
                          "sketch": pa.array(blobs, pa.binary())})
 
     def merge(group: pa.Table) -> pa.Table:
-        from lk_data_test_ray.sketches import ApproxTopK as _ATK
-
-        sk = _ATK.merge_many([_ATK.from_bytes(b)
+        sk = ApproxTopK.merge_many([ApproxTopK.from_bytes(b)
                               for b in group["sketch"].to_pylist()])
         rows = sk.top(5)
         return pa.table({
@@ -4518,9 +4143,6 @@ def a_median_price_exact(sf_dir: str) -> pa.Table:
     machinery), then only the owning partitions sort and extract one
     value each. No node ever holds the full column; the driver sees two
     numbers."""
-    from ..relational import (collect_tables, hash_repartition_map,
-                              partial_groupby_agg)
-
     W = 50_000.0
     orders = read(sf_dir, "orders", ["o_totalprice"])
 
@@ -4546,8 +4168,6 @@ def a_median_price_exact(sf_dir: str) -> pa.Table:
     out_schema = pa.schema([("r", pa.int64()), ("v", pa.float64())])
 
     def extract(tbl: pa.Table) -> pa.Table:
-        if tbl.num_rows == 0:
-            return out_schema.empty_table()
         band = tbl["band"].to_numpy(zero_copy_only=False)
         mine = [t for t in targets
                 if (band == np.searchsorted(offsets, t, "right") - 1).any()]
@@ -4567,7 +4187,8 @@ def a_median_price_exact(sf_dir: str) -> pa.Table:
                          "v": pa.array([x for _, x in rows], pa.float64())},
                         schema=out_schema)
 
-    got = collect_tables(hash_repartition_map(banded, "band", extract),
+    got = collect_tables(hash_repartition_map(banded, "band", extract,
+                                              schema=out_schema),
                          out_schema)
     vals = dict(zip(got["r"].to_pylist(), got["v"].to_pylist()))
     med = (vals[targets[0]] + vals[targets[-1]]) / 2.0
@@ -4583,8 +4204,6 @@ def t_top_bigrams(sf_dir: str) -> rd.Dataset:
     shared vectorized word-n-gram kernel explodes each block, map-side
     partials combine, distributed top-k with deterministic tiebreak —
     the `t_top_tokens` shape one n up."""
-    from ..functions.text import word_ngrams_batch
-
     docs = read(sf_dir, "documents", ["text"])
 
     def explode(batch: pa.Table) -> pa.Table:
@@ -4639,11 +4258,6 @@ def j_bucketed_orders(sf_dir: str) -> rd.Dataset:
     as independent tasks — no all-to-all exchange, resumable per bucket
     (``pipelines/bucketed.py``).  Per-nation order count + revenue proves
     value-level parity against the plain SQL join."""
-    import os
-    import shutil
-
-    from .bucketed import bucket_write, bucketed_join
-
     n_buckets = 8
     orders = read(sf_dir, "orders", ["o_custkey", "o_totalprice"])
     cust = read(sf_dir, "customer", ["c_custkey", "c_nationkey"])
@@ -4672,9 +4286,6 @@ def t_bigram_lm_score(sf_dir: str) -> rd.Dataset:
     `t_tfidf_top` discipline).  Reference analog: the frequency-counter
     reports of ``curation/check_fackel_references.py:32-60`` upgraded to a
     trained scoring model — the LLM-pipeline "quality score" signal."""
-    from ..functions.text import word_ngrams_batch
-    from ..relational import drop_empty_blocks
-
     docs = read(sf_dir, "documents", ["doc_id", "text"])
 
     def explode_bi(batch: pa.Table) -> pa.Table:
@@ -4716,8 +4327,6 @@ def t_bigram_lm_score(sf_dir: str) -> rd.Dataset:
         lambda b: b.select(["tok", "cu"]).rename_columns(["w1_r", "cu"]),
         batch_format="pyarrow")
 
-    from ..relational import exchange_join
-
     j = exchange_join(tf, bc, "bigram", "bigram_r")
     j = exchange_join(j, ucr, "w1", "w1_r")
 
@@ -4750,8 +4359,6 @@ def e_funnel(sf_dir: str) -> rd.Dataset:
     per partition one sort + segmented ``np.minimum.reduceat`` passes — no
     per-user Python, wall time independent of user count (the
     ``e_sessionize`` discipline)."""
-    from ..relational import hash_repartition_map
-
     ev = read(sf_dir, "events", ["user_id", "ts", "event_type"])
     window_us = 7 * 86_400 * 1_000_000
     out_schema = pa.schema([("user_id", pa.int64()),
@@ -4760,17 +4367,11 @@ def e_funnel(sf_dir: str) -> rd.Dataset:
                             ("ts_purchase", pa.timestamp("us"))])
 
     def funnel_partition(tbl: pa.Table) -> pa.Table:
-        if tbl.num_rows == 0:
-            return out_schema.empty_table()
-        idx = pc.sort_indices(tbl, sort_keys=[
-            ("user_id", "ascending"), ("ts", "ascending")])
-        tbl = tbl.take(idx)
-        uid = tbl["user_id"].to_numpy(zero_copy_only=False)
+        tbl, starts = runs(tbl, "user_id", ["ts"])
         ts = tbl["ts"].cast(pa.int64()).to_numpy(zero_copy_only=False)
         et = tbl["event_type"].to_numpy(zero_copy_only=False)
-        brk = uid[1:] != uid[:-1]
-        starts = np.concatenate([[0], np.nonzero(brk)[0] + 1])
-        seg = np.cumsum(np.concatenate([[0], brk.astype(np.int64)]))
+        seg = np.repeat(np.arange(len(starts)),
+                        np.diff(np.append(starts, tbl.num_rows)))
         INF = np.iinfo(np.int64).max
         t1 = np.minimum.reduceat(np.where(et == "view", ts, INF), starts)
 
@@ -4784,7 +4385,7 @@ def e_funnel(sf_dir: str) -> rd.Dataset:
         t3 = first_after("purchase", t2)
         ok = (t3 != INF) & (t3 - np.where(t1 == INF, 0, t1) <= window_us)
         return pa.table({
-            "user_id": pa.array(uid[starts][ok], pa.int64()),
+            "user_id": tbl["user_id"].take(starts[ok]),
             "ts_view": pa.array(t1[ok].astype("datetime64[us]"),
                                 pa.timestamp("us")),
             "ts_click": pa.array(t2[ok].astype("datetime64[us]"),
@@ -4793,7 +4394,8 @@ def e_funnel(sf_dir: str) -> rd.Dataset:
                                     pa.timestamp("us")),
         })
 
-    return hash_repartition_map(ev, "user_id", funnel_partition)
+    return hash_repartition_map(ev, "user_id", funnel_partition,
+                                schema=out_schema)
 
 
 def v_snapshot_diff(sf_dir: str) -> rd.Dataset:
@@ -4803,8 +4405,6 @@ def v_snapshot_diff(sf_dir: str) -> rd.Dataset:
     negated keys ≡0 mod 103 appended).  Only (key, 64-bit row hash) crosses
     the full-outer exchange — payload width never does
     (``pipelines/snapshot.py``)."""
-    from .snapshot import snapshot_diff
-
     orders = read(sf_dir, "orders", ["o_orderkey", "o_totalprice"])
 
     def derive_b(batch: pa.Table) -> pa.Table:
@@ -4833,8 +4433,6 @@ def e_retention_cohorts(sf_dir: str) -> rd.Dataset:
     globally because a user never spans partitions.  The tiny
     (cohort_week × week_offset) merge is map-side-combined.  No per-user
     Python (the ``e_funnel`` discipline); SQL needs a self-join + DISTINCT."""
-    from ..relational import hash_repartition_map
-
     ev = read(sf_dir, "events", ["user_id", "ts"])
     out_schema = pa.schema([("cohort_week", pa.timestamp("us")),
                             ("week_offset", pa.int64()),
@@ -4842,28 +4440,22 @@ def e_retention_cohorts(sf_dir: str) -> rd.Dataset:
     US_PER_DAY = 86_400_000_000
 
     def per_partition(tbl: pa.Table) -> pa.Table:
-        if tbl.num_rows == 0:
-            return out_schema.empty_table()
-        idx = pc.sort_indices(tbl, sort_keys=[
-            ("user_id", "ascending"), ("ts", "ascending")])
-        tbl = tbl.take(idx)
-        uid = tbl["user_id"].to_numpy(zero_copy_only=False)
+        tbl, starts = runs(tbl, "user_id", ["ts"])
         ts = tbl["ts"].cast(pa.int64()).to_numpy(zero_copy_only=False)
         day = ts // US_PER_DAY
         # Monday-aligned week start (epoch 1970-01-01 is a Thursday → Mondays
         # are day ≡ 4 mod 7), matching DuckDB date_trunc('week')
         week = day - ((day - 4) % 7)
-        brk = uid[1:] != uid[:-1]
-        starts = np.concatenate([[0], np.nonzero(brk)[0] + 1])
-        seg = np.cumsum(np.concatenate([[0], brk.astype(np.int64)]))
+        seg = np.repeat(np.arange(len(starts)),
+                        np.diff(np.append(starts, tbl.num_rows)))
         first_week = week[starts]
         offset = (week - first_week[seg]) // 7
         # dedup (user, offset) within the partition — exact globally because
         # the exchange co-located every row of the user
-        packed = np.unique(uid * 65_536 + offset)
-        u_uid, u_off = packed // 65_536, packed % 65_536
-        cohort = first_week[np.searchsorted(uid[starts], u_uid)]
-        cells, n = np.unique(cohort * 65_536 + u_off, return_counts=True)
+        packed = np.unique(seg * 65_536 + offset)
+        cohort = first_week[packed // 65_536]
+        cells, n = np.unique(cohort * 65_536 + packed % 65_536,
+                             return_counts=True)
         return pa.table({
             "cohort_week": pa.array(
                 ((cells // 65_536) * US_PER_DAY).astype("datetime64[us]"),
@@ -4872,7 +4464,8 @@ def e_retention_cohorts(sf_dir: str) -> rd.Dataset:
             "n_users": pa.array(n, pa.int64()),
         })
 
-    parts = hash_repartition_map(ev, "user_id", per_partition)
+    parts = hash_repartition_map(ev, "user_id", per_partition,
+                                 schema=out_schema)
     return partial_groupby_agg(parts, ["cohort_week", "week_offset"],
                                [("n_users", "sum", "n_users")])
 
@@ -4884,8 +4477,6 @@ def td_gopher_rules(sf_dir: str) -> rd.Dataset:
     stopword hits, each tested against fixed bounds; one fully vectorized
     Arrow/numpy pass per batch (list-flatten + parent-indexed bincounts —
     no token loop), no shuffle at all."""
-    from ..functions.text import STOPWORDS
-
     docs = read(sf_dir, "documents", ["doc_id", "text"])
 
     def feats(batch: pa.Table) -> pa.Table:
@@ -4934,10 +4525,6 @@ def td_c4_line_filters(sf_dir: str) -> rd.Dataset:
     right shape for a 100-TB cleaning sweep). Input is the deterministic
     line corpus (``sources/lines.py``; testdata documents carry no
     newlines), same fixture-pinned-oracle convention as the mm_* queries."""
-    import os
-
-    from ..sources.lines import ensure_lines, lines_ndocs_for_sf
-
     fix = ensure_lines(lines_ndocs_for_sf(sf_dir))
     docs = rd.read_parquet(os.path.join(fix))
 
@@ -4977,8 +4564,6 @@ def q10_returned_revenue(sf_dir: str) -> rd.Dataset:
     fact-side filters pushed before the single orderkey shuffle join,
     map-side partial sum per customer, then the customer/nation dims fold
     in as broadcast lookups and only the top 20 survive the final sort."""
-    from ..relational import drop_empty_blocks
-
     line = read(sf_dir, "lineitem",
                 ["l_orderkey", "l_extendedprice", "l_discount",
                  "l_returnflag"])
@@ -5012,7 +4597,6 @@ def q10_returned_revenue(sf_dir: str) -> rd.Dataset:
                             ("n_name", pa.string())])
     if line is None or orders is None:
         return rd.from_arrow(out_schema.empty_table())
-    from ..relational import exchange_join
 
     joined = exchange_join(line, orders, "l_orderkey", "o_orderkey")
     agg = partial_groupby_agg(joined, ["o_custkey"],
@@ -5044,8 +4628,6 @@ def g_degree_stats(sf_dir: str) -> rd.Dataset:
     exchange moves (url) rows, never the html. Links materialize ONCE: the
     in- and out-degree branches would otherwise each re-run the per-page
     link extraction (measured 2× the wall)."""
-    from ..relational import hash_repartition_map
-
     links = pages_links(sf_dir).materialize()
 
     def one_direction(col: str, label: str) -> rd.Dataset:
@@ -5075,8 +4657,6 @@ def dd_containment(sf_dir: str) -> rd.Dataset:
     inverted-index plan of ``dd_shingle_jaccard`` — shingle explode →
     per-shingle co-occurrence pairs → pair-count exchange → distributed
     size joins — with only the final division swapped."""
-    from .dedup import shingle_jaccard_pairs_matmul
-
     docs = read(sf_dir, "documents", ["doc_id", "text"])
     return shingle_jaccard_pairs_matmul(docs, "doc_id", "text", k=2,
                                         threshold=CONTAINMENT_THRESHOLD,
@@ -5096,8 +4676,6 @@ def s_kmeans(sf_dir: str) -> pa.Table:
     Approximation-free and fixed-seed deterministic; cluster SIZES are
     exact and run-stable (asserted against a single-process numpy
     reference in tests), float inertia is rounded."""
-    import ray
-
     k, iters = 8, 5
     emb = read(sf_dir, "embeddings", ["vec_id", "embedding"]).materialize()
     init_rows = topk(emb, [("vec_id", False)], k).take_all()
@@ -5211,8 +4789,6 @@ def e_anomaly_zscore(sf_dir: str) -> rd.Dataset:
     hash join of the stats back onto the stream and a vectorized filter.
     The stats side scales with user count, so it is JOINED, not broadcast
     (the J2/J3 round-1 lesson)."""
-    from ..relational import drop_empty_blocks
-
     ev = read(sf_dir, "events", ["event_id", "user_id", "value"])
 
     def pre(batch: pa.Table) -> pa.Table:
@@ -5233,7 +4809,6 @@ def e_anomaly_zscore(sf_dir: str) -> rd.Dataset:
     stats = drop_empty_blocks(stats)
     if ev2 is None or stats is None:
         return rd.from_arrow(out_schema.empty_table())
-    from ..relational import exchange_join
 
     joined = exchange_join(ev2, stats, "user_id", "su")
 
@@ -5290,11 +4865,10 @@ def q14_promo_revenue(sf_dir: str) -> rd.Dataset:
         })
 
     parts = line.map_batches(partials, batch_format="pyarrow").to_arrow_refs()
-    import ray as _ray
 
     tbl = pa.concat_tables([t if isinstance(t, pa.Table)
                             else pa.Table.from_batches([t])
-                            for t in _ray.get(parts)])
+                            for t in ray.get(parts)])
     promo = pc.sum(tbl["promo"]).as_py() or 0.0
     total = pc.sum(tbl["total"]).as_py() or 1.0
     return pa.table({"promo_pct": pa.array(
@@ -5332,8 +4906,6 @@ def e_ffill_last_purchase(sf_dir: str) -> rd.Dataset:
     segmented numpy cummax-of-indices fill — no per-group Python, wall time
     independent of user count (the e_sessionize treatment applied to the
     fill window shape)."""
-    from ..relational import hash_repartition_map
-
     ev = read(sf_dir, "events", ["event_id", "user_id", "ts", "event_type",
                                  "value"])
     out_schema = pa.schema([("event_id", pa.int64()),
@@ -5341,25 +4913,16 @@ def e_ffill_last_purchase(sf_dir: str) -> rd.Dataset:
                             ("last_purchase_value", pa.float64())])
 
     def ffill(tbl: pa.Table) -> pa.Table:
-        if tbl.num_rows == 0:
-            return out_schema.empty_table()
-        idx = pc.sort_indices(tbl, sort_keys=[
-            ("user_id", "ascending"), ("ts", "ascending"),
-            ("event_id", "ascending")])
-        tbl = tbl.take(idx)
+        tbl, starts = runs(tbl, "user_id", ["ts", "event_id"])
         n = tbl.num_rows
-        uid = tbl["user_id"].to_numpy(zero_copy_only=False)
         val = tbl["value"].to_numpy(zero_copy_only=False)
         is_p = pc.equal(tbl["event_type"], "purchase").to_numpy(
             zero_copy_only=False)
         pos = np.where(is_p, np.arange(n), -1)
         last_pos = np.maximum.accumulate(pos)
-        # segment starts: rows sorted by user → any filled position >= the
-        # current user's first row index belongs to this user
-        first = np.ones(n, dtype=bool)
-        first[1:] = uid[1:] != uid[:-1]
-        seg_start = np.maximum.accumulate(
-            np.where(first, np.arange(n), 0))
+        # rows sorted by user → any filled position >= the current user's
+        # first row index belongs to this user
+        seg_start = np.repeat(starts, np.diff(np.append(starts, n)))
         valid = last_pos >= seg_start
         filled = np.where(valid, val[np.clip(last_pos, 0, n - 1)], np.nan)
         return pa.table({
@@ -5369,7 +4932,7 @@ def e_ffill_last_purchase(sf_dir: str) -> rd.Dataset:
                                             mask=~valid),
         }, schema=out_schema)
 
-    return hash_repartition_map(ev, "user_id", ffill)
+    return hash_repartition_map(ev, "user_id", ffill, schema=out_schema)
 
 
 TD_CHUNK_SIZE = 12
@@ -5472,8 +5035,6 @@ def q22_idle_rich_customers(sf_dir: str) -> rd.Dataset:
     (sum, count) partials into one driver scalar (A4); the no-orders side is
     the J2 distributed anti-join (map-side per-batch distinct, one hash
     exchange — no driver key set)."""
-    from ..relational import exchange_join
-
     cust = read(sf_dir, "customer", ["c_custkey", "c_acctbal"])
 
     def partials(batch: pa.Table) -> pa.Table:
@@ -5483,11 +5044,9 @@ def q22_idle_rich_customers(sf_dir: str) -> rd.Dataset:
             "n": pa.array([batch.num_rows], pa.int64()),
         })
 
-    import ray as _ray
-
     parts = pa.concat_tables([
         t if isinstance(t, pa.Table) else pa.Table.from_batches([t])
-        for t in _ray.get(
+        for t in ray.get(
             cust.map_batches(partials, batch_format="pyarrow")
             .to_arrow_refs())])
     avg = (pc.sum(parts["s"]).as_py() or 0.0) / max(
@@ -5514,8 +5073,6 @@ def j_skew_user_events(sf_dir: str) -> rd.Dataset:
     through the disjoint-range exchange. Per-segment counts prove
     value-level parity with the plain SQL join. The 100-TB shape for a
     bot-hammered key the reference never faces (SURVEY.md §4 "Skew")."""
-    from ..relational import skew_join
-
     events = read(sf_dir, "events", ["user_id", "value"])
     cust = read(sf_dir, "customer", ["c_custkey", "c_mktsegment"])
     joined = skew_join(events, cust, "user_id", "c_custkey", how="inner",
@@ -5635,8 +5192,6 @@ def o_intersect_except(sf_dir: str) -> rd.Dataset:
     in one pass — map-side per-batch distinct on each tagged side, one hash
     exchange co-locates a key's tags, presence flags decide the op. Emits
     (user_id, setop) rows; DuckDB's INTERSECT/EXCEPT is the oracle."""
-    from ..relational import hash_repartition_map
-
     events = read(sf_dir, "events", ["user_id", "event_type"])
 
     def tag(batch: pa.Table) -> pa.Table:
@@ -5662,11 +5217,12 @@ def o_intersect_except(sf_dir: str) -> rd.Dataset:
         only_a = np.asarray(has_a) & np.asarray(
             g["is_a_min"].to_numpy(zero_copy_only=False))
         both = np.asarray(has_a) & np.asarray(has_b)
-        uid = g["user_id"].to_numpy(zero_copy_only=False)
-        out_ids = np.concatenate([uid[both], uid[only_a]])
+        # a null user_id is one key, as in SQL's INTERSECT / EXCEPT
+        out_ids = g["user_id"].take(np.concatenate(
+            [np.flatnonzero(both), np.flatnonzero(only_a)]))
         ops = np.array(["intersect"] * int(both.sum())
                        + ["except"] * int(only_a.sum()), dtype=object)
-        return pa.table({"user_id": pa.array(out_ids, pa.int64()),
+        return pa.table({"user_id": out_ids,
                          "setop": pa.array(ops, pa.string())})
 
     return hash_repartition_map(tagged, "user_id", decide)
@@ -5681,9 +5237,6 @@ def td_ccnet_buckets(sf_dir: str) -> rd.Dataset:
     never a broadcast vocabulary) and the ``o_ntile_price`` exact global
     window rank (value bands → prefix-sum offsets → one exchange + one
     sort per band partition; no node sees the whole sort)."""
-    from ..relational import (collect_tables, hash_repartition_map,
-                              partial_groupby_agg)
-
     K = 3
     W = 0.25
     scores = t_bigram_lm_score(sf_dir)  # (doc_id, avg_lp) — oracle-shared
@@ -5712,16 +5265,9 @@ def td_ccnet_buckets(sf_dir: str) -> rd.Dataset:
                             ("bucket", pa.string())])
 
     def rank(tbl: pa.Table) -> pa.Table:
-        if tbl.num_rows == 0:
-            return out_schema.empty_table()
-        idx = pc.sort_indices(tbl, sort_keys=[
-            ("band", "ascending"), ("avg_lp", "ascending"),
-            ("doc_id", "ascending")])
-        tbl = tbl.take(idx)
+        tbl, starts = runs(tbl, "band", ["avg_lp", "doc_id"])
         band = tbl["band"].to_numpy(zero_copy_only=False)
         n = len(band)
-        starts = np.flatnonzero(
-            np.concatenate([[True], band[1:] != band[:-1]]))
         seg_start = np.repeat(starts, np.diff(np.append(starts, n)))
         r = offsets[band - lo_band] + (np.arange(n) - seg_start)
         cut = rem * (base + 1)
@@ -5732,7 +5278,7 @@ def td_ccnet_buckets(sf_dir: str) -> rd.Dataset:
                          "bucket": pa.array(labels[tile], pa.string())},
                         schema=out_schema)
 
-    return hash_repartition_map(banded, "band", rank)
+    return hash_repartition_map(banded, "band", rank, schema=out_schema)
 
 
 def a_winsorize_price(sf_dir: str) -> rd.Dataset:
@@ -5743,9 +5289,6 @@ def a_winsorize_price(sf_dir: str) -> rd.Dataset:
     the band partitions owning the 4 needed ranks sort and extract one
     value each — the driver sees 4 numbers, then one stateless clip pass
     rewrites the column. No node ever holds the full sorted column."""
-    from ..relational import (collect_tables, hash_repartition_map,
-                              partial_groupby_agg)
-
     W = 50_000.0
     PS = (0.05, 0.95)
     orders = read(sf_dir, "orders", ["o_orderkey", "o_totalprice"])
@@ -5775,8 +5318,6 @@ def a_winsorize_price(sf_dir: str) -> rd.Dataset:
     out_schema = pa.schema([("r", pa.int64()), ("v", pa.float64())])
 
     def extract(tbl: pa.Table) -> pa.Table:
-        if tbl.num_rows == 0:
-            return out_schema.empty_table()
         band = tbl["band"].to_numpy(zero_copy_only=False)
         mine = [t for t in targets
                 if (band == np.searchsorted(offsets, t, "right") - 1).any()]
@@ -5796,7 +5337,8 @@ def a_winsorize_price(sf_dir: str) -> rd.Dataset:
                          "v": pa.array([x for _, x in rows], pa.float64())},
                         schema=out_schema)
 
-    got = collect_tables(hash_repartition_map(banded, "band", extract),
+    got = collect_tables(hash_repartition_map(banded, "band", extract,
+                                              schema=out_schema),
                          out_schema)
     vals = dict(zip(got["r"].to_pylist(), got["v"].to_pylist()))
     qs = []
@@ -5832,10 +5374,6 @@ def _dup_span_rows(docs: rd.Dataset, k: int,
     shared core of ``dd_dup_spans`` (detection), ``dd_substr_cut``
     (removal) and ``dd_c4_spans`` (line/sentence spans, ``unit="line"``).
     See ``dd_dup_spans`` for the plan."""
-    from ..functions.hashing import gram_hash_pairs, hash_strings64
-    from ..functions.text import TOKEN_SPLIT
-    from ..relational import hash_repartition_map
-
     def gram_rows(batch: pa.Table) -> pa.Table:
         text = pc.fill_null(batch["text"].combine_chunks(), "")
         toks = (pc.split_pattern(text, "\n") if unit == "line"
@@ -5862,19 +5400,12 @@ def _dup_span_rows(docs: rd.Dataset, k: int,
     out_schema = pa.schema([("doc_id", pa.int64()), ("pos", pa.int64())])
 
     def non_first(tbl: pa.Table) -> pa.Table:
-        if tbl.num_rows == 0:
-            return out_schema.empty_table()
-        idx = pc.sort_indices(tbl, sort_keys=[
-            ("h1", "ascending"), ("h2", "ascending"),
-            ("doc_id", "ascending"), ("pos", "ascending")])
-        tbl = tbl.take(idx)
-        a = tbl["h1"].to_numpy(zero_copy_only=False)
-        b = tbl["h2"].to_numpy(zero_copy_only=False)
-        same = (a[1:] == a[:-1]) & (b[1:] == b[:-1])
-        mask = np.concatenate([[False], same])
-        return tbl.filter(pa.array(mask)).select(["doc_id", "pos"])
+        tbl, starts = runs(tbl, ["h1", "h2"], ["doc_id", "pos"])
+        later = np.ones(tbl.num_rows, bool)
+        later[starts] = False
+        return tbl.filter(later).select(["doc_id", "pos"])
 
-    return hash_repartition_map(pairs, "h1", non_first)
+    return hash_repartition_map(pairs, "h1", non_first, schema=out_schema)
 
 
 def dd_c4_spans(sf_dir: str) -> rd.Dataset:
@@ -5899,10 +5430,6 @@ def dd_c4_spans(sf_dir: str) -> rd.Dataset:
     (``sources/lines.py``, which injects shared boilerplate blocks so real
     cross-document duplicate spans exist), same fixture-pinned-oracle
     convention as ``td_c4_line_filters``."""
-    import os
-
-    from ..sources.lines import ensure_lines, lines_ndocs_for_sf
-
     fix = ensure_lines(lines_ndocs_for_sf(sf_dir))
     docs = rd.read_parquet(os.path.join(fix))
     return _substr_cut(docs, 3, unit="line")
@@ -5933,9 +5460,6 @@ def _substr_cut(docs: rd.Dataset, k: int = 8,
     clean_text). ``unit="line"`` cuts whole lines (the C4 span dedup);
     the default cuts whitespace tokens. See ``dd_substr_cut`` for the
     plan."""
-    from ..functions.text import TOKEN_SPLIT
-    from ..relational import hash_repartition_map
-
     spans = _dup_span_rows(docs, k, unit)
 
     def tag_docs(batch: pa.Table) -> pa.Table:
@@ -5961,8 +5485,6 @@ def _substr_cut(docs: rd.Dataset, k: int = 8,
                             ("clean_text", pa.string())])
 
     def cut(tbl: pa.Table) -> pa.Table:
-        if tbl.num_rows == 0:
-            return out_schema.empty_table()
         is_doc = tbl["is_doc"].to_numpy(zero_copy_only=False)
         d = tbl.filter(pa.array(is_doc))
         idx = pc.sort_indices(d, sort_keys=[("doc_id", "ascending")])
@@ -5994,7 +5516,7 @@ def _substr_cut(docs: rd.Dataset, k: int = 8,
         return pa.table({"doc_id": pa.array(ids, pa.int64()),
                          "clean_text": clean}, schema=out_schema)
 
-    return hash_repartition_map(tagged, "doc_id", cut)
+    return hash_repartition_map(tagged, "doc_id", cut, schema=out_schema)
 
 
 def dd_substr_cut(sf_dir: str) -> rd.Dataset:
@@ -6028,10 +5550,6 @@ def td_shuffle_shards(sf_dir: str) -> rd.Dataset:
     holds the whole ordering. At production scale the shard assignment
     feeds a partitioned write (one directory per shard)."""
     SHARD = 250
-    import ray
-
-    from ..functions.hashing import _duck_exec, _md5_con
-    from ..relational import hash_repartition_map
 
     docs = read(sf_dir, "documents", ["doc_id"])
 
@@ -6080,16 +5598,9 @@ def td_shuffle_shards(sf_dir: str) -> rd.Dataset:
                             ("offset", pa.int64())])
 
     def rank(tbl: pa.Table) -> pa.Table:
-        if tbl.num_rows == 0:
-            return out_schema.empty_table()
-        idx = pc.sort_indices(tbl, sort_keys=[
-            ("band", "ascending"), ("h", "ascending"),
-            ("doc_id", "ascending")])
-        tbl = tbl.take(idx)
+        tbl, starts = runs(tbl, "band", ["h", "doc_id"])
         band = tbl["band"].to_numpy(zero_copy_only=False)
         n = len(band)
-        starts = np.flatnonzero(
-            np.concatenate([[True], band[1:] != band[:-1]]))
         seg_start = np.repeat(starts, np.diff(np.append(starts, n)))
         r = offsets[band] + (np.arange(n) - seg_start)
         return pa.table({
@@ -6098,7 +5609,7 @@ def td_shuffle_shards(sf_dir: str) -> rd.Dataset:
             "offset": pa.array(r % SHARD, pa.int64()),
         }, schema=out_schema)
 
-    return hash_repartition_map(kd, "band", rank)
+    return hash_repartition_map(kd, "band", rank, schema=out_schema)
 
 
 def o_union_evolved(sf_dir: str) -> rd.Dataset:
@@ -6108,8 +5619,6 @@ def o_union_evolved(sf_dir: str) -> rd.Dataset:
     concatenation (the data-lake ingestion shape; ``relational.
     union_by_name`` is the general utility). Old = pre-1996 orders without
     ``o_orderpriority``; new = 1996+ orders with it."""
-    from ..relational import union_by_name
-
     cutoff = np.datetime64("1996-01-01", "us")
 
     def split(keep_new: bool, cols: list[str]):
@@ -6142,10 +5651,6 @@ def td_quality_classifier(sf_dir: str) -> rd.Dataset:
     corpus); iterative training ⇒ no SQL oracle (rows-only driver check;
     AUC + determinism are pytest-asserted on a separable synthetic
     corpus in tests/test_classifier.py)."""
-    from ..functions.text import STOPWORDS
-    from .classifier import (featurize, score_logreg_hashed,
-                             train_logreg_hashed)
-
     D = 1024
     docs = read(sf_dir, "documents", ["doc_id", "text"])
 
@@ -6182,9 +5687,6 @@ def td_rebalance(sf_dir: str) -> rd.Dataset:
     min (one number) → one hash exchange + segmented rank
     (``topk_per_key``). The md5 travels instead of text; at 100 TB the
     rank key would be the 128-bit hash, same plan."""
-    from ..relational import (collect_tables, partial_groupby_agg,
-                              topk_per_key)
-
     docs = read(sf_dir, "documents", ["doc_id", "lang"])
     counts = collect_tables(
         partial_groupby_agg(docs, ["lang"], [("doc_id", "count", "n")]),
@@ -6209,29 +5711,18 @@ def a_percent_rank(sf_dir: str) -> rd.Dataset:
     passes (group starts, tie-value starts) — rank ties share the rank of
     their first row, pr = (rank-1)/(n-1), all numpy, no per-group
     Python."""
-    from ..relational import hash_repartition_map
-
     docs = read(sf_dir, "documents", ["doc_id", "lang", "n_chars"])
     out_schema = pa.schema([("doc_id", pa.int64()), ("lang", pa.string()),
                             ("pr", pa.float64())])
 
     def pranks(tbl: pa.Table) -> pa.Table:
-        if tbl.num_rows == 0:
-            return out_schema.empty_table()
-        idx = pc.sort_indices(tbl, sort_keys=[
-            ("lang", "ascending"), ("n_chars", "ascending")])
-        tbl = tbl.take(idx)
-        lang = tbl["lang"].to_numpy(zero_copy_only=False)
-        v = tbl["n_chars"].to_numpy(zero_copy_only=False)
-        n = len(v)
-        gnew = np.concatenate([[True], lang[1:] != lang[:-1]])
-        gstarts = np.flatnonzero(gnew)
+        tbl, gstarts = runs(tbl, "lang", ["n_chars"])
+        _, vstarts = runs(tbl, ["lang", "n_chars"])   # tie-value starts
+        n = tbl.num_rows
         glen = np.diff(np.append(gstarts, n))
         gstart_of = np.repeat(gstarts, glen)
         gsize_of = np.repeat(glen, glen)
-        vnew = gnew | np.concatenate([[True], v[1:] != v[:-1]])
-        vstart_of = np.repeat(np.flatnonzero(vnew),
-                              np.diff(np.append(np.flatnonzero(vnew), n)))
+        vstart_of = np.repeat(vstarts, np.diff(np.append(vstarts, n)))
         rank = vstart_of - gstart_of + 1
         pr = np.where(gsize_of > 1,
                       (rank - 1) / np.maximum(gsize_of - 1, 1), 0.0)
@@ -6241,7 +5732,7 @@ def a_percent_rank(sf_dir: str) -> rd.Dataset:
             "pr": pa.array(round_half_away(pr, 6), pa.float64()),
         }, schema=out_schema)
 
-    return hash_repartition_map(docs, "lang", pranks)
+    return hash_repartition_map(docs, "lang", pranks, schema=out_schema)
 
 
 def e_transitions(sf_dir: str) -> rd.Dataset:
@@ -6250,8 +5741,6 @@ def e_transitions(sf_dir: str) -> rd.Dataset:
     (ts, event_id), then count (prev_type, event_type) pairs. One hash
     exchange on user_id + per-partition sort + a shifted-compare (the
     ``e_lag_diff`` treatment), then a tiny pair-keyed count."""
-    from ..relational import hash_repartition_map
-
     ev = read(sf_dir, "events",
               ["event_id", "ts", "user_id", "event_type"])
     out_schema = pa.schema([("prev_type", pa.string()),
@@ -6259,20 +5748,12 @@ def e_transitions(sf_dir: str) -> rd.Dataset:
                             ("n", pa.int64())])
 
     def pairs(tbl: pa.Table) -> pa.Table:
-        if tbl.num_rows == 0:
-            return out_schema.empty_table()
-        idx = pc.sort_indices(tbl, sort_keys=[
-            ("user_id", "ascending"), ("ts", "ascending"),
-            ("event_id", "ascending")])
-        tbl = tbl.take(idx)
-        uid = tbl["user_id"].to_numpy(zero_copy_only=False)
+        tbl, starts = runs(tbl, "user_id", ["ts", "event_id"])
         et = tbl["event_type"].combine_chunks()
-        n = len(uid)
-        same_user = np.concatenate([[False], uid[1:] == uid[:-1]])
-        prev = pa.concat_arrays([pa.array([None], pa.string()),
-                                 et.slice(0, n - 1)])
-        t = pa.table({"prev_type": prev, "event_type": et}) \
-            .filter(pa.array(same_user))
+        later = np.ones(tbl.num_rows, bool)
+        later[starts] = False
+        t = pa.table({"prev_type": et.slice(0, len(et) - 1),
+                      "event_type": et.slice(1)}).filter(later[1:])
         agg = t.group_by(["prev_type", "event_type"]).aggregate(
             [("event_type", "count")])
         return pa.table({
@@ -6281,7 +5762,7 @@ def e_transitions(sf_dir: str) -> rd.Dataset:
             "n": agg["event_type_count"].cast(pa.int64()),
         }, schema=out_schema)
 
-    per_part = hash_repartition_map(ev, "user_id", pairs)
+    per_part = hash_repartition_map(ev, "user_id", pairs, schema=out_schema)
     return partial_groupby_agg(per_part, ["prev_type", "event_type"],
                                [("n", "sum", "n")])
 
@@ -6326,9 +5807,6 @@ def t_pmi_top(sf_dir: str) -> rd.Dataset:
     distributed hash joins (w1 then w2) — the vocabulary is never
     broadcast or driver-collected (at web scale it doesn't fit); totals
     are two scalar aggregates."""
-    from ..functions.text import TOKEN_SPLIT, word_ngrams_batch
-    from ..relational import exchange_join, topk
-
     MIN_N = 5
     docs = read(sf_dir, "documents", ["text"])
 
@@ -6362,7 +5840,6 @@ def t_pmi_top(sf_dir: str) -> rd.Dataset:
     bi = partial_groupby_agg(
         docs.map_batches(bi_partial, batch_format="pyarrow"),
         ["w1", "w2"], [("cb", "sum", "cb")]).materialize()
-    from ray.data.aggregate import Sum
 
     nu = int(uni.aggregate(Sum("cu", alias_name="s"))["s"])
     nb = int(bi.aggregate(Sum("cb", alias_name="s"))["s"])
@@ -6402,10 +5879,6 @@ def g_components(sf_dir: str) -> rd.Dataset:
     ``dd_clusters``, whose candidate-pair graphs are small by LSH
     construction). Component id = lexicographic min host reachable.
     Oracle: recursive reachability closure + min."""
-    import os
-
-    from .graph import components_min_label
-
     fix = _pages_fixture(sf_dir)
     links = rd.read_parquet(os.path.join(fix, "links.parquet"),
                             columns=["src_url", "dst_url"])
@@ -6431,10 +5904,6 @@ def g_bfs_depth(sf_dir: str) -> rd.Dataset:
     ``graph.bfs_depth`` — so total message volume is one edge-visit
     across all rounds; unreachable hosts are absent, matching the
     recursive-CTE closure oracle."""
-    import os
-
-    from .graph import bfs_depth
-
     fix = _pages_fixture(sf_dir)
     links = rd.read_parquet(os.path.join(fix, "links.parquet"),
                             columns=["src_url", "dst_url"])
@@ -6460,10 +5929,6 @@ def g_harmonic_hyperball(sf_dir: str) -> rd.Dataset:
     (``graph.hyperball_harmonic``). Approximate by nature (ε ≈ 3% at
     p=10) ⇒ no SQL oracle; exactness on small graphs and determinism
     are pytest-asserted (tests/test_graph.py)."""
-    import os
-
-    from .graph import hyperball_harmonic
-
     fix = _pages_fixture(sf_dir)
     links = rd.read_parquet(os.path.join(fix, "links.parquet"),
                             columns=["src_url", "dst_url"])
@@ -6497,10 +5962,6 @@ def g_pagerank_weighted(sf_dir: str) -> pa.Table:
     as ``g_pagerank`` (``graph.pagerank(weight_col=...)``, property-
     tested equal across modes); oracle = unrolled weighted power
     iteration, one materialized CTE layer per round."""
-    import os
-
-    from .graph import pagerank
-
     fix = _pages_fixture(sf_dir)
     links = rd.read_parquet(os.path.join(fix, "links.parquet"),
                             columns=["src_url", "dst_url"])
@@ -6520,8 +5981,6 @@ def g_pagerank_weighted(sf_dir: str) -> pa.Table:
         return pa.table({"src_host": g["src_host"],
                          "dst_host": g["dst_host"],
                          "w": g["src_host_count"].cast(pa.float64())})
-
-    from ..relational import hash_repartition_map
 
     def merge_w(t: pa.Table) -> pa.Table:
         g = t.group_by(["src_host", "dst_host"]).aggregate([("w", "sum")])
@@ -6543,10 +6002,6 @@ def g_ppr_seeds(sf_dir: str) -> pa.Table:
     Same three-mode machinery as ``g_pagerank``
     (``graph.pagerank(personalize=...)``); oracle = unrolled power
     iteration with the restart vector as a CASE over the seed set."""
-    import os
-
-    from .graph import pagerank
-
     fix = _pages_fixture(sf_dir)
     links = rd.read_parquet(os.path.join(fix, "links.parquet"),
                             columns=["src_url", "dst_url"])
@@ -6570,10 +6025,6 @@ def g_random_walks(sf_dir: str) -> rd.Dataset:
     ``md5(u|t)[:8] mod outdeg(u)`` (byte-ranked neighbors) — fully
     reproducible in any engine, hence a FULL-VALUE unrolled-CTE
     oracle rather than an un-checkable seeded RNG."""
-    import os
-
-    from .graph import random_walks
-
     fix = _pages_fixture(sf_dir)
     links = rd.read_parquet(os.path.join(fix, "links.parquet"),
                             columns=["src_url", "dst_url"])
@@ -6598,10 +6049,6 @@ def g_kcore(sf_dir: str) -> rd.Dataset:
     fewer than 3 distinct neighbors is repeatedly removed. Iterative ⇒
     rows-only driver check; the peeling-cascade semantics are
     pytest-asserted on hand graphs (K4 + pendant chain, path→empty)."""
-    import os
-
-    from .graph import kcore
-
     fix = _pages_fixture(sf_dir)
     links = rd.read_parquet(os.path.join(fix, "links.parquet"),
                             columns=["src_url", "dst_url"])
@@ -6635,14 +6082,6 @@ def td_pretrain_corpus(sf_dir: str) -> rd.Dataset:
 
     Output: (doc_id, lang, shard, offset). Iterative training inside ⇒
     rows-only driver check; stage invariants are pytest-asserted."""
-    from ..functions.text import STOPWORDS, TOKEN_SPLIT
-    from ..relational import (collect_tables, exchange_join,
-                              hash_repartition_map, partial_groupby_agg,
-                              topk_per_key)
-    from .classifier import (featurize, score_logreg_hashed,
-                             train_logreg_hashed)
-    from .dedup import exact_dedup_groups
-
     D = 512
     docs = read(sf_dir, "documents", ["doc_id", "text", "lang"])
 
@@ -6742,16 +6181,9 @@ def td_pretrain_corpus(sf_dir: str) -> rd.Dataset:
                             ("shard", pa.int64()), ("offset", pa.int64())])
 
     def rank(tbl: pa.Table) -> pa.Table:
-        if tbl.num_rows == 0:
-            return out_schema.empty_table()
-        idx = pc.sort_indices(tbl, sort_keys=[
-            ("band", "ascending"), ("h", "ascending"),
-            ("doc_id", "ascending")])
-        tbl = tbl.take(idx)
+        tbl, starts = runs(tbl, "band", ["h", "doc_id"])
         band = tbl["band"].to_numpy(zero_copy_only=False)
         n = len(band)
-        starts = np.flatnonzero(
-            np.concatenate([[True], band[1:] != band[:-1]]))
         seg_start = np.repeat(starts, np.diff(np.append(starts, n)))
         r = offsets[band] + (np.arange(n) - seg_start)
         return pa.table({
@@ -6760,7 +6192,7 @@ def td_pretrain_corpus(sf_dir: str) -> rd.Dataset:
             "offset": pa.array(r % SHARD, pa.int64()),
         }, schema=out_schema)
 
-    return hash_repartition_map(kb, "band", rank)
+    return hash_repartition_map(kb, "band", rank, schema=out_schema)
 
 
 def o_weighted_sample(sf_dir: str) -> rd.Dataset:
@@ -6772,8 +6204,6 @@ def o_weighted_sample(sf_dir: str) -> rd.Dataset:
     operator); only keys travel. Key values are dropped from the output —
     ordering (not float equality) is the contract, with doc_id as the
     total tiebreak on both sides."""
-    from ..relational import topk
-
     docs = read(sf_dir, "documents", ["doc_id", "n_chars"])
 
     def keyed(batch: pa.Table) -> pa.Table:
@@ -6806,28 +6236,18 @@ def j_follow_within(sf_dir: str) -> rd.Dataset:
     per-error loop, wall time O(n log n) per partition regardless of user
     count. Ties (equal ts) are excluded by searching right of B[err],
     matching the SQL's strict f.ts > e.ts."""
-    from ..relational import hash_repartition_map
-
     W_US = 5 * 60 * 1_000_000
     ev = read(sf_dir, "events", ["event_id", "ts", "user_id", "event_type"])
     out_schema = pa.schema([("event_id", pa.int64()),
                             ("n_follow", pa.int64())])
 
     def followers(tbl: pa.Table) -> pa.Table:
-        if tbl.num_rows == 0:
-            return out_schema.empty_table()
-        idx = pc.sort_indices(tbl, sort_keys=[
-            ("user_id", "ascending"), ("ts", "ascending"),
-            ("event_id", "ascending")])
-        tbl = tbl.take(idx)
-        uid = tbl["user_id"].to_numpy(zero_copy_only=False)
+        tbl, seg_starts = runs(tbl, "user_id", ["ts", "event_id"])
         ts = tbl["ts"].to_numpy(zero_copy_only=False) \
             .astype("datetime64[us]").view(np.int64)
-        n = len(uid)
-        new_seg = np.concatenate([[True], uid[1:] != uid[:-1]])
-        seg_id = np.cumsum(new_seg) - 1
-        seg_starts = np.flatnonzero(new_seg)
-        seg_lens = np.diff(np.append(seg_starts, n))
+        n = tbl.num_rows
+        seg_id = np.repeat(np.arange(len(seg_starts)),
+                           np.diff(np.append(seg_starts, n)))
         seg_min = ts[seg_starts]
         seg_max = ts[np.append(seg_starts[1:], n) - 1]
         span = seg_max - seg_min
@@ -6845,7 +6265,7 @@ def j_follow_within(sf_dir: str) -> rd.Dataset:
             "n_follow": pa.array(ub - lo, pa.int64()),
         }, schema=out_schema)
 
-    return hash_repartition_map(ev, "user_id", followers)
+    return hash_repartition_map(ev, "user_id", followers, schema=out_schema)
 
 
 def _phash_rows(sf_dir: str) -> rd.Dataset:
@@ -6853,8 +6273,6 @@ def _phash_rows(sf_dir: str) -> rd.Dataset:
     (shared by ``mm_image_phash`` and ``mm_phash_near_dup``; see
     mm_image_phash's docstring for the fixture identity phash == vec_id//4
     and the jitter-invariance property the oracle proves)."""
-    from .multimodal import ppm_decode, ppm_encode
-
     emb = read(sf_dir, "embeddings", ["vec_id"])
     xs = np.arange(9, dtype=np.int64)
     ys = np.arange(8, dtype=np.int64)
@@ -6917,27 +6335,18 @@ def mm_image_phash(sf_dir: str) -> rd.Dataset:
     exchange. Hamming-distance ≤ k matching lives in
     ``mm_phash_near_dup`` (4x16-bit bands of the phash as bucket keys).
     """
-    from ..relational import hash_repartition_map
-
     rows = _phash_rows(sf_dir)
     out_schema = pa.schema([("vec_id", pa.int64()), ("phash", pa.int64()),
                             ("n", pa.int64())])
 
     def grp(tbl: pa.Table) -> pa.Table:
-        if tbl.num_rows == 0:
-            return out_schema.empty_table()
-        idx = pc.sort_indices(tbl, sort_keys=[
-            ("phash", "ascending"), ("vec_id", "ascending")])
-        t = tbl.take(idx)
-        h = t["phash"].to_numpy(zero_copy_only=False)
-        first = np.concatenate([[True], h[1:] != h[:-1]])
-        seg = np.cumsum(first) - 1
-        sizes = np.bincount(seg)
+        t, starts = runs(tbl, "phash", ["vec_id"])
+        sizes = np.diff(np.append(starts, t.num_rows))
         return pa.table({"vec_id": t["vec_id"], "phash": t["phash"],
-                         "n": pa.array(sizes[seg], pa.int64())},
+                         "n": np.repeat(sizes, sizes)},
                         schema=out_schema)
 
-    return hash_repartition_map(rows, "phash", grp)
+    return hash_repartition_map(rows, "phash", grp, schema=out_schema)
 
 
 def mm_phash_near_dup(sf_dir: str, max_hamming: int = 3,
@@ -6952,9 +6361,6 @@ def mm_phash_near_dup(sf_dir: str, max_hamming: int = 3,
     popcount; pairs dedup across bands through one exchange. Buckets
     above ``bucket_cap`` members contribute capped pairs (the LSH
     hot-bucket rule — degenerate all-identical corpora stay bounded)."""
-    from ..relational import hash_repartition_map
-    from .dedup import _capped_pair_indices
-
     rows = _phash_rows(sf_dir)
 
     band_schema = pa.schema([("bkey", pa.int64()), ("vec_id", pa.int64()),
@@ -6985,19 +6391,10 @@ def mm_phash_near_dup(sf_dir: str, max_hamming: int = 3,
         # group first (a boilerplate bucket of 10^6 copies is ONE rep),
         # hamming runs over capped rep pairs, and qualifying rep pairs
         # expand to member cross-products — each an output row
-        if tbl.num_rows == 0:
-            return pair_schema.empty_table()
-        idx = pc.sort_indices(tbl, sort_keys=[
-            ("bkey", "ascending"), ("phash", "ascending"),
-            ("vec_id", "ascending")])
-        t = tbl.take(idx)
-        bkey = t["bkey"].to_numpy(zero_copy_only=False)
+        t, starts = runs(tbl, "bkey", ["phash", "vec_id"])
         ids = t["vec_id"].to_numpy(zero_copy_only=False)
         h = t["phash"].to_numpy(zero_copy_only=False).view(np.uint64)
-        first = np.ones(len(bkey), bool)
-        first[1:] = bkey[1:] != bkey[:-1]
-        starts = np.flatnonzero(first)
-        ends = np.append(starts[1:], len(bkey))
+        ends = np.append(starts[1:], t.num_rows)
         outs = []
         for s, e in zip(starts, ends):
             if e - s < 2:
@@ -7038,7 +6435,7 @@ def mm_phash_near_dup(sf_dir: str, max_hamming: int = 3,
 
     cands = hash_repartition_map(
         rows.map_batches(bands, batch_format="pyarrow"),
-        "bkey", bucket_pairs)
+        "bkey", bucket_pairs, schema=pair_schema)
     # a pair can surface from up to 4 bands: one exchange dedups
     return partial_groupby_agg(cands, ["a", "b"],
                                [("hamming", "min", "hamming")])
@@ -7054,8 +6451,6 @@ def mm_decode_ppm(sf_dir: str) -> rd.Dataset:
     libraries in this container; roundtrip + pooling math are
     pytest-asserted in test_similarity_text.py). Binary payloads are not
     SQL-expressible ⇒ rows-only driver check."""
-    from .multimodal import decode_features, ppm_encode
-
     emb = read(sf_dir, "embeddings", ["vec_id", "embedding"])
 
     def render(batch: pa.Table) -> pa.Table:
@@ -7090,8 +6485,6 @@ def mm_decode_png(sf_dir: str) -> rd.Dataset:
     and the SUM OF DECODED PIXELS — exactly recomputable in SQL from
     vec_id, so a single wrong byte anywhere in the inflate/unfilter path
     hash-mismatches the oracle."""
-    from .multimodal import png_decode, png_encode
-
     emb = read(sf_dir, "embeddings", ["vec_id"])
     out_schema = pa.schema([
         ("url", pa.string()), ("kind", pa.string()),
@@ -7132,8 +6525,6 @@ def mm_decode_gif(sf_dir: str) -> rd.Dataset:
     The query returns dimensions and the SUM OF DECODED RGB BYTES — exactly
     recomputable in SQL from vec_id, so any wrong byte in the LZW/palette
     path hash-mismatches the oracle."""
-    from .multimodal import gif_decode, gif_encode
-
     emb = read(sf_dir, "embeddings", ["vec_id"])
     out_schema = pa.schema([
         ("url", pa.string()), ("kind", pa.string()),
@@ -7177,8 +6568,6 @@ def mm_decode_jpeg(sf_dir: str) -> rd.Dataset:
     decoded pixel sum ``64 * Σ_b v_b`` is recomputable in SQL — any wrong
     bit in the Huffman/IDCT/restart path mismatches. restart_interval=2
     forces RSTn markers through the oracle path too."""
-    from .multimodal import jpeg_decode, jpeg_encode
-
     emb = read(sf_dir, "embeddings", ["vec_id"])
     out_schema = pa.schema([
         ("url", pa.string()), ("kind", pa.string()),
@@ -7218,8 +6607,6 @@ def mm_frame_ppm(sf_dir: str) -> rd.Dataset:
     (pixel bytes untouched) and emits every 5th frame's exact byte
     offset. The fixed frame size makes the real demux oracle-checkable:
     each frame is 11 header + 192 pixel bytes = 203."""
-    from .multimodal import FrameSampleStage, ppm_encode
-
     emb = read(sf_dir, "embeddings", ["vec_id", "embedding"])
 
     def render(batch: pa.Table) -> pa.Table:
@@ -7257,8 +6644,6 @@ def j_scd2_history(sf_dir: str) -> rd.Dataset:
     version. One hash exchange on the key + one sort per partition + a
     shifted lead (vectorized; the ``e_lag_diff`` treatment pointed
     forward) — no per-key Python."""
-    from ..relational import hash_repartition_map
-
     ev = read(sf_dir, "events", ["event_id", "user_id", "ts", "event_type",
                                  "value"])
     out_schema = pa.schema([
@@ -7266,30 +6651,23 @@ def j_scd2_history(sf_dir: str) -> rd.Dataset:
         ("valid_from", pa.timestamp("us")), ("valid_to", pa.timestamp("us"))])
 
     def versions(tbl: pa.Table) -> pa.Table:
-        tbl = tbl.filter(pc.equal(tbl["event_type"], "purchase"))
-        if tbl.num_rows == 0:
-            return out_schema.empty_table()
-        idx = pc.sort_indices(tbl, sort_keys=[
-            ("user_id", "ascending"), ("ts", "ascending"),
-            ("event_id", "ascending")])
-        tbl = tbl.take(idx)
-        n = tbl.num_rows
-        uid = tbl["user_id"].to_numpy(zero_copy_only=False)
+        tbl, starts = runs(
+            tbl.filter(pc.equal(tbl["event_type"], "purchase")),
+            "user_id", ["ts", "event_id"])
         ts = tbl["ts"].to_numpy(zero_copy_only=False) \
             .astype("datetime64[us]")
-        nxt = np.empty(n, dtype="datetime64[us]")
-        nxt[:-1] = ts[1:]
-        nxt[-1] = np.datetime64("NaT")
-        same = np.concatenate([uid[1:] == uid[:-1], [False]])
-        valid_to = np.where(same, nxt, np.datetime64("NaT"))
+        # the next version's start, none after a user's last version
+        valid_to = np.full(tbl.num_rows, np.datetime64("NaT"), ts.dtype)
+        valid_to[:-1] = ts[1:]
+        valid_to[starts[1:] - 1] = np.datetime64("NaT")
         return pa.table({
-            "user_id": pa.array(uid, pa.int64()),
+            "user_id": tbl["user_id"],
             "balance": tbl["value"].cast(pa.float64()),
             "valid_from": pa.array(ts, pa.timestamp("us")),
             "valid_to": pa.array(valid_to, pa.timestamp("us")),
         }, schema=out_schema)
 
-    return hash_repartition_map(ev, "user_id", versions)
+    return hash_repartition_map(ev, "user_id", versions, schema=out_schema)
 
 
 def td_decontaminate_embed(sf_dir: str) -> rd.Dataset:
@@ -7300,10 +6678,6 @@ def td_decontaminate_embed(sf_dir: str) -> rd.Dataset:
     broadcast via ``ray.put``, then each batch takes ONE matmul against
     it — no pair loop, no shuffle; the corpus streams. Oracle: DuckDB
     ``list_cosine_similarity`` cross join."""
-    import ray as _ray
-
-    from ..relational import read_table
-
     THRESH = 0.8
     evals = read_table(sf_dir, "embeddings", ["embedding", "label"])
     ev = evals.filter(pc.equal(evals["label"], 0))
@@ -7311,12 +6685,12 @@ def td_decontaminate_embed(sf_dir: str) -> rd.Dataset:
     ndim = len(arr[0])
     E = np.asarray(arr.values, dtype=np.float64).reshape(-1, ndim)
     E /= np.maximum(np.linalg.norm(E, axis=1, keepdims=True), 1e-12)
-    e_ref = _ray.put(E)
+    e_ref = ray.put(E)
 
     emb = read(sf_dir, "embeddings", ["vec_id", "embedding"])
 
     def flag(batch: pa.Table) -> pa.Table:
-        En = _ray.get(e_ref)
+        En = ray.get(e_ref)
         a = batch["embedding"].combine_chunks()
         m = np.asarray(a.values, dtype=np.float64).reshape(-1, ndim)
         m /= np.maximum(np.linalg.norm(m, axis=1, keepdims=True), 1e-12)
@@ -7339,8 +6713,6 @@ def mm_audio_wav(sf_dir: str) -> rd.Dataset:
     sample formula is SQL-expressible, so the decode path gets a
     FULL-VALUE DuckDB oracle — the features only match if the bytes
     round-trip exactly."""
-    from .multimodal import audio_feature_table, wav_encode
-
     SR, N = 8000, 800
     emb = read(sf_dir, "embeddings", ["vec_id"])
 
@@ -7375,8 +6747,6 @@ def mm_audio_spectrum(sf_dir: str) -> rd.Dataset:
     (integer-cycle tones are leakage-free, which is what makes the FFT
     output exactly checkable). The distractor tone proves the argmax is
     doing work; the DC bin is masked (a constant offset is not a tone)."""
-    from .multimodal import spectrum_feature_table, wav_encode
-
     SR, N = 8000, 800
     emb = read(sf_dir, "embeddings", ["vec_id"])
 
@@ -7445,8 +6815,6 @@ def v_order_total_consistency(sf_dir: str) -> rd.Dataset:
     exchange keyed on orderkey joining the partials with orders →
     violation rows where the exact integer diff ≠ 0. ≙ the reference's
     expected-triple-count assertions, lifted to a per-entity invariant."""
-    from ..relational import exchange_join
-
     li = read(sf_dir, "lineitem",
               ["l_orderkey", "l_extendedprice", "l_discount", "l_tax"])
 
@@ -7492,10 +6860,6 @@ def v_hive_partitioned_write(sf_dir: str) -> rd.Dataset:
     the directory key, grouped and compared to the source table. The
     write lands under /tmp keyed by (sf, row count) so reruns are
     idempotent."""
-    import os
-
-    from ray.data.datasource.partitioning import Partitioning
-
     docs = read(sf_dir, "documents", ["doc_id", "lang", "n_chars"])
     n = docs.count()
     out = f"/tmp/lk_hive/{os.path.basename(os.path.normpath(sf_dir))}_{n}"
@@ -7527,18 +6891,12 @@ def o_skyline_orders(sf_dir: str) -> pa.Table:
                   ["o_orderkey", "o_totalprice", "o_orderdate"])
 
     def local_skyline(batch: pa.Table) -> pa.Table:
-        if batch.num_rows == 0:
-            return batch
-        idx = pc.sort_indices(batch, sort_keys=[
-            ("o_totalprice", "ascending"), ("o_orderdate", "descending")])
-        t = batch.take(idx)
-        price = t["o_totalprice"].to_numpy(zero_copy_only=False)
+        t, starts = runs(batch, "o_totalprice", [("o_orderdate",
+                                                  "descending")])
         date = t["o_orderdate"].cast(pa.int64()).to_numpy(
             zero_copy_only=False)
-        new_grp = np.ones(len(price), bool)
-        new_grp[1:] = price[1:] != price[:-1]
-        starts = np.flatnonzero(new_grp)
-        grp = np.cumsum(new_grp) - 1
+        grp = np.repeat(np.arange(len(starts)),
+                        np.diff(np.append(starts, t.num_rows)))
         gmax = np.maximum.reduceat(date, starts)       # max date per price
         # running max date over STRICTLY cheaper groups (exclusive)
         prev = np.full(len(gmax), np.iinfo(np.int64).min)
@@ -7563,8 +6921,6 @@ def v_gap_days(sf_dir: str) -> pa.Table:
     one task (the series is driver-sized by definition); the gap scan
     is one np.setdiff1d over epoch-day ints. Oracle:
     generate_series over the span anti-joined to the observed days."""
-    import os
-
     fix = _pages_fixture(sf_dir)
     pages = rd.read_parquet(os.path.join(fix, "pages"),
                             columns=["warc_ts"])
@@ -7594,8 +6950,6 @@ def v_ship_before_order(sf_dir: str) -> rd.Dataset:
     distributed hash join on the order key + a vectorized comparison —
     violation rows mirror the per-check failure records of the
     validation pipeline."""
-    from ..relational import exchange_join
-
     line = read(sf_dir, "lineitem",
                 ["l_orderkey", "l_linenumber", "l_shipdate"])
     orders = read(sf_dir, "orders", ["o_orderkey", "o_orderdate"])
@@ -7624,8 +6978,6 @@ def e_dedup_consecutive(sf_dir: str) -> rd.Dataset:
     event's type in the user's (ts, event_id) order. Hash exchange on
     user_id + one sort per partition + a shifted vectorized compare — the
     e_lag_diff shape, never per-group Python."""
-    from ..relational import hash_repartition_map
-
     ev = read(sf_dir, "events", ["event_id", "user_id", "ts", "event_type"])
     out_schema = pa.schema([("event_id", pa.int64()),
                             ("user_id", pa.int64()),
@@ -7633,19 +6985,15 @@ def e_dedup_consecutive(sf_dir: str) -> rd.Dataset:
                             ("event_type", pa.string())])
 
     def keep_first_of_run(tbl: pa.Table) -> pa.Table:
-        if tbl.num_rows == 0:
-            return out_schema.empty_table()
-        idx = pc.sort_indices(tbl, sort_keys=[
-            ("user_id", "ascending"), ("ts", "ascending"),
-            ("event_id", "ascending")])
-        tbl = tbl.take(idx)
-        uid = tbl["user_id"].to_numpy(zero_copy_only=False)
+        tbl, starts = runs(tbl, "user_id", ["ts", "event_id"])
         et = tbl["event_type"].to_numpy(zero_copy_only=False)
-        keep = np.ones(len(uid), dtype=bool)
-        keep[1:] = (uid[1:] != uid[:-1]) | (et[1:] != et[:-1])
+        keep = np.ones(tbl.num_rows, dtype=bool)
+        keep[1:] = et[1:] != et[:-1]
+        keep[starts] = True
         return tbl.filter(pa.array(keep)).select(out_schema.names)
 
-    return hash_repartition_map(ev, "user_id", keep_first_of_run)
+    return hash_repartition_map(ev, "user_id", keep_first_of_run,
+                                schema=out_schema)
 
 
 def j_nearest_event(sf_dir: str) -> rd.Dataset:
@@ -7655,8 +7003,6 @@ def j_nearest_event(sf_dir: str) -> rd.Dataset:
     ``row_number() OVER (ORDER BY abs(Δµs), ts, event_id)`` exactly. Two
     merge_asof passes per partition (relational.nearest_join), O(n log n)
     instead of the rank-all-pairs quadratic plan."""
-    from ..relational import nearest_join
-
     orders = read(sf_dir, "orders",
                   ["o_orderkey", "o_custkey", "o_orderdate"])
     ev = read(sf_dir, "events", ["event_id", "user_id", "ts"])
@@ -7690,10 +7036,6 @@ def j_interval_overlap(sf_dir: str) -> rd.Dataset:
     no shuffle. Partitioning assumption: the MERGED alert-window set is
     broadcast-small (guarded), which holds whenever alerts are a sparse
     event class; sessions stream at any scale via the user_id exchange."""
-    import ray
-
-    from ..relational import collect_tables, hash_repartition_map
-
     gap_us = SESSION_GAP_MIN * 60 * 1_000_000
     half_w = ERR_WINDOW_MIN * 60 * 1_000_000
 
@@ -7743,33 +7085,28 @@ def j_interval_overlap(sf_dir: str) -> rd.Dataset:
                             ("n_err_windows", pa.int64())])
 
     def sessions_overlap(tbl: pa.Table) -> pa.Table:
-        if tbl.num_rows == 0:
-            return out_schema.empty_table()
-        import ray as _ray
-
-        w_lo, w_hi = _ray.get(w_ref)
-        idx = pc.sort_indices(tbl, sort_keys=[
-            ("user_id", "ascending"), ("ts", "ascending")])
-        tbl = tbl.take(idx)
-        uid = tbl["user_id"].to_numpy(zero_copy_only=False)
+        w_lo, w_hi = ray.get(w_ref)
+        tbl, starts = runs(tbl, "user_id", ["ts"])
         ts = tbl["ts"].cast(pa.int64()).to_numpy(zero_copy_only=False)
-        new_s = np.ones(len(uid), dtype=bool)
-        new_s[1:] = (uid[1:] != uid[:-1]) | ((ts[1:] - ts[:-1]) > gap_us)
+        new_s = np.zeros(tbl.num_rows, dtype=bool)
+        new_s[1:] = np.diff(ts) > gap_us
+        new_s[starts] = True
         s_idx = np.flatnonzero(new_s)
-        e_idx = np.concatenate((s_idx[1:], [len(uid)])) - 1
+        e_idx = np.append(s_idx[1:], tbl.num_rows) - 1
         s_start, s_end = ts[s_idx], ts[e_idx]
         # overlap count: windows with lo ≤ session_end minus windows with
         # hi < session_start (inclusive bounds, int64 µs — exact)
         n = (np.searchsorted(w_lo, s_end, side="right")
              - np.searchsorted(w_hi, s_start, side="left"))
         return pa.table({
-            "user_id": pa.array(uid[s_idx], pa.int64()),
+            "user_id": tbl["user_id"].take(s_idx),
             "session_start": pa.array(s_start).cast(pa.timestamp("us")),
             "session_end": pa.array(s_end).cast(pa.timestamp("us")),
             "n_err_windows": pa.array(n, pa.int64()),
         }, schema=out_schema)
 
-    return hash_repartition_map(ev, "user_id", sessions_overlap)
+    return hash_repartition_map(ev, "user_id", sessions_overlap,
+                                schema=out_schema)
 
 
 def _string_buf_offsets(arr) -> tuple[np.ndarray, np.ndarray]:
@@ -7885,8 +7222,6 @@ def a_mad_outliers(sf_dir: str) -> rd.Dataset:
     (two nested order statistics); medians interpolate exactly like DuckDB's
     ``median`` and |x−m| / 3·MAD land on exact .0/.5 floats, so the strict
     ``>`` comparison is engine-independent."""
-    from ..relational import round_half_away
-
     docs = read(sf_dir, "documents", ["lang", "n_chars"])
 
     def mad_group(group: pa.Table) -> pa.Table:
@@ -7931,10 +7266,6 @@ def v_fk_orphans(sf_dir: str) -> pa.Table:
     key array per batch (np.searchsorted membership); the big-big relation
     (lineitem → orders) goes through the distributed left-anti hash
     exchange — no driver-side key materialization of a big side."""
-    import ray
-
-    from ..relational import exchange_join, read_table
-
     rows = []
     for child, ckey, parent, pkey, small in _FK_RELATIONS:
         ch = read(sf_dir, child, [ckey])
@@ -7983,10 +7314,6 @@ def pages_latest_per_host(sf_dir: str) -> rd.Dataset:
     max url) — ``topk_per_key(..., 1)``, so only one candidate row per
     host per block ever moves, never the page set. Zipf-skewed hosts
     are exactly the keys where a groupby+rank plan melts down."""
-    import os
-
-    from ..relational import topk_per_key
-
     fix = _pages_fixture(sf_dir)
     pages = rd.read_parquet(os.path.join(fix, "pages"),
                             columns=["url", "warc_ts"])
@@ -8053,8 +7380,6 @@ def o_dense_rank_price(sf_dir: str) -> rd.Dataset:
     per partition + a segmented vectorized cumsum-of-value-changes — no
     per-group Python. Deterministic under ties by construction: equal
     prices share one rank, so row order within a tie never shows."""
-    from ..relational import hash_repartition_map
-
     orders = read(sf_dir, "orders",
                   ["o_orderkey", "o_custkey", "o_totalprice"])
     out_schema = pa.schema([("o_orderkey", pa.int64()),
@@ -8062,30 +7387,22 @@ def o_dense_rank_price(sf_dir: str) -> rd.Dataset:
                             ("drank", pa.int64())])
 
     def dense(tbl: pa.Table) -> pa.Table:
-        if tbl.num_rows == 0:
-            return out_schema.empty_table()
-        idx = pc.sort_indices(tbl, sort_keys=[
-            ("o_custkey", "ascending"), ("o_totalprice", "descending")])
-        tbl = tbl.take(idx)
-        cust = tbl["o_custkey"].to_numpy(zero_copy_only=False)
+        tbl, starts = runs(tbl, "o_custkey",
+                           [("o_totalprice", "descending")])
         price = tbl["o_totalprice"].to_numpy(zero_copy_only=False)
-        n = len(cust)
-        new_key = np.empty(n, dtype=bool)
-        new_key[0] = True
-        new_key[1:] = cust[1:] != cust[:-1]
-        new_val = new_key.copy()
-        new_val[1:] |= price[1:] != price[:-1]
+        n = tbl.num_rows
+        new_val = np.ones(n, dtype=bool)
+        new_val[1:] = price[1:] != price[:-1]
+        new_val[starts] = True
         r = np.cumsum(new_val)
-        starts = np.flatnonzero(new_key)
-        sizes = np.diff(np.concatenate((starts, [n])))
-        offset = np.repeat(r[starts] - 1, sizes)
+        offset = np.repeat(r[starts] - 1, np.diff(np.append(starts, n)))
         return pa.table({
             "o_orderkey": tbl["o_orderkey"],
             "o_custkey": tbl["o_custkey"],
             "drank": pa.array(r - offset, pa.int64()),
         }, schema=out_schema)
 
-    return hash_repartition_map(orders, "o_custkey", dense)
+    return hash_repartition_map(orders, "o_custkey", dense, schema=out_schema)
 
 
 def g_triangles(sf_dir: str) -> pa.Table:
@@ -8096,10 +7413,6 @@ def g_triangles(sf_dir: str) -> pa.Table:
     total wedge work at O(m^1.5) regardless of hub skew (a web-scale
     super-host can no longer blow the middle-vertex join up to deg²),
     then one semi-join closes the wedges against the edge set."""
-    import os
-
-    from .graph import triangle_count
-
     fix = _pages_fixture(sf_dir)
     links = rd.read_parquet(os.path.join(fix, "links.parquet"),
                             columns=["src_url", "dst_url"])
@@ -8116,8 +7429,6 @@ def g_triangles(sf_dir: str) -> pa.Table:
         t = pa.table({"a": pc.if_else(pc.less(h1, h2), h1, h2),
                       "b": pc.if_else(pc.less(h1, h2), h2, h1)}).filter(ok)
         return t
-
-    from ..relational import hash_repartition_map
 
     e = links.map_batches(oriented, batch_format="pyarrow")
     # global distinct via the exchange dedup (_host_edges_undirected
@@ -8182,8 +7493,6 @@ def j_asof_next_event(sf_dir: str) -> rd.Dataset:
     columns. Same union-tag + single hash exchange + one merge_asof per
     partition; tie on equal ts ⇒ min event_id (forward keeps the first
     sorted row; the oracle mirrors with ORDER BY ts, event_id)."""
-    from ..relational import asof_join
-
     orders = read(sf_dir, "orders",
                   ["o_orderkey", "o_custkey", "o_orderdate"])
     ev = read(sf_dir, "events", ["event_id", "user_id", "ts"])
@@ -8205,11 +7514,6 @@ def m_compact_docs(sf_dir: str) -> pa.Table:
     deterministic 2500-row blocks, and report the file/row accounting.
     Content parity (same rows, any order) is pytest-asserted; the driver
     row is rows-only (file layout has no SQL counterpart)."""
-    import os
-    import shutil
-
-    from .maintenance import compact_parquet
-
     base = os.path.join("/tmp/lk_compact",
                         os.path.basename(os.path.normpath(sf_dir)))
     frag, out = os.path.join(base, "frag"), os.path.join(base, "compact")
@@ -8233,8 +7537,6 @@ def mm_image_dims(sf_dir: str) -> rd.Dataset:
     The dims formula is SQL-expressible, so the parser path gets a
     FULL-VALUE DuckDB oracle — values only match if encode→parse
     round-trips every byte order and marker length correctly."""
-    from .multimodal import gif_header, image_dims_table, jpeg_header, png_header
-
     emb = read(sf_dir, "embeddings", ["vec_id"])
 
     def render(batch: pa.Table) -> pa.Table:
@@ -8269,13 +7571,6 @@ def v_lineage_manifest(sf_dir: str) -> pa.Table:
     (partition_id, input_fragment, n_rows, violation_count, passed).
     Deterministic for a given sf_dir — a resume after kill must reproduce
     this table exactly (pytest-asserted by the resume property tests)."""
-    import os
-    import shutil
-
-    from ..sources.pages import ensure_pages, pages_nrows_for_sf
-    from ..state.manifest import ManifestStore
-    from .validate import run_validation
-
     fix = ensure_pages(pages_nrows_for_sf(sf_dir))
     out = os.path.join("/tmp/lk_lineage",
                        os.path.basename(os.path.normpath(sf_dir)))
@@ -8388,10 +7683,6 @@ def _host_edges_undirected(sf_dir: str) -> rd.Dataset:
     operators. Global distinct = per-batch combine, then ONE hash exchange
     on `a` + a local C++ group_by per range (key cardinality ≈ block
     size, so a map-side combine would barely shrink the pairs)."""
-    import os
-
-    from ..relational import hash_repartition_map
-
     fix = _pages_fixture(sf_dir)
     links = rd.read_parquet(os.path.join(fix, "links.parquet"),
                             columns=["src_url", "dst_url"])
@@ -8419,8 +7710,6 @@ def g_clustering_coeff(sf_dir: str) -> rd.Dataset:
     Watts–Strogatz community-density signal, per node. Same O(m^1.5)
     degree-ordered wedge plan as ``g_triangles``; triangle-free and
     degree-1 hosts report 0."""
-    from .graph import local_clustering
-
     return local_clustering(_host_edges_undirected(sf_dir), "a", "b")
 
 
@@ -8435,8 +7724,6 @@ def g_link_prediction(sf_dir: str) -> rd.Dataset:
     bounded by excluding middle vertices above ``LINKPRED_HUB_CAP`` —
     the documented stop-word cut a web-scale hub demands; the oracle
     applies the same cap."""
-    from .graph import common_neighbor_scores
-
     return common_neighbor_scores(_host_edges_undirected(sf_dir), "a", "b",
                                   hub_cap=LINKPRED_HUB_CAP, k=LINKPRED_K)
 
@@ -8447,11 +7734,6 @@ def g_reciprocity(sf_dir: str) -> pa.Table:
     the classic webgraph mutuality statistic. One exchange-dedup distinct
     pass, then a self-semi-join on the reversed composite key; only
     16-byte-keyed edge rows move."""
-    import os
-
-    from ..relational import (exchange_join, hash_repartition_map,
-                              round_half_away)
-
     fix = _pages_fixture(sf_dir)
     links = rd.read_parquet(os.path.join(fix, "links.parquet"),
                             columns=["src_url", "dst_url"])
@@ -8495,10 +7777,7 @@ def g_assortativity(sf_dir: str) -> pa.Table:
     (degrees are ints), summed distributively — the final ratio is one
     driver-side float, so the distributed result is bit-stable at any
     scale and the oracle mirrors the same integer sums."""
-    from ..relational import exchange_join, round_half_away
-
     e = _host_edges_undirected(sf_dir).materialize()
-    from .graph import _degree_table
     deg = _degree_table(e, "a", "b").materialize()
 
     e2 = exchange_join(
@@ -8545,8 +7824,6 @@ def a_entropy_by_source(sf_dir: str) -> rd.Dataset:
     rows, then one hash exchange on source computes the per-source
     −Σ p·log2 p with a segmented vectorized pass (sort + np.add.reduceat)
     — no per-group Python, nothing driver-side."""
-    from ..relational import hash_repartition_map
-
     docs = read(sf_dir, "documents", ["source", "lang"])
     counts = partial_groupby_agg(
         docs.map_batches(lambda t: t.append_column(
@@ -8559,28 +7836,21 @@ def a_entropy_by_source(sf_dir: str) -> rd.Dataset:
                             ("entropy", pa.float64())])
 
     def per_source(tbl: pa.Table) -> pa.Table:
-        if tbl.num_rows == 0:
-            return out_schema.empty_table()
-        idx = pc.sort_indices(tbl, sort_keys=[("source", "ascending"),
-                                              ("lang", "ascending")])
-        tbl = tbl.take(idx)
-        src = tbl["source"].to_numpy(zero_copy_only=False)
+        tbl, starts = runs(tbl, "source", ["lang"])
         n = tbl["n"].to_numpy(zero_copy_only=False).astype(np.float64)
-        first = np.ones(len(src), bool)
-        first[1:] = src[1:] != src[:-1]
-        starts = np.flatnonzero(first)
         tot = np.add.reduceat(n, starts)
         p = n / np.repeat(tot, np.diff(np.append(starts, len(n))))
         ent = np.add.reduceat(-p * np.log2(p), starts)
         nl = np.diff(np.append(starts, len(n)))
         return pa.table({
-            "source": pa.array(src[starts], pa.string()),
+            "source": tbl["source"].take(starts),
             "n_docs": pa.array(tot.astype(np.int64), pa.int64()),
             "n_langs": pa.array(nl.astype(np.int64), pa.int64()),
             "entropy": pa.array(round_half_away(ent, 9), pa.float64()),
         }, schema=out_schema)
 
-    return hash_repartition_map(counts, "source", per_source)
+    return hash_repartition_map(counts, "source", per_source,
+                                schema=out_schema)
 
 
 def _exact_rank_dot(x: np.ndarray) -> int:
@@ -8613,8 +7883,6 @@ def a_gini_spend(sf_dir: str) -> pa.Table:
     share a bucket (equal value ⇒ equal bucket), and Σ(2i−n−1)x is
     tie-order-invariant, so the result equals the oracle's
     row_number-based window formula exactly."""
-    from ..relational import hash_repartition_map
-
     orders = read(sf_dir, "orders", ["o_custkey", "o_totalprice"])
 
     def to_cents(batch: pa.Table) -> pa.Table:
@@ -8640,16 +7908,9 @@ def a_gini_spend(sf_dir: str) -> pa.Table:
                                ("inner_lo", pa.int64())])
 
     def per_bucket(tbl: pa.Table) -> pa.Table:
-        if tbl.num_rows == 0:
-            return bucket_schema.empty_table()
-        idx = pc.sort_indices(tbl, sort_keys=[("bucket", "ascending"),
-                                              ("cents", "ascending")])
-        tbl = tbl.take(idx)
+        tbl, starts = runs(tbl, "bucket", ["cents"])
         b = tbl["bucket"].to_numpy(zero_copy_only=False)
         x = tbl["cents"].to_numpy(zero_copy_only=False)
-        first = np.ones(len(b), bool)
-        first[1:] = b[1:] != b[:-1]
-        starts = np.flatnonzero(first)
         ends = np.append(starts[1:], len(b))
         rows = {"bucket": [], "cnt": [], "s": [], "inner_hi": [],
                 "inner_lo": []}
@@ -8669,7 +7930,8 @@ def a_gini_spend(sf_dir: str) -> pa.Table:
             "bucket": pc.divide(t["cents"], BUCKET_W).cast(pa.int64()),
             "cents": t["cents"]}),
         batch_format="pyarrow")
-    parts = hash_repartition_map(bucketed, "bucket", per_bucket).to_pandas()
+    parts = hash_repartition_map(bucketed, "bucket", per_bucket,
+                                 schema=bucket_schema).to_pandas()
     parts = parts.sort_values("bucket").reset_index(drop=True)
 
     n = int(parts["cnt"].sum())
@@ -8702,10 +7964,6 @@ def v_dup_capture_window(sf_dir: str) -> rd.Dataset:
     body never leaves the scan. Emits one violation row per offending
     pair (url, prev_ts, capture_ts, gap_s). Hash-collision trade as
     ``pages_recrawl_delta`` (p ≈ n·2⁻⁶⁴, oracle compares true strings)."""
-    from ..functions.hashing import hash_strings64
-    from ..relational import hash_repartition_map
-    from ..sources.recrawl import ensure_recrawl, recrawl_nurls_for_sf
-
     fix = ensure_recrawl(recrawl_nurls_for_sf(sf_dir))
     caps = rd.read_parquet(fix, columns=["url", "capture_ts", "text"])
 
@@ -8723,17 +7981,13 @@ def v_dup_capture_window(sf_dir: str) -> rd.Dataset:
                             ("gap_s", pa.int64())])
 
     def dups(tbl: pa.Table) -> pa.Table:
-        if tbl.num_rows == 0:
-            return out_schema.empty_table()
-        idx = pc.sort_indices(tbl, sort_keys=[("url", "ascending"),
-                                              ("capture_ts", "ascending")])
-        tbl = tbl.take(idx)
-        url = tbl["url"].to_numpy(zero_copy_only=False)
+        tbl, starts = runs(tbl, "url", ["capture_ts"])
         ts = tbl["capture_ts"].cast(pa.int64()).to_numpy(
             zero_copy_only=False)
         th = tbl["th"].to_numpy(zero_copy_only=False)
-        same_url = url[1:] == url[:-1]
-        gap_us = ts[1:] - ts[:-1]
+        same_url = np.ones(tbl.num_rows - 1, bool)
+        same_url[starts[1:] - 1] = False
+        gap_us = np.diff(ts)
         bad = same_url & (gap_us < DUP_CAPTURE_WINDOW_S * 1_000_000) \
             & (th[1:] == th[:-1])
         i = np.flatnonzero(bad) + 1
@@ -8745,7 +7999,7 @@ def v_dup_capture_window(sf_dir: str) -> rd.Dataset:
         }, schema=out_schema)
 
     return hash_repartition_map(caps.map_batches(
-        project, batch_format="pyarrow"), "url", dups)
+        project, batch_format="pyarrow"), "url", dups, schema=out_schema)
 
 
 def v_ks_drift(sf_dir: str) -> pa.Table:
@@ -8762,10 +8016,6 @@ def v_ks_drift(sf_dir: str) -> pa.Table:
     full day×len table to the driver — 4,385 days × 2k lengths made that
     a multi-second fold and a 200 MB grid). Both engines evaluate
     identical integer-ratio doubles, so the match is exact."""
-    import os
-
-    from ..relational import hash_repartition_map
-
     fix = _pages_fixture(sf_dir)
     pages = rd.read_parquet(os.path.join(fix, "pages"),
                             columns=["warc_ts", "text"])
@@ -8793,8 +8043,6 @@ def v_ks_drift(sf_dir: str) -> pa.Table:
                             ("n_day", pa.int64()), ("ks", pa.float64())])
 
     def per_day(tbl: pa.Table) -> pa.Table:
-        if tbl.num_rows == 0:
-            return out_schema.empty_table()
         g = tbl.group_by(["day", "len"]).aggregate([("n", "sum")])
         day = g["day"].to_numpy(zero_copy_only=False)
         ln = g["len"].to_numpy(zero_copy_only=False)
@@ -8812,7 +8060,7 @@ def v_ks_drift(sf_dir: str) -> pa.Table:
             "ks": pa.array(round_half_away(ks, 9), pa.float64()),
         }, schema=out_schema)
 
-    return hash_repartition_map(dl, "day", per_day)
+    return hash_repartition_map(dl, "day", per_day, schema=out_schema)
 
 
 def t_sentence_stats(sf_dir: str) -> rd.Dataset:
@@ -8864,8 +8112,6 @@ def t_winnow_fingerprints(sf_dir: str) -> rd.Dataset:
     FULL-VALUE oracle where most fingerprinters settle for rows-only.
     Embarrassingly parallel per doc; everything segmented numpy, no row
     loop, no shuffle."""
-    from ..functions.hashing import md5_int32
-
     docs = read(sf_dir, "documents", ["doc_id", "text"])
     out_schema = pa.schema([("doc_id", pa.int64()), ("pos", pa.int64()),
                             ("fp", pa.int64())])
@@ -8893,9 +8139,7 @@ def t_winnow_fingerprints(sf_dir: str) -> rd.Dataset:
         if len(gparent) == 0:
             return out_schema.empty_table()
         h = md5_int32(grams)
-        first = np.ones(len(gparent), bool)
-        first[1:] = gparent[1:] != gparent[:-1]
-        starts = np.flatnonzero(first)
+        _, starts = runs(pa.table({"p": gparent}), "p")
         pos = np.arange(len(gparent)) - np.repeat(
             starts, np.diff(np.append(starts, len(gparent))))
         # rightmost minimal hash per (possibly partial) 4-window:
@@ -8937,10 +8181,6 @@ def dd_cdc_chunks(sf_dir: str) -> rd.Dataset:
     partial (n, n_dup) rows → one tiny doc-keyed merge. Chunk BYTES
     never cross the wire twice: only (hash, doc_id) pairs are
     exchanged."""
-    from ..functions.hashing import md5_int32
-    from ..relational import hash_repartition_map
-    from .dedup import cdc_chunks
-
     docs = read(sf_dir, "documents", ["doc_id", "text"])
     chunks = docs.map_batches(cdc_chunks, batch_format="pyarrow")
 
@@ -8957,23 +8197,14 @@ def dd_cdc_chunks(sf_dir: str) -> rd.Dataset:
                              ("ndup", pa.int64())])
 
     def per_hash(tbl: pa.Table) -> pa.Table:
-        if tbl.num_rows == 0:
-            return part_schema.empty_table()
-        idx = pc.sort_indices(tbl, sort_keys=[("chash", "ascending"),
-                                              ("doc_id", "ascending")])
-        tbl = tbl.take(idx)
-        ch = tbl["chash"].to_numpy(zero_copy_only=False)
-        did = tbl["doc_id"].to_numpy(zero_copy_only=False)
-        hfirst = np.ones(len(ch), bool)
-        hfirst[1:] = ch[1:] != ch[:-1]
-        hstarts = np.flatnonzero(hfirst)
-        hlens = np.diff(np.append(hstarts, len(ch)))
-        # distinct docs per hash segment: count of (hash,doc) firsts
-        pfirst = hfirst | np.concatenate([[True], did[1:] != did[:-1]])
-        ndocs = np.add.reduceat(pfirst.astype(np.int64), hstarts)
-        dup = np.repeat(ndocs >= 2, hlens)
+        tbl, hstarts = runs(tbl, "chash", ["doc_id"])
+        _, pstarts = runs(tbl, ["chash", "doc_id"])
+        hends = np.append(hstarts, tbl.num_rows)
+        # distinct docs per hash: the (hash, doc) run starts inside it
+        ndocs = np.diff(np.searchsorted(pstarts, hends))
+        dup = np.repeat(ndocs >= 2, np.diff(hends))
         p = pa.table({"doc_id": tbl["doc_id"],
-                      "one": pa.array(np.ones(len(ch), np.int64)),
+                      "one": pa.array(np.ones(tbl.num_rows, np.int64)),
                       "dup": pa.array(dup.astype(np.int64), pa.int64())})
         g = p.group_by(["doc_id"]).aggregate([("one", "sum"),
                                               ("dup", "sum")])
@@ -8982,7 +8213,7 @@ def dd_cdc_chunks(sf_dir: str) -> rd.Dataset:
 
     parts = hash_repartition_map(
         chunks.map_batches(to_pairs, batch_format="pyarrow"),
-        "chash", per_hash)
+        "chash", per_hash, schema=part_schema)
     # per-doc merge: doc_id cardinality ≈ block size — one hash
     # exchange + local C++ group_by, dup_frac fused in
     fin_schema = pa.schema([("doc_id", pa.int64()),
@@ -8991,8 +8222,6 @@ def dd_cdc_chunks(sf_dir: str) -> rd.Dataset:
                             ("dup_frac", pa.float64())])
 
     def doc_merge(tbl: pa.Table) -> pa.Table:
-        if tbl.num_rows == 0:
-            return fin_schema.empty_table()
         g = tbl.group_by(["doc_id"]).aggregate([("n", "sum"),
                                                 ("ndup", "sum")])
         n = g["n_sum"].to_numpy(zero_copy_only=False)
@@ -9004,7 +8233,7 @@ def dd_cdc_chunks(sf_dir: str) -> rd.Dataset:
                 d / np.maximum(n, 1), 9), pa.float64())},
             schema=fin_schema)
 
-    return hash_repartition_map(parts, "doc_id", doc_merge)
+    return hash_repartition_map(parts, "doc_id", doc_merge, schema=fin_schema)
 
 
 def s_als_recommend(sf_dir: str) -> pa.Table:
@@ -9018,8 +8247,6 @@ def s_als_recommend(sf_dir: str) -> pa.Table:
     iteration; item factors broadcast (the driver-small side); per-
     partition batched closed-form solves. Iterative least squares ⇒
     rows-only (no SQL); determinism + reconstruction pytest-asserted."""
-    from .factorize import als_recommend
-
     ev = read(sf_dir, "events", ["user_id", "event_type", "value", "ts"])
 
     def slot(batch: pa.Table) -> pa.Table:
@@ -9033,7 +8260,6 @@ def s_als_recommend(sf_dir: str) -> pa.Table:
     # (user, item) mean via ONE hash exchange on user + local group_by —
     # (user × item) cardinality ≈ row count; the subsequent ALS
     # exchange shares the same key anyway
-    from ..relational import hash_repartition_map
 
     def pre(batch: pa.Table) -> pa.Table:
         g = slot(batch).group_by(["user_id", "item"]).aggregate(
@@ -9068,9 +8294,6 @@ def td_curriculum_pack(sf_dir: str) -> rd.Dataset:
     shape with the bucket key swapped from doc_id ranges to the
     curriculum key's value ranges. Output: (doc_id, n_chars, tok_start,
     bin)."""
-    from ..relational import (collect_tables, hash_repartition_map,
-                              partial_groupby_agg)
-
     B = 512      # tokens per packed training sequence
     W = 64       # n_chars per curriculum band
 
@@ -9102,17 +8325,9 @@ def td_curriculum_pack(sf_dir: str) -> rd.Dataset:
                             ("tok_start", pa.int64()), ("bin", pa.int64())])
 
     def assign(tbl: pa.Table) -> pa.Table:
-        if tbl.num_rows == 0:
-            return out_schema.empty_table()
-        idx = pc.sort_indices(tbl, sort_keys=[
-            ("band", "ascending"), ("n_chars", "ascending"),
-            ("doc_id", "ascending")])
-        tbl = tbl.take(idx)
+        tbl, starts = runs(tbl, "band", ["n_chars", "doc_id"])
         band = tbl["band"].to_numpy(zero_copy_only=False)
         nt = tbl["nt"].to_numpy(zero_copy_only=False)
-        first = np.ones(len(band), bool)
-        first[1:] = band[1:] != band[:-1]
-        starts = np.flatnonzero(first)
         cum = np.cumsum(nt) - nt          # exclusive local prefix
         local_base = np.repeat(cum[starts], np.diff(
             np.append(starts, len(band))))
@@ -9122,7 +8337,7 @@ def td_curriculum_pack(sf_dir: str) -> rd.Dataset:
             "tok_start": pa.array(tok_start, pa.int64()),
             "bin": pa.array(tok_start // B, pa.int64())}, schema=out_schema)
 
-    return hash_repartition_map(per_doc, "band", assign)
+    return hash_repartition_map(per_doc, "band", assign, schema=out_schema)
 
 
 QUANTILES_EXACT = (0.25, 0.5, 0.75, 0.95, 0.99)
@@ -9138,9 +8353,6 @@ def a_quantiles_exact(sf_dir: str) -> pa.Table:
     owning partitions sort locally and each emits its ranks' values.
     No node ever holds the column; the driver sees five numbers. A
     50-target batch costs the same two passes as one target."""
-    from ..relational import (collect_tables, hash_repartition_map,
-                              partial_groupby_agg)
-
     W = 2_000.0
     line = read(sf_dir, "lineitem", ["l_extendedprice"])
 
@@ -9168,8 +8380,6 @@ def a_quantiles_exact(sf_dir: str) -> pa.Table:
     out_schema = pa.schema([("r", pa.int64()), ("v", pa.float64())])
 
     def extract(tbl: pa.Table) -> pa.Table:
-        if tbl.num_rows == 0:
-            return out_schema.empty_table()
         band = tbl["band"].to_numpy(zero_copy_only=False)
         mine = [t for t in targets
                 if (band == np.searchsorted(offsets, t, "right") - 1).any()]
@@ -9188,7 +8398,8 @@ def a_quantiles_exact(sf_dir: str) -> pa.Table:
                          "v": pa.array([x for _, x in rows], pa.float64())},
                         schema=out_schema)
 
-    got = collect_tables(hash_repartition_map(banded, "band", extract),
+    got = collect_tables(hash_repartition_map(banded, "band", extract,
+                                              schema=out_schema),
                          out_schema)
     vals = dict(zip(got["r"].to_pylist(), got["v"].to_pylist()))
     qs = list(QUANTILES_EXACT)
@@ -9211,8 +8422,6 @@ def v_dow_anomaly(sf_dir: str) -> pa.Table:
     all-days residuals. Same distributed shape as ``v_count_anomaly``
     (map-side day partials → one tiny merge; the n_days-row series
     statistics are driver-sized by nature)."""
-    import os
-
     fix = _pages_fixture(sf_dir)
     pages = rd.read_parquet(os.path.join(fix, "pages"),
                             columns=["warc_ts"])
@@ -9259,8 +8468,6 @@ def v_join_fanout(sf_dir: str) -> pa.Table:
     driver, where max/mean/quantile are exact arithmetic over ≤ a few
     hundred (fanout, count) rows — the full per-key table never leaves
     the cluster."""
-    from ..relational import hash_repartition_map
-
     def profile(rel: str, ds: rd.Dataset, key: str):
         def key_counts(tbl: pa.Table) -> pa.Table:
             g = tbl.group_by([key]).aggregate([(key, "count")])
@@ -9321,11 +8528,6 @@ def dd_recrawl_chunk_savings(sf_dir: str) -> pa.Table:
     the chunk hash (a range owns every instance of its hashes: distinct
     length sum is local), then a scalar fold. Output: one row —
     n_captures, total_bytes, unique_chunk_bytes, savings_frac."""
-    from ..functions.hashing import md5_int32
-    from ..relational import collect_tables, hash_repartition_map
-    from ..sources.recrawl import ensure_recrawl, recrawl_nurls_for_sf
-    from .dedup import cdc_chunks
-
     fix = ensure_recrawl(recrawl_nurls_for_sf(sf_dir))
     caps = rd.read_parquet(fix, columns=["text"])
 
@@ -9358,11 +8560,10 @@ def dd_recrawl_chunk_savings(sf_dir: str) -> pa.Table:
                 if ch.num_rows else np.array([], np.int64)),
         }, schema=pair_schema)
 
+    sum_schema = pa.schema([("ub", pa.int64()), ("nr", pa.int64()),
+                            ("tb", pa.int64())])
+
     def uniq_bytes(tbl: pa.Table) -> pa.Table:
-        if tbl.num_rows == 0:
-            return pa.table({"ub": pa.array([], pa.int64()),
-                             "nr": pa.array([], pa.int64()),
-                             "tb": pa.array([], pa.int64())})
         g = tbl.group_by(["chash"]).aggregate([("clen", "min")])
         return pa.table({
             "ub": pa.array([int(pc.sum(g["clen_min"]).as_py() or 0)],
@@ -9375,9 +8576,7 @@ def dd_recrawl_chunk_savings(sf_dir: str) -> pa.Table:
     parts = collect_tables(
         hash_repartition_map(
             caps.map_batches(to_pairs, batch_format="pyarrow"),
-            "chash", uniq_bytes),
-        pa.schema([("ub", pa.int64()), ("nr", pa.int64()),
-                   ("tb", pa.int64())]))
+            "chash", uniq_bytes, schema=sum_schema), sum_schema)
     ub = int(pc.sum(parts["ub"]).as_py() or 0)
     nr = int(pc.sum(parts["nr"]).as_py() or 0)
     tb = int(pc.sum(parts["tb"]).as_py() or 0)
@@ -9408,26 +8607,16 @@ def dd_winnow_pairs(sf_dir: str) -> rd.Dataset:
     ONE hash exchange on fp where df-capping AND pair emission are local
     to the owning range → one pair-keyed exchange merge → threshold.
     Only (fp, doc) then (pair, count) integers ever cross the wire."""
-    from ..relational import hash_repartition_map
-
     fps = t_winnow_fingerprints(sf_dir)
 
     pair_schema = pa.schema([("d1", pa.int64()), ("d2", pa.int64()),
                              ("shared", pa.int64())])
 
     def pairs_of(tbl: pa.Table) -> pa.Table:
-        if tbl.num_rows == 0:
-            return pair_schema.empty_table()
-        t = tbl.group_by(["fp", "doc_id"]).aggregate([])  # distinct
-        idx = pc.sort_indices(t, sort_keys=[("fp", "ascending"),
-                                            ("doc_id", "ascending")])
-        t = t.take(idx)
-        fp = t["fp"].to_numpy(zero_copy_only=False)
+        t, starts = runs(tbl.group_by(["fp", "doc_id"]).aggregate([]),
+                         "fp", ["doc_id"])              # distinct pairs
         did = t["doc_id"].to_numpy(zero_copy_only=False)
-        first = np.ones(len(fp), bool)
-        first[1:] = fp[1:] != fp[:-1]
-        starts = np.flatnonzero(first)
-        lens = np.diff(np.append(starts, len(fp)))
+        lens = np.diff(np.append(starts, t.num_rows))
         keep = (lens >= 2) & (lens <= WINNOW_DF_CAP)
         d1, d2 = [], []
         for s, ln in zip(starts[keep], lens[keep]):  # per qualifying fp:
@@ -9446,7 +8635,7 @@ def dd_winnow_pairs(sf_dir: str) -> rd.Dataset:
         return pa.table({"d1": g["d1"], "d2": g["d2"],
                          "shared": g["one_sum"]}, schema=pair_schema)
 
-    cand = hash_repartition_map(fps, "fp", pairs_of)
+    cand = hash_repartition_map(fps, "fp", pairs_of, schema=pair_schema)
 
     def merge_pairs(tbl: pa.Table) -> pa.Table:
         if tbl.num_rows == 0:
@@ -9583,8 +8772,6 @@ def e_user_entropy(sf_dir: str) -> rd.Dataset:
     ONE hash exchange on user, then a segmented vectorized −Σ p·log₂p
     per user inside the owning range. Returns (user_id, n_events,
     n_types, entropy)."""
-    from ..relational import hash_repartition_map
-
     ev = read(sf_dir, "events", ["user_id", "event_type"])
 
     def pre(batch: pa.Table) -> pa.Table:
@@ -9598,31 +8785,23 @@ def e_user_entropy(sf_dir: str) -> rd.Dataset:
                             ("entropy", pa.float64())])
 
     def per_user(tbl: pa.Table) -> pa.Table:
-        if tbl.num_rows == 0:
-            return out_schema.empty_table()
-        g = tbl.group_by(["user_id", "event_type"]).aggregate(
-            [("n", "sum")])
-        idx = pc.sort_indices(g, sort_keys=[("user_id", "ascending"),
-                                            ("event_type", "ascending")])
-        g = g.take(idx)
-        uid = g["user_id"].to_numpy(zero_copy_only=False)
+        g, starts = runs(tbl.group_by(["user_id", "event_type"]).aggregate(
+            [("n", "sum")]), "user_id", ["event_type"])
         n = g["n_sum"].to_numpy(zero_copy_only=False).astype(np.float64)
-        first = np.ones(len(uid), bool)
-        first[1:] = uid[1:] != uid[:-1]
-        starts = np.flatnonzero(first)
-        runs = np.diff(np.append(starts, len(uid)))
+        lens = np.diff(np.append(starts, g.num_rows))
         tot = np.add.reduceat(n, starts)
-        p = n / np.repeat(tot, runs)
+        p = n / np.repeat(tot, lens)
         ent = np.add.reduceat(-p * np.log2(p), starts)
         return pa.table({
-            "user_id": pa.array(uid[starts], pa.int64()),
+            "user_id": g["user_id"].take(starts),
             "n_events": pa.array(tot.astype(np.int64), pa.int64()),
-            "n_types": pa.array(runs.astype(np.int64), pa.int64()),
+            "n_types": lens,
             "entropy": pa.array(round_half_away(ent, 9), pa.float64()),
         }, schema=out_schema)
 
     return hash_repartition_map(
-        ev.map_batches(pre, batch_format="pyarrow"), "user_id", per_user)
+        ev.map_batches(pre, batch_format="pyarrow"), "user_id", per_user,
+        schema=out_schema)
 
 
 def mm_phash_clusters(sf_dir: str) -> rd.Dataset:
@@ -9632,8 +8811,6 @@ def mm_phash_clusters(sf_dir: str) -> rd.Dataset:
     visual-dedup pipeline needs before electing one keeper per cluster.
     Exact-recall candidate generation (pigeonhole bands) + exact CC ⇒
     full-value oracle via a recursive reachability CTE."""
-    from .dedup import connected_components
-
     pairs = mm_phash_near_dup(sf_dir).map_batches(
         lambda t: pa.table({"id_a": t["a"], "id_b": t["b"]}),
         batch_format="pyarrow")
@@ -9648,8 +8825,6 @@ def pages_boilerplate_ratio(sf_dir: str) -> rd.Dataset:
     One scan computes per-batch (host, Σ html_bytes, Σ text_chars, n)
     partials — the bytes themselves never leave the read task — and a
     tiny host-keyed merge finishes. Ratio = 1 − text/html, rounded 6."""
-    import os
-
     fix = _pages_fixture(sf_dir)
     pages = rd.read_parquet(os.path.join(fix, "pages"),
                             columns=["url", "html", "text"])
@@ -9710,9 +8885,6 @@ def dd_c4_line_dedup(sf_dir: str, wire: str = "hash") -> rd.Dataset:
       tested (``tests/test_new_queries.py``).
 
     Returns per-doc (doc_id, n_lines, n_removed, kept_frac)."""
-    from ..relational import hash_repartition_map
-    from ..sources.lines import ensure_lines, lines_ndocs_for_sf
-
     if wire not in ("hash", "line"):
         raise ValueError(f"wire must be 'hash' or 'line', got {wire!r}")
     fix = ensure_lines(lines_ndocs_for_sf(sf_dir))
@@ -9730,8 +8902,6 @@ def dd_c4_line_dedup(sf_dir: str, wire: str = "hash") -> rd.Dataset:
     _HK2 = "c4_line_dedup_h2"
 
     def explode(batch: pa.Table) -> pa.Table:
-        import pandas as pd
-
         t = batch.filter(pc.is_valid(batch["text"]))
         if t.num_rows == 0:
             return row_schema.empty_table()
@@ -9739,9 +8909,7 @@ def dd_c4_line_dedup(sf_dir: str, wire: str = "hash") -> rd.Dataset:
         flat = pc.utf8_trim(pc.list_flatten(parts), TRIM)
         parent = pc.list_parent_indices(parts).to_numpy(
             zero_copy_only=False)
-        first = np.ones(len(parent), bool)
-        first[1:] = parent[1:] != parent[:-1]
-        starts = np.flatnonzero(first)
+        _, starts = runs(pa.table({"p": parent}), "p")
         ln = np.arange(len(parent)) - np.repeat(
             starts, np.diff(np.append(starts, len(parent)))) + 1
         keep = pc.not_equal(flat, "").to_numpy(zero_copy_only=False)
@@ -9765,20 +8933,11 @@ def dd_c4_line_dedup(sf_dir: str, wire: str = "hash") -> rd.Dataset:
                              ("rm", pa.int64())])
 
     def keep_first(tbl: pa.Table) -> pa.Table:
-        if tbl.num_rows == 0:
-            return part_schema.empty_table()
-        key_cols = ["h1", "h2"] if hashed else ["line"]
-        idx = pc.sort_indices(tbl, sort_keys=[
-            *((c, "ascending") for c in key_cols),
-            ("doc_id", "ascending"), ("ln", "ascending")])
-        tbl = tbl.take(idx)
+        tbl, starts = runs(tbl, ["h1", "h2"] if hashed else ["line"],
+                           ["doc_id", "ln"])
         n = tbl.num_rows
-        # a new group starts where ANY key component changes
         first = np.zeros(n, bool)
-        first[0] = True
-        for c in key_cols:
-            v = tbl[c].to_numpy(zero_copy_only=False)
-            first[1:] |= v[1:] != v[:-1]
+        first[starts] = True
         p = pa.table({
             "doc_id": tbl["doc_id"],
             "n": pa.array(np.ones(n, np.int64)),
@@ -9789,7 +8948,7 @@ def dd_c4_line_dedup(sf_dir: str, wire: str = "hash") -> rd.Dataset:
 
     parts = hash_repartition_map(
         docs.map_batches(explode, batch_format="pyarrow"),
-        "h1" if hashed else "line", keep_first)
+        "h1" if hashed else "line", keep_first, schema=part_schema)
     # per-doc merge: doc_id cardinality ≈ block size — one hash
     # exchange + local C++ group_by + the kept_frac
     # arithmetic fused into the same range task (no extra execution)
@@ -9798,8 +8957,6 @@ def dd_c4_line_dedup(sf_dir: str, wire: str = "hash") -> rd.Dataset:
                             ("kept_frac", pa.float64())])
 
     def doc_merge(tbl: pa.Table) -> pa.Table:
-        if tbl.num_rows == 0:
-            return fin_schema.empty_table()
         g = tbl.group_by(["doc_id"]).aggregate([("n", "sum"), ("rm", "sum")])
         n = g["n_sum"].to_numpy(zero_copy_only=False)
         rm = g["rm_sum"].to_numpy(zero_copy_only=False)
@@ -9810,7 +8967,7 @@ def dd_c4_line_dedup(sf_dir: str, wire: str = "hash") -> rd.Dataset:
                 1.0 - rm / np.maximum(n, 1), 6), pa.float64())},
             schema=fin_schema)
 
-    return hash_repartition_map(parts, "doc_id", doc_merge)
+    return hash_repartition_map(parts, "doc_id", doc_merge, schema=fin_schema)
 
 
 TEMPERATURE_ALPHA = 0.3  # shared verbatim with the oracle SQL
@@ -9851,34 +9008,23 @@ def e_burst_rate(sf_dir: str) -> rd.Dataset:
     within (ts_i − 1h, ts_i] clamped to the user's own segment — no
     per-user loop, no per-window scan. Returns (user_id, n_events,
     max_burst_1h)."""
-    from ..relational import hash_repartition_map
-
     ev = read(sf_dir, "events", ["user_id", "ts", "event_id"])
     out_schema = pa.schema([("user_id", pa.int64()),
                             ("n_events", pa.int64()),
                             ("max_burst_1h", pa.int64())])
 
     def bursts(tbl: pa.Table) -> pa.Table:
-        if tbl.num_rows == 0:
-            return out_schema.empty_table()
-        idx = pc.sort_indices(tbl, sort_keys=[
-            ("user_id", "ascending"), ("ts", "ascending"),
-            ("event_id", "ascending")])
-        tbl = tbl.take(idx)
-        uid = tbl["user_id"].to_numpy(zero_copy_only=False)
+        tbl, starts = runs(tbl, "user_id", ["ts", "event_id"])
         ts = tbl["ts"].cast(pa.int64()).to_numpy(zero_copy_only=False)
-        n = len(uid)
-        first = np.ones(n, bool)
-        first[1:] = uid[1:] != uid[:-1]
-        starts = np.flatnonzero(first)
-        runs = np.diff(np.append(starts, n))
-        seg_start = np.repeat(starts, runs)
+        n = tbl.num_rows
+        lens = np.diff(np.append(starts, n))
+        seg_start = np.repeat(starts, lens)
         # window = [ts_i − 1h, ts_i] (RANGE ... 1 HOUR PRECEDING AND
         # CURRENT ROW: rows with ts ≥ ts_i − 1h). ts is sorted only
         # WITHIN segments, so searchsorted runs on a composite key
         # seg·SPAN + (ts − ts_min), monotone across the partition; a
         # query landing before its segment start clamps to seg_start.
-        seg = np.cumsum(first) - 1
+        seg = np.repeat(np.arange(len(starts)), lens)
         span = np.int64(int(ts.max()) - int(ts.min())
                         + 3_600_000_000 + 2)
         if int(seg[-1] + 1) * int(span) < (1 << 62):
@@ -9886,19 +9032,19 @@ def e_burst_rate(sf_dir: str) -> rd.Dataset:
             lo = np.searchsorted(key, key - 3_600_000_000, side="left")
         else:  # overflow-proof fallback: per-segment searchsorted
             lo = np.empty(n, np.int64)
-            for s, ln in zip(starts, runs):
+            for s, ln in zip(starts, lens):
                 lo[s:s + ln] = s + np.searchsorted(
                     ts[s:s + ln], ts[s:s + ln] - 3_600_000_000, "left")
         lo = np.maximum(lo, seg_start)
         burst = np.arange(n) - lo + 1
         mx = np.maximum.reduceat(burst, starts)
         return pa.table({
-            "user_id": pa.array(uid[starts], pa.int64()),
-            "n_events": pa.array(runs.astype(np.int64), pa.int64()),
+            "user_id": tbl["user_id"].take(starts),
+            "n_events": lens,
             "max_burst_1h": pa.array(mx.astype(np.int64), pa.int64()),
         }, schema=out_schema)
 
-    return hash_repartition_map(ev, "user_id", bursts)
+    return hash_repartition_map(ev, "user_id", bursts, schema=out_schema)
 
 
 def m_url_parse(sf_dir: str) -> rd.Dataset:
@@ -9908,8 +9054,6 @@ def m_url_parse(sf_dir: str) -> rd.Dataset:
     segments) — the per-record shape feeding host grouping, depth
     filters and sitemap joins. Embarrassingly parallel; no Python row
     loop (`extract_regex` + `count_substring` kernels)."""
-    import os
-
     fix = _pages_fixture(sf_dir)
     pages = rd.read_parquet(os.path.join(fix, "pages"), columns=["url"])
 
@@ -10021,33 +9165,29 @@ def v_table_fingerprint(sf_dir: str) -> pa.Table:
     kernels over a zero-copy Arrow column (``hashing.md5_sum_mod``).
     Floats enter as exact cents, timestamps as epoch-microseconds, so
     the canonical string never depends on an engine's float/strftime
-    formatting. ≙ the reference's cross-document consistency checks
-    (check_fackel_references.py) as whole-table equality."""
-    from ..functions.hashing import md5_sum_mod
-
+    formatting; a null field enters as the empty string (the oracle's
+    ``coalesce(col::VARCHAR, '')``). ≙ the reference's cross-document
+    consistency checks (check_fackel_references.py) as whole-table
+    equality."""
     mod = (1 << 61) - 1
+
+    def cents(col) -> pa.Array:   # exact cents; a null stays null
+        x = pc.fill_null(col, 0.0).to_numpy(zero_copy_only=False)
+        return pa.array(round_half_away(x * 100.0, 0).astype(np.int64),
+                        mask=pc.is_null(col).to_numpy(zero_copy_only=False))
+
     specs = {
         "orders": (["o_orderkey", "o_custkey", "o_orderstatus",
                     "o_totalprice", "o_orderdate", "o_orderpriority"],
                    lambda b: [
-                       pc.cast(b["o_orderkey"], pa.string()),
-                       pc.cast(b["o_custkey"], pa.string()),
-                       b["o_orderstatus"],
-                       pc.cast(pa.array(round_half_away(
-                           b["o_totalprice"].to_numpy(zero_copy_only=False)
-                           * 100.0, 0).astype(np.int64)), pa.string()),
-                       pc.cast(pc.cast(b["o_orderdate"], pa.int64()),
-                               pa.string()),
+                       b["o_orderkey"], b["o_custkey"], b["o_orderstatus"],
+                       cents(b["o_totalprice"]),
+                       pc.cast(b["o_orderdate"], pa.int64()),
                        b["o_orderpriority"]]),
         "events": (["event_id", "user_id", "event_type", "ts", "value"],
                    lambda b: [
-                       pc.cast(b["event_id"], pa.string()),
-                       pc.cast(b["user_id"], pa.string()),
-                       b["event_type"],
-                       pc.cast(pc.cast(b["ts"], pa.int64()), pa.string()),
-                       pc.cast(pa.array(round_half_away(
-                           b["value"].to_numpy(zero_copy_only=False)
-                           * 100.0, 0).astype(np.int64)), pa.string())]),
+                       b["event_id"], b["user_id"], b["event_type"],
+                       pc.cast(b["ts"], pa.int64()), cents(b["value"])]),
     }
     rows = []
     for tbl_name, (cols, canon) in specs.items():
@@ -10056,7 +9196,8 @@ def v_table_fingerprint(sf_dir: str) -> pa.Table:
         def partial(batch: pa.Table, canon=canon) -> pa.Table:
             parts = canon(batch)
             joined = pc.binary_join_element_wise(
-                *[pc.fill_null(p, "") for p in parts], "|")
+                *[pc.fill_null(pc.cast(p, pa.string()), "") for p in parts],
+                "|")
             n, s = md5_sum_mod(joined, mod)
             return pa.table({"n": pa.array([n], pa.int64()),
                              "s": pa.array([s], pa.int64())})
@@ -10084,10 +9225,6 @@ def g_scc(sf_dir: str) -> rd.Dataset:
     with per-outer-round hash joins; host-sized graphs take the driver
     Tarjan path. Oracle: mutual-reachability closure (recursive CTE) with
     scc_id = min mutual node."""
-    import os
-
-    from .graph import scc_coloring
-
     fix = _pages_fixture(sf_dir)
     links = rd.read_parquet(os.path.join(fix, "links.parquet"),
                             columns=["src_url", "dst_url"])
@@ -10124,10 +9261,6 @@ def g_bowtie(sf_dir: str) -> rd.Dataset:
     in GSCC by construction, so the CASE order is total. Classification
     is two left-outer hash joins + one vectorized if_else chain
     (``graph.bowtie_parts``)."""
-    import os
-
-    from .graph import bowtie_parts
-
     fix = _pages_fixture(sf_dir)
     links = rd.read_parquet(os.path.join(fix, "links.parquet"),
                             columns=["src_url", "dst_url"])
@@ -10159,8 +9292,6 @@ def v_completeness_daily(sf_dir: str) -> pa.Table:
     one small groupby merge; nothing bigger than the day series
     ever leaves a block. ≙ the reference's non-empty-field assertions
     as a per-day rate."""
-    import os
-
     fix = _pages_fixture(sf_dir)
     pages = rd.read_parquet(os.path.join(fix, "pages"),
                             columns=["warc_ts", "html", "text"])
@@ -10202,8 +9333,6 @@ def o_bottomk_sample(sf_dir: str) -> rd.Dataset:
     ≤ k rows per block before one tiny global sort+limit
     (``relational.topk``) — at 10^12 rows the sort sees k × n_blocks
     rows, never the table."""
-    from ..functions.hashing import md5_hex_ints
-
     orders = read(sf_dir, "orders", ["o_orderkey", "o_totalprice"])
 
     def skey(batch: pa.Table) -> pa.Table:
@@ -10228,8 +9357,6 @@ def a_theil_index(sf_dir: str) -> pa.Table:
     block at any scale. Spend in exact integer cents ⇒ each ln term is
     bit-identical to the oracle's; the cross-block sum order drifts at
     most ~1 ulp, absorbed by the shared 6-decimal rounding."""
-    from ..relational import hash_repartition_map
-
     orders = read(sf_dir, "orders", ["o_custkey", "o_totalprice"])
 
     def to_cents(batch: pa.Table) -> pa.Table:

@@ -18,7 +18,7 @@ import pyarrow as pa
 import ray
 import ray.data as rd
 
-from ..relational import map_groups, topk_per_key
+from ..relational import map_groups, round_half_away, runs, topk_per_key
 
 
 def _normalize(mat: np.ndarray) -> np.ndarray:
@@ -64,13 +64,12 @@ def _final_topk(partial: rd.Dataset, k: int) -> rd.Dataset:
     (query_id, neighbor_id, rank) with a 1-based rank."""
 
     def ranked(tbl: pa.Table) -> pa.Table:
-        # one block per hash range, sorted by query then rank order
-        q = tbl["query_id"].to_numpy(zero_copy_only=False)
-        new = np.ones(len(q), bool)
-        new[1:] = q[1:] != q[:-1]
-        starts = np.flatnonzero(new)
-        rank = np.arange(len(q)) - np.repeat(
-            starts, np.diff(np.append(starts, len(q)))) + 1
+        # one block per hash range, already in this order
+        tbl, starts = runs(tbl, "query_id", [("cos", "descending"),
+                                             "neighbor_id"])
+        n = tbl.num_rows
+        rank = np.arange(n) - np.repeat(starts,
+                                        np.diff(np.append(starts, n))) + 1
         return pa.table({"query_id": tbl["query_id"],
                          "neighbor_id": tbl["neighbor_id"],
                          "rank": pa.array(rank, pa.int64())})
@@ -667,7 +666,6 @@ def radius_search(ds: rd.Dataset, queries: tuple[np.ndarray, np.ndarray],
     per-query state, no shuffle at all (the result needs no merge step,
     unlike top-k). Self-pairs excluded."""
     ref = ray.put(queries)
-    from ..relational import round_half_away
 
     def score(batch: pa.Table) -> pa.Table:
         key = ("radius", ref.hex())

@@ -32,9 +32,9 @@ import pyarrow.compute as pc
 import ray
 import ray.data as rd
 
-from ..relational import (broadcast_join, exchange_join,
-                          partial_groupby_agg, read, read_table, topk,
-                          topk_per_key)
+from ..relational import (broadcast_join, exchange_join, hash_repartition_map,
+                          partial_groupby_agg, read, read_table,
+                          round_half_away, topk, topk_per_key)
 from .queries import _batch_distinct, _round_stage
 
 
@@ -512,7 +512,6 @@ def q17_small_qty_revenue(sf_dir: str) -> rd.Dataset:
             lambda b: b.filter(pc.less(b["l_quantity"], b["qty_lim"])),
             batch_format="pyarrow"),
         {"s": lambda b: pc.sum(b["l_extendedprice"]).as_py() or 0.0})
-    from ..relational import round_half_away
 
     val = round_half_away(np.array([sums["s"] / 7.0]), 2)[0]
     return pa.table({"avg_yearly": pa.array([val], pa.float64())})
@@ -559,7 +558,6 @@ def q19_disjunctive_revenue(sf_dir: str) -> rd.Dataset:
 
     sums = _global_sum(j.map_batches(mask_sum, batch_format="pyarrow"),
                        {"rev": lambda b: pc.sum(b["rev"]).as_py() or 0.0})
-    from ..relational import round_half_away
 
     val = round_half_away(np.array([sums["rev"]]), 2)[0]
     return pa.table({"revenue": pa.array([val], pa.float64())})
@@ -615,8 +613,6 @@ def q21_waiting_suppliers(sf_dir: str) -> rd.Dataset:
     joined locally — no per-order Python. 'R' returnflag stands in for the
     receipt-after-commit lateness predicate (no receipt dates here).
     """
-    from ..relational import hash_repartition_map
-
     line = read(sf_dir, "lineitem",
                 ["l_orderkey", "l_suppkey", "l_returnflag"])
     orders = read(sf_dir, "orders", ["o_orderkey", "o_orderstatus"])
@@ -629,8 +625,6 @@ def q21_waiting_suppliers(sf_dir: str) -> rd.Dataset:
     out_schema = pa.schema([("s_suppkey", pa.int64())])
 
     def per_order(tbl: pa.Table) -> pa.Table:
-        if tbl.num_rows == 0:
-            return out_schema.empty_table()
         allg = tbl.group_by(["l_orderkey"]).aggregate(
             [("l_suppkey", "count_distinct")])
         rrows = tbl.filter(pc.equal(tbl["l_returnflag"], "R"))
@@ -644,7 +638,8 @@ def q21_waiting_suppliers(sf_dir: str) -> rd.Dataset:
         return pa.table({"s_suppkey": j["l_suppkey_min"].cast(pa.int64())},
                         schema=out_schema)
 
-    waits = hash_repartition_map(line_f, "l_orderkey", per_order)
+    waits = hash_repartition_map(line_f, "l_orderkey", per_order,
+                                 schema=out_schema)
     counts = partial_groupby_agg(waits, ["s_suppkey"],
                                  [("s_suppkey", "count", "numwait")])
     top = topk(counts, [("numwait", True), ("s_suppkey", False)], 10)

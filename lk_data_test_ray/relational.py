@@ -11,7 +11,8 @@ as scale-conscious Ray Data primitives:
 * **One hash exchange** (A4 and every big join): ``hash_split`` cuts a
   block into key-hash ranges; ``hash_repartition_map``, ``map_groups``,
   ``exchange_join`` and ``skew_join`` send range p of every block to one
-  task. ``partial_groupby_agg`` runs per-batch Arrow ``group_by`` partials
+  task, and ``runs`` cuts a range's sorted runs of equal keys (nulls one
+  key). ``partial_groupby_agg`` runs per-batch Arrow ``group_by`` partials
   and merges them with one Arrow ``group_by`` — in one task while the
   partials are small, else one task per hash range — so only (keys ×
   batches) partial rows move, never the fact table. At 10^12 rows this is
@@ -187,15 +188,21 @@ def default_p_bits() -> int:
 
 
 def hash_repartition_map(ds: rd.Dataset, key: "str | list[str]", fn,
-                         p_bits: int | None = None) -> rd.Dataset:
+                         p_bits: int | None = None,
+                         schema: pa.Schema | None = None) -> rd.Dataset:
     """Hash-exchange on ``key`` (a column name or several) then apply
     ``fn`` ONCE per co-located partition.
 
     A raw-Ray two-phase exchange: one ``hash_split`` task per block moves
     each row to the partition owning its key's hash range — no sort, no
     per-group Python call. ``fn`` receives one Arrow table holding EVERY
-    row of its keys and must itself be vectorized (sort-within-block +
+    row of its keys and must itself be vectorized (``runs`` +
     segmented numpy / ``pa.Table.group_by``).
+
+    ``fn`` is called only on a range that holds rows. An empty range, and
+    an input with no blocks, yields ``schema.empty_table()``; with
+    ``schema=None`` it yields a zero-row, zero-column block, which
+    ``collect_tables`` and ``drop_empty_blocks`` drop.
 
     Partitioning assumption: one hash range fits a worker's heap; size
     ``p_bits`` to the cluster (default ≈ log2(cores), capped). Wall time is
@@ -203,44 +210,75 @@ def hash_repartition_map(ds: rd.Dataset, key: "str | list[str]", fn,
     """
     if p_bits is None:
         p_bits = default_p_bits()
-    ds = ds.materialize()  # run the input once; schema and refs read it
-    base_schema = ds.schema().base_schema
+    empty = pa.table({}) if schema is None else schema.empty_table()
 
     @ray.remote
     def apply_fn(*parts):
         live = [p for p in parts if p.num_rows]
-        tbl = (pa.concat_tables(live) if live
-               else base_schema.empty_table())
-        return fn(tbl)
+        return fn(pa.concat_tables(live)) if live else empty
 
-    refs = ds.to_arrow_refs()
+    # materialized first: to_arrow_refs reads the schema after running the
+    # input, which runs a lazy input a second time
+    refs = ds.materialize().to_arrow_refs()
     if not refs:
-        return rd.from_arrow(fn(base_schema.empty_table()))
+        return rd.from_arrow(empty)
     per_block = _split_refs(refs, key, p_bits)
     return rd.from_arrow_refs([apply_fn.remote(*[b[p] for b in per_block])
                                for p in range(1 << p_bits)])
 
 
+def _changes(col: "pa.ChunkedArray | pa.Array") -> np.ndarray:
+    """``x[i + 1] != x[i]`` for each adjacent pair of rows of one column,
+    with nulls as one key: fixed-width integer, boolean and temporal
+    values compare with their validity mask, anything else compares
+    dictionary codes (a float numpy view of an int column with nulls would
+    split them on NaN)."""
+    if isinstance(col, pa.ChunkedArray):
+        col = col.combine_chunks()
+    t = col.type
+    if pa.types.is_boolean(t):
+        col = col.cast(pa.int8())
+    elif pa.types.is_temporal(t) and t.bit_width in (32, 64):
+        col = col.view(pa.int64() if t.bit_width == 64 else pa.int32())
+    if not pa.types.is_integer(col.type):
+        code = pc.fill_null(col.dictionary_encode().indices, -1).to_numpy()
+        return code[1:] != code[:-1]
+    v = pc.fill_null(col, 0).to_numpy()
+    out = v[1:] != v[:-1]
+    if col.null_count:
+        ok = col.is_valid().to_numpy(zero_copy_only=False)
+        out = (out & ok[1:] & ok[:-1]) | (ok[1:] != ok[:-1])
+    return out
+
+
+def runs(tbl: pa.Table, keys: "str | list[str]", order=()) -> tuple:
+    """``tbl`` sorted by ``keys`` and then ``order``, and the row index at
+    which each run of equal ``keys`` starts (an int64 array, empty for a
+    zero-row table). Nulls sort last and are one key, as in SQL's
+    ``PARTITION BY``/``GROUP BY``. An ``order`` entry is a column name
+    (ascending) or a ``(name, "ascending" | "descending")`` pair. The sort
+    is stable, so rows equal on every sort column keep their order."""
+    keys = [keys] if isinstance(keys, str) else list(keys)
+    sort_keys = [(k, "ascending") for k in keys] + [
+        (o, "ascending") if isinstance(o, str) else tuple(o) for o in order]
+    tbl = tbl.take(pc.sort_indices(tbl, sort_keys=sort_keys))
+    new = np.zeros(tbl.num_rows, bool)
+    new[:1] = True
+    for k in keys:
+        new[1:] |= _changes(tbl[k])
+    return tbl, np.flatnonzero(new)
+
+
 def map_groups(ds: rd.Dataset, keys: "str | list[str]", fn) -> rd.Dataset:
     """``fn`` called once per group of ``keys`` with that group's rows as
     one Arrow table; the outputs concatenate. Runs on
-    ``hash_repartition_map``: each range sorts by the keys and cuts its
-    groups, so no Ray sort aggregate is involved. Output rows come in
-    range order, not key order."""
-    keys = [keys] if isinstance(keys, str) else keys
+    ``hash_repartition_map``: each range cuts its groups with ``runs``, so
+    no Ray sort aggregate is involved. An empty range yields a zero-row,
+    zero-column block and never calls ``fn``. Output rows come in range
+    order, not key order."""
 
     def per_range(tbl: pa.Table) -> pa.Table:
-        if tbl.num_rows == 0:
-            return pa.table({})
-        tbl = tbl.take(pc.sort_indices(
-            tbl, sort_keys=[(k, "ascending") for k in keys]))
-        new = np.zeros(tbl.num_rows, bool)
-        new[0] = True
-        for k in keys:
-            code = pc.fill_null(tbl[k].combine_chunks().dictionary_encode()
-                                .indices, -1).to_numpy()
-            new[1:] |= code[1:] != code[:-1]
-        starts = np.flatnonzero(new)
+        tbl, starts = runs(tbl, keys)
         ends = np.append(starts[1:], tbl.num_rows)
         return pa.concat_tables(
             [fn(tbl.slice(s, e - s)) for s, e in zip(starts, ends)],
@@ -550,29 +588,18 @@ def topk_per_key(ds: rd.Dataset, key: str,
     key's first index) — no per-group Python, wall time independent of key
     count. Deterministic: ties broken by the sort_keys themselves (make
     them total)."""
-    names = [key] + [c for c, _ in sort_keys]
-    orders = ["ascending"] + ["descending" if d else "ascending"
-                              for _, d in sort_keys]
+    order = [(c, "descending" if d else "ascending") for c, d in sort_keys]
 
     def local(tbl: pa.Table) -> pa.Table:
-        if tbl.num_rows == 0:
-            return tbl
-        idx = pc.sort_indices(tbl, sort_keys=list(zip(names, orders)))
-        tbl = tbl.take(idx)
-        # dictionary codes, nulls -1: null keys are one key of any type (a
-        # float view of an int column with nulls would split them on NaN)
-        codes = pc.fill_null(tbl[key].combine_chunks().dictionary_encode()
-                             .indices, -1).to_numpy()
-        n = len(codes)
-        change = np.concatenate([[True], codes[1:] != codes[:-1]])
-        starts = np.flatnonzero(change)
-        seg_start = np.repeat(starts, np.diff(np.append(starts, n)))
-        rank = np.arange(n) - seg_start
+        tbl, starts = runs(tbl, key, order)
+        n = tbl.num_rows
+        rank = np.arange(n) - np.repeat(starts, np.diff(np.append(starts, n)))
         return tbl.filter(pa.array(rank < k))
 
-    return hash_repartition_map(
-        ds.map_batches(local, batch_format="pyarrow", batch_size=None),
-        key, local)
+    pruned = ds.map_batches(local, batch_format="pyarrow",
+                            batch_size=None).materialize()
+    return hash_repartition_map(pruned, key, local,
+                                schema=pruned.schema().base_schema)
 
 
 def drop_empty_blocks(ds: rd.Dataset) -> rd.Dataset | None:
@@ -657,8 +684,6 @@ def asof_join(left: rd.Dataset, right: rd.Dataset, key: str,
                            batch_format="pyarrow")
 
     def merge_partition(tbl: pa.Table) -> pa.Table:
-        if tbl.num_rows == 0:
-            return out_schema.empty_table()
         df = tbl.to_pandas()
         lg = df[df["__side"] == 0].sort_values("__ts", kind="mergesort")
         # deterministic among equal right timestamps: backward ⇒ merge_asof
@@ -675,7 +700,8 @@ def asof_join(left: rd.Dataset, right: rd.Dataset, key: str,
             [pa.Array.from_pandas(out[f.name], type=f.type)
              for f in out_schema], schema=out_schema)
 
-    return hash_repartition_map(lt.union(rt), key, merge_partition)
+    return hash_repartition_map(lt.union(rt), key, merge_partition,
+                                schema=out_schema)
 
 
 def nearest_join(left: rd.Dataset, right: rd.Dataset, key: str,
@@ -731,15 +757,11 @@ def nearest_join(left: rd.Dataset, right: rd.Dataset, key: str,
     rt = right.map_batches(tag(1, right_ts, right_key), batch_format="pyarrow")
 
     def merge_partition(tbl: pa.Table) -> pa.Table:
-        if tbl.num_rows == 0:
-            return out_schema.empty_table()
         df = tbl.to_pandas()
         lg = (df[df["__side"] == 0][[key, "__ts"] + left_cols]
               .sort_values("__ts", kind="mergesort"))
         rg = df[df["__side"] == 1][[key, "__ts"] + r_keep]
-        if not len(lg):
-            return out_schema.empty_table()
-        if not len(rg):
+        if not len(lg) or not len(rg):
             return out_schema.empty_table()
         back = pd.merge_asof(
             lg, rg.sort_values(["__ts", right_id], ascending=[True, False],
@@ -772,7 +794,8 @@ def nearest_join(left: rd.Dataset, right: rd.Dataset, key: str,
             [pa.Array.from_pandas(pd.Series(out_cols[f.name]), type=f.type)
              for f in out_schema], schema=out_schema)
 
-    return hash_repartition_map(lt.union(rt), key, merge_partition)
+    return hash_repartition_map(lt.union(rt), key, merge_partition,
+                                schema=out_schema)
 
 
 def interval_join(points: rd.Dataset, intervals: pa.Table, value_col: str,

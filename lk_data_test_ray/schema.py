@@ -56,10 +56,6 @@ WARC_TS_MIN = "1996-01-01T00:00:00"
 WARC_TS_MAX = "2030-01-01T00:00:00"
 
 
-def empty_violations() -> pa.Table:
-    return VIOLATIONS_SCHEMA.empty_table()
-
-
 def make_violations(
     check_id: str,
     urls,

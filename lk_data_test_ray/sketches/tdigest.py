@@ -129,6 +129,11 @@ class TDigest:
             return cls()
         for d in digests:
             d._compress()
+        # the compress sort is stable, so tied means keep concatenation
+        # order: concatenate in one canonical order of the digests, and the
+        # result depends only on which digests merge, not on their order
+        digests = sorted(digests, key=lambda d: (d.means.tobytes(),
+                                                 d.counts.tobytes()))
         out = cls(digests[0].delta,
                   np.concatenate([d.means for d in digests]),
                   np.concatenate([d.counts for d in digests]))

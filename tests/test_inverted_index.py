@@ -5,21 +5,20 @@ import pyarrow as pa
 def _capture_build():
     """Run the public query once with the exchange spied, capturing the
     per-partition build fn so it can be unit-fed pathological input."""
-    import lk_data_test_ray.relational as rel
     from lk_data_test_ray.pipelines import queries as q
 
     captured = {}
-    orig = rel.hash_repartition_map
+    orig = q.hash_repartition_map
 
     def spy(ds_, key, fn, **kw):
         captured["fn"] = fn
         return orig(ds_, key, fn, **kw)
 
-    rel.hash_repartition_map = spy
+    q.hash_repartition_map = spy
     try:
         q.t_inverted_index("/root/testdata/sf0.001").materialize()
     finally:
-        rel.hash_repartition_map = orig
+        q.hash_repartition_map = orig
     return captured["fn"]
 
 

@@ -238,8 +238,7 @@ def test_c4_line_filters_rules(ray_session, tmp_path, monkeypatch):
     fix = tmp_path / "lines"
     fix.mkdir()
     pq.write_table(tbl, str(fix / "lines-000.parquet"))
-    monkeypatch.setattr("lk_data_test_ray.sources.lines.ensure_lines",
-                        lambda n, **kw: str(fix))
+    monkeypatch.setattr(q, "ensure_lines", lambda n, **kw: str(fix))
     out = (q.td_c4_line_filters(SF).to_pandas()
            .sort_values("doc_id").reset_index(drop=True))
     # doc 4's lorem line is itself a valid LINE (3 words, terminal punct);
@@ -273,8 +272,7 @@ def test_c4_spans_cut_semantics(ray_session, tmp_path, monkeypatch):
     fix = tmp_path / "lines"
     fix.mkdir()
     pq.write_table(tbl, str(fix / "lines-000.parquet"))
-    monkeypatch.setattr("lk_data_test_ray.sources.lines.ensure_lines",
-                        lambda n, **kw: str(fix))
+    monkeypatch.setattr(q, "ensure_lines", lambda n, **kw: str(fix))
     out = (q.dd_c4_spans(SF).to_pandas()
            .sort_values("doc_id").reset_index(drop=True))
     assert list(out["clean_text"]) == [
@@ -340,8 +338,7 @@ def test_c4_spans_fuzz_vs_duckdb(ray_session, tmp_path, monkeypatch, seed):
     fix = tmp_path / "lines"
     fix.mkdir()
     pq.write_table(tbl, str(fix / "lines-000.parquet"))
-    monkeypatch.setattr("lk_data_test_ray.sources.lines.ensure_lines",
-                        lambda n, **kw: str(fix))
+    monkeypatch.setattr(q, "ensure_lines", lambda n, **kw: str(fix))
     mine = (q.dd_c4_spans(SF).to_pandas()
             .sort_values("doc_id").reset_index(drop=True))
     ora = (duckdb.sql(_C4_SPAN_SQL.format(glob=str(fix / "*.parquet")))

@@ -31,7 +31,6 @@ def test_recrawl_delta_matches_pandas_lag(ray_session, tmp_path, monkeypatch):
     import pyarrow.parquet as pq
 
     from lk_data_test_ray.pipelines import queries as q
-    from lk_data_test_ray.sources import recrawl as rc
 
     # url A: 3 captures, text changes once (x, x, y) -> churn 1/2
     # url B: 1 capture -> churn 0; url C: 4 captures all distinct -> 1.0
@@ -56,7 +55,7 @@ def test_recrawl_delta_matches_pandas_lag(ray_session, tmp_path, monkeypatch):
                 pa.timestamp("us")),
             "text": pa.array([r[2] for r in part], pa.string()),
         }), str(fix / f"captures-{f:03d}.parquet"))
-    monkeypatch.setattr(rc, "ensure_recrawl", lambda n, **kw: str(fix))
+    monkeypatch.setattr(q, "ensure_recrawl", lambda n, **kw: str(fix))
 
     got = q.pages_recrawl_delta("/root/testdata/sf0.001").to_pandas() \
         .set_index("url").sort_index()

@@ -709,3 +709,147 @@ def test_interval_overlap_counts_match_bruteforce(ray_session, tmp_path):
             int(pd.Timestamp(r.session_end).value // 1000)): r.n_err_windows
            for r in out.itertuples()}
     assert got == want
+
+
+def test_runs_int_key_with_nulls_is_one_key():
+    """Nulls sort last and form ONE run (a float view of the int column
+    would read them as NaN and cut between every null row)."""
+    from lk_data_test_ray.relational import runs
+
+    tbl = pa.table({"k": pa.array([3, None, 1, None, 3, 1, None], pa.int64()),
+                    "v": [5, 4, 3, 2, 1, 0, 6]})
+    out, starts = runs(tbl, "k", ["v"])
+    assert out["k"].to_pylist() == [1, 1, 3, 3, None, None, None]
+    assert out["v"].to_pylist() == [0, 3, 1, 5, 2, 4, 6]
+    assert starts.tolist() == [0, 2, 4]
+
+
+def test_runs_string_key_with_nulls_and_two_keys():
+    from lk_data_test_ray.relational import runs
+
+    tbl = pa.table({"s": ["b", None, "a", None, "b", "a"],
+                    "k": pa.array([1, 1, None, None, 2, None], pa.int64()),
+                    "v": [0, 1, 2, 3, 4, 5]})
+    out, starts = runs(tbl, "s", [("v", "descending")])
+    assert out["s"].to_pylist() == ["a", "a", "b", "b", None, None]
+    assert out["v"].to_pylist() == [5, 2, 4, 0, 3, 1]
+    assert starts.tolist() == [0, 2, 4]
+    out, starts = runs(tbl, ["s", "k"])
+    assert list(zip(out["s"].to_pylist(), out["k"].to_pylist())) == [
+        ("a", None), ("a", None), ("b", 1), ("b", 2), (None, 1),
+        (None, None)]
+    assert starts.tolist() == [0, 2, 3, 4, 5]
+
+
+def test_runs_zero_rows():
+    from lk_data_test_ray.relational import runs
+
+    out, starts = runs(pa.table({"k": pa.array([], pa.int64())}), "k")
+    assert out.num_rows == 0 and len(starts) == 0
+
+
+_SUMS = pa.schema([("k", pa.int64()), ("v_sum", pa.int64())])
+
+
+def _sums_never_empty():
+    """A range fn (pickled by value) that raises on an empty range."""
+    def fn(tbl: pa.Table) -> pa.Table:
+        if tbl.num_rows == 0:
+            raise AssertionError("fn called on an empty range")
+        return tbl.group_by(["k"]).aggregate([("v", "sum")])
+    return fn
+
+
+def test_hash_repartition_map_all_empty_input_yields_schema():
+    from lk_data_test_ray.relational import hash_repartition_map
+
+    empty = pa.table({"k": pa.array([], pa.int64()),
+                      "v": pa.array([], pa.int64())})
+    for ds in (rd.from_arrow([empty, empty]),
+               rd.from_arrow(empty).filter(expr="k > 0")):
+        out = hash_repartition_map(ds, "k", _sums_never_empty(), p_bits=4,
+                                   schema=_SUMS).materialize()
+        assert out.count() == 0
+        assert out.schema().base_schema == _SUMS
+
+
+def test_hash_repartition_map_skips_empty_ranges():
+    """One key fills one of 16 ranges; the other 15 never call ``fn`` and
+    come back as typed empty blocks."""
+    import ray
+
+    from lk_data_test_ray.relational import hash_repartition_map
+
+    ds = rd.from_arrow([pa.table({"k": pa.array([7] * n, pa.int64()),
+                                  "v": pa.array(range(n), pa.int64())})
+                        for n in (3, 5)])
+    out = hash_repartition_map(ds, "k", _sums_never_empty(), p_bits=4,
+                               schema=_SUMS)
+    blocks = ray.get(out.to_arrow_refs())
+    assert len(blocks) == 16
+    assert all(b.schema == _SUMS for b in blocks)
+    assert out.to_pandas().to_dict("records") == [{"k": 7, "v_sum": 13}]
+
+
+# value-change tests: a non-key value changing between neighbours inside
+# one key's run (not a key cut), as (module, top-level function, array)
+VALUE_CHANGE_TESTS = {
+    ("pipelines/queries.py", "pages_recrawl_delta", "th"),
+    ("pipelines/queries.py", "e_dedup_consecutive", "et"),
+    ("pipelines/queries.py", "o_dense_rank_price", "price"),
+}
+
+
+def test_package_has_no_hand_made_range_plumbing():
+    """``hash_repartition_map`` never calls ``fn`` on an empty range and
+    ``relational.runs`` cuts every sorted run of keys: no callback passed
+    to it opens with a ``num_rows == 0`` guard, and no ``x[1:] != x[:-1]``
+    cut sits outside relational.py but the value-change tests above."""
+    import ast
+    import pathlib
+    import re
+
+    import lk_data_test_ray
+
+    root = pathlib.Path(lk_data_test_ray.__file__).parent
+    guards, cuts = [], []
+    for path in sorted(root.rglob("*.py")):
+        rel = str(path.relative_to(root))
+        tree = ast.parse(path.read_text())
+        for top in tree.body:
+            if not isinstance(top, ast.FunctionDef):
+                continue
+            defs = {d.name: d for d in ast.walk(top)
+                    if isinstance(d, ast.FunctionDef)}
+            for node in ast.walk(top):
+                if isinstance(node, ast.Call) and len(node.args) > 2 and (
+                        getattr(node.func, "id", None)
+                        or getattr(node.func, "attr", None)
+                ) == "hash_repartition_map":
+                    fn = node.args[2]
+                    if isinstance(fn, ast.Call):    # a callback factory
+                        fn = fn.func
+                    d = defs.get(getattr(fn, "id", None))
+                    inner = [d] + [x for x in ast.walk(d)
+                                   if isinstance(x, ast.FunctionDef)] \
+                        if d else []
+                    for f in inner:
+                        body = [s for s in f.body if not (
+                            isinstance(s, ast.Expr)
+                            and isinstance(s.value, ast.Constant))]
+                        if body and isinstance(body[0], ast.If) and re.search(
+                                r"num_rows == 0|not \w+\.num_rows",
+                                ast.unparse(body[0].test)):
+                            guards.append(f"{rel}:{f.lineno} {f.name}")
+                if (isinstance(node, ast.Compare) and rel != "relational.py"
+                        and isinstance(node.ops[0], ast.NotEq)):
+                    a, b = node.left, node.comparators[0]
+                    if (isinstance(a, ast.Subscript)
+                            and isinstance(b, ast.Subscript)
+                            and ast.unparse(a.slice) == "1:"
+                            and ast.unparse(b.slice) == ":-1"
+                            and ast.unparse(a.value) == ast.unparse(b.value)
+                            and (rel, top.name, ast.unparse(a.value))
+                            not in VALUE_CHANGE_TESTS):
+                        cuts.append(f"{rel}:{node.lineno} {top.name}")
+    assert guards == [] and cuts == []

@@ -5,6 +5,7 @@ run."""
 import os
 import shutil
 
+import numpy as np
 import pyarrow as pa
 import pyarrow.parquet as pq
 import pytest
@@ -1026,13 +1027,28 @@ def test_c1_null_urls_match_duckdb(pages_fixture, tmp_path):
         assert s["per_check_violations"]["c1_url_unique"] == len(want)
 
 
-def _order_free(summary):
-    """``summary`` without what depends on partition order: a t-digest
-    merge is not commutative byte for byte, and a resume gives re-scanned
-    files pids past the kept ones, so its text-length quantiles may differ
-    from a fresh run's. Every other stat is an exact merge."""
-    return {**summary, "stats": {k: v for k, v in summary["stats"].items()
-                                 if k != "textlen_quantiles"}}
+def test_merge_stats_is_order_free(pages_fixture, tmp_path):
+    """The merged stats depend only on the set of partition partials, not
+    on the order a run loads them in (a resume gives re-scanned files pids
+    past the kept ones): every permutation gives the same t-digest bytes
+    and text-length quantiles."""
+    from lk_data_test_ray.checks.row import merge_stats
+    from lk_data_test_ray.state.manifest import ManifestStore
+
+    out = str(tmp_path / "out")
+    _run(pages_fixture, out)
+    store = ManifestStore(os.path.join(out, "manifests"))
+    parts = [s for s in map(store.load_stats, store.completed())
+             if s is not None]
+    assert len(parts) > 2
+    want = merge_stats(parts)
+    rng = np.random.default_rng(0)
+    orders = [np.arange(len(parts))[::-1]] + [
+        rng.permutation(len(parts)) for _ in range(8)]
+    for order in orders:
+        got = merge_stats([parts[i] for i in order])
+        assert got["tdigest_textlen"] == want["tdigest_textlen"]
+        assert got["textlen_quantiles"] == want["textlen_quantiles"]
 
 
 def _max_violation_pid(out):
@@ -1068,7 +1084,7 @@ def test_lost_store_file_rescans_its_partition(pages_fixture, tmp_path,
     assert len(scanned) == 1 and scanned[0] != pid
     assert s["rows_scanned"] == rec["n_rows"]
     assert s["n_rows"] == fresh["n_rows"]
-    assert _order_free(s)["stats"] == _order_free(fresh)["stats"]
+    assert s["stats"] == fresh["stats"]
     assert load_violations(out).num_rows == load_violations(fresh_dir).num_rows
     _same_outputs(out, s, fresh_dir, fresh)
 
@@ -1118,6 +1134,6 @@ def test_failing_commit_raises_then_resume_equals_fresh(pages_fixture,
     fresh = run_validation(pages, fresh_dir, lang_hist_path=hist)
     work = {"phase_wall", "wall_sec", "rows_per_sec", "rows_scanned",
             "scan_items", "scan_tasks"}
-    assert ({k: v for k, v in _order_free(resumed).items() if k not in work}
-            == {k: v for k, v in _order_free(fresh).items() if k not in work})
+    assert ({k: v for k, v in resumed.items() if k not in work}
+            == {k: v for k, v in fresh.items() if k not in work})
     _same_outputs(out, resumed, fresh_dir, fresh)

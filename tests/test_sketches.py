@@ -268,16 +268,17 @@ def test_compress_is_a_no_op_on_compressed_digests():
 
 def _fold_merge_stats(partials):
     """The stats merge as a Python fold, every digest re-compressed where
-    the fold used to: the reference ``merge_stats`` must equal byte for
-    byte."""
+    the fold used to and the digests in ``merge_many``'s canonical order:
+    the reference ``merge_stats`` must equal byte for byte."""
     from lk_data_test_ray.checks.row import merge_stats
 
     if not partials:
         return merge_stats([])
     hll_u = HyperLogLog.from_bytes(partials[0]["hll_url"])
     hll_l = HyperLogLog.from_bytes(partials[0]["hll_lang"])
-    digests = [_recompressed(TDigest.from_bytes(p["tdigest_textlen"]))
-               for p in partials]
+    digests = sorted((_recompressed(TDigest.from_bytes(p["tdigest_textlen"]))
+                      for p in partials),   # merge_many's digest order
+                     key=lambda d: (d.means.tobytes(), d.counts.tobytes()))
     td = _recompressed(TDigest(digests[0].delta,
                                np.concatenate([d.means for d in digests]),
                                np.concatenate([d.counts for d in digests])))
