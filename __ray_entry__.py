@@ -2449,7 +2449,7 @@ def oracle_sql() -> dict[str, str]:
             FROM links
             GROUP BY dst_url
         """,
-        # exact anti-join oracle for the raw-Ray hash-membership exchange
+        # exact anti-join oracle for the C7 exchange_join left_anti
         "pages_dangling_links": f"""
             SELECT l.src_url, l.ordinal, l.dst_url, l.anchor
             FROM read_parquet('{_pages_links_path()}') l

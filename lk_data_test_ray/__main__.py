@@ -108,14 +108,17 @@ def main(argv=None):
     pages_path = args.pages_path
     if args.max_partitions is not None:
         import glob as _glob
-        import tempfile
+        import shutil
 
         files = sorted(_glob.glob(os.path.join(args.pages_path, "*.parquet")))
-        smoke = files[: args.max_partitions]
-        link_dir = tempfile.mkdtemp(prefix="lk_smoke_")
-        for f in smoke:
-            os.symlink(f, os.path.join(link_dir, os.path.basename(f)))
-        pages_path = link_dir
+        # one stable link dir per out_dir, so a rerun resumes: each
+        # manifest's input_fragment names a path under it
+        pages_path = os.path.join(args.out_dir, "smoke_inputs")
+        shutil.rmtree(pages_path, ignore_errors=True)
+        os.makedirs(pages_path)
+        for f in files[: args.max_partitions]:
+            os.symlink(os.path.abspath(f),
+                       os.path.join(pages_path, os.path.basename(f)))
 
     summary = run_validation(
         pages_path, args.out_dir,

@@ -231,6 +231,25 @@ def _capped_pair_indices(n: int, cap: int) -> tuple[np.ndarray, np.ndarray]:
     return ia, ib
 
 
+def _bucket_pairs(tbl: pa.Table, id_col: str, cap: int) -> tuple:
+    """The per-range kernel of LSH and SimHash bucket pairing. ``tbl`` holds
+    every row of its ``(band, bkey)`` buckets; returns it with one row per
+    bucket and id, sorted by bucket then id, and the row indices ``(ia,
+    ib)`` of the capped pair set (``_capped_pair_indices``) of each bucket
+    with ≥ 2 distinct ids. Almost every bucket is a singleton and dies in
+    one vectorized mask; the loop runs per colliding bucket only."""
+    tbl, first = runs(tbl, ["band", "bkey", id_col])
+    tbl, starts = runs(tbl.take(first), ["band", "bkey"])
+    lens = np.diff(np.append(starts, tbl.num_rows))
+    hot = lens >= 2
+    ia, ib = [np.empty(0, np.intp)], [np.empty(0, np.intp)]
+    for s, n in zip(starts[hot], lens[hot]):
+        i, j = _capped_pair_indices(int(n), cap)
+        ia.append(s + i)
+        ib.append(s + j)
+    return tbl, np.concatenate(ia), np.concatenate(ib)
+
+
 def _fixed_binary_matrix(col, width_bytes: int) -> np.ndarray:
     """View an equal-width binary column as an (n, width/8) uint64 matrix —
     zero-copy off the Arrow values buffer when offsets are contiguous
@@ -262,13 +281,16 @@ def minhash_lsh_pairs(
     Scale bounds (template-heavy web corpora violate the "LSH collisions
     are rare" assumption): buckets above ``bucket_cap`` members emit a
     bounded chain+stride pair subset instead of all-pairs
-    (``_capped_pair_indices``), and when the hot-survivor row count exceeds
-    ``sig_broadcast_limit`` the survivor signatures ship through the hash
-    exchange (joined to the pairs) instead of a driver ``ray.put``
+    (``_capped_pair_indices``), and when the candidate pair rows exceed
+    ``sig_broadcast_limit`` the signatures of the ids in them ship through
+    the hash exchange (joined to the pairs) instead of a driver ``ray.put``
     broadcast — no driver-memory term grows with the corpus.
     """
     rows = num_perm // bands
     assert bands * rows == num_perm
+    # run the input once: the band rows and the survivors' signatures both
+    # read it
+    ds = ds.select_columns([id_col, text_col]).materialize()
 
     def _sig_matrix(batch: pa.Table) -> np.ndarray:
         toks = pc.split_pattern_regex(
@@ -334,62 +356,42 @@ def minhash_lsh_pairs(
             "sig": pa.array([s.tobytes() for s in sigs], pa.binary()),
         })
 
-    # band rows materialized ONCE (consumed by both the hot-bucket count and
-    # the survivor filter — a lazy Dataset would re-run the signing stage per
-    # consumer); signatures are recomputed only for the tiny survivor set
     # bounded batch: the vectorized signer allocates ~6 int64 arrays over
     # the batch's token stream; 16k docs × ~200 tokens ≈ 150 MB per task,
     # safe at full concurrency (whole-block batches of a materialized
     # corpus OOM'd 32 workers)
     band_rows = ds.map_batches(signer_bands, batch_size=16_384,
-                               batch_format="pyarrow").materialize()
+                               batch_format="pyarrow")
+    pair_schema = pa.schema([("id_a", pa.int64()), ("id_b", pa.int64())])
 
-    # ONE fused raw exchange replaces the former three steps (hot-bucket
-    # key scan → survivor filter+materialize → Ray sort-groupby
-    # map_groups over buckets): each band-row block splits its (id, key)
-    # rows to combined-key hash ranges; each range task finds its hot
-    # buckets (≥2 members — almost every bucket is a singleton, so this
-    # is the same vectorized pre-screen), emits the capped pair set per
-    # hot bucket, and returns the survivor ids + row count alongside.
-    # Zero streaming-executor spins and no sort between the signing pass
-    # and the estimate stage.
-    p_bits = 4
-    P = 1 << p_bits
-    per_block = [
-        _part_id_keys.options(num_returns=P).remote(ref, id_col, p_bits)
-        for ref in band_rows.to_arrow_refs()]
-    if P == 1:
-        per_block = [[r] for r in per_block]
-    outs = [_range_bucket_pairs.options(num_returns=3).remote(
-        bucket_cap, id_col, *[pb[p] for pb in per_block])
-        for p in range(P)] if per_block else []
-    empty = pa.table({"id_a": pa.array([], pa.int64()),
-                      "id_b": pa.array([], pa.int64()),
-                      "est_jaccard": pa.array([], pa.float64())})
-    if not outs:
-        return rd.from_arrow(empty)
-    n_surv_rows = sum(ray.get([o[2] for o in outs]))
-    if n_surv_rows == 0:
-        return rd.from_arrow(empty)
-    pair_refs = [o[0] for o in outs]
-    surv_id_refs = [o[1] for o in outs]  # small tables; stay remote until
-    # the regime below decides whether they may be driver-collected
-    cand = rd.from_arrow_refs(pair_refs)
+    def per_range(tbl: pa.Table) -> pa.Table:
+        tbl, ia, ib = _bucket_pairs(tbl, id_col, bucket_cap)
+        ids = tbl[id_col].to_numpy()
+        return pa.table({"id_a": ids[ia], "id_b": ids[ib]},
+                        schema=pair_schema)
 
+    # ONE exchange on the bucket key: each range owns every row of its
+    # buckets and emits their capped pair sets. Only ids in a pair need a
+    # signature; there are at most twice as many as pair rows.
+    cand = hash_repartition_map(band_rows, ["band", "bkey"], per_range,
+                                schema=pair_schema)
     out_schema = pa.schema([("id_a", pa.int64()), ("id_b", pa.int64()),
                             ("est_jaccard", pa.float64())])
+    n_pairs = cand.count()
+    if n_pairs == 0:
+        return rd.from_arrow(out_schema.empty_table())
+    surv = cand.map_batches(lambda t: pa.table({id_col: pc.unique(
+        pa.concat_arrays([t["id_a"].combine_chunks(),
+                          t["id_b"].combine_chunks()]))}),
+        batch_format="pyarrow")
 
-    if n_surv_rows <= sig_broadcast_limit:
-        # normal regime: the hot-survivor set is tiny, so the signature
+    if n_pairs <= sig_broadcast_limit:
+        # normal regime: the survivor set is tiny, so the signature
         # matrix rides one driver ray.put broadcast and every pair's
         # agreement is a local fancy-index compare
-        surv_ids = np.unique(np.concatenate(
-            [t[id_col].to_numpy(zero_copy_only=False)
-             for t in ray.get(surv_id_refs)]))
-        id_tbl = pa.table({id_col: pa.array(surv_ids, pa.int64())})
-
-        surv_docs = broadcast_join(ds.select_columns([id_col, text_col]),
-                                   id_tbl, id_col, id_col, how="semi")
+        id_tbl = pa.table({id_col: pc.unique(collect_tables(
+            surv, pa.schema([(id_col, pa.int64())]))[id_col])})
+        surv_docs = broadcast_join(ds, id_tbl, id_col, id_col, how="semi")
         sig_tbl = collect_tables(
             surv_docs.map_batches(signer_sigs, batch_format="pyarrow"),
             pa.schema([(id_col, pa.int64()), ("sig", pa.binary())]))
@@ -422,18 +424,13 @@ def minhash_lsh_pairs(
         return hash_repartition_map(cand, "id_a", dedup_and_estimate,
                                     schema=out_schema)
 
-    # degenerate regime (template-heavy crawl): too many hot survivors to
+    # degenerate regime (template-heavy crawl): too many survivors to
     # collect on the driver — signatures stay in the object store and reach
     # each pair through the hash exchange (two equi-joins), so no term
     # grows with the corpus on any single node
-
-    surv_docs = exchange_join(ds.select_columns([id_col, text_col]),
-                              rd.from_arrow_refs(surv_id_refs),
-                              id_col, id_col, how="left_semi")
+    surv_docs = exchange_join(ds, surv, id_col, id_col, how="left_semi")
     sig_ds = surv_docs.map_batches(
         signer_sigs, batch_format="pyarrow").materialize()
-
-    pair_schema = pa.schema([("id_a", pa.int64()), ("id_b", pa.int64())])
 
     def dedup_only(tbl: pa.Table) -> pa.Table:
         a = tbl["id_a"].to_numpy(zero_copy_only=False)
@@ -470,121 +467,6 @@ def minhash_lsh_pairs(
             schema=out_schema)
 
     return joined.map_batches(estimate_batch, batch_format="pyarrow")
-
-
-def _combined_key(band: np.ndarray, bkey: np.ndarray) -> np.ndarray:
-    return (band.astype(np.int64) << np.int64(48)) ^ bkey.astype(np.int64)
-
-
-@ray.remote
-def _part_id_keys(tbl: pa.Table, id_col: str, p_bits: int):
-    """One band-row block → P combined-key hash ranges of (id, key) rows
-    (the fused LSH exchange's map side)."""
-    P = 1 << p_bits
-    if not isinstance(tbl, pa.Table):
-        tbl = pa.Table.from_batches([tbl])
-    if tbl.num_rows == 0 or "bkey" not in tbl.column_names:
-        z = (np.empty(0, np.int64), np.empty(0, np.int64))
-        return tuple(z for _ in range(P))
-    key = _combined_key(tbl["band"].to_numpy(zero_copy_only=False),
-                        tbl["bkey"].to_numpy(zero_copy_only=False))
-    ids = tbl[id_col].to_numpy(zero_copy_only=False).astype(np.int64)
-    bucket = (key.view(np.uint64) >> np.uint64(64 - p_bits)).astype(np.int64)
-    return tuple((ids[bucket == p], key[bucket == p]) for p in range(P))
-
-
-@ray.remote(num_returns=3)
-def _range_bucket_pairs(cap: int, id_col: str, *parts):
-    """Reduce side of the fused LSH exchange: this range owns every row of
-    its combined keys, so hot-bucket detection (≥2 members), the capped
-    per-bucket pair emission, and the survivor id/row accounting are all
-    local. Returns (pairs table, survivor-id table, survivor row count);
-    the per-hot-bucket Python loop is bounded by actual LSH collisions
-    (the overwhelming singleton majority dies in the vectorized mask)."""
-    live = [p for p in parts if len(p[0])]
-    empty_pairs = pa.table({"id_a": pa.array([], pa.int64()),
-                            "id_b": pa.array([], pa.int64())})
-    if not live:
-        return empty_pairs, pa.table({id_col: pa.array([], pa.int64())}), 0
-    t, starts = runs(pa.table({"key": np.concatenate([p[1] for p in live]),
-                               "id": np.concatenate([p[0] for p in live])}),
-                     "key", ["id"])
-    ids = t["id"].to_numpy()
-    lens = np.diff(np.append(starts, len(ids)))
-    hot = lens >= 2
-    n_surv = int(lens[hot].sum())
-    if n_surv == 0:
-        return empty_pairs, pa.table({id_col: pa.array([], pa.int64())}), 0
-    ia_parts, ib_parts = [], []
-    surv_mask = np.zeros(len(ids), bool)
-    for s, ln in zip(starts[hot], lens[hot]):
-        seg = np.unique(ids[s:s + ln])  # one row per (doc, band): sorted
-        surv_mask[s:s + ln] = True
-        if len(seg) < 2:
-            continue
-        pa_i, pb_i = _capped_pair_indices(len(seg), cap)
-        ia_parts.append(seg[pa_i])
-        ib_parts.append(seg[pb_i])
-    pairs = (pa.table({
-        "id_a": pa.array(np.concatenate(ia_parts), pa.int64()),
-        "id_b": pa.array(np.concatenate(ib_parts), pa.int64())})
-        if ia_parts else empty_pairs)
-    surv = pa.table({id_col: pa.array(np.unique(ids[surv_mask]),
-                                      pa.int64())})
-    return pairs, surv, n_surv
-
-
-@ray.remote
-def _part_keys(tbl: pa.Table, p_bits: int):
-    """One block of band rows → P hash-range partitions of combined keys."""
-    key = _combined_key(tbl["band"].to_numpy(zero_copy_only=False),
-                        tbl["bkey"].to_numpy(zero_copy_only=False))
-    u = key.view(np.uint64)
-    bucket = (u >> np.uint64(64 - p_bits)).astype(np.int64)
-    return tuple(key[bucket == p] for p in range(1 << p_bits))
-
-
-@ray.remote
-def _reduce_dup_keys(*parts: np.ndarray) -> np.ndarray:
-    if not parts:
-        return np.empty(0, dtype=np.int64)
-    vals, counts = np.unique(np.concatenate(parts), return_counts=True)
-    return vals[counts > 1]
-
-
-def _hot_buckets(signed: rd.Dataset, id_col: str) -> pa.Table:
-    """(band, bkey) buckets containing ≥ 2 rows.
-
-    Raw-Ray hash exchange over the materialized band-row blocks (the C1
-    uniqueness pattern): a generic sort-based groupby over ~n_docs × bands
-    mostly-unique keys costs minutes at 10^7 rows; partition-by-hash-top-bits
-    + per-range ``np.unique`` costs seconds.
-    """
-    p_bits = 4
-    P = 1 << p_bits
-    per_block = [
-        _part_keys.options(num_returns=P).remote(ref, p_bits)
-        for ref in signed.to_arrow_refs()
-    ]
-    if P == 1:
-        per_block = [[r] for r in per_block]
-    hot = np.concatenate(ray.get([
-        _reduce_dup_keys.remote(*[refs[p] for refs in per_block])
-        for p in range(P)
-    ])) if per_block else np.empty(0, dtype=np.int64)
-    return pa.table({"hotkey": pa.array(hot, pa.int64())})
-
-
-def _filter_to_hot(signed: rd.Dataset, hot: pa.Table) -> rd.Dataset:
-    hot_ref = ray.put(np.sort(hot["hotkey"].to_numpy(zero_copy_only=False)))
-
-    def keep_hot(batch: pa.Table) -> pa.Table:
-        hk = ray.get(hot_ref)
-        key = _combined_key(batch["band"].to_numpy(zero_copy_only=False),
-                            batch["bkey"].to_numpy(zero_copy_only=False))
-        return batch.filter(pa.array(np.isin(key, hk)))
-
-    return signed.map_batches(keep_hot, batch_format="pyarrow")
 
 
 # ---------------------------------------------------------------------------
@@ -633,32 +515,23 @@ def simhash_pairs(ds: rd.Dataset, id_col: str, text_col: str,
             "simhash": pa.array(h_rep, pa.uint64()),
         })
 
-    signed = ds.map_batches(sign, batch_format="pyarrow")
+    pair_schema = pa.schema([("id_a", pa.int64()), ("id_b", pa.int64()),
+                             ("hamming", pa.int32())])
 
-    def bucket_pairs(group: pa.Table) -> pa.Table:
-        ids = np.asarray(group[id_col].to_pylist())
-        hs = group["simhash"].to_numpy(zero_copy_only=False).astype(np.uint64)
-        uniq, first = np.unique(ids, return_index=True)
-        if len(uniq) < 2:
-            return pa.table({"id_a": pa.array([], pa.int64()),
-                             "id_b": pa.array([], pa.int64()),
-                             "hamming": pa.array([], pa.int32())})
-        hs = hs[first]
-        ia, ib = _capped_pair_indices(len(uniq), bucket_cap)
-        x = hs[ia] ^ hs[ib]
+    def per_range(tbl: pa.Table) -> pa.Table:
+        tbl, ia, ib = _bucket_pairs(tbl, id_col, bucket_cap)
+        ids = tbl[id_col].to_numpy()
+        hs = tbl["simhash"].to_numpy()
         # vectorized popcount (no per-pair Python bin())
-        ham = np.unpackbits(x.view(np.uint8).reshape(-1, 8),
+        ham = np.unpackbits((hs[ia] ^ hs[ib]).view(np.uint8).reshape(-1, 8),
                             axis=1).sum(axis=1).astype(np.int32)
         keep = ham <= max_hamming
-        return pa.table({"id_a": pa.array(uniq[ia][keep], pa.int64()),
-                         "id_b": pa.array(uniq[ib][keep], pa.int64()),
-                         "hamming": pa.array(ham[keep], pa.int32())})
+        return pa.table({"id_a": ids[ia][keep], "id_b": ids[ib][keep],
+                         "hamming": ham[keep]}, schema=pair_schema)
 
-    # hot-bucket pre-screen (see minhash_lsh_pairs): only buckets with ≥2
-    # members reach the per-group pairing
-    hot = _hot_buckets(signed, id_col)
-    survivors = _filter_to_hot(signed, hot)
-    pairs = map_groups(survivors, ["band", "bkey"], bucket_pairs)
+    pairs = hash_repartition_map(ds.map_batches(sign, batch_format="pyarrow"),
+                                 ["band", "bkey"], per_range,
+                                 schema=pair_schema)
     return partial_groupby_agg(pairs, ["id_a", "id_b"],
                                [("hamming", "min", "hamming")])
 

@@ -1062,8 +1062,8 @@ def random_walks(edges: rd.Dataset, src_col: str, dst_col: str,
     IDENTICALLY — walks converge onto hubs, and after a few steps a
     10⁶-in-degree host can hold millions of walk states whose ``cur``
     (and therefore whose composite key) is ONE value. Both per-step
-    joins therefore run through ``skew_join`` (the Misra-Gries
-    hot-key split the triangle family and ``j_skew_user_events`` use):
+    joins therefore run through ``skew_join`` (the heavy-hitter
+    hot-key-hash split the triangle family and ``j_skew_user_events`` use):
     hot-key states join a broadcast slice of the right side
     block-parallel instead of collapsing into one exchange partition.
     Both right sides satisfy skew_join's broadcast assumption exactly —

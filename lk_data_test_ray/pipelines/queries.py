@@ -1658,8 +1658,8 @@ def a_lang_fractions(sf_dir: str) -> rd.Dataset:
 
 def pages_dangling_links(sf_dir: str) -> pa.Table:
     """C7 cross-document link integrity (north-star item): link rows whose
-    dst_url has no matching page — big-to-big anti-join via the raw-Ray
-    hash-membership exchange (checks/links.py). Rows-only here; the pytest
+    dst_url has no matching page — big-to-big anti-join, one
+    ``exchange_join`` left_anti (checks/links.py). Rows-only here; the pytest
     suite cross-checks against an exact DuckDB anti-join."""
     fix = _pages_fixture(sf_dir)
     pages_files = sorted(glob.glob(os.path.join(fix, "pages", "*.parquet")))

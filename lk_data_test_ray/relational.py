@@ -12,8 +12,10 @@ as scale-conscious Ray Data primitives:
   block into key-hash ranges; ``hash_repartition_map``, ``map_groups``,
   ``exchange_join`` and ``skew_join`` send range p of every block to one
   task, and ``runs`` cuts a range's sorted runs of equal keys (nulls one
-  key). ``partial_groupby_agg`` runs per-batch Arrow ``group_by`` partials
-  and merges them with one Arrow ``group_by`` — in one task while the
+  key). ``skew_join`` shares ``exchange_join``'s split and per-range join
+  task: its hot key hashes leave the ranges as one more part per block.
+  ``partial_groupby_agg`` runs per-batch Arrow ``group_by`` partials and
+  merges them with one Arrow ``group_by`` — in one task while the
   partials are small, else one task per hash range — so only (keys ×
   batches) partial rows move, never the fact table. At 10^12 rows this is
   the difference between shuffling terabytes and shuffling megabytes.
@@ -146,40 +148,46 @@ def _key_hash(col: pa.ChunkedArray | pa.Array) -> np.ndarray:
     return h
 
 
-def hash_split(tbl: pa.Table, keys: "str | list[str]",
-               p_bits: int) -> tuple:
+def hash_split(tbl: pa.Table, keys: "str | list[str]", p_bits: int,
+               hot: np.ndarray | None = None) -> tuple:
     """``tbl``'s rows cut into ``2**p_bits`` tables by the top ``p_bits``
     of one 64-bit hash of ``keys`` (a column name or several). Equal keys
     land in the same range from any block of any table whose key columns
-    hold equal values; nulls are one key. One stable argsort by range and
-    zero-copy slices, so rows keep their relative order in each range."""
+    hold equal values; nulls are one key. With ``hot``, an array of such
+    hashes, the rows whose hash is in it go to one more table at the
+    end instead. One stable argsort by range and zero-copy slices, so rows
+    keep their relative order in each range."""
     keys = [keys] if isinstance(keys, str) else keys
-    if p_bits == 0 or tbl.num_rows == 0:
-        return (tbl,) * (1 << p_bits)
+    n_out = (1 << p_bits) + (hot is not None)
+    if n_out == 1 or tbl.num_rows == 0:
+        return (tbl,) * n_out
     h = _key_hash(tbl[keys[0]])
     for k in keys[1:]:
         h = ((h ^ (h >> np.uint64(31))) * _MIX) ^ _key_hash(tbl[k])
-    rng = (h >> np.uint64(64 - p_bits)).astype(np.intp)
-    ends = np.cumsum(np.bincount(rng, minlength=1 << p_bits))
+    rng = ((h >> np.uint64(64 - p_bits)).astype(np.intp) if p_bits
+           else np.zeros(len(h), np.intp))
+    if hot is not None:
+        rng[np.isin(h, hot)] = n_out - 1
+    ends = np.cumsum(np.bincount(rng, minlength=n_out))
     tbl = tbl.take(np.argsort(rng, kind="stable"))
     return tuple(tbl.slice(e - n, n) for e, n in
                  zip(ends, np.diff(ends, prepend=0)))
 
 
 @ray.remote
-def _split(tbl, keys, p_bits: int) -> tuple:
+def _split(tbl, keys, p_bits: int, hot=None) -> tuple:
     if not isinstance(tbl, pa.Table):
         tbl = pa.Table.from_batches([tbl])
-    return hash_split(tbl, keys, p_bits)
+    return hash_split(tbl, keys, p_bits, hot)
 
 
-def _split_refs(refs: list, keys, p_bits: int) -> list:
+def _split_refs(refs: list, keys, p_bits: int, hot=None) -> list:
     """One ``_split`` task per block ref: a list of ``2**p_bits`` range
-    refs per block."""
-    P = 1 << p_bits
-    parts = [_split.options(num_returns=P).remote(r, keys, p_bits)
+    refs per block, and with ``hot`` its hot-row ref last."""
+    n_out = (1 << p_bits) + (hot is not None)
+    parts = [_split.options(num_returns=n_out).remote(r, keys, p_bits, hot)
              for r in refs]
-    return [[p] for p in parts] if P == 1 else parts
+    return [[p] for p in parts] if n_out == 1 else parts
 
 
 def default_p_bits() -> int:
@@ -287,6 +295,15 @@ def map_groups(ds: rd.Dataset, keys: "str | list[str]", fn) -> rd.Dataset:
     return hash_repartition_map(ds, keys, per_range)
 
 
+def _blocks(ds: rd.Dataset) -> list:
+    """``(Arrow block ref, row count)`` for each block of ``ds``, run once;
+    the counts come from the block metadata, so no block is read."""
+    ds = ds.materialize()
+    counts = [meta.num_rows for bundle in ds.iter_internal_ref_bundles()
+              for _, meta in bundle.blocks]
+    return list(zip(ds.to_arrow_refs(), counts))
+
+
 _ARROW_OP = {"sum": "sum", "count": "count", "min": "min", "max": "max"}
 # merge op applied to partials of each base op
 _MERGE_OP = {"sum": "sum", "count": "sum", "min": "min", "max": "max"}
@@ -352,10 +369,7 @@ def partial_groupby_agg(
             batch = pre(batch)
         return batch.group_by(keys, use_threads=False).aggregate(bases)
 
-    parts = ds.map_batches(make_partials, batch_format="pyarrow") \
-        .materialize()
-    blocks = [(ref, meta.num_rows) for bundle in
-              parts.iter_internal_ref_bundles() for ref, meta in bundle.blocks]
+    blocks = _blocks(ds.map_batches(make_partials, batch_format="pyarrow"))
     refs = [r for r, n in blocks if n] or [r for r, _ in blocks]
     if sum(n for _, n in blocks) <= _MERGE_ROWS:
         out = [_merge_partials.remote(keys, specs, bases, *refs)]
@@ -493,27 +507,12 @@ def exchange_join(left: rd.Dataset, right: rd.Dataset,
                 pass
         need = int(np.ceil(np.log2(max(1, total // (256 << 20)) + 1)))
         p_bits = min(10, max(default_p_bits(), need))
-    arrow_how = _ARROW_JOIN_TYPE[how]
-    l_schema = left.schema().base_schema
-    r_schema = right.schema().base_schema
-
-    @ray.remote
-    def pjoin(nl: int, *parts):
-        lp = [p for p in parts[:nl] if p.num_rows]
-        rp = [p for p in parts[nl:] if p.num_rows]
-        lt = pa.concat_tables(lp) if lp else l_schema.empty_table()
-        rt = pa.concat_tables(rp) if rp else r_schema.empty_table()
-        return lt.join(rt, keys=[left_on], right_keys=[right_on],
-                       join_type=arrow_how, coalesce_keys=coalesce_keys)
-
+    spec = (left_on, right_on, _ARROW_JOIN_TYPE[how], coalesce_keys,
+            left.schema().base_schema, right.schema().base_schema)
     lrefs = left.to_arrow_refs()
     rrefs = right.to_arrow_refs()
     if not lrefs and not rrefs:
-        return rd.from_arrow(
-            l_schema.empty_table().join(
-                r_schema.empty_table(), keys=[left_on],
-                right_keys=[right_on], join_type=arrow_how,
-                coalesce_keys=coalesce_keys))
+        return rd.from_arrow(_join_parts(spec, 0))
 
     # --- Bloom semi-join reduction (optional) ----------------------------
     # Shrink the LEFT side's shuffle volume by a broadcast Bloom filter of
@@ -529,12 +528,6 @@ def exchange_join(left: rd.Dataset, right: rd.Dataset,
         from .sketches.bloom import BloomFilter
 
         @ray.remote
-        def nrows(tbl) -> int:
-            if not isinstance(tbl, pa.Table):
-                tbl = pa.Table.from_batches([tbl])
-            return tbl.num_rows
-
-        @ray.remote
         def bloom_partial(tbl, n_bits: int, k: int) -> bytes:
             if not isinstance(tbl, pa.Table):
                 tbl = pa.Table.from_batches([tbl])
@@ -543,7 +536,7 @@ def exchange_join(left: rd.Dataset, right: rd.Dataset,
                 bf.add_hashes(_key_hash(tbl[right_on]))
             return bf.to_bytes()
 
-        cap = max(64, sum(ray.get([nrows.remote(r) for r in rrefs])))
+        cap = max(64, right.count())  # from block metadata
         proto = BloomFilter(cap, fp_rate=bloom_fp)
         parts = ray.get([bloom_partial.remote(r, proto.n_bits, proto.k)
                          for r in rrefs])
@@ -569,12 +562,42 @@ def exchange_join(left: rd.Dataset, right: rd.Dataset,
         if how == "left_anti":
             miss_refs = [p[1] for p in pre]
 
-    lsp = _split_refs(lrefs, left_on, p_bits)
-    rsp = _split_refs(rrefs, right_on, p_bits)
-    out = [pjoin.remote(len(lsp), *[refs[p] for refs in lsp],
-                        *[refs[p] for refs in rsp])
-           for p in range(1 << p_bits)]
-    return rd.from_arrow_refs(out + miss_refs)
+    return rd.from_arrow_refs(_range_joins(spec, lrefs, rrefs, p_bits)
+                              + miss_refs)
+
+
+def _join_parts(spec: tuple, nl: int, *parts) -> pa.Table:
+    """One join task's output: ``parts[:nl]`` of the left side joined to
+    the rest, empty parts dropped and a side with none typed from its
+    schema. ``spec`` is ``(left_on, right_on, Arrow join type,
+    coalesce_keys, left schema, right schema)``."""
+    left_on, right_on, how, coalesce_keys, l_schema, r_schema = spec
+    lp = [p for p in parts[:nl] if p.num_rows]
+    rp = [p for p in parts[nl:] if p.num_rows]
+    lt = pa.concat_tables(lp) if lp else l_schema.empty_table()
+    rt = pa.concat_tables(rp) if rp else r_schema.empty_table()
+    return lt.join(rt, keys=[left_on], right_keys=[right_on], join_type=how,
+                   coalesce_keys=coalesce_keys)
+
+
+_join_range = ray.remote(_join_parts)
+
+
+def _range_joins(spec: tuple, lrefs: list, rrefs: list, p_bits: int,
+                 hot: np.ndarray | None = None) -> list:
+    """One ``_join_range`` task per key-hash range of both sides' blocks.
+    With ``hot`` (key hashes) the rows of those hashes leave the
+    ranges: each left block's hot rows join every right block's hot rows
+    in one task per left block."""
+    P = 1 << p_bits
+    lsp = _split_refs(lrefs, spec[0], p_bits, hot)
+    rsp = _split_refs(rrefs, spec[1], p_bits, hot)
+    out = [_join_range.remote(spec, len(lsp), *[b[p] for b in lsp],
+                              *[b[p] for b in rsp]) for p in range(P)]
+    if hot is not None:
+        out += [_join_range.remote(spec, 1, b[P], *[r[P] for r in rsp])
+                for b in lsp]
+    return out
 
 
 def topk_per_key(ds: rd.Dataset, key: str,
@@ -605,18 +628,10 @@ def topk_per_key(ds: rd.Dataset, key: str,
 def drop_empty_blocks(ds: rd.Dataset) -> rd.Dataset | None:
     """Remove zero-row blocks (which carry NO schema: Ray skips map UDFs on
     empty blocks, so a filtered-to-empty block degrades to a column-less
-    table that ``Dataset.join``'s hash partitioner cannot key). The probe is
-    a remote row-count per block — block data never moves and never touches
-    the driver. Returns None when every block is empty (caller supplies the
-    typed empty result)."""
-
-    @ray.remote
-    def nrows(t) -> int:
-        return t.num_rows if hasattr(t, "num_rows") else len(t)
-
-    refs = ds.to_arrow_refs()
-    counts = ray.get([nrows.remote(r) for r in refs])
-    live = [r for r, n in zip(refs, counts) if n]
+    table that ``Dataset.join``'s hash partitioner cannot key). The row
+    counts come from the block metadata: no block is read. Returns None
+    when every block is empty (caller supplies the typed empty result)."""
+    live = [r for r, n in _blocks(ds) if n]
     if not live:
         return None
     return rd.from_arrow_refs(live)
@@ -854,42 +869,32 @@ def collect_tables(ds: rd.Dataset, schema: pa.Schema) -> pa.Table:
 # ---------------------------------------------------------------------------
 
 
-def detect_hot_keys(refs: list, key: str, m: int = 256):
-    """Heavy-hitter sketch of ``key`` across Arrow block refs.
+@ray.remote
+def _hash_counts(tbl, key: str, m: int) -> tuple:
+    """One block's heavy-hitter partial: its ``m`` most frequent key
+    hashes, their counts, and the largest count left out."""
+    h, c = np.unique(_key_hash(tbl[key]), return_counts=True)
+    top = np.argsort(-c, kind="stable")
+    return h[top[:m]], c[top[:m]], int(c[top[m]]) if len(top) > m else 0
 
-    One remote Misra-Gries partial per block (``sketches.topk.ApproxTopK``:
-    local exact top-m + residual bound), merged on the driver — O(m) bytes
-    per block regardless of key cardinality. Returns (merged sketch,
-    total row count); callers threshold on the sketch's UPPER count
-    bounds, which makes detection conservative: a possibly-hot key is
-    treated as hot (any split is correct; misclassification only costs a
-    little broadcast traffic).
-    """
-    from .sketches.topk import ApproxTopK
 
-    @ray.remote
-    def partial(tbl) -> tuple[bytes, int]:
-        if not isinstance(tbl, pa.Table):
-            tbl = pa.Table.from_batches([tbl])
-        if tbl.num_rows == 0:
-            return ApproxTopK(m).to_bytes(), 0
-        vc = pa.table({key: tbl[key]}).group_by([key]).aggregate(
-            [(key, "count")])
-        items = vc[key].to_numpy(zero_copy_only=False).astype(object)
-        counts = vc[f"{key}_count"].to_numpy(zero_copy_only=False)
-        return ApproxTopK.from_counts(items, counts, m).to_bytes(), tbl.num_rows
-
-    parts = ray.get([partial.remote(r) for r in refs])
-    merged = ApproxTopK.merge_many([ApproxTopK.from_bytes(b)
-                                    for b, _ in parts])
-    total = sum(n for _, n in parts)
-    return merged, total
+def _hot_hashes(refs: list, key: str, thr: int, m: int = 256) -> np.ndarray:
+    """The sorted key hashes of ``refs``' blocks that may occur ``thr`` times
+    or more. One partial per block (O(m) per block whatever the key
+    cardinality), merged on the driver: a hash's upper bound is its listed
+    counts plus every block's left-out count, so detection is conservative
+    and any possibly-hot hash counts as hot."""
+    parts = ray.get([_hash_counts.remote(r, key, m) for r in refs])
+    h, inv = np.unique(np.concatenate([p[0] for p in parts]),
+                       return_inverse=True)
+    hi = np.bincount(inv, weights=np.concatenate([p[1] for p in parts]))
+    return h[hi + sum(p[2] for p in parts) >= thr]
 
 
 def skew_join(left: rd.Dataset, right: rd.Dataset,
               left_on: str, right_on: str, how: str = "inner",
-              hot_count: int | None = None, p_bits: int | None = None,
-              sketch_m: int = 256) -> rd.Dataset:
+              hot_count: int | None = None,
+              p_bits: int | None = None) -> rd.Dataset:
     """Equi-join that survives skewed keys: the hybrid broadcast/exchange
     plan (Spark AQE's skew-join treatment, done eagerly).
 
@@ -898,19 +903,23 @@ def skew_join(left: rd.Dataset, right: rd.Dataset,
     turns a 256-node join into one straggler task. Here:
 
       1. ONE pass over the left side's blocks builds mergeable heavy-hitter
-         partials (constant bytes per block); keys whose upper count bound
-         ≥ ``hot_count`` (default: 4× an average hash-range's share, i.e.
-         keys that would dominate their partition) are *hot*.
-      2. The right side's rows for hot keys are collected and broadcast
-         once via ``ray.put`` (assumption, documented: the right side is
-         per-key bounded — dimension-like — so |hot slice| ≈ |hot keys| ×
-         rows/key is small even when the LEFT side is pathological).
-      3. Hot left rows join the broadcast slice **block-parallel** — every
-         left block is its own join task, so the hot key's work spreads
-         over the cluster instead of one partition.
-      4. Cold rows of both sides go through the normal disjoint-range
-         ``exchange_join``; results union (hot/cold partition the key
-         space, so no row is produced twice).
+         partials of the key hash ``hash_split`` cuts on (constant bytes
+         per block); hashes whose upper count bound ≥ ``hot_count``
+         (default: 4× an average hash-range's share, i.e. keys that would
+         dominate their partition) are *hot*.
+      2. ``hash_split`` sends each block's rows of a hot hash to one extra
+         part. The right side's hot parts are the broadcast slice
+         (assumption, documented: the right side is per-key bounded —
+         dimension-like — so |hot slice| ≈ |hot keys| × rows/key is small
+         even when the LEFT side is pathological).
+      3. Hot left rows join that slice **block-parallel** — every left
+         block's hot part is its own join task, so the hot key's work
+         spreads over the cluster instead of one partition.
+      4. Cold rows of both sides go through ``exchange_join``'s
+         disjoint-range join tasks; results union. Both sides split on the
+         same hash, so hot and cold partition the key space and no row is
+         produced twice; a 64-bit collision only moves a cold key to the
+         (exact) hot path.
 
     Both sides are consumed exactly once (raw block refs, as
     ``exchange_join``). Supported ``how``: inner / left_outer / left_semi /
@@ -922,79 +931,23 @@ def skew_join(left: rd.Dataset, right: rd.Dataset,
     """
     if how not in ("inner", "left_outer", "left_semi", "left_anti"):
         raise ValueError(f"skew_join does not support how={how!r}")
-    # run each input once: the schema and block refs both read it
+    # run each input once: the counts, schema and block refs all read it
     left, right = left.materialize(), right.materialize()
     if p_bits is None:
         p_bits = default_p_bits()
-    P = 1 << p_bits
-    arrow_how = _ARROW_JOIN_TYPE[how]
-    l_schema = left.schema().base_schema
-    r_schema = right.schema().base_schema
-
-    lrefs = left.to_arrow_refs()
+    lblocks = _blocks(left)
+    lrefs = [r for r, _ in lblocks]
     rrefs = right.to_arrow_refs()
-    if not lrefs or not rrefs:
+    live = [r for r, n in lblocks if n]
+    thr = (hot_count if hot_count is not None
+           else max(1024, 4 * sum(n for _, n in lblocks) >> p_bits))
+    hot = _hot_hashes(live, left_on, thr) if live and rrefs else []
+    if not len(hot):
         return exchange_join(left, right, left_on, right_on, how,
                              p_bits=p_bits)
-
-    sketch, total = detect_hot_keys(lrefs, left_on, m=sketch_m)
-    # default threshold: a key 4× an average hash-range's share would
-    # dominate its partition
-    thr = hot_count if hot_count is not None else max(1024, 4 * total // P)
-    hot = [item for item, _lo, hi in sketch.top(sketch_m) if hi >= thr]
-    key_type = l_schema.field(left_on).type
-    # sketch items come back stringified (merge canonicalizes to str);
-    # cast back through Arrow — integer & string join keys supported
-    hot_arr = pc.cast(pa.array([str(h) for h in hot], pa.string()),
-                      key_type) if hot else None
-
-    if hot_arr is None or len(hot_arr) == 0:
-        return exchange_join(left, right, left_on, right_on, how,
-                             p_bits=p_bits)
-
-    @ray.remote
-    def split(tbl, key: str, hot_keys, pb: int):
-        """bucket 0..P-1 = cold hash ranges; bucket P = hot rows."""
-        if not isinstance(tbl, pa.Table):
-            tbl = pa.Table.from_batches([tbl])
-        is_hot = pc.is_in(tbl[key], value_set=hot_keys)
-        hot_part = tbl.filter(is_hot)
-        cold = tbl.filter(pc.invert(pc.fill_null(is_hot, False)))
-        return hash_split(cold, key, pb) + (hot_part,)
-
-    @ray.remote
-    def pjoin(nl: int, *parts):
-        lp = [p for p in parts[:nl] if p.num_rows]
-        rp = [p for p in parts[nl:] if p.num_rows]
-        lt = pa.concat_tables(lp) if lp else l_schema.empty_table()
-        rt = pa.concat_tables(rp) if rp else r_schema.empty_table()
-        return lt.join(rt, keys=[left_on], right_keys=[right_on],
-                       join_type=arrow_how)
-
-    @ray.remote
-    def concat_parts(*parts):
-        live = [p for p in parts if p.num_rows]
-        return pa.concat_tables(live) if live else r_schema.empty_table()
-
-    @ray.remote
-    def hot_join(lpart, rhot):
-        if lpart.num_rows == 0:
-            return l_schema.empty_table().join(
-                r_schema.empty_table(), keys=[left_on],
-                right_keys=[right_on], join_type=arrow_how)
-        return lpart.join(rhot, keys=[left_on], right_keys=[right_on],
-                          join_type=arrow_how)
-
-    lsp = [split.options(num_returns=P + 1).remote(r, left_on, hot_arr,
-                                                   p_bits) for r in lrefs]
-    rsp = [split.options(num_returns=P + 1).remote(r, right_on, hot_arr,
-                                                   p_bits) for r in rrefs]
-    out = [pjoin.remote(len(lsp), *[refs[p] for refs in lsp],
-                        *[refs[p] for refs in rsp])
-           for p in range(P)]
-    rhot_ref = concat_parts.remote(*[refs[P] for refs in rsp])
-    out += [hot_join.remote(refs[P], rhot_ref) for refs in lsp]
-    return rd.from_arrow_refs(out)
+    spec = (left_on, right_on, _ARROW_JOIN_TYPE[how], True,
+            left.schema().base_schema, right.schema().base_schema)
+    return rd.from_arrow_refs(_range_joins(spec, lrefs, rrefs, p_bits, hot))
 
 
 def union_by_name(parts: "list[rd.Dataset]") -> rd.Dataset:

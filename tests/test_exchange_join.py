@@ -135,23 +135,51 @@ def test_skew_join_equals_exchange_join(ray_session, how, ktype):
     assert got.equals(want), how
 
 
-def test_skew_join_detects_hot_key(ray_session):
+def test_skew_join_hot_hashes(ray_session):
+    """The per-block heavy-hitter partials find the hot key's hash, and
+    only it, from upper count bounds that bracket the true counts."""
     import ray.data as rd
 
-    from lk_data_test_ray.relational import detect_hot_keys
+    from lk_data_test_ray.relational import _hot_hashes, _key_hash
 
     rng = np.random.default_rng(5)
     n = 5000
     keys = np.where(rng.random(n) < 0.6, 42, rng.integers(100, 5000, n))
     ds = rd.from_arrow(pa.table(
         {"k": pa.array(keys.astype(np.int64))})).repartition(8)
-    sketch, total = detect_hot_keys(ds.to_arrow_refs(), "k")
-    assert total == n
-    top = sketch.top(1)[0]
-    assert top[0] == "42"
-    # upper/lower bounds must bracket the true count
-    true = int((keys == 42).sum())
-    assert top[1] <= true <= top[2]
+    hot = _hot_hashes(ds.to_arrow_refs(), "k", thr=1000)
+    assert hot.tolist() == _key_hash(pa.array([42], pa.int64())).tolist()
+    # m=4 per block leaves counts out: the bound may add a hash, never
+    # drop the hot one
+    assert set(hot) <= set(_hot_hashes(ds.to_arrow_refs(), "k", 1000, m=4))
+
+
+@pytest.mark.parametrize("how", SKEW_TYPES)
+def test_skew_join_int_key_with_nulls(ray_session, how):
+    """An int64 key with nulls and one hot key: the hot split runs on key
+    hashes (nulls are one hash), so it equals the plain exchange join."""
+    import ray.data as rd
+
+    from lk_data_test_ray.relational import skew_join
+
+    rng = np.random.default_rng(23)
+    n = 3000
+    raw = np.where(rng.random(n) < 0.4, 9, rng.integers(0, 60, n))
+    lk = pa.array(raw.astype(np.int64), mask=rng.random(n) < 0.05)
+    rk = pa.array(np.arange(50, dtype=np.int64),
+                  mask=np.arange(50) % 17 == 3)
+    left = rd.from_arrow(pa.table(
+        {"k": lk, "v": np.arange(n, dtype=np.int64)})).repartition(5)
+    right = rd.from_arrow(pa.table(
+        {"rk": rk, "w": np.arange(50, dtype=np.int64)})).repartition(2)
+    got = _sorted_pd(pa.Table.from_pandas(
+        skew_join(left, right, "k", "rk", how=how,
+                  hot_count=100).to_pandas(), preserve_index=False))
+    want = _sorted_pd(pa.Table.from_pandas(
+        exchange_join(left, right, "k", "rk", how=how).to_pandas(),
+        preserve_index=False))
+    assert list(got.columns) == list(want.columns)
+    assert got.equals(want), how
 
 
 def test_skew_join_no_hot_keys_falls_back(ray_session):
@@ -248,3 +276,21 @@ def test_joins_run_each_input_once(ray_session, tmp_path, op):
                                       ["w"], right_id="w")
     assert out.count() > 0
     assert (len(os.listdir(lmarks)), len(os.listdir(rmarks))) == (4, 4)
+
+
+@pytest.mark.parametrize("op", ["simhash_pairs", "minhash_lsh_pairs"])
+def test_near_dup_pairs_run_input_once(ray_session, tmp_path, op):
+    """SimHash and MinHash-LSH pairing sign each input block once: the
+    upstream UDF runs once per block, also when survivors need their
+    signatures again."""
+    from lk_data_test_ray.pipelines import dedup
+
+    base = ["the quick brown fox jumps over the lazy dog",
+            "completely different words entirely here now",
+            "another unrelated document about databases"]
+    docs = pa.table({"doc_id": pa.array(np.arange(24), pa.int64()),
+                     "text": [base[i % 3] for i in range(24)]})
+    ds, marks = _counted_side(tmp_path, "docs", docs)
+    out = getattr(dedup, op)(ds, "doc_id", "text").to_pandas()
+    assert len(out) > 0
+    assert len(os.listdir(marks)) == 4

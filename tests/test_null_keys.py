@@ -34,6 +34,7 @@ NULL_KEY_QUERIES = [
     "j_interval_overlap",
     "j_upsert_cdc",
     "o_intersect_except",
+    "j_skew_user_events",
 ]
 
 

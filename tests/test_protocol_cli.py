@@ -80,19 +80,27 @@ def test_cli_max_partitions_and_clean(tmp_path):
 
     fix = ensure_pages(6000, seed=123)
     clean = str(tmp_path / "clean")
-    p = subprocess.run(
-        [sys.executable, "-m", "lk_data_test_ray", "validate",
-         f"{fix}/pages", str(tmp_path / "out"),
-         "--max-partitions", "4", "--clean-dir", clean,
-         "--no-extract-check", "--num-cpus", "4"],
-        capture_output=True, text=True, cwd=REPO, timeout=300)
-    line = [ln for ln in p.stdout.splitlines() if ln.startswith("{")][-1]
-    summary = json.loads(line)
+
+    def validate() -> dict:
+        p = subprocess.run(
+            [sys.executable, "-m", "lk_data_test_ray", "validate",
+             f"{fix}/pages", str(tmp_path / "out"),
+             "--max-partitions", "4", "--clean-dir", clean,
+             "--no-extract-check", "--num-cpus", "4"],
+            capture_output=True, text=True, cwd=REPO, timeout=300)
+        line = [ln for ln in p.stdout.splitlines() if ln.startswith("{")][-1]
+        return json.loads(line)
+
+    summary = validate()
     assert summary["n_partitions"] == 4  # smoke mode: first 4 files only
     assert summary["n_rows"] == 4 * 375  # 6000 rows / 16 files
     import glob
 
     assert len(glob.glob(f"{clean}/*.parquet")) > 0
+    # an identical rerun resumes: every smoke file is already committed
+    again = validate()
+    assert again["rows_scanned"] == 0
+    assert again["n_rows"] == summary["n_rows"]
 
 
 def test_normalize_urls_batch_equals_scalar():

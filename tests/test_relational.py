@@ -853,3 +853,30 @@ def test_package_has_no_hand_made_range_plumbing():
                             not in VALUE_CHANGE_TESTS):
                         cuts.append(f"{rel}:{node.lineno} {top.name}")
     assert guards == [] and cuts == []
+
+
+def test_package_has_no_hand_made_exchange():
+    """Every hash exchange runs on relational.py's one split: outside it,
+    and outside graph.py's label-propagation kernel, no task fans a block
+    out with ``.options(num_returns=...)``."""
+    import ast
+    import pathlib
+
+    import lk_data_test_ray
+
+    root = pathlib.Path(lk_data_test_ray.__file__).parent
+    kernel = {("pipelines/graph.py", "self_labels"),
+              ("pipelines/graph.py", "min_fixpoint")}
+    fans = []
+    for path in sorted(root.rglob("*.py")):
+        rel = path.relative_to(root).as_posix()
+        if rel == "relational.py":
+            continue
+        for top in ast.parse(path.read_text()).body:
+            if (rel, getattr(top, "name", None)) in kernel:
+                continue
+            fans += [f"{rel}:{node.lineno}" for node in ast.walk(top)
+                     if isinstance(node, ast.Call)
+                     and getattr(node.func, "attr", None) == "options"
+                     and any(k.arg == "num_returns" for k in node.keywords)]
+    assert fans == []
